@@ -3,7 +3,7 @@ Seeded Monte Carlo with an exact self-check
 ===========================================
 
 Tail estimation runs on a replicate-indexed stream: replicate r always
-gets the same substream no matter how many workers run, so results are
+gets the same substream whatever ``workers`` says, so results are
 byte-identical from laptop to cluster.  For arity-1 centered indicators
 the exact tail is a binomial sum, which calibrates the whole pipeline.
 """

@@ -14,7 +14,7 @@ and moments reproducibly and checks them against the exact oracles.
 from .space import (AtomSpace, Sample, RandomSource, make_space, uniform_space,
                     draw_sample, enumerate_samples, enumerate_counts)
 from .kernels import (Kernel, constant_kernel, indicator_kernel, kernel_from_values,
-                      sup_norm, l1_norm, l2_norm_sq, l2_norm, tensor_product,
+                      sup_norm, l1_norm, l2_norm_sq, l2_norm, labeled_product, tensor_product,
                       integrate_axis, substitute_axis, center_axis, symmetrize,
                       canonical_project, is_canonical, compact_relabel, random_kernel,
                       kernel_to_json, kernel_from_json)
@@ -34,10 +34,10 @@ from .combinatorics import (set_partitions, stirling2, bell_number, partition_co
 from .dominance import (DominanceCertificate, verify_certificate, unit_certificate,
                         product_certificate, tensor_certificate, relax_sigma,
                         contract_certificate, collapse_certificate, random_dominated_pair)
-from .bounds import (BoundParams, two_regime_tail_bound, gaussian_regime_tail_bound,
-                     ustat_tail_bound, bernstein_tail_bound, crossover_level,
-                     moment_growth_bound, regime_report, crude_sup_bound)
-from .montecarlo import (McConfig, TailEstimate, replicate_values, estimate_tail,
+from .bounds import (BoundParams, two_regime_exponent, bernstein_exponent, two_regime_tail_bound,
+                     gaussian_regime_tail_bound, ustat_tail_bound, bernstein_tail_bound,
+                     crossover_level, moment_growth_bound, regime_report, crude_sup_bound)
+from .montecarlo import (McConfig, TailEstimate, replicate_values, exceedance, estimate_tail,
                          estimate_moments, binomial_tail_oracle, fit_constants,
                          auto_grid)
 

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 from .errors import BadM, EmptyGrid, NonpositiveX, OutOfRegime, RegimeViolation
 
 __all__ = [
-    "BoundParams", "two_regime_tail_bound", "gaussian_regime_tail_bound",
-    "ustat_tail_bound", "bernstein_tail_bound", "crossover_level",
-    "moment_growth_bound", "regime_report", "crude_sup_bound",
+    "BoundParams", "two_regime_exponent", "bernstein_exponent", "two_regime_tail_bound",
+    "gaussian_regime_tail_bound", "ustat_tail_bound", "bernstein_tail_bound",
+    "crossover_level", "moment_growth_bound", "regime_report", "crude_sup_bound",
 ]
 
 
@@ -51,6 +51,18 @@ def crossover_level(k: int, sigma: float, n: int) -> float:
     return float(n) ** (k / 2) * sigma ** (k + 1)
 
 
+def two_regime_exponent(x: float, k: int, sigma: float, n: int) -> float:
+    """min((x/sigma)^{2/k}, (n x^2)^{1/(k+1)}), the exponent alpha scales
+    in the two-regime bound."""
+    return min((x / sigma) ** (2.0 / k), (n * x * x) ** (1.0 / (k + 1)))
+
+
+def bernstein_exponent(x: float, k: int, sigma: float, n: int) -> float:
+    """x^{2/k} / (sigma^{2/k} + (x^{1/k} n^{-1/2})^{2/(k+1)}), the exponent
+    c2 scales in the Bernstein form."""
+    return x ** (2.0 / k) / (sigma ** (2.0 / k) + (x ** (1.0 / k) / math.sqrt(n)) ** (2.0 / (k + 1)))
+
+
 def two_regime_tail_bound(x: float, k: int, sigma: float, n: int,
                           params: BoundParams = BoundParams()) -> float:
     """C * max(exp(-alpha (x/sigma)^{2/k}), exp(-alpha (n x^2)^{1/(k+1)})).
@@ -60,9 +72,7 @@ def two_regime_tail_bound(x: float, k: int, sigma: float, n: int,
     a sample of size n can no longer mimic Gaussian behavior.
     """
     _validate(x, k, sigma, n)
-    e_gauss = (x / sigma) ** (2.0 / k)
-    e_emp = (n * x * x) ** (1.0 / (k + 1))
-    return params.C * math.exp(-params.alpha * min(e_gauss, e_emp))
+    return params.C * math.exp(-params.alpha * two_regime_exponent(x, k, sigma, n))
 
 
 def gaussian_regime_tail_bound(x: float, k: int, sigma: float, n: int,
@@ -92,9 +102,7 @@ def bernstein_tail_bound(x: float, k: int, sigma: float, n: int,
     whose denominator interpolates the same two regimes smoothly.
     """
     _validate(x, k, sigma, n)
-    num = x ** (2.0 / k)
-    den = sigma ** (2.0 / k) + (x ** (1.0 / k) / math.sqrt(n)) ** (2.0 / (k + 1))
-    return params.c1 * math.exp(-params.c2 * num / den)
+    return params.c1 * math.exp(-params.c2 * bernstein_exponent(x, k, sigma, n))
 
 
 def crude_sup_bound(k: int, n: int, sup: float = 1.0) -> float:

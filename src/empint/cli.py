@@ -11,8 +11,9 @@ Subcommands:
     constants  export the exact constant tables as CSV
     bounds     tabulate the closed-form tail bounds over a level grid
 
-All seeds come from configuration; nothing reads the clock.  Configuration
-errors (bad JSON, float mode for identity suites, missing fields) exit 2.
+All seeds come from configuration; no reproducible artifact depends on the
+clock.  Configuration errors (bad JSON, float mode for identity suites,
+missing fields, --workers below 1) exit 2.
 """
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ from pathlib import Path
 from . import bounds as bounds_mod
 from . import combinatorics, montecarlo, verify
 from .errors import EmpintError
-from .kernels import canonical_project, indicator_kernel, kernel_from_json, kernel_to_json, l2_norm
+from .kernels import canonical_project, indicator_kernel, kernel_from_json, l2_norm
 from .scalars import format_scalar
 from .space import AtomSpace, make_space
 
@@ -100,6 +101,8 @@ def _build_kernel(cfg: dict):
 
 
 def cmd_tails(args) -> int:
+    if args.workers < 1:
+        raise ConfigError(f"--workers must be at least 1, got {args.workers}")
     cfg = _load_config(args.config)
     for key in ("replicates", "n"):
         if key not in cfg:
@@ -145,14 +148,11 @@ def cmd_tails(args) -> int:
     sigma1 = l2_norm(ind)
     sc_grid = tuple(sigma1 * t for t in (0.5, 1.0, 1.5, 2.0, 3.0))
     exact = montecarlo.binomial_tail_oracle(Fraction(w0), mc.n, sc_grid)
-    import numpy as np
+    p_hat, stderr = montecarlo.exceedance(sc_values, sc_grid)
     with open(outdir / "self_check.csv", "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["x", "p_hat", "p_exact", "stderr", "z"])
-        absvals = np.abs(sc_values)
-        for x, pe in zip(sc_grid, exact):
-            p = float(np.count_nonzero(absvals > x)) / mc.replicates
-            se = (p * (1 - p) / mc.replicates) ** 0.5
+        for x, pe, p, se in zip(sc_grid, exact, p_hat, stderr):
             z = abs(p - pe) / se if se > 0 else 0.0
             w.writerow([repr(x), repr(p), repr(pe), repr(se), repr(z)])
 
@@ -236,7 +236,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tails", help="Monte Carlo tail estimation")
     p.add_argument("--config", required=True, help="JSON run configuration")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="accepted for compatibility; replicates always run serially")
     p.set_defaults(func=cmd_tails)
 
     p = sub.add_parser("constants", help="export exact constant tables")

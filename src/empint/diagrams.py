@@ -10,9 +10,12 @@ colored, produces a kernel of arity k1 + k2 - l - p.
 Diagrams with the same (l, p) form a class; the product of two multiple
 integrals expands over classes with explicit combinatorial coefficients,
 which is what makes the product identity checkable term by term.
+The diagram's labels are the subscripts of a single ``np.einsum``, so a
+contraction never builds the full A^(k1+k2) tensor product.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import re
@@ -21,8 +24,8 @@ from fractions import Fraction
 from typing import Iterator
 
 from .errors import InvalidClass, InvalidDiagram, SpaceMismatch
-from .kernels import (Kernel, compact_relabel, integrate_axis, substitute_axis,
-                      tensor_product)
+from .kernels import Kernel, compact_relabel, labeled_product
+from .scalars import mode_of
 
 __all__ = [
     "DiagramClass", "ColoredDiagram", "diagram_count", "enumerate_diagrams",
@@ -135,35 +138,30 @@ def product_formula_coefficient(k1: int, k2: int, l: int, p: int) -> Fraction:
 def contract(f: Kernel, g: Kernel, d: ColoredDiagram) -> Kernel:
     """Contract the pair (f, g) along the diagram.
 
-    Steps, in fixed order: tensor the pair (g's labels shift to k1+1..),
-    identify the endpoints of every edge (dropping the second-row label),
-    then integrate out the first-row endpoint of every colored edge.  The
-    result keeps the surviving original labels; apply compact_relabel for
-    the 1..arity form.
+    f's arguments carry labels 1..k1 and g's carry k1+1..k1+k2; every edge
+    renames its second-row label to its first-row label, and the first-row
+    endpoint of every colored edge is integrated out.  All of it is one
+    labeled product.  The result keeps the surviving original labels;
+    apply compact_relabel for the 1..arity form.
     """
     if f.space != g.space:
         raise SpaceMismatch("kernels live on different spaces")
     if f.arity != d.k1 or g.arity != d.k2:
         raise InvalidDiagram(f"diagram rows ({d.k1}, {d.k2}) do not match "
                              f"arities ({f.arity}, {g.arity})")
-    out = tensor_product(f, g)
-    for j, j2 in d.edges:
-        out = substitute_axis(out, keep=j, drop=j2)
-    for j, _ in d.colored_edges():
-        out = integrate_axis(out, j)
-    return out
+    rename = {j2: j for j, j2 in d.edges}
+    g_labels = [rename.get(j, j) for j in range(d.k1 + 1, d.k1 + d.k2 + 1)]
+    colored = [j for j, _ in d.colored_edges()]
+    out = [j for j in range(1, d.k1 + d.k2 + 1) if j not in rename and j not in colored]
+    return labeled_product(f.space, [(f.values, range(1, d.k1 + 1)), (g.values, g_labels)],
+                           out, colored)
 
 
 def contract_class_average(f: Kernel, g: Kernel, cls: DiagramClass) -> Kernel:
     """Average of the compact-relabeled contractions over the whole class."""
-    total = None
-    count = 0
-    for d in enumerate_diagrams(cls):
-        h = compact_relabel(contract(f, g, d))
-        total = h if total is None else total.add(h)
-        count += 1
-    inv = Fraction(1, count) if total.exact else 1.0 / count
-    return total.scale(inv)
+    members = [compact_relabel(contract(f, g, d)) for d in enumerate_diagrams(cls)]
+    total = functools.reduce(Kernel.add, members)
+    return total.scale(mode_of(total).inv(len(members)))
 
 
 # -- text form --------------------------------------------------------------
@@ -182,15 +180,11 @@ def format_diagram(d: ColoredDiagram) -> str:
 
 
 def parse_diagram(text: str) -> ColoredDiagram:
-    m = _DIAGRAM_RE.match(text.strip().replace(") ", ") "))
+    """Read the text form of format_diagram; anything else raises InvalidDiagram."""
+    m = _DIAGRAM_RE.match(text.strip())
     if not m:
-        # permissive second pass: pull k1, k2 and edges out individually
-        head = re.match(r"^B\((\d+),\s*(\d+);(.*)\)$", text.strip())
-        if not head:
-            raise InvalidDiagram(f"cannot parse diagram {text!r}")
-        k1, k2, rest = int(head.group(1)), int(head.group(2)), head.group(3)
-    else:
-        k1, k2, rest = int(m.group(1)), int(m.group(2)), m.group(3)
+        raise InvalidDiagram(f"cannot parse diagram {text!r}")
+    k1, k2, rest = int(m.group(1)), int(m.group(2)), m.group(3)
     edges = []
     colored = set()
     for t, em in enumerate(_EDGE_RE.finditer(rest), 1):

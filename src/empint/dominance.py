@@ -32,8 +32,8 @@ import numpy as np
 
 from .diagrams import ColoredDiagram
 from .errors import BlockMismatch, RankTooSmall, SigmaMismatch
-from .kernels import Kernel, constant_kernel, integrate_axis, l2_norm_sq, substitute_axis, sup_norm
-from .scalars import Scalar, is_exact
+from .kernels import Kernel, constant_kernel, l2_norm_sq, labeled_product, sup_norm
+from .scalars import Scalar, is_exact, mode_of
 
 __all__ = [
     "DominanceCertificate", "verify_certificate", "unit_certificate",
@@ -72,23 +72,15 @@ class DominanceCertificate:
 
 
 def _expanded_product(cert: DominanceCertificate, labels: tuple[int, ...]) -> np.ndarray:
-    """The pointwise product of all factors as a tensor over ``labels``."""
-    vals = None
-    order: list[int] = []
-    for h in cert.factors:
-        vals = h.values if vals is None else np.multiply.outer(vals, h.values)
-        order.extend(h.axis_labels)
-    missing = [j for j in labels if j not in order]
-    if missing:
-        space = cert.factors[0].space
-        ones = np.ones((space.n_atoms,) * len(missing))
-        if cert.exact:
-            ones = ones.astype(object)
-            ones[...] = Fraction(1)
-        vals = np.multiply.outer(vals, ones)
-        order.extend(missing)
-    perm = [order.index(j) for j in labels]
-    return np.transpose(vals, perm) if labels else vals
+    """The pointwise product of all factors as a tensor over ``labels``;
+    a label no factor depends on gets a constant-one operand."""
+    space = cert.factors[0].space
+    mode = mode_of(cert)
+    ones = np.full(space.n_atoms, mode.one, dtype=mode.dtype)
+    covered = {j for h in cert.factors for j in h.axis_labels}
+    operands = [(h.values, h.axis_labels) for h in cert.factors]
+    operands += [(ones, (j,)) for j in labels if j not in covered]
+    return labeled_product(space, operands, labels).values
 
 
 def verify_certificate(f: Kernel, cert: DominanceCertificate,
@@ -103,8 +95,7 @@ def verify_certificate(f: Kernel, cert: DominanceCertificate,
     flat = [j for block in cert.blocks for j in block]
     if sorted(flat) != sorted(f.axis_labels) or len(flat) != len(set(flat)):
         raise BlockMismatch(f"blocks {cert.blocks} do not partition labels {f.axis_labels}")
-    exact = cert.exact and f.exact
-    slack = 0 if exact else tol
+    slack = mode_of(cert, f).slack(tol)
     if not 0 < float(cert.sigma_sq) <= 1 + slack:
         return False
     for h in cert.factors:
@@ -152,19 +143,14 @@ def relax_sigma(cert: DominanceCertificate, sigma_sq: Scalar) -> DominanceCertif
     return DominanceCertificate(sigma_sq, cert.blocks, cert.factors)
 
 
-def _sqrt_kernel(h: Kernel) -> Kernel:
-    hf = h.as_float()
-    return Kernel(hf.space, np.sqrt(np.maximum(hf.values, 0.0)), hf.axis_labels)
-
-
-def _merge_kernels(h1: Kernel, h2: Kernel) -> Kernel:
-    """Pointwise product of factors on disjoint label sets, labels sorted."""
-    vals = np.asarray(np.multiply.outer(h1.values, h2.values))
-    labels = h1.axis_labels + h2.axis_labels
-    perm = np.argsort(labels)
-    out = np.transpose(vals, perm) if vals.ndim else vals
-    # asarray keeps 0-d results 0-d where ascontiguousarray would not
-    return Kernel(h1.space, np.asarray(out, order="C"), tuple(sorted(labels)))
+def _merge_kernels(h1: Kernel, h2: Kernel, edges=()) -> Kernel:
+    """Float pointwise product of two factors, labels sorted; each edge
+    (j, j2) identifies argument j2 with argument j."""
+    h1, h2 = h1.as_float(), h2.as_float()
+    rename = {j2: j for j, j2 in edges}
+    l1 = [rename.get(j, j) for j in h1.axis_labels]
+    l2 = [rename.get(j, j) for j in h2.axis_labels]
+    return labeled_product(h1.space, [(h1.values, l1), (h2.values, l2)], sorted(set(l1 + l2)))
 
 
 def contract_certificate(cf: DominanceCertificate, cg: DominanceCertificate,
@@ -189,14 +175,24 @@ def contract_certificate(cf: DominanceCertificate, cg: DominanceCertificate,
                 return i
         raise BlockMismatch(f"label {label} not covered by any block")
 
+    def merge(i1: int, i2: int, edges=()):
+        """Replace blocks i1 and i2 by their union minus the edges' second
+        endpoints, with the merged factor."""
+        keep = [i for i in range(len(blocks)) if i not in (i1, i2)]
+        new_block = (blocks[i1] | blocks[i2]) - {e[1] for e in edges}
+        merged = _merge_kernels(factors[i1], factors[i2], edges)
+        blocks[:] = [blocks[i] for i in keep] + [new_block]
+        factors[:] = [factors[i] for i in keep] + [merged]
+
     # Schwarz step per colored edge: both endpoint factors lose their
     # endpoint and become square roots of squared marginals.
     for j, j2 in d.colored_edges():
         for endpoint in (j, j2):
             i = owner(endpoint)
             h = factors[i].as_float()
-            h_sq = h.pointwise_product(h)
-            factors[i] = _sqrt_kernel(integrate_axis(h_sq, endpoint))
+            rest = [a for a in h.axis_labels if a != endpoint]
+            sq = labeled_product(h.space, [(h.values, h.axis_labels)] * 2, rest, [endpoint])
+            factors[i] = Kernel(sq.space, np.sqrt(np.maximum(sq.values, 0.0)), sq.axis_labels)
             blocks[i].discard(endpoint)
 
     # Merge rounds: all uncolored edges between one block pair at a time.
@@ -209,24 +205,13 @@ def contract_certificate(cf: DominanceCertificate, cg: DominanceCertificate,
                                 "rounds must consume all edges between a pair")
         batch = [e for e in remaining
                  if {owner(e[0]), owner(e[1])} == {i1, i2}]
-        merged = _merge_kernels(factors[i1].as_float(), factors[i2].as_float())
-        for e_j, e_j2 in batch:
-            merged = substitute_axis(merged, keep=e_j, drop=e_j2)
-        new_block = (blocks[i1] | blocks[i2]) - {e[1] for e in batch}
-        keep = [i for i in range(len(blocks)) if i not in (i1, i2)]
-        blocks = [blocks[i] for i in keep] + [new_block]
-        factors = [factors[i] for i in keep] + [merged]
+        merge(i1, i2, batch)
         remaining = [e for e in remaining if e not in batch]
 
     # Spare merges down to the exact rank target (sound since sigma <= 1).
     while len(blocks) > target:
         order = sorted(range(len(blocks)), key=lambda i: min(blocks[i], default=-1))
-        i1, i2 = order[0], order[1]
-        merged = _merge_kernels(factors[i1].as_float(), factors[i2].as_float())
-        new_block = blocks[i1] | blocks[i2]
-        keep = [i for i in range(len(blocks)) if i not in (i1, i2)]
-        blocks = [blocks[i] for i in keep] + [new_block]
-        factors = [factors[i] for i in keep] + [merged]
+        merge(order[0], order[1])
 
     # Rename surviving labels to the compact 1..arity frame.
     survivors = sorted({j for b in blocks for j in b})
@@ -263,31 +248,14 @@ def random_dominated_pair(space, blocks: tuple[tuple[int, ...], ...],
     from .kernels import random_kernel  # local to avoid cycle at import time
 
     labels = tuple(sorted(j for b in blocks for j in b))
-    factors = []
-    sigma_sq = Fraction(0)
-    for b in blocks:
-        if not b:
-            continue
-        h = random_kernel(space, len(b), rng, max_den=max_den).abs()
-        h = Kernel(space, h.values, tuple(sorted(b)))
-        factors.append(h)
-        sigma_sq = max(sigma_sq, l2_norm_sq(h))
+    drawn = {b: Kernel(space, random_kernel(space, len(b), rng, max_den=max_den).abs().values,
+                       tuple(sorted(b))) for b in blocks if b}
+    sigma_sq = max((l2_norm_sq(h) for h in drawn.values()), default=Fraction(0))
     if sigma_sq == 0:
         sigma_sq = Fraction(1, max_den)
-    for b in blocks:
-        if not b:
-            factors.insert(0, constant_kernel(space, sigma_sq))  # sigma^2 <= sigma
-    # reorder factors to match blocks order
-    rest = list(factors)
-    ordered = []
-    for b in blocks:
-        want = tuple(sorted(b))
-        for i, h in enumerate(rest):
-            if h.axis_labels == want:
-                ordered.append(rest.pop(i))
-                break
-    cert = DominanceCertificate(sigma_sq, tuple(tuple(sorted(b)) for b in blocks),
-                                tuple(ordered))
+    # an empty block's factor is the constant sigma^2 <= sigma
+    factors = tuple(drawn[b] if b else constant_kernel(space, sigma_sq) for b in blocks)
+    cert = DominanceCertificate(sigma_sq, tuple(tuple(sorted(b)) for b in blocks), factors)
     damp = random_kernel(space, len(labels), rng, max_den=max_den)
     f_vals = _expanded_product(cert, labels) * damp.values
     f = Kernel(space, f_vals, labels)

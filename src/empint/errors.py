@@ -20,6 +20,10 @@ class WeightsNotNormalized(EmpintError):
     """Atom weights do not sum to one (exactly, or within float tolerance)."""
 
 
+class NonfiniteWeight(EmpintError):
+    """An atom weight is NaN or infinite."""
+
+
 class NegativeWeight(EmpintError):
     """An atom weight is negative."""
 

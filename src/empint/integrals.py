@@ -25,15 +25,14 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from weakref import WeakKeyDictionary
 
 import numpy as np
 
 from . import diagrams
 from .errors import SpaceMismatch
-from .kernels import Kernel, compact_relabel, require_canonical
-from .scalars import Scalar, close, is_exact
+from .kernels import Kernel, require_canonical
+from .scalars import Scalar, close, mode_of
 from .space import Sample
 
 __all__ = [
@@ -140,21 +139,18 @@ def eval_integral(f: Kernel, sample: Sample) -> ScaledValue:
         raise SpaceMismatch("kernel and sample live on different spaces")
     k = f.arity
     n = sample.n
-    exact = f.exact
-    zero = Fraction(0) if exact else 0.0
-    inv_n = Fraction(1, n) if exact else 1.0 / n
+    mode = mode_of(f)
+    inv_n = mode.inv(n)
     counts = list(sample.counts)
-    tables = _subset_tables(f)
-    total = zero
-    for S, table in tables.items():
+    total = mode.zero
+    for S, table in _subset_tables(f).items():
         s = len(S)
-        inner = _injection_sum(table, counts, zero)
+        inner = _injection_sum(table, counts, mode.zero)
         if inner == 0:
             continue
         sign = 1 if (k - s) % 2 == 0 else -1
         total = total + sign * inv_n**s * inner
-    inv_kfact = Fraction(1, math.factorial(k)) if exact else 1.0 / math.factorial(k)
-    return ScaledValue(total * inv_kfact, k, n)
+    return ScaledValue(total * mode.inv_factorial(k), k, n)
 
 
 def eval_ustat(f: Kernel, sample: Sample) -> Scalar:
@@ -162,11 +158,9 @@ def eval_ustat(f: Kernel, sample: Sample) -> Scalar:
     sample positions.  Zero when the sample is smaller than the arity."""
     if f.space != sample.space:
         raise SpaceMismatch("kernel and sample live on different spaces")
-    zero = Fraction(0) if f.exact else 0.0
-    inner = _injection_sum(f.values, list(sample.counts), zero)
-    if f.exact:
-        return inner * Fraction(1, math.factorial(f.arity))
-    return inner / math.factorial(f.arity)
+    mode = mode_of(f)
+    inner = _injection_sum(f.values, list(sample.counts), mode.zero)
+    return inner / mode.cast(math.factorial(f.arity))
 
 
 @dataclass(frozen=True)
@@ -188,8 +182,7 @@ def check_canonical_ustat_identity(f: Kernel, sample: Sample) -> CheckResult:
     require_canonical(f)
     n = sample.n
     q = eval_integral(f, sample).coeff
-    scale = Fraction(n) ** f.arity if is_exact(q) else float(n) ** f.arity
-    lhs = q * scale
+    lhs = q * mode_of(q).cast(n) ** f.arity
     rhs = eval_ustat(f, sample)
     return CheckResult(lhs, rhs, close(lhs, rhs))
 
@@ -219,13 +212,11 @@ def check_product_formula(f: Kernel, g: Kernel, sample: Sample,
     """
     if terms is None:
         terms = product_formula_terms(f, g)
-    n = sample.n
-    exact = f.exact and g.exact
+    mode = mode_of(f, g)
     lhs = eval_integral(f, sample).coeff * eval_integral(g, sample).coeff
-    rhs = Fraction(0) if exact else 0.0
-    inv_n = Fraction(1, n) if exact else 1.0 / n
+    rhs = mode.zero
+    inv_n = mode.inv(sample.n)
     for (l, p), h in terms.items():
-        c = diagrams.product_formula_coefficient(f.arity, g.arity, l, p)
-        coeff = c if exact else float(c)
-        rhs = rhs + coeff * inv_n**l * eval_integral(h, sample).coeff
+        c = mode.cast(diagrams.product_formula_coefficient(f.arity, g.arity, l, p))
+        rhs = rhs + c * inv_n**l * eval_integral(h, sample).coeff
     return CheckResult(lhs, rhs, close(lhs, rhs))

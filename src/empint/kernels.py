@@ -6,9 +6,15 @@ increasing, by convention 1..k for standalone kernels); labels, not
 positions, identify arguments across contraction steps, so an operation
 that drops an argument leaves the remaining labels untouched.
 
+Diagram contractions and certificate factor products are single calls to
+``labeled_product``, which hands the integer labels to ``np.einsum`` as
+subscripts; ``tensor_product``, ``substitute_axis`` and ``integrate_axis``
+remain as the step-by-step operators.
+
 Exact-mode kernels hold Fractions in an object-dtype array and every
 operation below is closed over the rationals.  Float-mode kernels use
-IEEE doubles with the same code paths.
+IEEE doubles with the same code paths.  A kernel's values are read-only,
+so results memoized on a kernel can never go stale.
 """
 from __future__ import annotations
 
@@ -16,17 +22,18 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import ArityMismatch, NoSuchAxis, NotCanonical, SameAxis, SpaceMismatch
-from .scalars import FLOAT_TOL, Scalar, format_scalar, parse_scalar
+from .scalars import FLOAT_TOL, Scalar, format_scalar, mode_of, parse_scalar
 from .space import AtomSpace
 
 __all__ = [
     "Kernel", "constant_kernel", "indicator_kernel", "kernel_from_values",
     "sup_norm", "l1_norm", "l2_norm_sq", "l2_norm",
-    "tensor_product", "integrate_axis", "substitute_axis", "center_axis",
+    "labeled_product", "tensor_product", "integrate_axis", "substitute_axis", "center_axis",
     "symmetrize", "canonical_project", "is_canonical", "require_canonical",
     "compact_relabel", "relabel", "random_kernel", "kernel_to_json",
     "kernel_from_json",
@@ -42,7 +49,8 @@ class Kernel:
     axis_labels: tuple[int, ...]
 
     def __post_init__(self):
-        v = np.asarray(self.values)
+        v = np.asarray(self.values).view()
+        v.flags.writeable = False
         object.__setattr__(self, "values", v)
         if v.ndim != len(self.axis_labels):
             raise ArityMismatch(f"{v.ndim} tensor axes for {len(self.axis_labels)} labels")
@@ -80,10 +88,6 @@ class Kernel:
     def abs(self) -> "Kernel":
         return Kernel(self.space, np.abs(self.values), self.axis_labels)
 
-    def pointwise_product(self, other: "Kernel") -> "Kernel":
-        _check_same_frame(self, other)
-        return Kernel(self.space, self.values * other.values, self.axis_labels)
-
     def as_float(self) -> "Kernel":
         if not self.exact:
             return self
@@ -97,41 +101,32 @@ def _check_same_frame(f: Kernel, g: Kernel):
         raise ArityMismatch(f"axis labels differ: {f.axis_labels} vs {g.axis_labels}")
 
 
-def _zeros_like_mode(space: AtomSpace, shape):
-    if space.exact:
-        out = np.empty(shape, dtype=object)
-        out[...] = Fraction(0)
-        return out
-    return np.zeros(shape, dtype=float)
+def _from_flat(space: AtomSpace, flat: list, shape, labels: tuple[int, ...]) -> Kernel:
+    """A kernel from row-major parsed scalars: exact only when the space and
+    every value are."""
+    mode = mode_of(space, *flat)
+    vals = np.array([mode.cast(x) for x in flat], dtype=mode.dtype).reshape(shape)
+    return Kernel(space, vals, labels)
 
 
 def constant_kernel(space: AtomSpace, value) -> Kernel:
-    v = parse_scalar(value) if not isinstance(value, float) else value
-    dtype = object if space.exact else float
-    return Kernel(space, np.array(v if dtype is object else float(v), dtype=dtype), ())
+    return _from_flat(space, [parse_scalar(value)], (), ())
 
 
 def indicator_kernel(space: AtomSpace, atom: int, label: int = 1) -> Kernel:
     """The arity-1 kernel 1{x = atom}."""
-    v = _zeros_like_mode(space, (space.n_atoms,))
-    v[atom] = Fraction(1) if space.exact else 1.0
+    mode = mode_of(space)
+    v = mode.zeros((space.n_atoms,))
+    v[atom] = mode.one
     return Kernel(space, v, (label,))
 
 
 def kernel_from_values(space: AtomSpace, values, labels: tuple[int, ...] | None = None) -> Kernel:
     """Build a kernel from a nested list / array of scalars ("p/q" ok)."""
     arr = np.asarray(values, dtype=object)
-    flat = [parse_scalar(x) for x in arr.flat]
-    exact = all(not isinstance(x, float) for x in flat)
-    if exact and space.exact:
-        out = np.empty(arr.shape, dtype=object)
-        for i, x in zip(np.ndindex(arr.shape), flat):
-            out[i] = Fraction(x)
-    else:
-        out = np.array([float(x) for x in flat], dtype=float).reshape(arr.shape)
     if labels is None:
         labels = tuple(range(1, arr.ndim + 1))
-    return Kernel(space, out, labels)
+    return _from_flat(space, [parse_scalar(x) for x in arr.flat], arr.shape, labels)
 
 
 # -- norms ------------------------------------------------------------------
@@ -163,6 +158,25 @@ def _full_contraction(values: np.ndarray, space: AtomSpace) -> Scalar:
 
 
 # -- operators --------------------------------------------------------------
+
+def labeled_product(space: AtomSpace, factors: Iterable[tuple[np.ndarray, Sequence[int]]],
+                    out: Sequence[int], integrate: Iterable[int] = ()) -> Kernel:
+    """Multiply labeled tensors and contract them in one ``np.einsum``.
+
+    Each factor is (values, labels), one integer label per axis.  Axes that
+    share a label are the same argument; every label in ``integrate`` is
+    integrated against the base measure; the result is a kernel whose axes
+    follow ``out`` (strictly increasing).  Every label must be kept or
+    integrated.
+    """
+    factors = [(values, list(labels)) for values, labels in factors]
+    integrate = list(integrate)
+    if set().union(*(labels for _, labels in factors)) != set(out) | set(integrate):
+        raise ArityMismatch(f"every label must be kept {tuple(out)} or integrated {integrate}")
+    args = [x for pair in factors + [(space.weight_vector, [j]) for j in integrate] for x in pair]
+    # a full contraction comes back as a bare scalar
+    return Kernel(space, np.asarray(np.einsum(*args, list(out))), tuple(out))
+
 
 def tensor_product(f: Kernel, g: Kernel) -> Kernel:
     """f and g as functions of disjoint argument groups; g's labels are
@@ -208,11 +222,11 @@ def symmetrize(f: Kernel) -> Kernel:
     k = f.arity
     if k <= 1:
         return f
-    acc = _zeros_like_mode(f.space, f.values.shape)
+    mode = mode_of(f)
+    acc = mode.zeros(f.values.shape)
     for perm in itertools.permutations(range(k)):
         acc = acc + np.transpose(f.values, perm)
-    inv = Fraction(1, math.factorial(k)) if f.exact else 1.0 / math.factorial(k)
-    return Kernel(f.space, acc * inv, f.axis_labels)
+    return Kernel(f.space, acc * mode.inv_factorial(k), f.axis_labels)
 
 
 def canonical_project(f: Kernel) -> Kernel:
@@ -225,15 +239,8 @@ def canonical_project(f: Kernel) -> Kernel:
 
 def is_canonical(f: Kernel, tol: float = FLOAT_TOL) -> bool:
     """True when integrating out any single argument yields the zero kernel."""
-    for j in f.axis_labels:
-        m = integrate_axis(f, j)
-        if f.exact:
-            if any(x != 0 for x in m.values.flat):
-                return False
-        else:
-            if any(abs(x) > tol for x in m.values.flat):
-                return False
-    return True
+    slack = mode_of(f).slack(tol)
+    return all(abs(x) <= slack for j in f.axis_labels for x in integrate_axis(f, j).values.flat)
 
 
 def require_canonical(f: Kernel, tol: float = FLOAT_TOL):
@@ -283,10 +290,4 @@ def kernel_from_json(space: AtomSpace, doc: dict) -> Kernel:
     want = space.n_atoms**arity
     if len(vals) != want:
         raise ArityMismatch(f"expected {want} values for arity {arity}, got {len(vals)}")
-    arr = np.empty((space.n_atoms,) * arity, dtype=object)
-    for idx, v in zip(np.ndindex(*arr.shape) if arity else [()], vals):
-        arr[idx] = v
-    k = Kernel(space, arr, tuple(range(1, arity + 1)))
-    if all(not isinstance(v, float) for v in vals) and space.exact:
-        return k
-    return Kernel(space, arr.astype(float), k.axis_labels)
+    return _from_flat(space, vals, (space.n_atoms,) * arity, tuple(range(1, arity + 1)))

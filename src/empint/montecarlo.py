@@ -1,9 +1,10 @@
 """Seeded Monte Carlo for tails and moments of the empirical integrals.
 
 Estimates are reproducible down to the byte: replicate r draws from the
-child stream of (seed, r) regardless of how replicates are scheduled, and
-every reduction runs serially over a replicate-indexed array after the
-parallel fill.  Running with one worker or eight gives identical output.
+child stream of (seed, r), replicates run serially in index order, and
+every reduction runs over the replicate-indexed array.  The ``workers``
+arguments are accepted for compatibility and change neither the output
+nor the schedule.
 
 The statistic per replicate is evaluated exactly in float mode through the
 same evaluator the exact engine uses; no resampling shortcuts.
@@ -11,20 +12,19 @@ same evaluator the exact engine uses; no resampling shortcuts.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .bounds import BoundParams
+from .bounds import BoundParams, bernstein_exponent, two_regime_exponent
 from .errors import EmptyGrid, InsufficientTailData
 from .integrals import eval_integral, eval_ustat
 from .kernels import Kernel, l2_norm
 from .space import RandomSource, draw_sample
 
 __all__ = [
-    "McConfig", "TailEstimate", "replicate_values", "estimate_tail",
+    "McConfig", "TailEstimate", "replicate_values", "exceedance", "estimate_tail",
     "estimate_moments", "binomial_tail_oracle", "fit_constants", "auto_grid",
 ]
 
@@ -73,29 +73,23 @@ def replicate_values(f: Kernel, cfg: McConfig, workers: int = 1,
     """The statistic for every replicate, indexed by replicate number.
 
     The result is a pure function of (kernel, cfg, base_offset); workers
-    only affects wall time.
+    is ignored.
     """
     ff = f.as_float()
-    space = ff.space
     root = RandomSource(cfg.seed)
     out = np.empty(cfg.replicates, dtype=float)
-
-    def run_chunk(lo: int, hi: int):
-        for r in range(lo, hi):
-            rng = root.child(base_offset + r).generator()
-            sample = draw_sample(space, cfg.n, rng)
-            out[r] = _statistic(ff, sample, cfg.target)
-
-    if workers <= 1:
-        run_chunk(0, cfg.replicates)
-    else:
-        chunk = -(-cfg.replicates // workers)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(run_chunk, lo, min(lo + chunk, cfg.replicates))
-                       for lo in range(0, cfg.replicates, chunk)]
-            for fut in futures:
-                fut.result()
+    for r in range(cfg.replicates):
+        sample = draw_sample(ff.space, cfg.n, root.child(base_offset + r).generator())
+        out[r] = _statistic(ff, sample, cfg.target)
     return out
+
+
+def exceedance(values: np.ndarray, x_grid) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Empirical P(|value| > x) at every level, with binomial standard errors."""
+    absvals = np.abs(values)
+    R = len(values)
+    p_hat = tuple(int(np.count_nonzero(absvals > x)) / R for x in x_grid)
+    return p_hat, tuple(math.sqrt(p * (1.0 - p) / R) for p in p_hat)
 
 
 def estimate_tail(f: Kernel, cfg: McConfig, workers: int = 1) -> TailEstimate:
@@ -105,16 +99,8 @@ def estimate_tail(f: Kernel, cfg: McConfig, workers: int = 1) -> TailEstimate:
         raise EmptyGrid("estimate_tail needs a nonempty x_grid")
     if any(b <= a for a, b in zip(xs, xs[1:])):
         raise ValueError("x_grid must be strictly ascending")
-    values = np.abs(replicate_values(f, cfg, workers))
-    R = cfg.replicates
-    p_hat = []
-    stderr = []
-    for x in xs:
-        hits = int(np.count_nonzero(values > x))
-        p = hits / R
-        p_hat.append(p)
-        stderr.append(math.sqrt(p * (1.0 - p) / R))
-    return TailEstimate(xs, tuple(p_hat), tuple(stderr), R, f.arity, cfg.n,
+    p_hat, stderr = exceedance(replicate_values(f, cfg, workers), xs)
+    return TailEstimate(xs, p_hat, stderr, cfg.replicates, f.arity, cfg.n,
                         l2_norm(f), cfg.target)
 
 
@@ -154,14 +140,10 @@ def fit_constants(est: TailEstimate, form: str = "two_regime") -> BoundParams:
     pts = [(x, p) for x, p in zip(est.x_grid, est.p_hat) if p > 0]
     if len(pts) < 3:
         raise InsufficientTailData(f"only {len(pts)} nonzero tail points, need 3")
-    k, n, sigma = est.k, est.n, est.sigma
-    if form == "two_regime":
-        zs = [min((x / sigma) ** (2.0 / k), (n * x * x) ** (1.0 / (k + 1))) for x, _ in pts]
-    elif form == "bernstein":
-        zs = [x ** (2.0 / k) / (sigma ** (2.0 / k) + (x ** (1.0 / k) / math.sqrt(n)) ** (2.0 / (k + 1)))
-              for x, _ in pts]
-    else:
+    shapes = {"two_regime": two_regime_exponent, "bernstein": bernstein_exponent}
+    if form not in shapes:
         raise ValueError(f"unknown form {form!r}")
+    zs = [shapes[form](x, est.k, est.sigma, est.n) for x, _ in pts]
     logs = [math.log(p) for _, p in pts]
     A = np.column_stack([np.ones(len(zs)), [-z for z in zs]])
     coef, *_ = np.linalg.lstsq(A, np.array(logs), rcond=None)

@@ -4,11 +4,19 @@ Exact mode works in arbitrary-precision rationals (``fractions.Fraction``);
 float mode works in IEEE doubles.  A container is "exact" when every scalar
 in it is a Fraction (or int), and the two modes never mix silently: parsing
 decides the mode once, and all downstream arithmetic preserves it.
+
+The decision lives here alone: other modules ask ``mode_of`` once and use
+the returned ``Arithmetic`` object instead of branching on exactness.
 """
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
+from typing import Callable
+
+import numpy as np
 
 FLOAT_TOL = 1e-12
 
@@ -46,3 +54,36 @@ def close(a, b, tol: float = FLOAT_TOL) -> bool:
     if is_exact(a) and is_exact(b):
         return a == b
     return abs(float(a) - float(b)) <= tol
+
+
+@dataclass(frozen=True)
+class Arithmetic:
+    """One arithmetic mode: its scalar type, array dtype and constants."""
+
+    exact: bool
+    cast: type
+    dtype: type
+    zero: Scalar
+    one: Scalar
+    inv: Callable[[int], Scalar]  # n -> 1/n
+
+    def inv_factorial(self, k: int) -> Scalar:
+        return self.inv(math.factorial(k))
+
+    def zeros(self, shape) -> np.ndarray:
+        return np.full(shape, self.zero, dtype=self.dtype)
+
+    def slack(self, tol: float) -> float:
+        """The comparison tolerance: none in exact mode, tol in float mode."""
+        return 0 if self.exact else tol
+
+
+EXACT = Arithmetic(True, Fraction, object, Fraction(0), Fraction(1), lambda n: Fraction(1, n))
+FLOAT = Arithmetic(False, float, float, 0.0, 1.0, lambda n: 1.0 / n)
+
+
+def mode_of(*items) -> Arithmetic:
+    """Exact mode when every item (a space, kernel, certificate or scalar)
+    is exact, float mode otherwise."""
+    exact = all(x.exact if hasattr(type(x), "exact") else is_exact(x) for x in items)
+    return EXACT if exact else FLOAT

@@ -20,14 +20,15 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
 import numpy as np
 
-from .errors import EmptySpace, EnumerationTooLarge, NegativeWeight, WeightsNotNormalized
-from .scalars import FLOAT_TOL, Scalar, is_exact, parse_scalar
+from .errors import (EmptySpace, EnumerationTooLarge, NegativeWeight, NonfiniteWeight,
+                     WeightsNotNormalized)
+from .scalars import FLOAT_TOL, Scalar, is_exact, mode_of, parse_scalar
 
 ENUMERATION_CAP = 10**6
 
@@ -60,9 +61,8 @@ class AtomSpace:
     @property
     def weight_vector(self) -> np.ndarray:
         """Weights as a numpy vector: object dtype of Fractions when exact."""
-        if self.exact:
-            return np.array([Fraction(w) for w in self.weights], dtype=object)
-        return np.array([float(w) for w in self.weights], dtype=float)
+        mode = mode_of(self)
+        return np.array([mode.cast(w) for w in self.weights], dtype=mode.dtype)
 
     def as_float(self) -> "AtomSpace":
         if not self.exact:
@@ -74,12 +74,14 @@ def make_space(weights, labels: tuple[str, ...] = ()) -> AtomSpace:
     """Validate and build a space.  Weights may be Fractions, "p/q" strings,
     ints, or floats; a fully rational list yields an exact-mode space.
 
-    Raises EmptySpace, NegativeWeight, or WeightsNotNormalized.
+    Raises EmptySpace, NonfiniteWeight, NegativeWeight, or WeightsNotNormalized.
     """
     parsed = tuple(parse_scalar(w) for w in weights)
     if not parsed:
         raise EmptySpace("a space needs at least one atom")
     for w in parsed:
+        if isinstance(w, float) and not math.isfinite(w):
+            raise NonfiniteWeight(f"weight {w} is not finite")
         if w < 0:
             raise NegativeWeight(f"weight {w} is negative")
     total = sum(parsed)
@@ -138,13 +140,15 @@ class RandomSource:
 
 
 def draw_sample(space: AtomSpace, n: int, rng: RandomSource | np.random.Generator) -> Sample:
-    """Draw n i.i.d. atoms by inverse CDF over the cumulative weights."""
+    """Draw n i.i.d. atoms by inverse CDF over the cumulative weights.  A draw
+    past a float cumsum ending below one goes to the last positive-weight atom."""
     if isinstance(rng, RandomSource):
         rng = rng.generator()
     cum = np.cumsum([float(w) for w in space.weights])
     u = rng.random(n)
     idx = np.searchsorted(cum, u, side="right")
-    idx = np.minimum(idx, space.n_atoms - 1)
+    last = max(a for a, w in enumerate(space.weights) if w > 0)
+    idx = np.minimum(idx, last)
     return Sample(space, tuple(int(i) for i in idx))
 
 
@@ -156,7 +160,7 @@ def enumerate_samples(space: AtomSpace, n: int, cap: int = ENUMERATION_CAP) -> I
     """
     if space.n_atoms**n > cap:
         raise EnumerationTooLarge(f"{space.n_atoms}^{n} samples exceeds cap {cap}")
-    one = Fraction(1) if space.exact else 1.0
+    one = mode_of(space).one
     for pts in itertools.product(range(space.n_atoms), repeat=n):
         w = one
         for p in pts:
@@ -172,7 +176,7 @@ def enumerate_counts(space: AtomSpace, n: int) -> Iterator[tuple[tuple[int, ...]
     exactly with sums over enumerate_samples.
     """
     A = space.n_atoms
-    one = Fraction(1) if space.exact else 1.0
+    one = mode_of(space).one
     nfact = math.factorial(n)
     for cuts in itertools.combinations(range(n + A - 1), A - 1):
         counts = []

@@ -2,9 +2,9 @@ import math
 
 import pytest
 
-from empint.bounds import (BoundParams, bernstein_tail_bound, crossover_level,
-                           crude_sup_bound, gaussian_regime_tail_bound,
-                           moment_growth_bound, regime_report,
+from empint.bounds import (BoundParams, bernstein_exponent, bernstein_tail_bound,
+                           crossover_level, crude_sup_bound, gaussian_regime_tail_bound,
+                           moment_growth_bound, regime_report, two_regime_exponent,
                            two_regime_tail_bound, ustat_tail_bound)
 from empint.errors import (BadM, EmptyGrid, NonpositiveX, OutOfRegime,
                            RegimeViolation)
@@ -135,3 +135,15 @@ def test_regime_report_errors():
         regime_report(2, 0.4, 25, [])
     with pytest.raises(ValueError):
         regime_report(2, 0.4, 25, [1.0, 0.5])
+
+
+def test_bounds_are_exponentials_of_the_exponent_functions():
+    params = BoundParams(C=2.0, alpha=0.7, c1=3.0, c2=0.4)
+    k, sigma, n = 2, 0.5, 30
+    for x in (0.1, 1.0, crossover_level(k, sigma, n), 20.0):
+        assert two_regime_tail_bound(x, k, sigma, n, params) == \
+            2.0 * math.exp(-0.7 * two_regime_exponent(x, k, sigma, n))
+        assert bernstein_tail_bound(x, k, sigma, n, params) == \
+            3.0 * math.exp(-0.4 * bernstein_exponent(x, k, sigma, n))
+    # below the crossover level the Gaussian branch is the minimum
+    assert two_regime_exponent(0.1, k, sigma, n) == pytest.approx((0.1 / sigma) ** (2.0 / k))

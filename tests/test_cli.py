@@ -106,6 +106,13 @@ def test_tails_deterministic_across_workers(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+def test_tails_rejects_nonpositive_workers(tmp_path, capsys):
+    cfg = write_json(tmp_path / "cfg.json", TAILS_CFG)
+    assert run(["tails", "--config", cfg, "--out-dir", str(tmp_path / "o"),
+                "--workers", "0"]) == 2
+    assert "--workers" in capsys.readouterr().err
+
+
 def test_tails_auto_grid(tmp_path):
     cfg_doc = dict(TAILS_CFG)
     del cfg_doc["x_grid"]

@@ -12,7 +12,7 @@ from empint.errors import InvalidClass, InvalidDiagram
 from empint.kernels import (indicator_kernel, integrate_axis, kernel_from_values,
                             l2_norm_sq, random_kernel, substitute_axis,
                             sup_norm, tensor_product)
-from empint.space import uniform_space
+from empint.space import make_space, uniform_space
 
 
 def test_class_validation():
@@ -175,6 +175,8 @@ def test_parse_rejects_garbage():
         parse_diagram("not a diagram")
     with pytest.raises(InvalidDiagram):
         parse_diagram("B(2,2; (3,1)+)")
+    with pytest.raises(InvalidDiagram):
+        parse_diagram("B(2,2; (1,3)x (2,4)?)")
 
 
 def test_contract_factorizes_over_tensor_structure():
@@ -190,3 +192,34 @@ def test_contract_factorizes_over_tensor_structure():
     inner = (F(1) * 2 - F(1) * 3) / 2
     assert h.value_at((0,)) == inner * 5
     assert h.value_at((1,)) == inner * 7
+
+
+def _chain_contract(f, g, d):
+    """Reference contraction, one operator per step: tensor the pair,
+    identify every edge, integrate every colored first endpoint."""
+    out = tensor_product(f, g)
+    for j, j2 in d.edges:
+        out = substitute_axis(out, keep=j, drop=j2)
+    for j, _ in d.colored_edges():
+        out = integrate_axis(out, j)
+    return out
+
+
+def test_contract_matches_operator_chain():
+    rng = np.random.default_rng(14)
+    spaces = (make_space(["1/3", "2/3"]), make_space(["1/6", "1/3", "1/2"]))
+    shapes = [(k1, k2, l, p) for k1 in (1, 2, 3) for k2 in (1, 2, 3)
+              for l in range(min(k1, k2) + 1) for p in range(l + 1)]
+    checked = 0
+    for sp in spaces:
+        kernels = {k: random_kernel(sp, k, rng) for k in (1, 2, 3)}
+        for k1, k2, l, p in shapes:
+            f, g = kernels[k1], kernels[k2]
+            for d in enumerate_diagrams(DiagramClass(k1, k2, l, p)):
+                got, want = contract(f, g, d), _chain_contract(f, g, d)
+                assert got.axis_labels == want.axis_labels
+                assert got.values.shape == want.values.shape
+                for a, b in zip(got.values.flat, want.values.flat):
+                    assert type(a) is F and a == b
+                checked += 1
+    assert checked == 2 * sum(diagram_count(DiagramClass(*s)) for s in shapes)

@@ -7,9 +7,9 @@ from empint.errors import ArityMismatch, NoSuchAxis, NotCanonical, SameAxis, Spa
 from empint.kernels import (Kernel, canonical_project, center_axis, compact_relabel,
                             constant_kernel, indicator_kernel, integrate_axis,
                             is_canonical, kernel_from_json, kernel_from_values,
-                            kernel_to_json, l1_norm, l2_norm_sq, random_kernel,
-                            relabel, require_canonical, substitute_axis, sup_norm,
-                            symmetrize, tensor_product)
+                            kernel_to_json, l1_norm, l2_norm_sq, labeled_product,
+                            random_kernel, relabel, require_canonical, substitute_axis,
+                            sup_norm, symmetrize, tensor_product)
 from empint.space import make_space, uniform_space
 
 
@@ -189,3 +189,28 @@ def test_float_mode_paths(sp2):
     assert sup_norm(f) == pytest.approx(0.5)
     assert l2_norm_sq(f) == pytest.approx(13 / 72)
     assert is_canonical(canonical_project(f))
+
+
+def test_values_are_read_only(sp2):
+    f = kernel_from_values(sp2, ["1", "2"])
+    with pytest.raises(ValueError):
+        f.values[0] = F(5)
+
+
+def test_labeled_product_identifies_and_integrates():
+    sp = make_space(["1/4", "3/4"])
+    f = kernel_from_values(sp, [["1", "2"], ["3", "4"]])
+    g = kernel_from_values(sp, ["5", "7"])
+    # the shared label 2 glues g onto f's second argument, which is integrated
+    h = labeled_product(sp, [(f.values, (1, 2)), (g.values, (2,))], (1,), [2])
+    assert h.axis_labels == (1,)
+    assert list(h.values) == [F(1, 4) * 5 + F(3, 4) * 14, F(1, 4) * 15 + F(3, 4) * 28]
+    # output axes follow the requested labels
+    t = labeled_product(sp, [(f.values, (2, 1))], (1, 2))
+    assert t.values[0, 1] == f.values[1, 0]
+    # a full contraction is a 0-d kernel holding a Fraction
+    full = labeled_product(sp, [(f.values, (1, 2))], (), [1, 2])
+    assert full.values.shape == () and type(full.values[()]) is F
+    assert full.values[()] == l1_norm(f)
+    with pytest.raises(ArityMismatch):
+        labeled_product(sp, [(f.values, (1, 2))], (1,))  # label 2 neither kept nor integrated

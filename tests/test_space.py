@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from empint.errors import (EmptySpace, EnumerationTooLarge, NegativeWeight,
+from empint.errors import (EmptySpace, EnumerationTooLarge, NegativeWeight, NonfiniteWeight,
                            WeightsNotNormalized)
 from empint.space import (AtomSpace, RandomSource, Sample, draw_sample,
                           enumerate_counts, enumerate_samples, make_space,
@@ -33,6 +33,9 @@ def test_make_space_errors():
         make_space(["1/2", "1/3"])
     with pytest.raises(WeightsNotNormalized):
         make_space([0.5, 0.5001])
+    for bad in ([math.nan, 0.5], [math.inf, 0.5], [0.5, -math.inf, 0.5]):
+        with pytest.raises(NonfiniteWeight):
+            make_space(bad)
     # tiny float slack is accepted
     make_space([0.5, 0.5 + 1e-14])
 
@@ -123,3 +126,21 @@ def test_labels_default_and_custom():
     sp = AtomSpace((F(1, 2), F(1, 2)), ("heads", "tails"))
     assert sp.labels == ("heads", "tails")
     assert uniform_space(2).labels == ("a0", "a1")
+
+
+class _FixedUniforms:
+    """A stand-in generator that returns the given uniforms."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=float)
+
+    def random(self, n):
+        return self.u[:n]
+
+
+def test_draw_sample_never_draws_trailing_zero_weight_atom():
+    sp = make_space([0.1] * 10 + [0.0])
+    u = np.nextafter(1.0, 0.0)
+    assert np.cumsum([0.1] * 10)[-1] <= u  # the float cumsum ends below one
+    s = draw_sample(sp, 2, _FixedUniforms([u, 0.0]))
+    assert s.points == (9, 0)
