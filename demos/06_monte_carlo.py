@@ -3,8 +3,8 @@ Seeded Monte Carlo with an exact self-check
 ===========================================
 
 Tail estimation runs on a replicate-indexed stream: replicate r always
-gets the same substream whatever ``workers`` says, so results are
-byte-identical from laptop to cluster.  For arity-1 centered indicators
+gets the substream of (seed, r), so results are byte-identical from run
+to run and machine to machine.  For arity-1 centered indicators
 the exact tail is a binomial sum, which calibrates the whole pipeline.
 """
 import numpy as np
@@ -19,13 +19,13 @@ f = canonical_project(indicator_kernel(space, 0))
 cfg = McConfig(replicates=20000, seed=424242, n=30,
                x_grid=(0.2, 0.45, 0.7, 1.0, 1.35), target="integral")
 
-# determinism: the same seed gives the same replicates under any worker count
-a = replicate_values(f, cfg, workers=1)
-b = replicate_values(f, cfg, workers=8)
-print("byte-identical across workers:", a.tobytes() == b.tobytes())
+# determinism: the same seed gives the same replicates on every run
+a = replicate_values(f, cfg)
+b = replicate_values(f, cfg)
+print("byte-identical across runs:", a.tobytes() == b.tobytes())
 
 # estimated exceedance vs the exact binomial tail
-est = estimate_tail(f, cfg, workers=8)
+est = estimate_tail(f, cfg)
 exact = binomial_tail_oracle("1/2", cfg.n, cfg.x_grid)
 print(" x      p_hat     p_exact   z")
 for x, p_hat, se, p in zip(est.x_grid, est.p_hat, est.stderr, exact):
@@ -41,6 +41,6 @@ print("fitted bound dominates the empirical tail")
 
 # moments from the same stream: E J^2 = ||f||_2^2 for canonical arity-1
 from empint import estimate_moments, l2_norm_sq
-[(order, value, se)] = estimate_moments(f, cfg, orders=(2,), workers=8)
+[(order, value, se)] = estimate_moments(f, cfg, orders=(2,))
 print(f"MC second moment {value:.5f} vs exact {float(l2_norm_sq(f)):.5f} "
       f"(stderr {se:.5f})")

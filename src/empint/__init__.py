@@ -35,7 +35,7 @@ from .dominance import (DominanceCertificate, verify_certificate, unit_certifica
                         product_certificate, tensor_certificate, relax_sigma,
                         contract_certificate, collapse_certificate, random_dominated_pair)
 from .bounds import (BoundParams, two_regime_exponent, bernstein_exponent, two_regime_tail_bound,
-                     gaussian_regime_tail_bound, ustat_tail_bound, bernstein_tail_bound,
+                     gaussian_regime_tail_bound, bernstein_tail_bound,
                      crossover_level, moment_growth_bound, regime_report, crude_sup_bound)
 from .montecarlo import (McConfig, TailEstimate, replicate_values, exceedance, estimate_tail,
                          estimate_moments, binomial_tail_oracle, fit_constants,

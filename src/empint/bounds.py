@@ -18,7 +18,7 @@ from .errors import BadM, EmptyGrid, NonpositiveX, OutOfRegime, RegimeViolation
 
 __all__ = [
     "BoundParams", "two_regime_exponent", "bernstein_exponent", "two_regime_tail_bound",
-    "gaussian_regime_tail_bound", "ustat_tail_bound", "bernstein_tail_bound",
+    "gaussian_regime_tail_bound", "bernstein_tail_bound",
     "crossover_level", "moment_growth_bound", "regime_report", "crude_sup_bound",
 ]
 
@@ -84,13 +84,6 @@ def gaussian_regime_tail_bound(x: float, k: int, sigma: float, n: int,
     if x > xc:
         raise OutOfRegime(f"x={x} exceeds the regime boundary {xc}")
     return params.C * math.exp(-params.alpha * (x / sigma) ** (2.0 / k))
-
-
-def ustat_tail_bound(x: float, k: int, sigma: float, n: int,
-                     params: BoundParams = BoundParams()) -> float:
-    """Tail bound for the descaled U-statistic of a canonical kernel; same
-    two-regime shape (the two statistics agree path by path)."""
-    return two_regime_tail_bound(x, k, sigma, n, params)
 
 
 def bernstein_tail_bound(x: float, k: int, sigma: float, n: int,

@@ -13,7 +13,8 @@ Subcommands:
 
 All seeds come from configuration; no reproducible artifact depends on the
 clock.  Configuration errors (bad JSON, float mode for identity suites,
-missing fields, --workers below 1) exit 2.
+missing fields, out-of-schema values, bad level grids, --workers below 1)
+exit 2.
 """
 from __future__ import annotations
 
@@ -21,6 +22,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -44,9 +46,33 @@ class ConfigError(Exception):
 def _load_config(path: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as e:
         raise ConfigError(f"cannot read config {path}: {e}") from e
+    if not isinstance(doc, dict):
+        raise ConfigError(f"config {path} must hold a JSON object")
+    return doc
+
+
+def _int_field(cfg: dict, key: str, default: int | None = None) -> int:
+    if key not in cfg and default is None:
+        raise ConfigError(f"config needs {key!r}")
+    value = cfg.get(key, default)
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key!r} must be an integer, got {value!r}") from None
+
+
+def _levels(values) -> tuple[float, ...]:
+    """A level grid: finite positive numbers in strictly ascending order."""
+    try:
+        xs = tuple(float(x) for x in values)
+    except (TypeError, ValueError):
+        raise ConfigError(f"grid levels must be numbers, got {values!r}") from None
+    if not xs or not all(0 < x < math.inf for x in xs) or any(b <= a for a, b in zip(xs, xs[1:])):
+        raise ConfigError(f"grid levels must be positive and strictly ascending, got {xs}")
+    return xs
 
 
 def space_to_json(space: AtomSpace) -> dict:
@@ -72,8 +98,11 @@ def cmd_verify(args) -> int:
     mode = cfg.get("mode", "exact")
     if mode != "exact":
         raise ConfigError(f"identity suites require exact mode, got {mode!r}")
-    seed = int(cfg.get("seed", DEFAULT_SEED))
+    seed = _int_field(cfg, "seed", DEFAULT_SEED)
     suites = cfg.get("suites")
+    if suites is not None and not (isinstance(suites, list) and all(
+            isinstance(s, str) and s in verify.SUITES for s in suites)):
+        raise ConfigError(f"'suites' must list names from {list(verify.SUITES)}, got {suites!r}")
     results = verify.run_all(seed, suites)
     report = {"schema": REPORT_SCHEMA, "seed": seed, "mode": mode,
               "results": [r.as_dict() for r in results]}
@@ -93,8 +122,11 @@ def cmd_verify(args) -> int:
 def _build_kernel(cfg: dict):
     if "space" not in cfg or "kernel" not in cfg:
         raise ConfigError("tails config needs 'space' and 'kernel' descriptors")
+    kernel_doc = cfg["kernel"]
+    if not (isinstance(kernel_doc, dict) and "arity" in kernel_doc and "values" in kernel_doc):
+        raise ConfigError("kernel descriptor needs 'arity' and 'values'")
     space = space_from_json(cfg["space"])
-    f = kernel_from_json(space, cfg["kernel"])
+    f = kernel_from_json(space, kernel_doc)
     if cfg.get("canonicalize"):
         f = canonical_project(f)
     return space, f
@@ -104,17 +136,18 @@ def cmd_tails(args) -> int:
     if args.workers < 1:
         raise ConfigError(f"--workers must be at least 1, got {args.workers}")
     cfg = _load_config(args.config)
-    for key in ("replicates", "n"):
-        if key not in cfg:
-            raise ConfigError(f"tails config needs {key!r}")
+    replicates, n = _int_field(cfg, "replicates"), _int_field(cfg, "n")
     space, f = _build_kernel(cfg)
-    seed = int(cfg.get("seed", DEFAULT_SEED))
-    mc = montecarlo.McConfig(int(cfg["replicates"]), seed, int(cfg["n"]),
-                             tuple(cfg.get("x_grid", ())), cfg.get("target", "integral"))
+    seed = _int_field(cfg, "seed", DEFAULT_SEED)
+    grid = _levels(cfg["x_grid"]) if cfg.get("x_grid") else ()
+    try:
+        mc = montecarlo.McConfig(replicates, seed, n, grid, cfg.get("target", "integral"))
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
     if not mc.x_grid:
-        grid = montecarlo.auto_grid(f, mc, points=int(cfg.get("grid_points", 12)))
+        grid = montecarlo.auto_grid(f, mc, points=_int_field(cfg, "grid_points", 12))
         mc = montecarlo.McConfig(mc.replicates, mc.seed, mc.n, grid, mc.target)
-    est = montecarlo.estimate_tail(f, mc, workers=args.workers)
+    est = montecarlo.estimate_tail(f, mc)
     if est.sigma == 0.0:
         # zero kernel: the statistic vanishes identically, so the exact
         # tail is zero and there is nothing to fit
@@ -143,8 +176,7 @@ def cmd_tails(args) -> int:
     w0 = space.weights[0]
     ind = canonical_project(indicator_kernel(space, 0))
     sc_mc = montecarlo.McConfig(mc.replicates, seed, mc.n, (), "integral")
-    sc_values = montecarlo.replicate_values(ind, sc_mc, workers=args.workers,
-                                           base_offset=_SELF_CHECK_OFFSET)
+    sc_values = montecarlo.replicate_values(ind, sc_mc, base_offset=_SELF_CHECK_OFFSET)
     sigma1 = l2_norm(ind)
     sc_grid = tuple(sigma1 * t for t in (0.5, 1.0, 1.5, 2.0, 3.0))
     exact = montecarlo.binomial_tail_oracle(Fraction(w0), mc.n, sc_grid)
@@ -189,14 +221,17 @@ def cmd_constants(args) -> int:
 # -- bounds -----------------------------------------------------------------
 
 def _parse_grid(text: str) -> tuple[float, ...]:
-    if ":" in text:
+    if ":" not in text:
+        return _levels(text.split(","))
+    try:
         lo, hi, num = text.split(":")
         lo, hi, num = float(lo), float(hi), int(num)
-        if num < 1 or hi <= lo:
-            raise ConfigError(f"bad grid spec {text!r}")
-        step = (hi / lo) ** (1.0 / max(num - 1, 1))
-        return tuple(lo * step**i for i in range(num))
-    return tuple(float(t) for t in text.split(","))
+    except ValueError:
+        raise ConfigError(f"bad grid spec {text!r}") from None
+    if num < 1 or not 0 < lo < hi:
+        raise ConfigError(f"bad grid spec {text!r}")
+    step = (hi / lo) ** (1.0 / max(num - 1, 1))
+    return _levels(lo * step**i for i in range(num))
 
 
 def cmd_bounds(args) -> int:

@@ -145,40 +145,37 @@ def expectation_coefficient_scaled(n: int, k: int) -> float:
 
 # -- exact oracles by enumeration -------------------------------------------
 
+def _counts_moment(f: Kernel, n: int, order: int, statistic) -> Fraction:
+    """E[statistic(f, sample)^order] over all occupation-count vectors."""
+    if order < 1:
+        raise ValueError("order must be a positive integer")
+    total = Fraction(0)
+    for counts, w in enumerate_counts(f.space, n):
+        total += w * statistic(f, sample_from_counts(f.space, counts)) ** order
+    return total
+
+
 def expected_integral_oracle(f: Kernel, n: int, method: str = "counts") -> Fraction:
-    """E[q] for a size-n sample, by exhaustive enumeration."""
+    """E[q] for a size-n sample, by exhaustive enumeration of occupation
+    counts, or with method="samples" of every ordered sample."""
     if method == "counts":
-        pairs = ((sample_from_counts(f.space, c), w) for c, w in enumerate_counts(f.space, n))
-    elif method == "samples":
-        pairs = enumerate_samples(f.space, n)
-    else:
+        return moment_oracle(f, n, 1)
+    if method != "samples":
         raise ValueError(f"unknown method {method!r}")
     total = Fraction(0)
-    for sample, w in pairs:
+    for sample, w in enumerate_samples(f.space, n):
         total += w * eval_integral(f, sample).coeff
     return total
 
 
 def moment_oracle(f: Kernel, n: int, order: int) -> Fraction:
     """E[q^order] by exhaustive enumeration over occupation counts."""
-    if order < 1:
-        raise ValueError("order must be a positive integer")
-    total = Fraction(0)
-    for counts, w in enumerate_counts(f.space, n):
-        q = eval_integral(f, sample_from_counts(f.space, counts)).coeff
-        total += w * q**order
-    return total
+    return _counts_moment(f, n, order, lambda f, s: eval_integral(f, s).coeff)
 
 
 def ustat_moment_oracle(f: Kernel, n: int, order: int) -> Fraction:
     """E[(U-statistic)^order] by exhaustive enumeration."""
-    if order < 1:
-        raise ValueError("order must be a positive integer")
-    total = Fraction(0)
-    for counts, w in enumerate_counts(f.space, n):
-        u = eval_ustat(f, sample_from_counts(f.space, counts))
-        total += w * u**order
-    return total
+    return _counts_moment(f, n, order, eval_ustat)
 
 
 # -- constants of the moment recursion --------------------------------------

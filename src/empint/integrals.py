@@ -55,25 +55,6 @@ class ScaledValue:
         """The statistic itself, as a float."""
         return float(self.coeff) * float(self.n) ** (self.k / 2)
 
-    def _check_frame(self, other: "ScaledValue"):
-        if (self.k, self.n) != (other.k, other.n):
-            raise ValueError(f"cannot combine scales (k={self.k}, n={self.n}) "
-                             f"and (k={other.k}, n={other.n})")
-
-    def __add__(self, other: "ScaledValue") -> "ScaledValue":
-        self._check_frame(other)
-        return ScaledValue(self.coeff + other.coeff, self.k, self.n)
-
-    def __sub__(self, other: "ScaledValue") -> "ScaledValue":
-        self._check_frame(other)
-        return ScaledValue(self.coeff - other.coeff, self.k, self.n)
-
-    def __neg__(self) -> "ScaledValue":
-        return ScaledValue(-self.coeff, self.k, self.n)
-
-    def scale(self, c: Scalar) -> "ScaledValue":
-        return ScaledValue(self.coeff * c, self.k, self.n)
-
 
 # Marginal tables: kernel -> {subset of axis positions: tensor over subset}.
 _marginal_tables: "WeakKeyDictionary[Kernel, dict]" = WeakKeyDictionary()

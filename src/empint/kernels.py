@@ -35,7 +35,7 @@ __all__ = [
     "sup_norm", "l1_norm", "l2_norm_sq", "l2_norm",
     "labeled_product", "tensor_product", "integrate_axis", "substitute_axis", "center_axis",
     "symmetrize", "canonical_project", "is_canonical", "require_canonical",
-    "compact_relabel", "relabel", "random_kernel", "kernel_to_json",
+    "compact_relabel", "random_kernel", "kernel_to_json",
     "kernel_from_json",
 ]
 
@@ -249,14 +249,6 @@ def require_canonical(f: Kernel, tol: float = FLOAT_TOL):
 
 
 # -- relabeling -------------------------------------------------------------
-
-def relabel(f: Kernel, mapping: dict[int, int]) -> Kernel:
-    """Rename axis labels; the map must be injective and order-preserving."""
-    new = tuple(mapping.get(j, j) for j in f.axis_labels)
-    if list(new) != sorted(set(new)):
-        raise ValueError(f"relabeling {mapping} does not preserve strict order")
-    return Kernel(f.space, f.values, new)
-
 
 def compact_relabel(f: Kernel) -> Kernel:
     """Rename surviving labels to 1..arity, preserving their order."""

@@ -2,9 +2,7 @@
 
 Estimates are reproducible down to the byte: replicate r draws from the
 child stream of (seed, r), replicates run serially in index order, and
-every reduction runs over the replicate-indexed array.  The ``workers``
-arguments are accepted for compatibility and change neither the output
-nor the schedule.
+every reduction runs over the replicate-indexed array.
 
 The statistic per replicate is evaluated exactly in float mode through the
 same evaluator the exact engine uses; no resampling shortcuts.
@@ -44,6 +42,8 @@ class McConfig:
             raise ValueError(f"target must be 'integral' or 'ustat', got {self.target!r}")
         if self.replicates < 1:
             raise ValueError("need at least one replicate")
+        if self.n < 1:
+            raise ValueError(f"sample size n must be at least 1, got {self.n}")
 
 
 @dataclass(frozen=True)
@@ -61,20 +61,14 @@ class TailEstimate:
 
 
 def _statistic(f: Kernel, sample, target: str) -> float:
-    n = sample.n
-    k = f.arity
     if target == "integral":
-        return eval_integral(f, sample).coeff * float(n) ** (k / 2)
-    return eval_ustat(f, sample) / float(n) ** (k / 2)
+        return eval_integral(f, sample).value
+    return eval_ustat(f, sample) / float(sample.n) ** (f.arity / 2)
 
 
-def replicate_values(f: Kernel, cfg: McConfig, workers: int = 1,
-                     base_offset: int = 0) -> np.ndarray:
-    """The statistic for every replicate, indexed by replicate number.
-
-    The result is a pure function of (kernel, cfg, base_offset); workers
-    is ignored.
-    """
+def replicate_values(f: Kernel, cfg: McConfig, base_offset: int = 0) -> np.ndarray:
+    """The statistic for every replicate, indexed by replicate number; a
+    pure function of (kernel, cfg, base_offset)."""
     ff = f.as_float()
     root = RandomSource(cfg.seed)
     out = np.empty(cfg.replicates, dtype=float)
@@ -92,22 +86,22 @@ def exceedance(values: np.ndarray, x_grid) -> tuple[tuple[float, ...], tuple[flo
     return p_hat, tuple(math.sqrt(p * (1.0 - p) / R) for p in p_hat)
 
 
-def estimate_tail(f: Kernel, cfg: McConfig, workers: int = 1) -> TailEstimate:
+def estimate_tail(f: Kernel, cfg: McConfig) -> TailEstimate:
     """P(|statistic| > x) over cfg.x_grid with binomial standard errors."""
     xs = tuple(float(x) for x in cfg.x_grid)
     if not xs:
         raise EmptyGrid("estimate_tail needs a nonempty x_grid")
     if any(b <= a for a, b in zip(xs, xs[1:])):
         raise ValueError("x_grid must be strictly ascending")
-    p_hat, stderr = exceedance(replicate_values(f, cfg, workers), xs)
+    p_hat, stderr = exceedance(replicate_values(f, cfg), xs)
     return TailEstimate(xs, p_hat, stderr, cfg.replicates, f.arity, cfg.n,
                         l2_norm(f), cfg.target)
 
 
-def estimate_moments(f: Kernel, cfg: McConfig, orders: tuple[int, ...],
-                     workers: int = 1) -> list[tuple[int, float, float]]:
+def estimate_moments(f: Kernel, cfg: McConfig,
+                     orders: tuple[int, ...]) -> list[tuple[int, float, float]]:
     """Rows (order, empirical mean of statistic^order, standard error)."""
-    values = replicate_values(f, cfg, workers)
+    values = replicate_values(f, cfg)
     rows = []
     for order in orders:
         powered = values**order

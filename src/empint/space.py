@@ -11,6 +11,10 @@ Two conventions are fixed here once and used everywhere:
   auxiliary uniform coordinate): kernels only read the atom coordinate,
   while "off-diagonal" always means "different positions".
 
+* **Counts at construction.**  A statistic of the empirical measure reads
+  a sample only through its occupation counts, so a ``Sample`` validates
+  and counts its points once, when it is built, and stores the counts.
+
 * **Stream splitting.**  Replicate ``r`` of a run seeded with ``seed`` uses
   the child sequence ``SeedSequence(entropy=seed, spawn_key=(r,))``.  The
   replicate stream is therefore a pure function of ``(seed, r)`` and does
@@ -20,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator
 
@@ -42,13 +46,6 @@ class AtomSpace:
     """
 
     weights: tuple[Scalar, ...]
-    labels: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        if not self.labels:
-            object.__setattr__(self, "labels", tuple(f"a{i}" for i in range(len(self.weights))))
-        if len(self.labels) != len(self.weights):
-            raise ValueError("labels and weights must have equal length")
 
     @property
     def n_atoms(self) -> int:
@@ -67,10 +64,10 @@ class AtomSpace:
     def as_float(self) -> "AtomSpace":
         if not self.exact:
             return self
-        return AtomSpace(tuple(float(w) for w in self.weights), self.labels)
+        return AtomSpace(tuple(float(w) for w in self.weights))
 
 
-def make_space(weights, labels: tuple[str, ...] = ()) -> AtomSpace:
+def make_space(weights) -> AtomSpace:
     """Validate and build a space.  Weights may be Fractions, "p/q" strings,
     ints, or floats; a fully rational list yields an exact-mode space.
 
@@ -91,7 +88,7 @@ def make_space(weights, labels: tuple[str, ...] = ()) -> AtomSpace:
     else:
         if abs(float(total) - 1.0) > FLOAT_TOL:
             raise WeightsNotNormalized(f"weights sum to {float(total)!r}, expected 1")
-    return AtomSpace(parsed, tuple(labels))
+    return AtomSpace(parsed)
 
 
 def uniform_space(n_atoms: int) -> AtomSpace:
@@ -100,27 +97,28 @@ def uniform_space(n_atoms: int) -> AtomSpace:
 
 @dataclass(frozen=True)
 class Sample:
-    """An ordered n-tuple of atom indices; positions are distinct points."""
+    """An ordered n-tuple of atom indices; positions are distinct points.
+    ``counts`` holds the occupation number of every atom: the empirical
+    measure is counts/n."""
 
     space: AtomSpace
     points: tuple[int, ...]
+    counts: tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
+        counts = [0] * self.space.n_atoms
         for p in self.points:
-            if not 0 <= p < self.space.n_atoms:
-                raise ValueError(f"atom index {p} out of range")
+            try:
+                counts[p] += 1  # TypeError for a non-integer, IndexError past the last atom
+            except (IndexError, TypeError):
+                raise ValueError(f"atom index {p!r} out of range") from None
+            if p < 0:
+                raise ValueError(f"atom index {p!r} out of range")
+        object.__setattr__(self, "counts", tuple(counts))
 
     @property
     def n(self) -> int:
         return len(self.points)
-
-    @property
-    def counts(self) -> tuple[int, ...]:
-        """Occupation numbers per atom; the empirical measure is counts/n."""
-        c = [0] * self.space.n_atoms
-        for p in self.points:
-            c[p] += 1
-        return tuple(c)
 
 
 @dataclass(frozen=True)
@@ -149,7 +147,7 @@ def draw_sample(space: AtomSpace, n: int, rng: RandomSource | np.random.Generato
     idx = np.searchsorted(cum, u, side="right")
     last = max(a for a, w in enumerate(space.weights) if w > 0)
     idx = np.minimum(idx, last)
-    return Sample(space, tuple(int(i) for i in idx))
+    return Sample(space, tuple(idx.tolist()))
 
 
 def enumerate_samples(space: AtomSpace, n: int, cap: int = ENUMERATION_CAP) -> Iterator[tuple[Sample, Scalar]]:

@@ -253,7 +253,7 @@ def run_suite_constants(seed: int) -> SuiteResult:
     return res
 
 
-_RUNNERS = {
+SUITES = {
     "diagram": run_suite_diagram,
     "expectation": run_suite_expectation,
     "norms": run_suite_norms,
@@ -264,8 +264,8 @@ _RUNNERS = {
 
 
 def run_all(seed: int, suites: list[str] | None = None) -> list[SuiteResult]:
-    names = suites if suites is not None else list(_RUNNERS)
-    unknown = [s for s in names if s not in _RUNNERS]
+    names = suites if suites is not None else list(SUITES)
+    unknown = [s for s in names if s not in SUITES]
     if unknown:
         raise ValueError(f"unknown suites: {unknown}")
-    return [_RUNNERS[name](seed) for name in names]
+    return [SUITES[name](seed) for name in names]

@@ -380,7 +380,7 @@ def test_11_tail_shape_fit_stable():
     for seed in (20601, 20602):
         cfg = McConfig(replicates=100000, seed=seed, n=100, x_grid=grid,
                        target="integral")
-        est = estimate_tail(f, cfg, workers=8)
+        est = estimate_tail(f, cfg)
         params = fit_constants(est, "two_regime")
         fits.append(params)
         for x, p in zip(est.x_grid, est.p_hat):

@@ -5,7 +5,7 @@ import pytest
 from empint.bounds import (BoundParams, bernstein_exponent, bernstein_tail_bound,
                            crossover_level, crude_sup_bound, gaussian_regime_tail_bound,
                            moment_growth_bound, regime_report, two_regime_exponent,
-                           two_regime_tail_bound, ustat_tail_bound)
+                           two_regime_tail_bound)
 from empint.errors import (BadM, EmptyGrid, NonpositiveX, OutOfRegime,
                            RegimeViolation)
 
@@ -60,12 +60,6 @@ def test_gaussian_regime_guard():
         math.exp(-((xc * 0.9) / sigma) ** (2 / k)))
     with pytest.raises(OutOfRegime):
         gaussian_regime_tail_bound(xc * 1.1, k, sigma, n)
-
-
-def test_ustat_bound_matches_two_regime():
-    for x in (0.1, 0.7, 3.0):
-        assert ustat_tail_bound(x, 2, 0.5, 64) == \
-            two_regime_tail_bound(x, 2, 0.5, 64)
 
 
 def test_bernstein_between_regimes():

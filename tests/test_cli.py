@@ -198,6 +198,28 @@ def test_bounds_comma_grid_and_constants_file(tmp_path):
     assert float(rows[1][1]) == pytest.approx(want)
 
 
+@pytest.mark.parametrize("command, arg", [
+    ("bounds", "0:1:5"), ("bounds", "a,b"), ("bounds", "2,1"),
+    ("verify", {"suites": ["nope"]}), ("verify", {"seed": "x"}),
+    ("tails", {"kernel": {"values": ["1", "0"]}}),
+    ("tails", {"replicates": 0}), ("tails", {"n": 0}), ("tails", {"n": -3}),
+    ("tails", {"target": "foo"}), ("tails", {"x_grid": [2, 1]}),
+])
+def test_bad_input_is_config_error(tmp_path, capsys, command, arg):
+    if command == "bounds":
+        argv = ["bounds", "--k", "2", "--sigma", "0.4", "--n", "25",
+                "--x-grid", arg, "--out", str(tmp_path / "b.csv")]
+    elif command == "verify":
+        argv = ["verify", "--config", write_json(tmp_path / "cfg.json", arg)]
+    else:
+        argv = ["tails", "--config", write_json(tmp_path / "cfg.json", {**TAILS_CFG, **arg}),
+                "--out-dir", str(tmp_path / "o")]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:")
+    assert "Traceback" not in err
+
+
 def test_bounds_bad_grid(tmp_path, capsys):
     assert run(["bounds", "--k", "2", "--sigma", "0.4", "--n", "25",
                 "--x-grid", "5:1:4", "--out", str(tmp_path / "b.csv")]) == 2

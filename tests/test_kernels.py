@@ -8,7 +8,7 @@ from empint.kernels import (Kernel, canonical_project, center_axis, compact_rela
                             constant_kernel, indicator_kernel, integrate_axis,
                             is_canonical, kernel_from_json, kernel_from_values,
                             kernel_to_json, l1_norm, l2_norm_sq, labeled_product,
-                            random_kernel, relabel, require_canonical, substitute_axis,
+                            random_kernel, require_canonical, substitute_axis,
                             sup_norm, symmetrize, tensor_product)
 from empint.space import make_space, uniform_space
 
@@ -161,11 +161,8 @@ def test_kernel_json_round_trip(sp2):
 
 def test_relabel_rules(sp2):
     f = kernel_from_values(sp2, [["1", "2"], ["3", "4"]])
-    g = relabel(f, {1: 3, 2: 5})
-    assert g.axis_labels == (3, 5)
+    g = Kernel(sp2, f.values, (3, 5))
     assert compact_relabel(g).axis_labels == (1, 2)
-    with pytest.raises(ValueError):
-        relabel(f, {1: 2})  # collides with existing label 2
 
 
 def test_space_mismatch(sp2):

@@ -21,6 +21,9 @@ def test_config_validation():
         McConfig(replicates=0, seed=1, n=4, x_grid=(0.5,), target="integral")
     with pytest.raises(ValueError):
         McConfig(replicates=10, seed=1, n=4, x_grid=(0.5,), target="median")
+    for n in (0, -3):
+        with pytest.raises(ValueError):
+            McConfig(replicates=10, seed=1, n=n, x_grid=(0.5,), target="integral")
     McConfig(replicates=10, seed=1, n=4, x_grid=(0.5,), target="ustat")
 
 
@@ -28,8 +31,8 @@ def test_replicates_deterministic_across_workers():
     sp = uniform_space(2)
     f = centered_indicator(sp)
     cfg = McConfig(replicates=500, seed=99, n=12, x_grid=(0.5,), target="integral")
-    a = replicate_values(f, cfg, workers=1)
-    b = replicate_values(f, cfg, workers=4)
+    a = replicate_values(f, cfg)
+    b = replicate_values(f, cfg)
     assert a.tobytes() == b.tobytes()
     c = replicate_values(f, McConfig(replicates=500, seed=100, n=12,
                                      x_grid=(0.5,), target="integral"))
@@ -57,17 +60,6 @@ def test_ustat_target_matches_integral_for_canonical():
     a = replicate_values(f, McConfig(target="integral", **kw))
     b = replicate_values(f, McConfig(target="ustat", **kw))
     assert np.allclose(a, b, rtol=0, atol=1e-14)
-
-
-def test_estimate_tail_identical_bytes_across_workers():
-    sp = uniform_space(2)
-    f = centered_indicator(sp)
-    cfg = McConfig(replicates=2000, seed=31, n=16,
-                   x_grid=(0.2, 0.5, 0.9), target="integral")
-    e1 = estimate_tail(f, cfg, workers=1)
-    e8 = estimate_tail(f, cfg, workers=8)
-    assert e1.p_hat == e8.p_hat
-    assert e1.stderr == e8.stderr
 
 
 def test_binomial_oracle_hand_value():

@@ -1,12 +1,15 @@
+import ast
 import math
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import empint
 from empint.errors import (EmptySpace, EnumerationTooLarge, NegativeWeight, NonfiniteWeight,
                            WeightsNotNormalized)
-from empint.space import (AtomSpace, RandomSource, Sample, draw_sample,
+from empint.space import (RandomSource, Sample, draw_sample,
                           enumerate_counts, enumerate_samples, make_space,
                           sample_from_counts, uniform_space)
 
@@ -53,6 +56,31 @@ def test_sample_validation():
     s = Sample(sp, (0, 1, 1, 0, 1))
     assert s.n == 5
     assert s.counts == (2, 3)
+
+
+@pytest.mark.parametrize("points", [(0, 1.5), (0, "1"), (0, -1)])
+def test_sample_rejects_non_atoms(points):
+    with pytest.raises(ValueError):
+        Sample(uniform_space(2), points)
+
+
+def test_sample_counts_are_stored_at_construction():
+    sp = uniform_space(3)
+    assert Sample(sp, ()).counts == (0, 0, 0)
+    assert "counts" in Sample.__dataclass_fields__  # a field, not a property
+
+
+def test_only_space_reads_sample_points():
+    """Statistics read a sample through its stored counts; walking the
+    points again is left to space.py, which builds the counts."""
+    offenders = []
+    for path in sorted(Path(empint.__file__).parent.glob("*.py")):
+        if path.name == "space.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr == "points":
+                offenders.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+    assert not offenders, offenders
 
 
 def test_enumerate_samples_weights_sum_to_one():
@@ -120,12 +148,6 @@ def test_space_as_float():
     spf = sp.as_float()
     assert not spf.exact
     assert spf.weights == (pytest.approx(1 / 3), pytest.approx(2 / 3))
-
-
-def test_labels_default_and_custom():
-    sp = AtomSpace((F(1, 2), F(1, 2)), ("heads", "tails"))
-    assert sp.labels == ("heads", "tails")
-    assert uniform_space(2).labels == ("a0", "a1")
 
 
 class _FixedUniforms:
