@@ -12,7 +12,7 @@ and moments reproducibly and checks them against the exact oracles.
 """
 
 from .space import (AtomSpace, Sample, RandomSource, make_space, uniform_space,
-                    draw_sample, enumerate_samples, enumerate_counts)
+                    draw_sample, draw_counts, enumerate_samples, enumerate_counts)
 from .kernels import (Kernel, constant_kernel, indicator_kernel, kernel_from_values,
                       sup_norm, l1_norm, l2_norm_sq, l2_norm, labeled_product, tensor_product,
                       integrate_axis, substitute_axis, center_axis, symmetrize,
@@ -21,7 +21,7 @@ from .kernels import (Kernel, constant_kernel, indicator_kernel, kernel_from_val
 from .diagrams import (DiagramClass, ColoredDiagram, diagram_count, enumerate_diagrams,
                        contract, contract_class_average, is_gaussian,
                        product_formula_coefficient, format_diagram, parse_diagram)
-from .integrals import (ScaledValue, eval_integral, eval_ustat, CheckResult,
+from .integrals import (ScaledValue, eval_integral, eval_ustat, eval_batch, CheckResult,
                         check_canonical_ustat_identity, check_product_formula,
                         product_formula_terms)
 from .combinatorics import (set_partitions, stirling2, bell_number, partition_count_bound,

@@ -13,8 +13,8 @@ Subcommands:
 
 All seeds come from configuration; no reproducible artifact depends on the
 clock.  Configuration errors (bad JSON, float mode for identity suites,
-missing fields, out-of-schema values, bad level grids, --workers below 1)
-exit 2.
+missing fields, unknown keys, malformed scalars, out-of-schema values, bad
+level grids, --workers below 1) exit 2.
 """
 from __future__ import annotations
 
@@ -29,7 +29,7 @@ from pathlib import Path
 
 from . import bounds as bounds_mod
 from . import combinatorics, montecarlo, verify
-from .errors import EmpintError
+from .errors import EmpintError, MalformedInput
 from .kernels import canonical_project, indicator_kernel, kernel_from_json, l2_norm
 from .scalars import format_scalar
 from .space import AtomSpace, make_space
@@ -43,7 +43,8 @@ class ConfigError(Exception):
     pass
 
 
-def _load_config(path: str) -> dict:
+def _load_config(path: str, keys: tuple[str, ...]) -> dict:
+    """A JSON object whose keys are all in ``keys`` (the schema's properties)."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -51,6 +52,9 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"cannot read config {path}: {e}") from e
     if not isinstance(doc, dict):
         raise ConfigError(f"config {path} must hold a JSON object")
+    unknown = sorted(set(doc) - set(keys))
+    if unknown:
+        raise ConfigError(f"unknown keys {unknown} in {path}; allowed: {list(keys)}")
     return doc
 
 
@@ -59,6 +63,8 @@ def _int_field(cfg: dict, key: str, default: int | None = None) -> int:
         raise ConfigError(f"config needs {key!r}")
     value = cfg.get(key, default)
     try:
+        if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+            raise ValueError
         return int(value)
     except (TypeError, ValueError):
         raise ConfigError(f"{key!r} must be an integer, got {value!r}") from None
@@ -80,7 +86,7 @@ def space_to_json(space: AtomSpace) -> dict:
 
 
 def space_from_json(doc: dict) -> AtomSpace:
-    if "weights" not in doc:
+    if not (isinstance(doc, dict) and isinstance(doc.get("weights"), list)):
         raise ConfigError("space descriptor needs a 'weights' list")
     return make_space(doc["weights"])
 
@@ -94,7 +100,7 @@ def _kernel_hash(space: AtomSpace, kernel_doc: dict) -> str:
 # -- verify -----------------------------------------------------------------
 
 def cmd_verify(args) -> int:
-    cfg = _load_config(args.config) if args.config else {}
+    cfg = _load_config(args.config, ("seed", "mode", "suites")) if args.config else {}
     mode = cfg.get("mode", "exact")
     if mode != "exact":
         raise ConfigError(f"identity suites require exact mode, got {mode!r}")
@@ -123,8 +129,9 @@ def _build_kernel(cfg: dict):
     if "space" not in cfg or "kernel" not in cfg:
         raise ConfigError("tails config needs 'space' and 'kernel' descriptors")
     kernel_doc = cfg["kernel"]
-    if not (isinstance(kernel_doc, dict) and "arity" in kernel_doc and "values" in kernel_doc):
-        raise ConfigError("kernel descriptor needs 'arity' and 'values'")
+    if not (isinstance(kernel_doc, dict) and "arity" in kernel_doc
+            and isinstance(kernel_doc.get("values"), list)):
+        raise ConfigError("kernel descriptor needs 'arity' and a 'values' list")
     space = space_from_json(cfg["space"])
     f = kernel_from_json(space, kernel_doc)
     if cfg.get("canonicalize"):
@@ -132,20 +139,27 @@ def _build_kernel(cfg: dict):
     return space, f
 
 
+_TAILS_KEYS = ("space", "kernel", "canonicalize", "replicates", "n", "x_grid",
+               "grid_points", "seed", "target")
+
+
 def cmd_tails(args) -> int:
     if args.workers < 1:
         raise ConfigError(f"--workers must be at least 1, got {args.workers}")
-    cfg = _load_config(args.config)
+    cfg = _load_config(args.config, _TAILS_KEYS)
     replicates, n = _int_field(cfg, "replicates"), _int_field(cfg, "n")
     space, f = _build_kernel(cfg)
     seed = _int_field(cfg, "seed", DEFAULT_SEED)
+    grid_points = _int_field(cfg, "grid_points", 12)
+    if grid_points < 2:
+        raise ConfigError(f"'grid_points' must be at least 2, got {grid_points}")
     grid = _levels(cfg["x_grid"]) if cfg.get("x_grid") else ()
     try:
         mc = montecarlo.McConfig(replicates, seed, n, grid, cfg.get("target", "integral"))
     except ValueError as e:
         raise ConfigError(str(e)) from None
     if not mc.x_grid:
-        grid = montecarlo.auto_grid(f, mc, points=_int_field(cfg, "grid_points", 12))
+        grid = montecarlo.auto_grid(f, mc, points=grid_points)
         mc = montecarlo.McConfig(mc.replicates, mc.seed, mc.n, grid, mc.target)
     est = montecarlo.estimate_tail(f, mc)
     if est.sigma == 0.0:
@@ -237,10 +251,14 @@ def _parse_grid(text: str) -> tuple[float, ...]:
 def cmd_bounds(args) -> int:
     params = bounds_mod.BoundParams()
     if args.constants_file:
-        doc = _load_config(args.constants_file)
-        params = bounds_mod.BoundParams(
-            C=float(doc.get("C", 1.0)), alpha=float(doc.get("alpha", 1.0)),
-            c1=float(doc.get("c1", 1.0)), c2=float(doc.get("c2", 1.0)))
+        doc = _load_config(args.constants_file, ("C", "alpha", "c1", "c2"))
+        try:
+            consts = {key: float(v) for key, v in doc.items()}
+        except (TypeError, ValueError):
+            consts = None
+        if consts is None or not all(0 < v < math.inf for v in consts.values()):
+            raise ConfigError(f"bound constants must be positive finite numbers, got {doc}")
+        params = bounds_mod.BoundParams(**consts)
     grid = _parse_grid(args.x_grid)
     rows = bounds_mod.regime_report(args.k, args.sigma, args.n, grid, params)
     out = Path(args.out)
@@ -297,7 +315,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as e:
+    except (ConfigError, MalformedInput) as e:
         print(f"configuration error: {e}", file=sys.stderr)
         return 2
     except EmpintError as e:

@@ -10,6 +10,14 @@ class EmpintError(Exception):
     """Base class for all package-specific errors."""
 
 
+# -- input ------------------------------------------------------------------
+
+class MalformedInput(EmpintError):
+    """A value read from a document is not of the expected kind: a scalar
+    string that is not a rational, a kernel value that is not finite, or a
+    kernel arity that is not a non-negative integer."""
+
+
 # -- measure spaces ---------------------------------------------------------
 
 class EmptySpace(EmpintError):

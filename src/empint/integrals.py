@@ -18,7 +18,11 @@ measure (the rest to the negated base measure):
 The injective sum runs over *positions*, so it only depends on the sample's
 occupation counts: pinning an atom a consumes one of its count(a) positions.
 Both facts are exploited below; the per-subset marginal tables are memoized
-on the kernel.
+on the kernel.  For Monte Carlo, ``eval_batch`` evaluates many samples at
+once from their counts alone, in float: grouping the slots of an injective
+sum by atom turns the statistic into a polynomial in falling factorials of
+the counts.  Exact mode keeps the recursive evaluator, whose pruning of
+exhausted counts is what keeps it fast on single samples.
 """
 from __future__ import annotations
 
@@ -36,7 +40,7 @@ from .scalars import Scalar, close, mode_of
 from .space import Sample
 
 __all__ = [
-    "ScaledValue", "eval_integral", "eval_ustat", "CheckResult",
+    "ScaledValue", "eval_integral", "eval_ustat", "eval_batch", "CheckResult",
     "check_canonical_ustat_identity", "check_product_formula",
     "product_formula_terms",
 ]
@@ -142,6 +146,52 @@ def eval_ustat(f: Kernel, sample: Sample) -> Scalar:
     mode = mode_of(f)
     inner = _injection_sum(f.values, list(sample.counts), mode.zero)
     return inner / mode.cast(math.factorial(f.arity))
+
+
+def _count_polynomial(f: Kernel, n: int, ustat: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The float statistic of samples of size n as a polynomial in their
+    counts c: rows M (terms, atoms) and coefficients w with
+
+        statistic(c) = sum_t w[t] * prod_atoms (c_atom)_{M[t, atom]},
+
+    (c)_m the falling factorial.  An injective sum of a table only sees how
+    often each atom fills a slot, which gives the monomial; slot tuples with
+    the same multiplicities share it, so their coefficients are summed."""
+    k, A = f.arity, f.space.n_atoms
+    if ustat:
+        scaled = [(f.values, float(n) ** (-k / 2))]
+    else:
+        scaled = [(table, (-1) ** (k - len(S)) * float(n) ** (k / 2 - len(S)))
+                  for S, table in _subset_tables(f).items()]
+    mults, coeffs = [], []
+    for table, scale in scaled:
+        slots = np.indices(table.shape).reshape(table.ndim, A**table.ndim)
+        mults.append((slots[:, :, None] == np.arange(A)).sum(axis=0))
+        coeffs.append(np.asarray(table, dtype=float).ravel() * (scale / math.factorial(k)))
+    rows, which = np.unique(np.concatenate(mults), axis=0, return_inverse=True)
+    return rows, np.bincount(which.ravel(), weights=np.concatenate(coeffs), minlength=len(rows))
+
+
+def eval_batch(f: Kernel, n: int, counts: np.ndarray, ustat: bool = False) -> np.ndarray:
+    """The float statistic for every row of an (R, n_atoms) matrix of
+    occupation counts of size-n samples: ``eval_integral(...).value``, or
+    with ``ustat`` the U-statistic over n^{k/2}.  Rows are evaluated with
+    elementwise operations only, so a row's value depends on that row alone,
+    never on R or on how the rows were batched."""
+    f = f.as_float()
+    if f.space.n_atoms != counts.shape[1]:
+        raise SpaceMismatch(f"counts over {counts.shape[1]} atoms for a kernel on {f.space.n_atoms}")
+    c = counts.T.astype(float)
+    falling = [np.ones_like(c)]  # falling[m][a] = (c_a)_m
+    for m in range(f.arity):
+        falling.append(falling[-1] * (c - m))
+    out = np.zeros(len(counts))
+    for mult, w in zip(*_count_polynomial(f, n, ustat)):
+        term = np.full(len(counts), w)
+        for a in np.flatnonzero(mult):
+            term *= falling[mult[a]][a]
+        out += term
+    return out
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ArityMismatch, NoSuchAxis, NotCanonical, SameAxis, SpaceMismatch
+from .errors import (ArityMismatch, MalformedInput, NoSuchAxis, NotCanonical, SameAxis,
+                     SpaceMismatch)
 from .scalars import FLOAT_TOL, Scalar, format_scalar, mode_of, parse_scalar
 from .space import AtomSpace
 
@@ -277,8 +278,15 @@ def kernel_to_json(f: Kernel) -> dict:
 
 
 def kernel_from_json(space: AtomSpace, doc: dict) -> Kernel:
-    arity = int(doc["arity"])
+    """Read the wire form.  Raises MalformedInput for an arity that is not a
+    non-negative integer, a value parse_scalar rejects or a value that is
+    not finite."""
+    arity = doc["arity"]
+    if isinstance(arity, bool) or not isinstance(arity, int) or arity < 0:
+        raise MalformedInput(f"kernel arity must be a non-negative integer, got {arity!r}")
     vals = [parse_scalar(v) for v in doc["values"]]
+    if not all(math.isfinite(v) for v in vals):
+        raise MalformedInput(f"kernel values must be finite, got {doc['values']!r}")
     want = space.n_atoms**arity
     if len(vals) != want:
         raise ArityMismatch(f"expected {want} values for arity {arity}, got {len(vals)}")

@@ -4,8 +4,11 @@ Estimates are reproducible down to the byte: replicate r draws from the
 child stream of (seed, r), replicates run serially in index order, and
 every reduction runs over the replicate-indexed array.
 
-The statistic per replicate is evaluated exactly in float mode through the
-same evaluator the exact engine uses; no resampling shortcuts.
+A replicate is drawn as its occupation counts alone (``space.draw_counts``),
+and the statistic of all replicates is evaluated at once, in float, as a
+polynomial in those counts (``integrals.eval_batch``); no resampling
+shortcuts.  The exact engine keeps its own recursive evaluator, which the
+tests use as the reference for this one.
 """
 from __future__ import annotations
 
@@ -17,9 +20,9 @@ import numpy as np
 
 from .bounds import BoundParams, bernstein_exponent, two_regime_exponent
 from .errors import EmptyGrid, InsufficientTailData
-from .integrals import eval_integral, eval_ustat
+from .integrals import eval_batch
 from .kernels import Kernel, l2_norm
-from .space import RandomSource, draw_sample
+from .space import RandomSource, draw_counts
 
 __all__ = [
     "McConfig", "TailEstimate", "replicate_values", "exceedance", "estimate_tail",
@@ -60,22 +63,11 @@ class TailEstimate:
     target: str
 
 
-def _statistic(f: Kernel, sample, target: str) -> float:
-    if target == "integral":
-        return eval_integral(f, sample).value
-    return eval_ustat(f, sample) / float(sample.n) ** (f.arity / 2)
-
-
 def replicate_values(f: Kernel, cfg: McConfig, base_offset: int = 0) -> np.ndarray:
     """The statistic for every replicate, indexed by replicate number; a
     pure function of (kernel, cfg, base_offset)."""
-    ff = f.as_float()
-    root = RandomSource(cfg.seed)
-    out = np.empty(cfg.replicates, dtype=float)
-    for r in range(cfg.replicates):
-        sample = draw_sample(ff.space, cfg.n, root.child(base_offset + r).generator())
-        out[r] = _statistic(ff, sample, cfg.target)
-    return out
+    counts = draw_counts(f.space, cfg.n, RandomSource(cfg.seed), cfg.replicates, base_offset)
+    return eval_batch(f, cfg.n, counts, ustat=cfg.target == "ustat")
 
 
 def exceedance(values: np.ndarray, x_grid) -> tuple[tuple[float, ...], tuple[float, ...]]:
@@ -114,15 +106,20 @@ def estimate_moments(f: Kernel, cfg: McConfig,
 def binomial_tail_oracle(weight, n: int, x_grid) -> list[float]:
     """Closed form for the arity-1 centered indicator: with B binomial
     (n, w), the statistic is sqrt(n) (B/n - w), so the tail is an explicit
-    binomial sum.  Exact in rationals, returned as floats."""
+    binomial sum.  Exact in rationals, returned as floats.
+
+    With w = p/q every pmf term is C(n, b) p^b (q - p)^(n - b) / q^n, so the
+    sum runs over integer numerators and divides once."""
     w = Fraction(weight)
-    pmf = [Fraction(math.comb(n, b)) * w**b * (1 - w) ** (n - b) for b in range(n + 1)]
+    p, q = w.numerator, w.denominator
+    numer = [math.comb(n, b) * p**b * (q - p) ** (n - b) for b in range(n + 1)]
     out = []
     for x in x_grid:
-        # |sqrt(n)(b/n - w)| > x  <=>  |b - n w| > x sqrt(n); square to stay exact
-        lim_sq = Fraction(x) ** 2 * n
-        p = sum(pmf[b] for b in range(n + 1) if (b - n * w) ** 2 > lim_sq)
-        out.append(float(p))
+        # |sqrt(n)(b/n - w)| > x  <=>  (b q - n p)^2 > x^2 n q^2; square to stay exact
+        x = Fraction(x)
+        den_sq, bound = x.denominator**2, x.numerator**2 * n * q * q
+        hits = sum(m for b, m in enumerate(numer) if (b * q - n * p) ** 2 * den_sq > bound)
+        out.append(float(Fraction(hits, q**n)))
     return out
 
 

@@ -18,6 +18,8 @@ from typing import Callable
 
 import numpy as np
 
+from .errors import MalformedInput
+
 FLOAT_TOL = 1e-12
 
 Scalar = Fraction | float
@@ -28,18 +30,18 @@ def is_exact(x) -> bool:
 
 
 def parse_scalar(v) -> Scalar:
-    """Parse a JSON-ish scalar: "p/q" strings and ints are exact, floats are not."""
+    """Parse a JSON-ish scalar: "p/q" strings and ints are exact, floats are
+    not.  Raises MalformedInput for anything else, such as "abc" or "1/0"."""
     if isinstance(v, str):
-        return Fraction(v)
-    if isinstance(v, bool):
-        raise TypeError(f"not a scalar: {v!r}")
-    if isinstance(v, int):
-        return Fraction(v)
-    if isinstance(v, Rational):
+        try:
+            return Fraction(v)
+        except (ValueError, ZeroDivisionError):
+            raise MalformedInput(f"not a scalar: {v!r}") from None
+    if isinstance(v, Rational) and not isinstance(v, bool):
         return Fraction(v)
     if isinstance(v, float):
         return v
-    raise TypeError(f"not a scalar: {v!r}")
+    raise MalformedInput(f"not a scalar: {v!r}")
 
 
 def format_scalar(x: Scalar) -> str:

@@ -137,17 +137,47 @@ class RandomSource:
         return np.random.Generator(np.random.PCG64(ss))
 
 
+def _cuts(space: AtomSpace) -> np.ndarray:
+    """The inverse CDF as cut points: a uniform u in [0, 1) draws the atom
+    numbered by how many cuts are <= u.  The cuts are the cumulative float
+    weights up to the last positive-weight atom, so a u past a cumsum ending
+    below one goes to that atom."""
+    last = max(a for a, w in enumerate(space.weights) if w > 0)
+    return np.cumsum([float(w) for w in space.weights[:last]])
+
+
 def draw_sample(space: AtomSpace, n: int, rng: RandomSource | np.random.Generator) -> Sample:
-    """Draw n i.i.d. atoms by inverse CDF over the cumulative weights.  A draw
-    past a float cumsum ending below one goes to the last positive-weight atom."""
+    """Draw n i.i.d. atoms by inverse CDF over the cumulative weights."""
     if isinstance(rng, RandomSource):
         rng = rng.generator()
-    cum = np.cumsum([float(w) for w in space.weights])
-    u = rng.random(n)
-    idx = np.searchsorted(cum, u, side="right")
-    last = max(a for a, w in enumerate(space.weights) if w > 0)
-    idx = np.minimum(idx, last)
+    idx = np.searchsorted(_cuts(space), rng.random(n), side="right")
     return Sample(space, tuple(idx.tolist()))
+
+
+_CHUNK_UNIFORMS = 2**15  # uniforms buffered at once by draw_counts (256 KiB)
+
+
+def draw_counts(space: AtomSpace, n: int, source: RandomSource, replicates: int,
+                base_offset: int = 0) -> np.ndarray:
+    """The (replicates, n_atoms) occupation counts of size-n samples, row r
+    drawn from the stream ``source.child(base_offset + r)``: row r equals
+    ``draw_sample(space, n, source.child(base_offset + r)).counts``.
+
+    Rather than locating every uniform, it counts the uniforms at or above
+    each cut; consecutive differences of those tallies are the counts."""
+    cuts = _cuts(space)
+    out = np.zeros((replicates, space.n_atoms), dtype=np.int64)
+    buf = np.empty((max(1, min(replicates, _CHUNK_UNIFORMS // max(n, 1))), n))
+    for start in range(0, replicates, len(buf)):
+        rows = min(len(buf), replicates - start)
+        for j in range(rows):
+            source.child(base_offset + start + j).generator().random(out=buf[j])
+        at_or_above = np.zeros((rows, len(cuts) + 2), dtype=np.int64)
+        at_or_above[:, 0] = n
+        for a, cut in enumerate(cuts, start=1):
+            at_or_above[:, a] = np.count_nonzero(buf[:rows] >= cut, axis=1)
+        out[start:start + rows, :len(cuts) + 1] = -np.diff(at_or_above, axis=1)
+    return out
 
 
 def enumerate_samples(space: AtomSpace, n: int, cap: int = ENUMERATION_CAP) -> Iterator[tuple[Sample, Scalar]]:

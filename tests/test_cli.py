@@ -204,11 +204,25 @@ def test_bounds_comma_grid_and_constants_file(tmp_path):
     ("tails", {"kernel": {"values": ["1", "0"]}}),
     ("tails", {"replicates": 0}), ("tails", {"n": 0}), ("tails", {"n": -3}),
     ("tails", {"target": "foo"}), ("tails", {"x_grid": [2, 1]}),
+    ("tails", {"space": {"weights": ["abc", "1/2"]}}),
+    ("tails", {"space": {"weights": ["1/0", "1/2"]}}),
+    ("tails", {"kernel": {"arity": 1, "values": ["x", "0"]}}),
+    ("tails", {"kernel": {"arity": "x", "values": ["1", "0"]}}),
+    ("tails", {"kernel": {"arity": 1.5, "values": ["1", "0"]}}),
+    ("tails", {"kernel": {"arity": 1, "values": "10"}}),
+    ("tails", {"space": {"weights": 5}}),
+    ("tails", {"xgrid": [0.2, 0.5, 0.9]}), ("verify", {"suite": ["norms"]}),
+    ("tails", {"grid_points": 0}), ("tails", {"grid_points": 1}),
+    ("tails", {"grid_points": 2.5}), ("tails", {"replicates": True}),
+    ("tails", {"kernel": {"arity": 1, "values": [float("nan"), "0"]}}),
+    ("bounds", {"C": "abc"}), ("bounds", {"Cc": 2.0}), ("bounds", {"C": -1.0}),
 ])
 def test_bad_input_is_config_error(tmp_path, capsys, command, arg):
     if command == "bounds":
+        grid, extra = (arg, []) if isinstance(arg, str) else \
+            ("0.5,1", ["--constants-file", write_json(tmp_path / "c.json", arg)])
         argv = ["bounds", "--k", "2", "--sigma", "0.4", "--n", "25",
-                "--x-grid", arg, "--out", str(tmp_path / "b.csv")]
+                "--x-grid", grid, "--out", str(tmp_path / "b.csv"), *extra]
     elif command == "verify":
         argv = ["verify", "--config", write_json(tmp_path / "cfg.json", arg)]
     else:

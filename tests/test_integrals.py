@@ -10,12 +10,13 @@ import numpy as np
 import pytest
 
 from empint.integrals import (CheckResult, ScaledValue, check_canonical_ustat_identity,
-                              check_product_formula, eval_integral, eval_ustat,
+                              check_product_formula, eval_batch, eval_integral, eval_ustat,
                               product_formula_terms)
 from empint.errors import NotCanonical
 from empint.kernels import (canonical_project, constant_kernel, indicator_kernel,
                             kernel_from_values, random_kernel, tensor_product)
-from empint.space import (Sample, enumerate_samples, make_space, uniform_space)
+from empint.space import (RandomSource, Sample, draw_counts, enumerate_samples, make_space,
+                          sample_from_counts, uniform_space)
 
 
 def test_scaled_value_arithmetic():
@@ -179,3 +180,23 @@ def test_float_mode_evaluation_close_to_exact():
     ff = f.as_float()
     approx = eval_integral(ff, Sample(ff.space, (0, 2, 1, 2)))
     assert float(exact.coeff) == pytest.approx(float(approx.coeff), abs=1e-12)
+
+
+@pytest.mark.parametrize("weights", [["1"], ["1/3", "2/3"], ["1/6", "1/3", "1/2"],
+                                     ["1/10", "2/5", "0", "1/2"]])
+def test_batch_evaluator_matches_recursive(weights):
+    """The counts polynomial against the recursive evaluator, which stays
+    as its reference: float summation orders differ, so agreement is to
+    1e-12 relative to the statistic's O(1) scale."""
+    sp = make_space(weights)
+    rng = np.random.default_rng(len(weights))
+    for k in range(4):
+        f = random_kernel(sp, k, rng).as_float()
+        for n in (1, 2, 5, 17):  # n < k covers the vanishing U-statistic
+            counts = draw_counts(sp, n, RandomSource(k), 40)
+            samples = [sample_from_counts(f.space, tuple(row.tolist())) for row in counts]
+            want = [eval_integral(f, s).value for s in samples]
+            want_u = [eval_ustat(f, s) / float(n) ** (k / 2) for s in samples]
+            np.testing.assert_allclose(eval_batch(f, n, counts), want, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(eval_batch(f, n, counts, ustat=True), want_u,
+                                       rtol=1e-12, atol=1e-12)

@@ -3,7 +3,8 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from empint.errors import ArityMismatch, NoSuchAxis, NotCanonical, SameAxis, SpaceMismatch
+from empint.errors import (ArityMismatch, MalformedInput, NoSuchAxis, NotCanonical, SameAxis,
+                           SpaceMismatch)
 from empint.kernels import (Kernel, canonical_project, center_axis, compact_relabel,
                             constant_kernel, indicator_kernel, integrate_axis,
                             is_canonical, kernel_from_json, kernel_from_values,
@@ -157,6 +158,12 @@ def test_kernel_json_round_trip(sp2):
     assert all(a == b for a, b in zip(f.values.flat, g.values.flat))
     with pytest.raises(ArityMismatch):
         kernel_from_json(sp2, {"arity": 2, "values": ["1"]})
+    for arity in ("x", "1", 1.5, -1, True):
+        with pytest.raises(MalformedInput):
+            kernel_from_json(sp2, {"arity": arity, "values": ["1", "0"]})
+    for bad in ("1/0", float("inf")):
+        with pytest.raises(MalformedInput):
+            kernel_from_json(sp2, {"arity": 1, "values": [bad, "0"]})
 
 
 def test_relabel_rules(sp2):

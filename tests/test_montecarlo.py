@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from empint.errors import InsufficientTailData
-from empint.kernels import canonical_project, indicator_kernel, l2_norm_sq
+from empint.kernels import canonical_project, indicator_kernel, l2_norm_sq, random_kernel
 from empint.montecarlo import (McConfig, TailEstimate, auto_grid,
                                binomial_tail_oracle, estimate_moments,
                                estimate_tail, fit_constants, replicate_values)
@@ -50,6 +50,18 @@ def test_replicates_prefix_stable():
     assert short.tobytes() == long[:100].tobytes()
 
 
+def test_replicates_prefix_stable_across_chunks():
+    # at n = 256 the counts are drawn 128 replicates to a chunk, so 129 and
+    # 300 replicates end in a partial chunk; a replicate's value must not
+    # depend on which chunk it fell in
+    sp = make_space(["1/6", "1/3", "1/2"])
+    f = canonical_project(random_kernel(sp, 2, np.random.default_rng(3)))
+    runs = [replicate_values(f, McConfig(replicates=r, seed=8, n=256, target=target))
+            for r in (100, 129, 300) for target in ("integral", "ustat")]
+    for short, long in zip(runs, runs[2:]):
+        assert short.tobytes() == long[:len(short)].tobytes()
+
+
 def test_ustat_target_matches_integral_for_canonical():
     # the two statistics agree path by path in exact arithmetic; only the
     # final float rescaling (multiply vs divide by n^{k/2}) can differ, by
@@ -68,6 +80,21 @@ def test_binomial_oracle_hand_value():
     assert p == pytest.approx(0.5)
     [p0] = binomial_tail_oracle(F(1, 2), 2, [0.8])
     assert p0 == pytest.approx(0.0)
+
+
+def _binomial_tail_by_fraction_pmf(weight, n, x_grid):
+    """The closed form summed as a Fraction pmf, term by term."""
+    w = F(weight)
+    pmf = [F(math.comb(n, b)) * w**b * (1 - w) ** (n - b) for b in range(n + 1)]
+    lims = [F(x) ** 2 * n for x in x_grid]
+    return [float(sum(pmf[b] for b in range(n + 1) if (b - n * w) ** 2 > lim)) for lim in lims]
+
+
+@pytest.mark.parametrize("weight, n", [(F(1, 2), 300), (F(1, 3), 41), (0.1, 12), (F(2, 7), 1),
+                                       (F(0), 5), (F(1), 5)])
+def test_binomial_oracle_matches_fraction_pmf(weight, n):
+    grid = [0.05, 0.25, 0.5, math.sqrt(0.5), 1.0, 1.5, 3.0]
+    assert binomial_tail_oracle(weight, n, grid) == _binomial_tail_by_fraction_pmf(weight, n, grid)
 
 
 def test_estimate_tail_matches_binomial_oracle():

@@ -3,10 +3,12 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import empint
 from empint.kernels import random_kernel
-from empint.scalars import EXACT, FLOAT, mode_of
+from empint.errors import MalformedInput
+from empint.scalars import EXACT, FLOAT, mode_of, parse_scalar
 from empint.space import make_space, uniform_space
 
 
@@ -18,6 +20,14 @@ def test_mode_is_chosen_from_spaces_kernels_and_scalars():
     assert mode_of(f) is EXACT and mode_of(f.as_float()) is FLOAT
     assert mode_of(F(1, 2), 3) is EXACT
     assert mode_of(F(1, 2), 0.5) is FLOAT
+
+
+def test_parse_scalar_kinds_and_rejects():
+    assert parse_scalar("-1/3") == F(-1, 3) and type(parse_scalar(2)) is F
+    assert parse_scalar(0.5) == 0.5 and type(parse_scalar(0.5)) is float
+    for bad in ("abc", "1/0", "", True, None, [1]):
+        with pytest.raises(MalformedInput):
+            parse_scalar(bad)
 
 
 def test_mode_constants_and_arrays():

@@ -9,7 +9,8 @@ import pytest
 import empint
 from empint.errors import (EmptySpace, EnumerationTooLarge, NegativeWeight, NonfiniteWeight,
                            WeightsNotNormalized)
-from empint.space import (RandomSource, Sample, draw_sample,
+from empint import space as space_mod
+from empint.space import (RandomSource, Sample, draw_counts, draw_sample,
                           enumerate_counts, enumerate_samples, make_space,
                           sample_from_counts, uniform_space)
 
@@ -166,3 +167,24 @@ def test_draw_sample_never_draws_trailing_zero_weight_atom():
     assert np.cumsum([0.1] * 10)[-1] <= u  # the float cumsum ends below one
     s = draw_sample(sp, 2, _FixedUniforms([u, 0.0]))
     assert s.points == (9, 0)
+
+
+@pytest.mark.parametrize("weights", [
+    ["1/6", "1/3", "1/2"], ["1/10", "2/5", "0", "1/2"], [0.1] * 10 + [0.0],
+    ["1/4", "3/4", "0", "0"], ["1"],
+])
+def test_draw_counts_rows_are_draw_sample_counts(weights):
+    sp = make_space(weights)
+    root = RandomSource(31)
+    for n in (1, 7, 40):
+        counts = draw_counts(sp, n, root, 60, base_offset=5)
+        assert counts.shape == (60, sp.n_atoms)
+        for r, row in enumerate(counts):
+            assert tuple(row.tolist()) == draw_sample(sp, n, root.child(5 + r)).counts
+
+
+def test_draw_counts_do_not_depend_on_the_chunk_size(monkeypatch):
+    sp = make_space(["1/10", "2/5", "0", "1/2"])
+    whole = draw_counts(sp, 20, RandomSource(4), 50)
+    monkeypatch.setattr(space_mod, "_CHUNK_UNIFORMS", 3 * 20)  # three rows a chunk
+    assert np.array_equal(draw_counts(sp, 20, RandomSource(4), 50), whole)
