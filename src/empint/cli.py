@@ -58,16 +58,19 @@ def _load_config(path: str, keys: tuple[str, ...]) -> dict:
     return doc
 
 
-def _int_field(cfg: dict, key: str, default: int | None = None) -> int:
+def _int_field(cfg: dict, key: str, default: int | None = None, minimum: int | None = None) -> int:
     if key not in cfg and default is None:
         raise ConfigError(f"config needs {key!r}")
     value = cfg.get(key, default)
     try:
         if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
             raise ValueError
-        return int(value)
+        value = int(value)
     except (TypeError, ValueError):
         raise ConfigError(f"{key!r} must be an integer, got {value!r}") from None
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"{key!r} must be at least {minimum}, got {value}")
+    return value
 
 
 def _levels(values) -> tuple[float, ...]:
@@ -104,7 +107,7 @@ def cmd_verify(args) -> int:
     mode = cfg.get("mode", "exact")
     if mode != "exact":
         raise ConfigError(f"identity suites require exact mode, got {mode!r}")
-    seed = _int_field(cfg, "seed", DEFAULT_SEED)
+    seed = _int_field(cfg, "seed", DEFAULT_SEED, minimum=0)
     suites = cfg.get("suites")
     if suites is not None and not (isinstance(suites, list) and all(
             isinstance(s, str) and s in verify.SUITES for s in suites)):
@@ -149,10 +152,8 @@ def cmd_tails(args) -> int:
     cfg = _load_config(args.config, _TAILS_KEYS)
     replicates, n = _int_field(cfg, "replicates"), _int_field(cfg, "n")
     space, f = _build_kernel(cfg)
-    seed = _int_field(cfg, "seed", DEFAULT_SEED)
-    grid_points = _int_field(cfg, "grid_points", 12)
-    if grid_points < 2:
-        raise ConfigError(f"'grid_points' must be at least 2, got {grid_points}")
+    seed = _int_field(cfg, "seed", DEFAULT_SEED, minimum=0)
+    grid_points = _int_field(cfg, "grid_points", 12, minimum=2)
     grid = _levels(cfg["x_grid"]) if cfg.get("x_grid") else ()
     try:
         mc = montecarlo.McConfig(replicates, seed, n, grid, cfg.get("target", "integral"))
@@ -191,21 +192,21 @@ def cmd_tails(args) -> int:
     ind = canonical_project(indicator_kernel(space, 0))
     sc_mc = montecarlo.McConfig(mc.replicates, seed, mc.n, (), "integral")
     sc_values = montecarlo.replicate_values(ind, sc_mc, base_offset=_SELF_CHECK_OFFSET)
-    sigma1 = l2_norm(ind)
-    sc_grid = tuple(sigma1 * t for t in (0.5, 1.0, 1.5, 2.0, 3.0))
+    sc_grid = montecarlo.binomial_levels(w0, mc.n, l2_norm(ind), (0.5, 1.0, 1.5, 2.0, 3.0))
     exact = montecarlo.binomial_tail_oracle(Fraction(w0), mc.n, sc_grid)
     p_hat, stderr = montecarlo.exceedance(sc_values, sc_grid)
+    zs = [abs(p - pe) / se if se > 0 else 0.0 for pe, p, se in zip(exact, p_hat, stderr)]
     with open(outdir / "self_check.csv", "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["x", "p_hat", "p_exact", "stderr", "z"])
-        for x, pe, p, se in zip(sc_grid, exact, p_hat, stderr):
-            z = abs(p - pe) / se if se > 0 else 0.0
-            w.writerow([repr(x), repr(p), repr(pe), repr(se), repr(z)])
+        for row in zip(sc_grid, p_hat, exact, stderr, zs):
+            w.writerow([repr(v) for v in row])
 
     manifest = {"seed": seed, "replicates": mc.replicates, "n": mc.n,
                 "kernel_hash": _kernel_hash(space, cfg["kernel"])}
     (outdir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
-    print(f"wrote {outdir}/tails.csv, self_check.csv, manifest.json")
+    print(f"wrote {outdir}/tails.csv, self_check.csv, manifest.json; "
+          f"worst self-check z {max(zs):.2f}")
     return 0
 
 

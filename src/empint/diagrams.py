@@ -45,8 +45,8 @@ class DiagramClass:
     p: int
 
     def __post_init__(self):
-        if self.k1 < 1 or self.k2 < 1:
-            raise InvalidClass(f"row sizes must be positive, got {self.k1}, {self.k2}")
+        if self.k1 < 0 or self.k2 < 0:
+            raise InvalidClass(f"row sizes must be non-negative, got {self.k1}, {self.k2}")
         if not 0 <= self.p <= self.l <= min(self.k1, self.k2):
             raise InvalidClass(f"need 0 <= p <= l <= min(k1, k2), got l={self.l}, p={self.p}")
 

@@ -106,6 +106,11 @@ class RegimeViolation(EmpintError):
 
 # -- Monte Carlo ------------------------------------------------------------
 
+class NegativeSeed(EmpintError):
+    """A seed or spawn key is negative; streams are keyed by non-negative
+    integers only."""
+
+
 class InsufficientTailData(EmpintError):
     """Too few grid points with nonzero exceedance to fit constants."""
 

@@ -19,14 +19,14 @@ from fractions import Fraction
 import numpy as np
 
 from .bounds import BoundParams, bernstein_exponent, two_regime_exponent
-from .errors import EmptyGrid, InsufficientTailData
+from .errors import EmptyGrid, InsufficientTailData, NegativeSeed
 from .integrals import eval_batch
 from .kernels import Kernel, l2_norm
 from .space import RandomSource, draw_counts
 
 __all__ = [
     "McConfig", "TailEstimate", "replicate_values", "exceedance", "estimate_tail",
-    "estimate_moments", "binomial_tail_oracle", "fit_constants", "auto_grid",
+    "estimate_moments", "binomial_tail_oracle", "binomial_levels", "fit_constants", "auto_grid",
 ]
 
 _PILOT_OFFSET = 10**9  # pilot replicate streams never collide with the run's
@@ -47,6 +47,8 @@ class McConfig:
             raise ValueError("need at least one replicate")
         if self.n < 1:
             raise ValueError(f"sample size n must be at least 1, got {self.n}")
+        if self.seed < 0:
+            raise NegativeSeed(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -123,10 +125,35 @@ def binomial_tail_oracle(weight, n: int, x_grid) -> list[float]:
     return out
 
 
+def binomial_levels(weight, n: int, sigma: float, ts) -> tuple[float, ...]:
+    """Levels ``sigma * t`` for the statistic of binomial_tail_oracle, kept
+    off the lattice it lives on.  With w = p/q the statistic only takes the
+    values m / (q sqrt(n)), m in {|b q - n p| : b = 0..n}.  A level whose
+    exact value sqrt(w (1 - w)) t is one of them (decided in integers:
+    m^2 = t^2 p (q - p) n) moves to the midpoint between it and the next
+    value up (m + 1 past the largest), so float rounding of the statistic
+    cannot decide a tie.  Every other level is ``sigma * t`` as given."""
+    w = Fraction(weight)
+    p, q = w.numerator, w.denominator
+    attained = sorted({abs(b * q - n * p) for b in range(n + 1)})
+    levels = []
+    for t in ts:
+        m_sq = Fraction(t) ** 2 * p * (q - p) * n
+        m = math.isqrt(int(m_sq))
+        if m * m != m_sq or m not in attained:
+            levels.append(sigma * t)
+            continue
+        up = next((v for v in attained if v > m), m + 1)
+        levels.append((m + up) / (2 * q * math.sqrt(n)))
+    return tuple(levels)
+
+
 def fit_constants(est: TailEstimate, form: str = "two_regime") -> BoundParams:
     """Least-squares fit of log exceedance against the bound's exponent
     shape, then lift the constant so the bound dominates every empirical
-    point.  Needs at least three grid points with nonzero exceedance.
+    point.  Needs at least three grid points with nonzero exceedance and
+    a decaying fit: a fitted exponent <= 0 would be a bound that grows
+    with x.
     """
     pts = [(x, p) for x, p in zip(est.x_grid, est.p_hat) if p > 0]
     if len(pts) < 3:
@@ -139,6 +166,8 @@ def fit_constants(est: TailEstimate, form: str = "two_regime") -> BoundParams:
     A = np.column_stack([np.ones(len(zs)), [-z for z in zs]])
     coef, *_ = np.linalg.lstsq(A, np.array(logs), rcond=None)
     log_c, alpha = float(coef[0]), float(coef[1])
+    if alpha <= 0:
+        raise InsufficientTailData(f"fitted exponent {alpha:.3g} <= 0: the tail does not decay")
     # dominate every point exactly
     log_c = max(lp + alpha * z for lp, z in zip(logs, zs))
     if form == "two_regime":

@@ -16,22 +16,29 @@ Two conventions are fixed here once and used everywhere:
   and counts its points once, when it is built, and stores the counts.
 
 * **Stream splitting.**  Replicate ``r`` of a run seeded with ``seed`` uses
-  the child sequence ``SeedSequence(entropy=seed, spawn_key=(r,))``.  The
-  replicate stream is therefore a pure function of ``(seed, r)`` and does
-  not depend on scheduling or worker count.
+  the child sequence ``SeedSequence(entropy=seed, spawn_key=(r,))`` feeding
+  a ``PCG64``.  The replicate stream is therefore a pure function of
+  ``(seed, r)`` and does not depend on scheduling or worker count.
+  ``draw_counts`` computes the PCG64 starting state of every replicate at
+  once with numpy's seeding arithmetic ported to whole arrays (O'Neill's
+  ``seed_seq_fe`` hash, then PCG64's two LCG steps) and sets it on one
+  reused generator: the same streams, bit for bit, without building a
+  ``SeedSequence`` and a ``PCG64`` per replicate.  ``RandomSource.generator``
+  keeps numpy's own path, which the tests hold the port to.
 """
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import (EmptySpace, EnumerationTooLarge, NegativeWeight, NonfiniteWeight,
-                     WeightsNotNormalized)
+from .errors import (EmptySpace, EnumerationTooLarge, NegativeSeed, NegativeWeight,
+                     NonfiniteWeight, WeightsNotNormalized)
 from .scalars import FLOAT_TOL, Scalar, is_exact, mode_of, parse_scalar
 
 ENUMERATION_CAP = 10**6
@@ -128,6 +135,11 @@ class RandomSource:
     seed: int
     spawn_key: tuple[int, ...] = ()
 
+    def __post_init__(self):
+        for v in (self.seed, *self.spawn_key):
+            if operator.index(v) < 0:
+                raise NegativeSeed(f"seeds and spawn keys must be non-negative, got {v}")
+
     def child(self, r: int) -> "RandomSource":
         """The stream for replicate r; depends only on (seed, spawn_key, r)."""
         return RandomSource(self.seed, self.spawn_key + (r,))
@@ -154,6 +166,91 @@ def draw_sample(space: AtomSpace, n: int, rng: RandomSource | np.random.Generato
     return Sample(space, tuple(idx.tolist()))
 
 
+# numpy's SeedSequence (O'Neill's seed_seq_fe, pool of four uint32 words)
+# and PCG64 seeding constants
+_M32 = 0xFFFF_FFFF
+_INIT_A, _MULT_A = 0x43B0_D7E5, 0x931E_8875
+_INIT_B, _MULT_B = 0x8B51_F9DD, 0x58F3_8DED
+_MIX_L, _MIX_R = 0xCA01_F9DD, 0x4973_F715
+_PCG_MULT = 0x2360_ED05_1FC6_5DA4_4385_DF64_9FCC_F645
+_M128 = (1 << 128) - 1
+
+
+def _words(value: int) -> list[int]:
+    """The uint32 words numpy reads from a non-negative int, low word first;
+    zero is one word."""
+    value = operator.index(value)
+    words = [value & _M32]
+    while value := value >> 32:
+        words.append(value & _M32)
+    return words
+
+
+class _Hash:
+    """seed_seq_fe's hash: xor the running constant in, step the constant,
+    multiply by it, fold the high half down.  The constants do not depend on
+    the data, so the same calls hash a Python int or a uint64 array of
+    32-bit words alike."""
+
+    def __init__(self, const: int, mult: int):
+        self.const, self.mult = const, mult
+
+    def __call__(self, value):
+        value = value ^ self.const
+        self.const = self.const * self.mult & _M32
+        value = value * self.const & _M32
+        return value ^ value >> 16
+
+
+def _mix(x, y):
+    r = (_MIX_L * x - _MIX_R * y) & _M32
+    return r ^ r >> 16
+
+
+def replicate_seeds(source: RandomSource, keys: Sequence[int]) -> np.ndarray:
+    """``SeedSequence(source.seed, spawn_key=source.spawn_key + (k,))
+    .generate_state(4, np.uint64)`` for every k in ``keys``, as one
+    (len(keys), 4) uint64 array.
+
+    The entropy is the seed's words padded to four, the spawn key's words,
+    then k's words.  All but k's words are the same on every row, so they
+    are mixed once in Python ints; k's words and the output hash run on
+    whole columns."""
+    run = _words(source.seed)
+    entropy = run + [0] * (4 - len(run)) + [w for key in source.spawn_key for w in _words(key)]
+    hash_ = _Hash(_INIT_A, _MULT_A)
+    pool = [hash_(w) for w in entropy[:4]]
+    for s in range(4):
+        for d in range(4):
+            if s != d:
+                pool[d] = _mix(pool[d], hash_(pool[s]))
+    for w in entropy[4:]:
+        for d in range(4):
+            pool[d] = _mix(pool[d], hash_(w))
+    pool = [np.full(len(keys), w, dtype=np.uint64) for w in pool]
+    rest = np.array(keys, dtype=object)  # Python ints: any key size
+    live = np.ones(len(keys), dtype=bool)
+    while live.any():  # k's words, low first; a row stops after its last word
+        w = (rest & _M32).astype(np.uint64)
+        for d in range(4):
+            pool[d] = np.where(live, _mix(pool[d], hash_(w)), pool[d])
+        rest = rest >> 32
+        live = rest > 0
+    out = _Hash(_INIT_B, _MULT_B)
+    h = [out(pool[i % 4]) for i in range(8)]
+    return np.stack([h[i] | h[i + 1] << 32 for i in range(0, 8, 2)], axis=1)
+
+
+def pcg64_state(words: list[int]) -> dict:
+    """The state of ``PCG64`` seeded with the four generate_state words:
+    two steps of its 128-bit LCG, as numpy's ``PCG64.state`` dict."""
+    w0, w1, w2, w3 = words
+    inc = ((w2 << 64 | w3) << 1 | 1) & _M128
+    state = ((inc + (w0 << 64 | w1)) * _PCG_MULT + inc) & _M128
+    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+            "has_uint32": 0, "uinteger": 0}
+
+
 _CHUNK_UNIFORMS = 2**15  # uniforms buffered at once by draw_counts (256 KiB)
 
 
@@ -163,15 +260,23 @@ def draw_counts(space: AtomSpace, n: int, source: RandomSource, replicates: int,
     drawn from the stream ``source.child(base_offset + r)``: row r equals
     ``draw_sample(space, n, source.child(base_offset + r)).counts``.
 
-    Rather than locating every uniform, it counts the uniforms at or above
-    each cut; consecutive differences of those tallies are the counts."""
+    Every row's PCG64 state comes from one ``replicate_seeds`` pass and is
+    set on one reused generator.  Rather than locating every uniform, it
+    counts the uniforms at or above each cut; consecutive differences of
+    those tallies are the counts."""
+    if base_offset < 0:
+        raise NegativeSeed(f"base_offset must be non-negative, got {base_offset}")
     cuts = _cuts(space)
+    seeds = replicate_seeds(source, range(base_offset, base_offset + replicates))
+    bitgen = np.random.PCG64(0)
+    gen = np.random.Generator(bitgen)
     out = np.zeros((replicates, space.n_atoms), dtype=np.int64)
     buf = np.empty((max(1, min(replicates, _CHUNK_UNIFORMS // max(n, 1))), n))
     for start in range(0, replicates, len(buf)):
         rows = min(len(buf), replicates - start)
-        for j in range(rows):
-            source.child(base_offset + start + j).generator().random(out=buf[j])
+        for j, seed in enumerate(seeds[start:start + rows].tolist()):
+            bitgen.state = pcg64_state(seed)
+            gen.random(out=buf[j])
         at_or_above = np.zeros((rows, len(cuts) + 2), dtype=np.int64)
         at_or_above[:, 0] = n
         for a, cut in enumerate(cuts, start=1):

@@ -106,6 +106,26 @@ def test_tails_deterministic_across_workers(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+def test_self_check_levels_avoid_the_lattice(tmp_path, capsys):
+    # w0 = 1/10 and n = 100: sigma * t is an attained value of the self-check
+    # statistic for t = 1, 2, 3, and those levels move to half-step midpoints
+    doc = {**TAILS_CFG, "space": {"weights": ["1/10", "1/10", "1/2", "3/10"]},
+           "kernel": {"arity": 2, "values": [str(F(i % 5 - 2, 3)) for i in range(16)]},
+           "n": 100, "replicates": 1000, "seed": 11}
+    del doc["x_grid"]
+    out = tmp_path / "out"
+    assert run(["tails", "--config", write_json(tmp_path / "t.json", doc),
+                "--out-dir", str(out)]) == 0
+    with open(out / "self_check.csv") as fh:
+        rows = list(csv.reader(fh))[1:]
+    xs = [float(r[0]) for r in rows]
+    assert xs[1] == pytest.approx(0.35) and xs[3] == pytest.approx(0.65)
+    assert xs[4] == pytest.approx(0.95)
+    zs = [float(r[4]) for r in rows]
+    assert max(zs) <= 3.0
+    assert f"worst self-check z {max(zs):.2f}" in capsys.readouterr().out
+
+
 def test_tails_rejects_nonpositive_workers(tmp_path, capsys):
     cfg = write_json(tmp_path / "cfg.json", TAILS_CFG)
     assert run(["tails", "--config", cfg, "--out-dir", str(tmp_path / "o"),
@@ -200,7 +220,8 @@ def test_bounds_comma_grid_and_constants_file(tmp_path):
 
 @pytest.mark.parametrize("command, arg", [
     ("bounds", "0:1:5"), ("bounds", "a,b"), ("bounds", "2,1"),
-    ("verify", {"suites": ["nope"]}), ("verify", {"seed": "x"}),
+    ("verify", {"suites": ["nope"]}), ("verify", {"seed": "x"}), ("verify", {"seed": -3}),
+    ("tails", {"seed": -1}),
     ("tails", {"kernel": {"values": ["1", "0"]}}),
     ("tails", {"replicates": 0}), ("tails", {"n": 0}), ("tails", {"n": -3}),
     ("tails", {"target": "foo"}), ("tails", {"x_grid": [2, 1]}),

@@ -22,7 +22,10 @@ def test_class_validation():
     with pytest.raises(InvalidClass):
         DiagramClass(2, 2, 1, 2)
     with pytest.raises(InvalidClass):
-        DiagramClass(0, 1, 0, 0)
+        DiagramClass(-1, 1, 0, 0)
+    with pytest.raises(InvalidClass):
+        DiagramClass(0, 1, 1, 0)
+    assert [format_diagram(d) for d in enumerate_diagrams(DiagramClass(0, 2, 0, 0))] == ["B(0,2;)"]
 
 
 def test_diagram_validation():

@@ -200,3 +200,20 @@ def test_batch_evaluator_matches_recursive(weights):
             np.testing.assert_allclose(eval_batch(f, n, counts), want, rtol=1e-12, atol=1e-12)
             np.testing.assert_allclose(eval_batch(f, n, counts, ustat=True), want_u,
                                        rtol=1e-12, atol=1e-12)
+
+
+def test_product_formula_with_arity_zero():
+    """A constant is the arity-0 kernel; its product with anything is the
+    empty diagram alone, and the identity holds exactly."""
+    sp = make_space(["1/3", "1/6", "1/2"])
+    rng = np.random.default_rng(8)
+    c = constant_kernel(sp, "-2/3")
+    for g in (constant_kernel(sp, 3), random_kernel(sp, 1, rng), random_kernel(sp, 2, rng)):
+        for f1, f2 in ((c, g), (g, c)):
+            terms = product_formula_terms(f1, f2)
+            assert list(terms) == [(0, 0)]
+            for n in (1, 2, 5):
+                s = Sample(sp, tuple(int(a) for a in rng.integers(0, 3, size=n)))
+                res = check_product_formula(f1, f2, s, terms=terms)
+                assert res.lhs == res.rhs
+                assert isinstance(res.lhs, F)

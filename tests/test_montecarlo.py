@@ -4,9 +4,10 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from empint.errors import InsufficientTailData
-from empint.kernels import canonical_project, indicator_kernel, l2_norm_sq, random_kernel
-from empint.montecarlo import (McConfig, TailEstimate, auto_grid,
+from empint.errors import InsufficientTailData, NegativeSeed
+from empint.kernels import (canonical_project, indicator_kernel, l2_norm, l2_norm_sq,
+                            random_kernel)
+from empint.montecarlo import (McConfig, TailEstimate, auto_grid, binomial_levels,
                                binomial_tail_oracle, estimate_moments,
                                estimate_tail, fit_constants, replicate_values)
 from empint.space import make_space, uniform_space
@@ -24,6 +25,8 @@ def test_config_validation():
     for n in (0, -3):
         with pytest.raises(ValueError):
             McConfig(replicates=10, seed=1, n=n, x_grid=(0.5,), target="integral")
+    with pytest.raises(NegativeSeed):
+        McConfig(replicates=10, seed=-1, n=4, x_grid=(0.5,), target="integral")
     McConfig(replicates=10, seed=1, n=4, x_grid=(0.5,), target="ustat")
 
 
@@ -146,6 +149,37 @@ def test_fit_constants_needs_data():
                                    stderr=(0.1, 0.1, 0.1), replicates=100,
                                    k=1, n=10, sigma=0.5, target="integral"),
                       form="cauchy")
+
+
+def test_fit_constants_rejects_a_rising_tail():
+    # a least-squares fit to this tail has a negative exponent: a "bound"
+    # growing with x
+    est = TailEstimate(x_grid=(0.5, 1.0, 1.5, 2.0), p_hat=(0.01, 0.05, 0.2, 0.4),
+                       stderr=(0.01, 0.01, 0.01, 0.01), replicates=1000, k=1, n=10,
+                       sigma=0.5, target="integral")
+    for form in ("two_regime", "bernstein"):
+        with pytest.raises(InsufficientTailData, match="does not decay"):
+            fit_constants(est, form=form)
+
+
+def test_binomial_levels_leave_the_lattice():
+    # w = 1/10, n = 100: the statistic takes the values |b - 10| / 10, and
+    # sigma = 3/10, so levels sigma * t for t = 1, 2, 3 are attained values
+    sigma = l2_norm(centered_indicator(make_space(["1/10", "9/10"])))
+    ts = (0.5, 1.0, 1.5, 2.0, 3.0)
+    levels = binomial_levels(F(1, 10), 100, sigma, ts)
+    assert levels[0] == sigma * 0.5 and levels[2] == sigma * 1.5  # off the lattice: same bytes
+    assert levels[1] == pytest.approx(0.35) and levels[3] == pytest.approx(0.65)
+    assert levels[4] == pytest.approx(0.95)
+    # the moved levels sit a half step from either neighbour, so the exact
+    # tail is P(|B - 10| >= 4) etc. whatever the float rounding
+    pmf = [math.comb(100, b) * F(1, 10) ** b * F(9, 10) ** (100 - b) for b in range(101)]
+    for x, steps in ((levels[1], 4), (levels[3], 7), (levels[4], 10)):
+        want = float(sum(m for b, m in enumerate(pmf) if abs(b - 10) >= steps))
+        assert binomial_tail_oracle(F(1, 10), 100, [x]) == [want]
+    # w = 1/2, n = 4: the values are |2b - 4| / 4; the largest, 1, has no
+    # value above it and moves to (4 + 1/2) / 4
+    assert binomial_levels(F(1, 2), 4, 0.5, (2.0,)) == (1.125,)
 
 
 def test_auto_grid_shape():

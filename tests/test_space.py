@@ -5,14 +5,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import empint
-from empint.errors import (EmptySpace, EnumerationTooLarge, NegativeWeight, NonfiniteWeight,
-                           WeightsNotNormalized)
+from empint.errors import (EmptySpace, EnumerationTooLarge, NegativeSeed, NegativeWeight,
+                           NonfiniteWeight, WeightsNotNormalized)
 from empint import space as space_mod
 from empint.space import (RandomSource, Sample, draw_counts, draw_sample,
-                          enumerate_counts, enumerate_samples, make_space,
-                          sample_from_counts, uniform_space)
+                          enumerate_counts, enumerate_samples, make_space, pcg64_state,
+                          replicate_seeds, sample_from_counts, uniform_space)
 
 
 def test_make_space_exact():
@@ -188,3 +189,65 @@ def test_draw_counts_do_not_depend_on_the_chunk_size(monkeypatch):
     whole = draw_counts(sp, 20, RandomSource(4), 50)
     monkeypatch.setattr(space_mod, "_CHUNK_UNIFORMS", 3 * 20)  # three rows a chunk
     assert np.array_equal(draw_counts(sp, 20, RandomSource(4), 50), whole)
+
+
+def _numpy_seed(source, key):
+    ss = np.random.SeedSequence(source.seed, spawn_key=source.spawn_key + (key,))
+    return ss.generate_state(4, np.uint64), np.random.PCG64(ss).state
+
+
+def _port_uniforms(seed_words, n):
+    bitgen = np.random.PCG64(0)
+    bitgen.state = pcg64_state(seed_words)
+    return np.random.Generator(bitgen).random(n)
+
+
+# seeds and keys of one to five uint32 words, and the edges between them
+PIN_SEEDS = (0, 11, 12345, 2**32 - 1, 2**32, 2**40 + 7, 2**130)
+PIN_KEYS = (*range(300), 10**9 + 5, 2 * 10**9 + 7, 2**32 - 1, 2**32, 2**40)
+
+
+@pytest.mark.parametrize("seed", PIN_SEEDS)
+def test_replicate_seeds_match_numpy(seed):
+    """The batch port against numpy's own SeedSequence, PCG64 and uniforms;
+    a numpy release that changed any of them fails here."""
+    source = RandomSource(seed)
+    words = replicate_seeds(source, PIN_KEYS)
+    assert words.shape == (len(PIN_KEYS), 4) and words.dtype == np.uint64
+    for key, row in zip(PIN_KEYS, words):
+        want_words, want_state = _numpy_seed(source, key)
+        assert np.array_equal(row, want_words)
+        assert pcg64_state(row.tolist()) == want_state
+    for key, row in list(zip(PIN_KEYS, words))[::25]:
+        want = source.child(key).generator().random(17)
+        assert np.array_equal(_port_uniforms(row.tolist(), 17), want)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**160),
+       prefix=st.lists(st.integers(0, 2**70), max_size=2),
+       keys=st.lists(st.integers(0, 2**70), min_size=1, max_size=8))
+def test_replicate_seeds_property(seed, prefix, keys):
+    source = RandomSource(seed, tuple(prefix))
+    for key, row in zip(keys, replicate_seeds(source, keys)):
+        want_words, want_state = _numpy_seed(source, key)
+        assert np.array_equal(row, want_words)
+        assert pcg64_state(row.tolist()) == want_state
+
+
+def test_draw_counts_across_the_two_word_key_boundary():
+    sp = make_space(["1/4", "0", "3/4"])
+    root = RandomSource(2**40 + 7, (3,))
+    counts = draw_counts(sp, 9, root, 6, base_offset=2**32 - 3)
+    for r, row in enumerate(counts):
+        assert tuple(row.tolist()) == draw_sample(sp, 9, root.child(2**32 - 3 + r)).counts
+
+
+def test_negative_seed_is_a_typed_error():
+    for seed, key in ((-1, ()), (3, (-2,)), (3, (1, -1))):
+        with pytest.raises(NegativeSeed):
+            RandomSource(seed, key)
+    with pytest.raises(NegativeSeed):
+        RandomSource(3).child(-1)
+    with pytest.raises(NegativeSeed):
+        draw_counts(uniform_space(2), 4, RandomSource(3), 5, base_offset=-1)
