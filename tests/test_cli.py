@@ -220,8 +220,7 @@ def test_bounds_comma_grid_and_constants_file(tmp_path):
 
 @pytest.mark.parametrize("command, arg", [
     ("bounds", "0:1:5"), ("bounds", "a,b"), ("bounds", "2,1"),
-    ("verify", {"suites": ["nope"]}), ("verify", {"seed": "x"}), ("verify", {"seed": -3}),
-    ("tails", {"seed": -1}),
+    ("verify", {"suites": ["nope"]}), ("verify", {"seed": "x"}),
     ("tails", {"kernel": {"values": ["1", "0"]}}),
     ("tails", {"replicates": 0}), ("tails", {"n": 0}), ("tails", {"n": -3}),
     ("tails", {"target": "foo"}), ("tails", {"x_grid": [2, 1]}),
@@ -237,6 +236,7 @@ def test_bounds_comma_grid_and_constants_file(tmp_path):
     ("tails", {"grid_points": 2.5}), ("tails", {"replicates": True}),
     ("tails", {"kernel": {"arity": 1, "values": [float("nan"), "0"]}}),
     ("bounds", {"C": "abc"}), ("bounds", {"Cc": 2.0}), ("bounds", {"C": -1.0}),
+    ("verify", {"seed": -3}), ("tails", {"seed": -1}),
 ])
 def test_bad_input_is_config_error(tmp_path, capsys, command, arg):
     if command == "bounds":
