@@ -194,8 +194,11 @@ def cmd_tails(args) -> int:
     sc_values = montecarlo.replicate_values(ind, sc_mc, base_offset=_SELF_CHECK_OFFSET)
     sc_grid = montecarlo.binomial_levels(w0, mc.n, l2_norm(ind), (0.5, 1.0, 1.5, 2.0, 3.0))
     exact = montecarlo.binomial_tail_oracle(Fraction(w0), mc.n, sc_grid)
-    p_hat, stderr = montecarlo.exceedance(sc_values, sc_grid)
-    zs = [abs(p - pe) / se if se > 0 else 0.0 for pe, p, se in zip(exact, p_hat, stderr)]
+    p_hat, _ = montecarlo.exceedance(sc_values, sc_grid)
+    # the standard error of the exact tail, so a run that misses a rare level still scores
+    stderr = [math.sqrt(pe * (1.0 - pe) / mc.replicates) for pe in exact]
+    zs = [abs(p - pe) / se if se > 0 else (0.0 if p == pe else math.inf)
+          for pe, p, se in zip(exact, p_hat, stderr)]
     with open(outdir / "self_check.csv", "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["x", "p_hat", "p_exact", "stderr", "z"])

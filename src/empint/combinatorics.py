@@ -16,9 +16,9 @@ from functools import lru_cache
 from typing import Iterator
 
 from .errors import EnumerationTooLarge
-from .integrals import eval_integral, eval_ustat
+from .integrals import _eval_counts, eval_integral
 from .kernels import Kernel
-from .space import enumerate_counts, enumerate_samples, sample_from_counts
+from .space import enumerate_counts, enumerate_samples
 
 __all__ = [
     "set_partitions", "stirling2", "bell_number", "partition_count_bound",
@@ -145,13 +145,13 @@ def expectation_coefficient_scaled(n: int, k: int) -> float:
 
 # -- exact oracles by enumeration -------------------------------------------
 
-def _counts_moment(f: Kernel, n: int, order: int, statistic) -> Fraction:
-    """E[statistic(f, sample)^order] over all occupation-count vectors."""
+def _counts_moment(f: Kernel, n: int, order: int, ustat: bool) -> Fraction:
+    """E[statistic^order], evaluated straight from every occupation-count vector."""
     if order < 1:
         raise ValueError("order must be a positive integer")
     total = Fraction(0)
     for counts, w in enumerate_counts(f.space, n):
-        total += w * statistic(f, sample_from_counts(f.space, counts)) ** order
+        total += w * _eval_counts(f, counts, ustat) ** order
     return total
 
 
@@ -170,12 +170,12 @@ def expected_integral_oracle(f: Kernel, n: int, method: str = "counts") -> Fract
 
 def moment_oracle(f: Kernel, n: int, order: int) -> Fraction:
     """E[q^order] by exhaustive enumeration over occupation counts."""
-    return _counts_moment(f, n, order, lambda f, s: eval_integral(f, s).coeff)
+    return _counts_moment(f, n, order, ustat=False)
 
 
 def ustat_moment_oracle(f: Kernel, n: int, order: int) -> Fraction:
     """E[(U-statistic)^order] by exhaustive enumeration."""
-    return _counts_moment(f, n, order, eval_ustat)
+    return _counts_moment(f, n, order, ustat=True)
 
 
 # -- constants of the moment recursion --------------------------------------

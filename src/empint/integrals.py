@@ -16,19 +16,19 @@ measure (the rest to the negated base measure):
           of f with the S-coordinates pinned and the rest integrated out.
 
 The injective sum runs over *positions*, so it only depends on the sample's
-occupation counts: pinning an atom a consumes one of its count(a) positions.
-Both facts are exploited below; the per-subset marginal tables are memoized
-on the kernel.  For Monte Carlo, ``eval_batch`` evaluates many samples at
-once from their counts alone, in float: grouping the slots of an injective
-sum by atom turns the statistic into a polynomial in falling factorials of
-the counts.  Exact mode keeps the recursive evaluator, whose pruning of
-exhausted counts is what keeps it fast on single samples.
+occupation counts c: grouping its slots by atom turns it into a polynomial
+in falling factorials (c_a)_m of the counts, one block of monomials per
+subset size.  Each kernel's polynomial is built once and memoized on the
+kernel.  In exact mode its coefficients are integers over one common
+denominator, so ``eval_integral`` and ``eval_ustat`` evaluate it in Python
+ints and divide once; ``eval_batch`` reads the same coefficients as floats
+to evaluate many samples at once for Monte Carlo.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
+from itertools import groupby
 from weakref import WeakKeyDictionary
 
 import numpy as np
@@ -36,13 +36,12 @@ import numpy as np
 from . import diagrams
 from .errors import SpaceMismatch
 from .kernels import Kernel, require_canonical
-from .scalars import Scalar, close, mode_of
+from .scalars import Arithmetic, Scalar, close, mode_of
 from .space import Sample
 
 __all__ = [
     "ScaledValue", "eval_integral", "eval_ustat", "eval_batch", "CheckResult",
-    "check_canonical_ustat_identity", "check_product_formula",
-    "product_formula_terms",
+    "check_canonical_ustat_identity", "check_product_formula", "product_formula_terms",
 ]
 
 
@@ -60,61 +59,80 @@ class ScaledValue:
         return float(self.coeff) * float(self.n) ** (self.k / 2)
 
 
-# Marginal tables: kernel -> {subset of axis positions: tensor over subset}.
-_marginal_tables: "WeakKeyDictionary[Kernel, dict]" = WeakKeyDictionary()
+@dataclass(frozen=True, slots=True)
+class _CountPolynomial:
+    """The statistic of an arity-k kernel at the counts c of a size-n
+    sample, with (c_a)_m the falling factorial:
+
+        q(c) = sum_s n^{k-s} N_s(c) / (den * n^k),   U(c) = N_k(c) / den,
+        N_s(c) = sum over (coeff, pairs) in blocks[s] of coeff * prod_{(a, m) in pairs} (c_a)_m.
+
+    Exact mode keeps coeff and den as Python ints.  Holds no reference to
+    its kernel, so the memo never keeps a kernel alive."""
+
+    blocks: tuple[tuple[tuple[Scalar, tuple[tuple[int, int], ...]], ...], ...]
+    den: int
+    mode: Arithmetic
 
 
-def _subset_tables(f: Kernel) -> dict[tuple[int, ...], np.ndarray]:
-    """For every subset S of axis positions, f with the complement of S
-    integrated out against the base measure.  Axes of the table follow S in
-    increasing position order."""
-    tables = _marginal_tables.get(f)
-    if tables is not None:
-        return tables
-    w = f.space.weight_vector
+_polynomials: "WeakKeyDictionary[Kernel, _CountPolynomial]" = WeakKeyDictionary()
+
+
+def _monomials(table: np.ndarray, scale: int) -> tuple:
+    """The injective sum of a table as (coeff, ((atom, m), ...)) terms: slot
+    tuples that fill each atom equally often share one monomial, keyed by
+    the flat index of the tuple with its atoms sorted."""
+    s = table.ndim
+    slots = np.sort(np.indices(table.shape).reshape(s, table.size), axis=0)
+    keys = np.ravel_multi_index(slots, table.shape).reshape(table.size)
+    _, first, which = np.unique(keys, return_index=True, return_inverse=True)
+    coeffs = np.zeros(len(first), dtype=table.dtype)
+    np.add.at(coeffs, which.ravel(), table.ravel())
+    return tuple((c * scale, tuple((a, len(list(run))) for a, run in groupby(row)))
+                 for row, c in zip(slots[:, first].T.tolist(), coeffs.tolist()) if c)
+
+
+def _count_polynomial(f: Kernel) -> _CountPolynomial:
+    """The count polynomial of f, built once.  With f = F/d_f and weights
+    W/d_w, block s sums, over every set S of s axes, F integrated against W
+    over the axes outside S; scaling it by d_w^s puts all blocks over
+    den = k! d_f d_w^k."""
+    if f in _polynomials:
+        return _polynomials[f]
+    mode = mode_of(f)
     k = f.arity
-    tables = {}
-    for s_size in range(k, -1, -1):
-        for S in itertools.combinations(range(k), s_size):
-            if s_size == k:
-                tables[S] = f.values
-                continue
-            # integrate one more axis out of a size s+1 table
-            missing = sorted(set(range(k)) - set(S))
-            parent = tuple(sorted(S + (missing[0],)))
-            pos_in_parent = parent.index(missing[0])
-            tables[S] = np.tensordot(tables[parent], w, axes=([pos_in_parent], [0]))
-    _marginal_tables[f] = tables
-    return tables
+    values, d_f = mode.numerators(f.values)
+    w, d_w = mode.numerators(f.space.weight_vector)
+    sums = [values]  # sums[s]: s of the axes seen so far kept, in order, the rest integrated
+    for _ in range(k):
+        integrated = [np.tensordot(t, w, axes=([s], [0])) for s, t in enumerate(sums)]
+        sums = [integrated[0], *(a + b for a, b in zip(integrated[1:], sums)), sums[-1]]
+    blocks = tuple(_monomials(t, (-1) ** (k - s) * d_w**s) for s, t in enumerate(sums))
+    _polynomials[f] = poly = _CountPolynomial(blocks, math.factorial(k) * d_f * d_w**k, mode)
+    return poly
 
 
-def _injection_sum(table: np.ndarray, counts: list[int], zero: Scalar) -> Scalar:
-    """Sum of table[a_1,...,a_s] over injective assignments of sample
-    positions to the s slots, grouped by atom: each slot holding atom a
-    contributes a factor of the positions still unused for a."""
-    if table.ndim == 0:
-        return table[()]
-    A = len(counts)
-    rem = list(counts)
-
-    def rec(sub: np.ndarray) -> Scalar:
-        acc = zero
-        if sub.ndim == 1:
-            for a in range(A):
-                m = rem[a]
-                if m:
-                    acc = acc + m * sub[a]
-            return acc
-        for a in range(A):
-            m = rem[a]
-            if m == 0:
-                continue
-            rem[a] = m - 1
-            acc = acc + m * rec(sub[a])
-            rem[a] = m
-        return acc
-
-    return rec(table)
+def _eval_counts(f: Kernel, counts, ustat: bool = False) -> Scalar:
+    """The descaled centered integral q of f, or with ``ustat`` the
+    U-statistic, at a sample with these occupation counts.  Exact when f
+    and the space are exact."""
+    if len(counts) != f.space.n_atoms:
+        raise SpaceMismatch(f"counts over {len(counts)} atoms for a kernel on {f.space.n_atoms}")
+    poly = _count_polynomial(f)
+    k = f.arity
+    falling = [[math.perm(c, m) for m in range(k + 1)] for c in counts]  # falling[a][m] = (c_a)_m
+    n = sum(counts)
+    total = 0
+    for block in poly.blocks[k:] if ustat else poly.blocks:
+        acc = 0
+        for term, pairs in block:
+            for a, m in pairs:
+                term *= falling[a][m]
+                if not term:  # an atom with fewer than m points
+                    break
+            acc += term
+        total = total * n + acc
+    return poly.mode.cast(total) / (poly.den * n ** (0 if ustat else k))
 
 
 def eval_integral(f: Kernel, sample: Sample) -> ScaledValue:
@@ -122,20 +140,7 @@ def eval_integral(f: Kernel, sample: Sample) -> ScaledValue:
     measure, off the diagonals.  Exact when f and the space are exact."""
     if f.space != sample.space:
         raise SpaceMismatch("kernel and sample live on different spaces")
-    k = f.arity
-    n = sample.n
-    mode = mode_of(f)
-    inv_n = mode.inv(n)
-    counts = list(sample.counts)
-    total = mode.zero
-    for S, table in _subset_tables(f).items():
-        s = len(S)
-        inner = _injection_sum(table, counts, mode.zero)
-        if inner == 0:
-            continue
-        sign = 1 if (k - s) % 2 == 0 else -1
-        total = total + sign * inv_n**s * inner
-    return ScaledValue(total * mode.inv_factorial(k), k, n)
+    return ScaledValue(_eval_counts(f, sample.counts), f.arity, sample.n)
 
 
 def eval_ustat(f: Kernel, sample: Sample) -> Scalar:
@@ -143,33 +148,7 @@ def eval_ustat(f: Kernel, sample: Sample) -> Scalar:
     sample positions.  Zero when the sample is smaller than the arity."""
     if f.space != sample.space:
         raise SpaceMismatch("kernel and sample live on different spaces")
-    mode = mode_of(f)
-    inner = _injection_sum(f.values, list(sample.counts), mode.zero)
-    return inner / mode.cast(math.factorial(f.arity))
-
-
-def _count_polynomial(f: Kernel, n: int, ustat: bool) -> tuple[np.ndarray, np.ndarray]:
-    """The float statistic of samples of size n as a polynomial in their
-    counts c: rows M (terms, atoms) and coefficients w with
-
-        statistic(c) = sum_t w[t] * prod_atoms (c_atom)_{M[t, atom]},
-
-    (c)_m the falling factorial.  An injective sum of a table only sees how
-    often each atom fills a slot, which gives the monomial; slot tuples with
-    the same multiplicities share it, so their coefficients are summed."""
-    k, A = f.arity, f.space.n_atoms
-    if ustat:
-        scaled = [(f.values, float(n) ** (-k / 2))]
-    else:
-        scaled = [(table, (-1) ** (k - len(S)) * float(n) ** (k / 2 - len(S)))
-                  for S, table in _subset_tables(f).items()]
-    mults, coeffs = [], []
-    for table, scale in scaled:
-        slots = np.indices(table.shape).reshape(table.ndim, A**table.ndim)
-        mults.append((slots[:, :, None] == np.arange(A)).sum(axis=0))
-        coeffs.append(np.asarray(table, dtype=float).ravel() * (scale / math.factorial(k)))
-    rows, which = np.unique(np.concatenate(mults), axis=0, return_inverse=True)
-    return rows, np.bincount(which.ravel(), weights=np.concatenate(coeffs), minlength=len(rows))
+    return _eval_counts(f, sample.counts, ustat=True)
 
 
 def eval_batch(f: Kernel, n: int, counts: np.ndarray, ustat: bool = False) -> np.ndarray:
@@ -178,23 +157,26 @@ def eval_batch(f: Kernel, n: int, counts: np.ndarray, ustat: bool = False) -> np
     with ``ustat`` the U-statistic over n^{k/2}.  Rows are evaluated with
     elementwise operations only, so a row's value depends on that row alone,
     never on R or on how the rows were batched."""
-    f = f.as_float()
     if f.space.n_atoms != counts.shape[1]:
         raise SpaceMismatch(f"counts over {counts.shape[1]} atoms for a kernel on {f.space.n_atoms}")
+    poly = _count_polynomial(f)
+    k = f.arity
     c = counts.T.astype(float)
     falling = [np.ones_like(c)]  # falling[m][a] = (c_a)_m
-    for m in range(f.arity):
+    for m in range(k):
         falling.append(falling[-1] * (c - m))
     out = np.zeros(len(counts))
-    for mult, w in zip(*_count_polynomial(f, n, ustat)):
-        term = np.full(len(counts), w)
-        for a in np.flatnonzero(mult):
-            term *= falling[mult[a]][a]
-        out += term
+    for s in range(k if ustat else 0, k + 1):
+        scale = float(n) ** (-k / 2 if ustat else k / 2 - s)
+        for coeff, pairs in poly.blocks[s]:
+            term = np.full(len(counts), coeff / poly.den * scale)
+            for a, m in pairs:
+                term *= falling[m][a]
+            out += term
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CheckResult:
     """Two sides of an identity plus the verdict (exact in exact mode)."""
 

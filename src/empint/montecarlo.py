@@ -7,8 +7,7 @@ every reduction runs over the replicate-indexed array.
 A replicate is drawn as its occupation counts alone (``space.draw_counts``),
 and the statistic of all replicates is evaluated at once, in float, as a
 polynomial in those counts (``integrals.eval_batch``); no resampling
-shortcuts.  The exact engine keeps its own recursive evaluator, which the
-tests use as the reference for this one.
+shortcuts.  The exact engine evaluates the same polynomial in integers.
 """
 from __future__ import annotations
 

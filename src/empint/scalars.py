@@ -68,6 +68,7 @@ class Arithmetic:
     zero: Scalar
     one: Scalar
     inv: Callable[[int], Scalar]  # n -> 1/n
+    numerators: Callable[[np.ndarray], tuple[np.ndarray, int]]  # values -> (values * d, d)
 
     def inv_factorial(self, k: int) -> Scalar:
         return self.inv(math.factorial(k))
@@ -80,8 +81,17 @@ class Arithmetic:
         return 0 if self.exact else tol
 
 
-EXACT = Arithmetic(True, Fraction, object, Fraction(0), Fraction(1), lambda n: Fraction(1, n))
-FLOAT = Arithmetic(False, float, float, 0.0, 1.0, lambda n: 1.0 / n)
+def _integer_numerators(values: np.ndarray) -> tuple[np.ndarray, int]:
+    """Rationals as Python-int numerators over their least common denominator d."""
+    d = math.lcm(*(x.denominator for x in values.flat))
+    nums = [x.numerator * (d // x.denominator) for x in values.flat]
+    return np.array(nums, dtype=object).reshape(values.shape), d
+
+
+EXACT = Arithmetic(True, Fraction, object, Fraction(0), Fraction(1), lambda n: Fraction(1, n),
+                   _integer_numerators)
+FLOAT = Arithmetic(False, float, float, 0.0, 1.0, lambda n: 1.0 / n,
+                   lambda values: (np.asarray(values, dtype=float), 1))
 
 
 def mode_of(*items) -> Arithmetic:

@@ -126,6 +126,21 @@ def test_self_check_levels_avoid_the_lattice(tmp_path, capsys):
     assert f"worst self-check z {max(zs):.2f}" in capsys.readouterr().out
 
 
+def test_self_check_z_uses_the_exact_tail(tmp_path):
+    # n = 10 on a fair coin: the level-1.5 tail is P(|B - 5| = 5) = 1/512,
+    # which 20 replicates miss; z must still count the miss
+    doc = {**TAILS_CFG, "replicates": 20, "seed": 1}
+    out = tmp_path / "out"
+    assert run(["tails", "--config", write_json(tmp_path / "t.json", doc),
+                "--out-dir", str(out)]) == 0
+    with open(out / "self_check.csv") as fh:
+        rows = {float(r[0]): [float(v) for v in r[1:]] for r in list(csv.reader(fh))[1:]}
+    p_hat, p_exact, stderr, z = rows[1.5]
+    assert p_hat == 0.0 and p_exact == 1 / 512
+    assert stderr == pytest.approx((p_exact * (1 - p_exact) / 20) ** 0.5)
+    assert z == pytest.approx(p_exact / stderr) and z > 0
+
+
 def test_tails_rejects_nonpositive_workers(tmp_path, capsys):
     cfg = write_json(tmp_path / "cfg.json", TAILS_CFG)
     assert run(["tails", "--config", cfg, "--out-dir", str(tmp_path / "o"),

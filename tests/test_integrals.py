@@ -4,10 +4,16 @@ The k = 1 and k = 2 reference values below were derived by hand from the
 inclusion-exclusion form of the statistic and are frozen here as literals.
 """
 
+import gc
+import weakref
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+
+import _oracle
+from empint import integrals
 
 from empint.integrals import (CheckResult, ScaledValue, check_canonical_ustat_identity,
                               check_product_formula, eval_batch, eval_integral, eval_ustat,
@@ -172,6 +178,11 @@ def test_check_result_reports_discrepancy():
     assert not r.ok
 
 
+def test_check_result_is_small():
+    # results are kept by the thousand: no instance dict
+    assert not hasattr(CheckResult(F(1, 3), F(1, 3), True), "__dict__")
+
+
 def test_float_mode_evaluation_close_to_exact():
     sp = uniform_space(3)
     rng = np.random.default_rng(27)
@@ -185,9 +196,9 @@ def test_float_mode_evaluation_close_to_exact():
 @pytest.mark.parametrize("weights", [["1"], ["1/3", "2/3"], ["1/6", "1/3", "1/2"],
                                      ["1/10", "2/5", "0", "1/2"]])
 def test_batch_evaluator_matches_recursive(weights):
-    """The counts polynomial against the recursive evaluator, which stays
-    as its reference: float summation orders differ, so agreement is to
-    1e-12 relative to the statistic's O(1) scale."""
+    """The batch evaluator against the recursive oracle: float summation
+    orders differ, so agreement is to 1e-12 relative to the statistic's
+    O(1) scale."""
     sp = make_space(weights)
     rng = np.random.default_rng(len(weights))
     for k in range(4):
@@ -195,8 +206,8 @@ def test_batch_evaluator_matches_recursive(weights):
         for n in (1, 2, 5, 17):  # n < k covers the vanishing U-statistic
             counts = draw_counts(sp, n, RandomSource(k), 40)
             samples = [sample_from_counts(f.space, tuple(row.tolist())) for row in counts]
-            want = [eval_integral(f, s).value for s in samples]
-            want_u = [eval_ustat(f, s) / float(n) ** (k / 2) for s in samples]
+            want = [_oracle.integral_coeff(f, s) * float(n) ** (k / 2) for s in samples]
+            want_u = [_oracle.ustat(f, s) / float(n) ** (k / 2) for s in samples]
             np.testing.assert_allclose(eval_batch(f, n, counts), want, rtol=1e-12, atol=1e-12)
             np.testing.assert_allclose(eval_batch(f, n, counts, ustat=True), want_u,
                                        rtol=1e-12, atol=1e-12)
@@ -217,3 +228,94 @@ def test_product_formula_with_arity_zero():
                 res = check_product_formula(f1, f2, s, terms=terms)
                 assert res.lhs == res.rhs
                 assert isinstance(res.lhs, F)
+
+
+# -- properties of the count-polynomial evaluator ------------------------------
+
+@st.composite
+def exact_spaces(draw):
+    """Exact spaces of 1-4 atoms; with two or more atoms, one may weigh zero."""
+    parts = draw(st.lists(st.integers(1, 5), min_size=1, max_size=4))
+    if len(parts) > 1 and draw(st.booleans()):
+        parts[draw(st.integers(0, len(parts) - 1))] = 0
+    return make_space([F(p, sum(parts)) for p in parts])
+
+
+def exact_kernels(sp, arity):
+    entries = st.builds(F, st.integers(-6, 6), st.integers(1, 6))
+    return st.lists(entries, min_size=sp.n_atoms**arity, max_size=sp.n_atoms**arity).map(
+        lambda vals: kernel_from_values(sp, np.array(vals, dtype=object).reshape((sp.n_atoms,) * arity)))
+
+
+def samples_of(sp, n):
+    return st.lists(st.integers(0, sp.n_atoms - 1), min_size=n, max_size=n).map(
+        lambda pts: Sample(sp, tuple(pts)))
+
+
+PROPERTY = settings(derandomize=True, max_examples=150, deadline=None)
+
+
+@pytest.mark.parametrize("n_atoms, k", [(70, 1), (45, 2), (30, 3)])
+def test_evaluators_match_recursive_oracle_on_many_atoms(n_atoms, k):
+    # wide spaces: every atom, the last ones included, keeps its own monomials
+    sp = make_space([F(a + 1, n_atoms * (n_atoms + 1) // 2) for a in range(n_atoms)])
+    rng = np.random.default_rng(n_atoms)
+    f = random_kernel(sp, k, rng)
+    top = (n_atoms - 1, n_atoms - 1, n_atoms - 2)
+    samples = [Sample(sp, top + tuple(int(a) for a in rng.integers(0, n_atoms, size=n)))
+               for n in (2, 5, 9)]
+    for s in samples:
+        assert eval_integral(f, s).coeff == _oracle.integral_coeff(f, s)
+        assert eval_ustat(f, s) == _oracle.ustat(f, s)
+        n = s.n
+        np.testing.assert_allclose(
+            eval_batch(f, n, np.array([s.counts]), ustat=True)[0],
+            float(_oracle.ustat(f, s)) / n ** (k / 2), rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(
+            eval_batch(f, n, np.array([s.counts]))[0],
+            float(_oracle.integral_coeff(f, s)) * n ** (k / 2), rtol=1e-12, atol=1e-12)
+
+
+@PROPERTY
+@given(data=st.data(), sp=exact_spaces(), k=st.integers(0, 4), n=st.integers(1, 9))
+def test_exact_eval_matches_recursive_oracle_property(data, sp, k, n):
+    f = data.draw(exact_kernels(sp, k))
+    s = data.draw(samples_of(sp, n))
+    q, u = eval_integral(f, s).coeff, eval_ustat(f, s)
+    assert type(q) is F and q == _oracle.integral_coeff(f, s)
+    assert type(u) is F and u == _oracle.ustat(f, s)
+
+
+@PROPERTY
+@given(data=st.data(), sp=exact_spaces(), k=st.integers(0, 4), n=st.integers(1, 9))
+def test_batch_eval_matches_recursive_oracle_property(data, sp, k, n):
+    f = data.draw(exact_kernels(sp, k))
+    samples = data.draw(st.lists(samples_of(sp, n), min_size=1, max_size=4))
+    counts = np.array([s.counts for s in samples])
+    want = [float(_oracle.integral_coeff(f, s)) * n ** (k / 2) for s in samples]
+    want_u = [float(_oracle.ustat(f, s)) / n ** (k / 2) for s in samples]
+    np.testing.assert_allclose(eval_batch(f, n, counts), want, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(eval_batch(f, n, counts, ustat=True), want_u,
+                               rtol=1e-12, atol=1e-12)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(data=st.data(), sp=exact_spaces(), k1=st.integers(0, 3), k2=st.integers(0, 2),
+       n=st.integers(1, 9))
+def test_product_identity_property(data, sp, k1, k2, n):
+    f, g = data.draw(exact_kernels(sp, k1)), data.draw(exact_kernels(sp, k2))
+    res = check_product_formula(f, g, data.draw(samples_of(sp, n)))
+    assert type(res.lhs) is F and res.lhs == res.rhs
+
+
+def test_count_polynomial_memo_dies_with_its_kernel():
+    sp = make_space(["1/3", "2/3"])
+    f = random_kernel(sp, 2, np.random.default_rng(9))
+    eval_integral(f, Sample(sp, (0, 1, 1)))
+    assert f in integrals._polynomials
+    gc.collect()
+    before, ref = len(integrals._polynomials), weakref.ref(f)
+    del f
+    gc.collect()
+    assert ref() is None
+    assert len(integrals._polynomials) == before - 1

@@ -42,6 +42,17 @@ def test_mode_constants_and_arrays():
     assert EXACT.slack(1e-9) == 0 and FLOAT.slack(1e-9) == 1e-9
 
 
+def test_numerators_over_one_denominator():
+    values = np.array([[F(1, 2), F(-2, 3)], [F(0), F(5, 4)]], dtype=object)
+    nums, d = EXACT.numerators(values)
+    assert d == 12 and nums.shape == (2, 2)
+    assert nums.tolist() == [[6, -8], [0, 15]] and all(type(x) is int for x in nums.flat)
+    nums, d = EXACT.numerators(np.array(F(7, 3), dtype=object))
+    assert (nums[()], d) == (7, 3)
+    nums, d = FLOAT.numerators(values)
+    assert d == 1 and nums.dtype == float and nums[1, 1] == 1.25
+
+
 def test_mode_decisions_live_in_scalars():
     """No conditional expression outside scalars.py branches on exactness;
     such decisions go through the Arithmetic object."""
