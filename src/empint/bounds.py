@@ -51,10 +51,15 @@ def crossover_level(k: int, sigma: float, n: int) -> float:
     return float(n) ** (k / 2) * sigma ** (k + 1)
 
 
+def _gaussian_exponent(x: float, k: int, sigma: float) -> float:
+    """(x/sigma)^{2/k}: the exponent of a k-fold Gaussian integral's tail."""
+    return (x / sigma) ** (2.0 / k)
+
+
 def two_regime_exponent(x: float, k: int, sigma: float, n: int) -> float:
     """min((x/sigma)^{2/k}, (n x^2)^{1/(k+1)}), the exponent alpha scales
     in the two-regime bound."""
-    return min((x / sigma) ** (2.0 / k), (n * x * x) ** (1.0 / (k + 1)))
+    return min(_gaussian_exponent(x, k, sigma), (n * x * x) ** (1.0 / (k + 1)))
 
 
 def bernstein_exponent(x: float, k: int, sigma: float, n: int) -> float:
@@ -83,7 +88,7 @@ def gaussian_regime_tail_bound(x: float, k: int, sigma: float, n: int,
     xc = crossover_level(k, sigma, n)
     if x > xc:
         raise OutOfRegime(f"x={x} exceeds the regime boundary {xc}")
-    return params.C * math.exp(-params.alpha * (x / sigma) ** (2.0 / k))
+    return params.C * math.exp(-params.alpha * _gaussian_exponent(x, k, sigma))
 
 
 def bernstein_tail_bound(x: float, k: int, sigma: float, n: int,

@@ -39,37 +39,33 @@ REPORT_SCHEMA = 1
 _SELF_CHECK_OFFSET = 2 * 10**9
 
 
-class ConfigError(Exception):
-    pass
-
-
 def _load_config(path: str, keys: tuple[str, ...]) -> dict:
     """A JSON object whose keys are all in ``keys`` (the schema's properties)."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as e:
-        raise ConfigError(f"cannot read config {path}: {e}") from e
+        raise MalformedInput(f"cannot read config {path}: {e}") from e
     if not isinstance(doc, dict):
-        raise ConfigError(f"config {path} must hold a JSON object")
+        raise MalformedInput(f"config {path} must hold a JSON object")
     unknown = sorted(set(doc) - set(keys))
     if unknown:
-        raise ConfigError(f"unknown keys {unknown} in {path}; allowed: {list(keys)}")
+        raise MalformedInput(f"unknown keys {unknown} in {path}; allowed: {list(keys)}")
     return doc
 
 
 def _int_field(cfg: dict, key: str, default: int | None = None, minimum: int | None = None) -> int:
     if key not in cfg and default is None:
-        raise ConfigError(f"config needs {key!r}")
+        raise MalformedInput(f"config needs {key!r}")
     value = cfg.get(key, default)
     try:
         if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
             raise ValueError
         value = int(value)
     except (TypeError, ValueError):
-        raise ConfigError(f"{key!r} must be an integer, got {value!r}") from None
+        raise MalformedInput(f"{key!r} must be an integer, got {value!r}") from None
     if minimum is not None and value < minimum:
-        raise ConfigError(f"{key!r} must be at least {minimum}, got {value}")
+        raise MalformedInput(f"{key!r} must be at least {minimum}, got {value}")
     return value
 
 
@@ -78,9 +74,9 @@ def _levels(values) -> tuple[float, ...]:
     try:
         xs = tuple(float(x) for x in values)
     except (TypeError, ValueError):
-        raise ConfigError(f"grid levels must be numbers, got {values!r}") from None
+        raise MalformedInput(f"grid levels must be numbers, got {values!r}") from None
     if not xs or not all(0 < x < math.inf for x in xs) or any(b <= a for a, b in zip(xs, xs[1:])):
-        raise ConfigError(f"grid levels must be positive and strictly ascending, got {xs}")
+        raise MalformedInput(f"grid levels must be positive and strictly ascending, got {xs}")
     return xs
 
 
@@ -90,7 +86,7 @@ def space_to_json(space: AtomSpace) -> dict:
 
 def space_from_json(doc: dict) -> AtomSpace:
     if not (isinstance(doc, dict) and isinstance(doc.get("weights"), list)):
-        raise ConfigError("space descriptor needs a 'weights' list")
+        raise MalformedInput("space descriptor needs a 'weights' list")
     return make_space(doc["weights"])
 
 
@@ -106,12 +102,12 @@ def cmd_verify(args) -> int:
     cfg = _load_config(args.config, ("seed", "mode", "suites")) if args.config else {}
     mode = cfg.get("mode", "exact")
     if mode != "exact":
-        raise ConfigError(f"identity suites require exact mode, got {mode!r}")
+        raise MalformedInput(f"identity suites require exact mode, got {mode!r}")
     seed = _int_field(cfg, "seed", DEFAULT_SEED, minimum=0)
     suites = cfg.get("suites")
     if suites is not None and not (isinstance(suites, list) and all(
             isinstance(s, str) and s in verify.SUITES for s in suites)):
-        raise ConfigError(f"'suites' must list names from {list(verify.SUITES)}, got {suites!r}")
+        raise MalformedInput(f"'suites' must list names from {list(verify.SUITES)}, got {suites!r}")
     results = verify.run_all(seed, suites)
     report = {"schema": REPORT_SCHEMA, "seed": seed, "mode": mode,
               "results": [r.as_dict() for r in results]}
@@ -130,11 +126,11 @@ def cmd_verify(args) -> int:
 
 def _build_kernel(cfg: dict):
     if "space" not in cfg or "kernel" not in cfg:
-        raise ConfigError("tails config needs 'space' and 'kernel' descriptors")
+        raise MalformedInput("tails config needs 'space' and 'kernel' descriptors")
     kernel_doc = cfg["kernel"]
     if not (isinstance(kernel_doc, dict) and "arity" in kernel_doc
             and isinstance(kernel_doc.get("values"), list)):
-        raise ConfigError("kernel descriptor needs 'arity' and a 'values' list")
+        raise MalformedInput("kernel descriptor needs 'arity' and a 'values' list")
     space = space_from_json(cfg["space"])
     f = kernel_from_json(space, kernel_doc)
     if cfg.get("canonicalize"):
@@ -148,7 +144,7 @@ _TAILS_KEYS = ("space", "kernel", "canonicalize", "replicates", "n", "x_grid",
 
 def cmd_tails(args) -> int:
     if args.workers < 1:
-        raise ConfigError(f"--workers must be at least 1, got {args.workers}")
+        raise MalformedInput(f"--workers must be at least 1, got {args.workers}")
     cfg = _load_config(args.config, _TAILS_KEYS)
     replicates, n = _int_field(cfg, "replicates"), _int_field(cfg, "n")
     space, f = _build_kernel(cfg)
@@ -158,7 +154,7 @@ def cmd_tails(args) -> int:
     try:
         mc = montecarlo.McConfig(replicates, seed, n, grid, cfg.get("target", "integral"))
     except ValueError as e:
-        raise ConfigError(str(e)) from None
+        raise MalformedInput(str(e)) from None
     if not mc.x_grid:
         grid = montecarlo.auto_grid(f, mc, points=grid_points)
         mc = montecarlo.McConfig(mc.replicates, mc.seed, mc.n, grid, mc.target)
@@ -172,7 +168,7 @@ def cmd_tails(args) -> int:
             p13 = montecarlo.fit_constants(est, "two_regime")
             p16 = montecarlo.fit_constants(est, "bernstein")
         except EmpintError as e:
-            raise ConfigError(f"cannot fit bound constants: {e}") from e
+            raise MalformedInput(f"cannot fit bound constants: {e}") from e
 
     outdir = Path(args.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -245,9 +241,9 @@ def _parse_grid(text: str) -> tuple[float, ...]:
         lo, hi, num = text.split(":")
         lo, hi, num = float(lo), float(hi), int(num)
     except ValueError:
-        raise ConfigError(f"bad grid spec {text!r}") from None
+        raise MalformedInput(f"bad grid spec {text!r}") from None
     if num < 1 or not 0 < lo < hi:
-        raise ConfigError(f"bad grid spec {text!r}")
+        raise MalformedInput(f"bad grid spec {text!r}")
     step = (hi / lo) ** (1.0 / max(num - 1, 1))
     return _levels(lo * step**i for i in range(num))
 
@@ -261,7 +257,7 @@ def cmd_bounds(args) -> int:
         except (TypeError, ValueError):
             consts = None
         if consts is None or not all(0 < v < math.inf for v in consts.values()):
-            raise ConfigError(f"bound constants must be positive finite numbers, got {doc}")
+            raise MalformedInput(f"bound constants must be positive finite numbers, got {doc}")
         params = bounds_mod.BoundParams(**consts)
     grid = _parse_grid(args.x_grid)
     rows = bounds_mod.regime_report(args.k, args.sigma, args.n, grid, params)
@@ -319,7 +315,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, MalformedInput) as e:
+    except MalformedInput as e:
         print(f"configuration error: {e}", file=sys.stderr)
         return 2
     except EmpintError as e:

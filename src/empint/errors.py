@@ -13,15 +13,22 @@ class EmpintError(Exception):
 # -- input ------------------------------------------------------------------
 
 class MalformedInput(EmpintError):
-    """A value read from a document is not of the expected kind: a scalar
-    string that is not a rational, a kernel value that is not finite, or a
-    kernel arity that is not a non-negative integer."""
+    """A value read from a document or a command line flag is not of the
+    expected kind: a scalar string that is not a rational, a kernel value
+    that is not finite, a kernel arity that is not a non-negative integer,
+    or a config that is unreadable, lacks a field, has an unknown key or
+    holds an out-of-schema value.  The CLI exits 2 on it."""
 
 
 # -- measure spaces ---------------------------------------------------------
 
 class EmptySpace(EmpintError):
     """The atom list is empty."""
+
+
+class EmptySample(EmpintError):
+    """A statistic scaled by a power of the sample size was asked of an
+    empty sample."""
 
 
 class WeightsNotNormalized(EmpintError):

@@ -34,7 +34,7 @@ from weakref import WeakKeyDictionary
 import numpy as np
 
 from . import diagrams
-from .errors import SpaceMismatch
+from .errors import EmptySample, SpaceMismatch
 from .kernels import Kernel, require_canonical
 from .scalars import Arithmetic, Scalar, close, mode_of
 from .space import Sample
@@ -122,6 +122,8 @@ def _eval_counts(f: Kernel, counts, ustat: bool = False) -> Scalar:
     k = f.arity
     falling = [[math.perm(c, m) for m in range(k + 1)] for c in counts]  # falling[a][m] = (c_a)_m
     n = sum(counts)
+    if not n and k and not ustat:
+        raise EmptySample(f"the arity-{k} integral of an empty sample divides by zero")
     total = 0
     for block in poly.blocks[k:] if ustat else poly.blocks:
         acc = 0
@@ -137,7 +139,8 @@ def _eval_counts(f: Kernel, counts, ustat: bool = False) -> Scalar:
 
 def eval_integral(f: Kernel, sample: Sample) -> ScaledValue:
     """The descaled k-fold integral of f against the centered empirical
-    measure, off the diagonals.  Exact when f and the space are exact."""
+    measure, off the diagonals.  Exact when f and the space are exact.
+    Raises EmptySample for an empty sample and arity k >= 1."""
     if f.space != sample.space:
         raise SpaceMismatch("kernel and sample live on different spaces")
     return ScaledValue(_eval_counts(f, sample.counts), f.arity, sample.n)
@@ -161,6 +164,8 @@ def eval_batch(f: Kernel, n: int, counts: np.ndarray, ustat: bool = False) -> np
         raise SpaceMismatch(f"counts over {counts.shape[1]} atoms for a kernel on {f.space.n_atoms}")
     poly = _count_polynomial(f)
     k = f.arity
+    if not n and k:
+        raise EmptySample(f"the arity-{k} statistic of an empty sample divides by zero")
     c = counts.T.astype(float)
     falling = [np.ones_like(c)]  # falling[m][a] = (c_a)_m
     for m in range(k):

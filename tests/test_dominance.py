@@ -2,6 +2,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from empint.diagrams import ColoredDiagram, DiagramClass, contract, enumerate_diagrams
 from empint.dominance import (DominanceCertificate, collapse_certificate,
@@ -12,7 +13,7 @@ from empint.dominance import (DominanceCertificate, collapse_certificate,
 from empint.errors import BlockMismatch, RankTooSmall, SigmaMismatch
 from empint.kernels import (Kernel, compact_relabel, kernel_from_values,
                             l2_norm_sq, random_kernel, tensor_product)
-from empint.space import uniform_space
+from empint.space import make_space, uniform_space
 
 
 @pytest.fixture
@@ -24,14 +25,35 @@ def _random_cert(space, blocks, seed):
     return random_dominated_pair(space, blocks, np.random.default_rng(seed))
 
 
+def _all_diagrams(k1, k2):
+    for l in range(min(k1, k2) + 1):
+        for p in range(l + 1):
+            yield from enumerate_diagrams(DiagramClass(k1, k2, l, p))
+
+
+def _check_transport(f, cf, g, cg, d):
+    """The transformed certificate verifies at rank r1 + r2 - (l - p) or is
+    refused with RankTooSmall, and the rank-1 fallback verifies."""
+    sig = max(cf.sigma_sq, cg.sigma_sq)
+    cf, cg = relax_sigma(cf, sig), relax_sigma(cg, sig)
+    h = compact_relabel(contract(f, g, d))
+    target = cf.rank + cg.rank - (d.l - d.p)
+    if target < 1:
+        with pytest.raises(RankTooSmall):
+            contract_certificate(cf, cg, d)
+    else:
+        out = contract_certificate(cf, cg, d)
+        assert out.rank == target
+        assert verify_certificate(h, out)
+    assert verify_certificate(h, collapse_certificate(h, cf, cg))
+
+
 def test_certificate_structural_validation(sp):
-    h = kernel_from_values(sp, ["1/2", "1/2", "0"])
-    with pytest.raises(BlockMismatch):
-        DominanceCertificate(F(1, 2), ((1,), (2,)), (h,))
-    with pytest.raises(BlockMismatch):
-        DominanceCertificate(F(1, 2), ((2,),), (h,))  # labels disagree
+    # blocks are read off the factors' labels, so they cannot disagree
+    h = kernel_from_values(sp, ["1/2", "1/2", "0"], labels=(2,))
+    assert DominanceCertificate(F(1, 2), (h,)).blocks == ((2,),)
     with pytest.raises(RankTooSmall):
-        DominanceCertificate(F(1, 2), (), ())
+        DominanceCertificate(F(1, 2), ())
 
 
 def test_unit_certificate_round_trip(sp):
@@ -56,22 +78,20 @@ def test_verify_numeric_clauses(sp):
     good = unit_certificate(f)
     assert verify_certificate(f, good)
     # budget larger than 1 fails the sigma clause
-    assert not verify_certificate(f, DominanceCertificate(F(3, 2), good.blocks,
-                                                          good.factors))
+    assert not verify_certificate(f, DominanceCertificate(F(3, 2), good.factors))
     # envelope too small pointwise
     small = kernel_from_values(sp, ["1/4", "0", "0"])
-    bad = DominanceCertificate(F(1, 2), ((1,),), (small,))
+    bad = DominanceCertificate(F(1, 2), (small,))
     assert not verify_certificate(f, bad)
     # negative factor values are rejected even if the product still dominates
     signed = kernel_from_values(sp, ["-1/2", "1/2", "1/2"])
-    assert not verify_certificate(f, DominanceCertificate(F(1, 2), ((1,),),
-                                                          (signed,)))
+    assert not verify_certificate(f, DominanceCertificate(F(1, 2), (signed,)))
     # factor sup above 1
     tall = kernel_from_values(sp, ["2", "0", "0"])
-    assert not verify_certificate(f, DominanceCertificate(F(1), ((1,),), (tall,)))
+    assert not verify_certificate(f, DominanceCertificate(F(1), (tall,)))
     # factor L2 mass above the budget
     wide = kernel_from_values(sp, ["1", "1", "1"])
-    assert not verify_certificate(f, DominanceCertificate(F(1, 2), ((1,),), (wide,)))
+    assert not verify_certificate(f, DominanceCertificate(F(1, 2), (wide,)))
 
 
 def test_product_certificate_multi_block(sp):
@@ -117,8 +137,8 @@ def test_collapse_budget_hand_value(sp):
     env = kernel_from_values(sp, ["1/2", "0", "0"])
     f = kernel_from_values(sp, ["1/2", "0", "0"])
     g = kernel_from_values(sp, ["-1/4", "0", "0"])
-    cf = DominanceCertificate(F(1, 4), ((1,),), (env,))
-    cg = DominanceCertificate(F(1, 4), ((1,),), (env,))
+    cf = DominanceCertificate(F(1, 4), (env,))
+    cg = DominanceCertificate(F(1, 4), (env,))
     assert verify_certificate(f, cf) and verify_certificate(g, cg)
     d = ColoredDiagram(1, 1, ((1, 2),), frozenset({1}))
     h = contract(f, g, d)
@@ -165,6 +185,9 @@ def test_contract_certificate_rank_too_small(sp):
     d = ColoredDiagram(2, 2, ((1, 3), (2, 4)), frozenset())
     with pytest.raises(RankTooSmall):
         contract_certificate(cf, cg, d)
+    # differing budgets are reported first
+    with pytest.raises(SigmaMismatch):
+        contract_certificate(cf, relax_sigma(cg, F(1)), d)
 
 
 def test_contract_certificate_full_sweep_small():
@@ -176,27 +199,35 @@ def test_contract_certificate_full_sweep_small():
         for k2 in (1, 2):
             for bf in shapes[k1]:
                 for bg in shapes[k2]:
-                    for l in range(min(k1, k2) + 1):
-                        for p in range(l + 1):
-                            cls = DiagramClass(k1, k2, l, p)
-                            for d in enumerate_diagrams(cls):
-                                seed += 1
-                                f, cf = _random_cert(space, bf, seed)
-                                g, cg = _random_cert(space, bg, seed + 7000)
-                                sig = max(cf.sigma_sq, cg.sigma_sq)
-                                cf = relax_sigma(cf, sig)
-                                cg = relax_sigma(cg, sig)
-                                h = contract(f, g, d)
-                                target = cf.rank + cg.rank - (l - p)
-                                if target < 1:
-                                    with pytest.raises(RankTooSmall):
-                                        contract_certificate(cf, cg, d)
-                                    out = collapse_certificate(h, cf, cg)
-                                else:
-                                    h = compact_relabel(h)
-                                    out = contract_certificate(cf, cg, d)
-                                    assert out.rank == target
-                                assert verify_certificate(h, out)
+                    for d in _all_diagrams(k1, k2):
+                        seed += 1
+                        f, cf = _random_cert(space, bf, seed)
+                        g, cg = _random_cert(space, bg, seed + 7000)
+                        _check_transport(f, cf, g, cg, d)
+
+
+@st.composite
+def block_partitions(draw):
+    """Blocks partitioning the labels 1..k for k <= 3, sometimes with an
+    extra empty block."""
+    k = draw(st.integers(1, 3))
+    owner = draw(st.lists(st.integers(0, k - 1), min_size=k, max_size=k))
+    blocks = tuple(tuple(j + 1 for j in range(k) if owner[j] == b) for b in sorted(set(owner)))
+    return blocks + ((),) * draw(st.integers(0, 1))
+
+
+small_spaces = st.lists(st.integers(0, 4), min_size=1, max_size=3).filter(any).map(
+    lambda parts: make_space([F(x, sum(parts)) for x in parts]))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(sp=small_spaces, bf=block_partitions(), bg=block_partitions(),
+       seed=st.integers(0, 2**32 - 1))
+def test_certificate_transport_property(sp, bf, bg, seed):
+    f, cf = _random_cert(sp, bf, seed)
+    g, cg = _random_cert(sp, bg, seed + 1)
+    for d in _all_diagrams(f.arity, g.arity):
+        _check_transport(f, cf, g, cg, d)
 
 
 def test_collapse_certificate_float_budget_odd_rank(sp):

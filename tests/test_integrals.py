@@ -18,7 +18,8 @@ from empint import integrals
 from empint.integrals import (CheckResult, ScaledValue, check_canonical_ustat_identity,
                               check_product_formula, eval_batch, eval_integral, eval_ustat,
                               product_formula_terms)
-from empint.errors import NotCanonical
+from empint.combinatorics import expected_integral_oracle
+from empint.errors import EmptySample, NotCanonical
 from empint.kernels import (canonical_project, constant_kernel, indicator_kernel,
                             kernel_from_values, random_kernel, tensor_product)
 from empint.space import (RandomSource, Sample, draw_counts, enumerate_samples, make_space,
@@ -100,6 +101,16 @@ def test_ustat_hand_value():
     for n in (2, 3, 4):
         s = Sample(sp, tuple(i % 2 for i in range(n)))
         assert eval_ustat(f, s) == F(n * (n - 1), 2)
+    # an empty sample has U-statistic 0, but q divides by n^k
+    empty = Sample(sp, ())
+    assert eval_ustat(f, empty) == 0
+    assert eval_integral(constant_kernel(sp, "7/3"), empty).coeff == F(7, 3)
+    with pytest.raises(EmptySample):
+        eval_integral(f, empty)
+    with pytest.raises(EmptySample):
+        expected_integral_oracle(f, 0)
+    with pytest.raises(EmptySample):
+        eval_batch(f, 0, np.zeros((1, 2), dtype=np.int64))
 
 
 def test_canonical_identity_exact_small_sweep():
@@ -305,6 +316,14 @@ def test_batch_eval_matches_recursive_oracle_property(data, sp, k, n):
 def test_product_identity_property(data, sp, k1, k2, n):
     f, g = data.draw(exact_kernels(sp, k1)), data.draw(exact_kernels(sp, k2))
     res = check_product_formula(f, g, data.draw(samples_of(sp, n)))
+    assert type(res.lhs) is F and res.lhs == res.rhs
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(data=st.data(), sp=exact_spaces(), k=st.integers(0, 4), n=st.integers(1, 9))
+def test_canonical_ustat_identity_property(data, sp, k, n):
+    f = canonical_project(data.draw(exact_kernels(sp, k)))
+    res = check_canonical_ustat_identity(f, data.draw(samples_of(sp, n)))
     assert type(res.lhs) is F and res.lhs == res.rhs
 
 
