@@ -14,7 +14,7 @@ Subcommands:
 All seeds come from configuration; no reproducible artifact depends on the
 clock.  Configuration errors (bad JSON, float mode for identity suites,
 missing fields, unknown keys, malformed scalars, out-of-schema values, bad
-level grids, --workers below 1) exit 2.
+level grids, out-of-range flags such as --workers below 1) exit 2.
 """
 from __future__ import annotations
 
@@ -90,9 +90,9 @@ def space_from_json(doc: dict) -> AtomSpace:
     return make_space(doc["weights"])
 
 
-def _kernel_hash(space: AtomSpace, kernel_doc: dict) -> str:
-    payload = json.dumps({"space": space_to_json(space), "kernel": kernel_doc},
-                         sort_keys=True, separators=(",", ":"))
+def _kernel_hash(space: AtomSpace, kernel_doc: dict, canonicalize: bool) -> str:
+    payload = json.dumps({"space": space_to_json(space), "kernel": kernel_doc,
+                          "canonicalize": canonicalize}, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
@@ -131,11 +131,14 @@ def _build_kernel(cfg: dict):
     if not (isinstance(kernel_doc, dict) and "arity" in kernel_doc
             and isinstance(kernel_doc.get("values"), list)):
         raise MalformedInput("kernel descriptor needs 'arity' and a 'values' list")
+    canonicalize = cfg.get("canonicalize", False)
+    if not isinstance(canonicalize, bool):
+        raise MalformedInput(f"'canonicalize' must be true or false, got {canonicalize!r}")
     space = space_from_json(cfg["space"])
     f = kernel_from_json(space, kernel_doc)
-    if cfg.get("canonicalize"):
+    if canonicalize:
         f = canonical_project(f)
-    return space, f
+    return space, f, canonicalize
 
 
 _TAILS_KEYS = ("space", "kernel", "canonicalize", "replicates", "n", "x_grid",
@@ -147,10 +150,10 @@ def cmd_tails(args) -> int:
         raise MalformedInput(f"--workers must be at least 1, got {args.workers}")
     cfg = _load_config(args.config, _TAILS_KEYS)
     replicates, n = _int_field(cfg, "replicates"), _int_field(cfg, "n")
-    space, f = _build_kernel(cfg)
+    space, f, canonicalize = _build_kernel(cfg)
     seed = _int_field(cfg, "seed", DEFAULT_SEED, minimum=0)
     grid_points = _int_field(cfg, "grid_points", 12, minimum=2)
-    grid = _levels(cfg["x_grid"]) if cfg.get("x_grid") else ()
+    grid = _levels(cfg["x_grid"]) if "x_grid" in cfg else ()
     try:
         mc = montecarlo.McConfig(replicates, seed, n, grid, cfg.get("target", "integral"))
     except ValueError as e:
@@ -202,7 +205,7 @@ def cmd_tails(args) -> int:
             w.writerow([repr(v) for v in row])
 
     manifest = {"seed": seed, "replicates": mc.replicates, "n": mc.n,
-                "kernel_hash": _kernel_hash(space, cfg["kernel"])}
+                "kernel_hash": _kernel_hash(space, cfg["kernel"], canonicalize)}
     (outdir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
     print(f"wrote {outdir}/tails.csv, self_check.csv, manifest.json; "
           f"worst self-check z {max(zs):.2f}")
@@ -212,6 +215,10 @@ def cmd_tails(args) -> int:
 # -- constants --------------------------------------------------------------
 
 def cmd_constants(args) -> int:
+    for flag, value, minimum in (("--k-max", args.k_max, 1), ("--m-max", args.m_max, 0),
+                                 ("--n-max", args.n_max, 2)):
+        if value < minimum:
+            raise MalformedInput(f"{flag} must be at least {minimum}, got {value}")
     outdir = Path(args.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     table = combinatorics.moment_constant_table(args.k_max, args.m_max)
@@ -249,6 +256,9 @@ def _parse_grid(text: str) -> tuple[float, ...]:
 
 
 def cmd_bounds(args) -> int:
+    if args.k < 1 or args.n < 1 or not 0 < args.sigma <= 1:
+        raise MalformedInput(f"need --k >= 1, 0 < --sigma <= 1 and --n >= 1, "
+                             f"got {args.k}, {args.sigma}, {args.n}")
     params = bounds_mod.BoundParams()
     if args.constants_file:
         doc = _load_config(args.constants_file, ("C", "alpha", "c1", "c2"))

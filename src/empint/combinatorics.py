@@ -111,14 +111,10 @@ def expectation_coefficient(n: int, k: int) -> Fraction:
         return Fraction(1)
     total = 0
     for count, sizes in _partition_profiles(k):
-        s = len(sizes)
-        falling = 1
-        for i in range(s):
-            falling *= n - i
         weight = 1
         for r in sizes:
             weight *= (-1) ** (r - 1) * (r - 1)
-        total += count * falling * weight
+        total += count * math.perm(n, len(sizes)) * weight
     return Fraction(total, math.factorial(k) * n**k)
 
 
@@ -126,14 +122,10 @@ def expectation_coefficient_bruteforce(n: int, k: int) -> Fraction:
     """Same sum by explicit set-partition enumeration (for cross-checks)."""
     total = 0
     for blocks in set_partitions(k):
-        s = len(blocks)
-        falling = 1
-        for i in range(s):
-            falling *= n - i
         weight = 1
         for block in blocks:
             weight *= (-1) ** (len(block) - 1) * (len(block) - 1)
-        total += falling * weight
+        total += math.perm(n, len(blocks)) * weight
     return Fraction(total, math.factorial(k) * n**k)
 
 
@@ -197,15 +189,6 @@ def cumulative_constant(k: int, m: int) -> Fraction:
     return prod**k
 
 
-def _int_power(base: int, exponent: int) -> Fraction:
-    """base^exponent for integer exponent of either sign, with 0^0 = 1."""
-    if exponent == 0:
-        return Fraction(1)
-    if exponent > 0:
-        return Fraction(base**exponent)
-    return Fraction(1, base ** (-exponent))
-
-
 def recursion_weight(l: int, p: int, k: int, m: int) -> Fraction:
     """The exact weight in front of the lower-level constant when a product
     of two level-m moments is expanded:
@@ -216,11 +199,8 @@ def recursion_weight(l: int, p: int, k: int, m: int) -> Fraction:
     """
     if not 0 <= p <= l <= k:
         raise ValueError(f"need 0 <= p <= l <= k, got l={l}, p={p}, k={k}")
-    out = _int_power(2, 2 * l * (4 - m))
-    out *= _int_power(2 * k, 2 * k - l + p)
-    out *= _int_power(2 * k - l - p, 3 * l - p - 2 * k)
-    out /= _int_power(2 * l, 2 * l)
-    return out
+    return (Fraction(2) ** (2 * l * (4 - m)) * Fraction(2 * k) ** (2 * k - l + p)
+            * Fraction(2 * k - l - p) ** (3 * l - p - 2 * k) / Fraction(2 * l) ** (2 * l))
 
 
 def check_moment_recursion(k_max: int, m_max: int) -> list[tuple[int, int, int, int]]:

@@ -19,10 +19,12 @@ The injective sum runs over *positions*, so it only depends on the sample's
 occupation counts c: grouping its slots by atom turns it into a polynomial
 in falling factorials (c_a)_m of the counts, one block of monomials per
 subset size.  Each kernel's polynomial is built once and memoized on the
-kernel.  In exact mode its coefficients are integers over one common
-denominator, so ``eval_integral`` and ``eval_ustat`` evaluate it in Python
-ints and divide once; ``eval_batch`` reads the same coefficients as floats
-to evaluate many samples at once for Monte Carlo.
+kernel and evaluated by one loop (``_evaluate``, Horner in n) that only
+multiplies and adds.  In exact mode the coefficients are integers over one
+common denominator, so ``eval_integral`` and ``eval_ustat`` run the loop in
+Python ints and divide once; ``eval_batch`` runs it on float count arrays,
+one entry per sample, reading each sample's size n from its counts, to
+evaluate many samples at once for Monte Carlo.
 """
 from __future__ import annotations
 
@@ -112,6 +114,21 @@ def _count_polynomial(f: Kernel) -> _CountPolynomial:
     return poly
 
 
+def _evaluate(blocks, n, falling, ustat: bool):
+    """sum_s n^{k-s} N_s, or with ``ustat`` N_k alone, by Horner in n, with
+    falling[m][a] = (c_a)_m.  Only ``*`` and ``+``, so Python ints stay
+    exact and numpy rows (one entry per sample) evaluate all at once."""
+    total = 0
+    for block in blocks[-1:] if ustat else blocks:
+        acc = 0
+        for term, pairs in block:
+            for a, m in pairs:
+                term = term * falling[m][a]
+            acc = acc + term
+        total = total * n + acc
+    return total
+
+
 def _eval_counts(f: Kernel, counts, ustat: bool = False) -> Scalar:
     """The descaled centered integral q of f, or with ``ustat`` the
     U-statistic, at a sample with these occupation counts.  Exact when f
@@ -120,20 +137,11 @@ def _eval_counts(f: Kernel, counts, ustat: bool = False) -> Scalar:
         raise SpaceMismatch(f"counts over {len(counts)} atoms for a kernel on {f.space.n_atoms}")
     poly = _count_polynomial(f)
     k = f.arity
-    falling = [[math.perm(c, m) for m in range(k + 1)] for c in counts]  # falling[a][m] = (c_a)_m
     n = sum(counts)
     if not n and k and not ustat:
         raise EmptySample(f"the arity-{k} integral of an empty sample divides by zero")
-    total = 0
-    for block in poly.blocks[k:] if ustat else poly.blocks:
-        acc = 0
-        for term, pairs in block:
-            for a, m in pairs:
-                term *= falling[a][m]
-                if not term:  # an atom with fewer than m points
-                    break
-            acc += term
-        total = total * n + acc
+    falling = [[math.perm(c, m) for c in counts] for m in range(k + 1)]
+    total = _evaluate(poly.blocks, n, falling, ustat)
     return poly.mode.cast(total) / (poly.den * n ** (0 if ustat else k))
 
 
@@ -154,31 +162,26 @@ def eval_ustat(f: Kernel, sample: Sample) -> Scalar:
     return _eval_counts(f, sample.counts, ustat=True)
 
 
-def eval_batch(f: Kernel, n: int, counts: np.ndarray, ustat: bool = False) -> np.ndarray:
+def eval_batch(f: Kernel, counts: np.ndarray, ustat: bool = False) -> np.ndarray:
     """The float statistic for every row of an (R, n_atoms) matrix of
-    occupation counts of size-n samples: ``eval_integral(...).value``, or
-    with ``ustat`` the U-statistic over n^{k/2}.  Rows are evaluated with
-    elementwise operations only, so a row's value depends on that row alone,
-    never on R or on how the rows were batched."""
+    occupation counts: ``eval_integral(...).value``, or with ``ustat`` the
+    U-statistic over n^{k/2}, where each row's n is its own sum.  Rows are
+    evaluated with elementwise operations only, so a row's value depends on
+    that row alone, never on R or on how the rows were batched."""
     if f.space.n_atoms != counts.shape[1]:
         raise SpaceMismatch(f"counts over {counts.shape[1]} atoms for a kernel on {f.space.n_atoms}")
     poly = _count_polynomial(f)
     k = f.arity
-    if not n and k:
-        raise EmptySample(f"the arity-{k} statistic of an empty sample divides by zero")
     c = counts.T.astype(float)
+    n = c.sum(axis=0)
+    if k and not n.all():
+        raise EmptySample(f"the arity-{k} statistic of an empty sample divides by zero")
     falling = [np.ones_like(c)]  # falling[m][a] = (c_a)_m
     for m in range(k):
         falling.append(falling[-1] * (c - m))
-    out = np.zeros(len(counts))
-    for s in range(k if ustat else 0, k + 1):
-        scale = float(n) ** (-k / 2 if ustat else k / 2 - s)
-        for coeff, pairs in poly.blocks[s]:
-            term = np.full(len(counts), coeff / poly.den * scale)
-            for a, m in pairs:
-                term *= falling[m][a]
-            out += term
-    return out
+    # dividing first keeps every coefficient a float however large den grows
+    blocks = [[(coeff / poly.den, pairs) for coeff, pairs in block] for block in poly.blocks]
+    return _evaluate(blocks, n, falling, ustat) * n ** (-k / 2)
 
 
 @dataclass(frozen=True, slots=True)

@@ -6,8 +6,9 @@ every reduction runs over the replicate-indexed array.
 
 A replicate is drawn as its occupation counts alone (``space.draw_counts``),
 and the statistic of all replicates is evaluated at once, in float, as a
-polynomial in those counts (``integrals.eval_batch``); no resampling
-shortcuts.  The exact engine evaluates the same polynomial in integers.
+polynomial in those counts (``integrals.eval_batch(f, counts)``, which reads
+each replicate's n from its counts); no resampling shortcuts.  The exact
+engine runs the same evaluation loop over the same polynomial in integers.
 """
 from __future__ import annotations
 
@@ -29,6 +30,8 @@ __all__ = [
 ]
 
 _PILOT_OFFSET = 10**9  # pilot replicate streams never collide with the run's
+_PILOT_REPLICATES = 1000
+_PILOT_LO_Q, _PILOT_HI_Q = 0.5, 0.999  # the |statistic| quantiles the auto grid spans
 
 
 @dataclass(frozen=True)
@@ -68,7 +71,7 @@ def replicate_values(f: Kernel, cfg: McConfig, base_offset: int = 0) -> np.ndarr
     """The statistic for every replicate, indexed by replicate number; a
     pure function of (kernel, cfg, base_offset)."""
     counts = draw_counts(f.space, cfg.n, RandomSource(cfg.seed), cfg.replicates, base_offset)
-    return eval_batch(f, cfg.n, counts, ustat=cfg.target == "ustat")
+    return eval_batch(f, counts, ustat=cfg.target == "ustat")
 
 
 def exceedance(values: np.ndarray, x_grid) -> tuple[tuple[float, ...], tuple[float, ...]]:
@@ -174,14 +177,13 @@ def fit_constants(est: TailEstimate, form: str = "two_regime") -> BoundParams:
     return BoundParams(c1=math.exp(log_c), c2=alpha)
 
 
-def auto_grid(f: Kernel, cfg: McConfig, points: int = 12, pilot: int = 1000,
-              lo_q: float = 0.5, hi_q: float = 0.999) -> tuple[float, ...]:
+def auto_grid(f: Kernel, cfg: McConfig, points: int = 12) -> tuple[float, ...]:
     """A geometric level grid spanning the pilot run's |statistic|
     quantiles.  Pilot streams are offset so they never reuse run streams."""
-    pilot_cfg = McConfig(pilot, cfg.seed, cfg.n, (), cfg.target)
+    pilot_cfg = McConfig(_PILOT_REPLICATES, cfg.seed, cfg.n, (), cfg.target)
     values = np.abs(replicate_values(f, pilot_cfg, base_offset=_PILOT_OFFSET))
-    lo = float(np.quantile(values, lo_q))
-    hi = float(np.quantile(values, hi_q))
+    lo = float(np.quantile(values, _PILOT_LO_Q))
+    hi = float(np.quantile(values, _PILOT_HI_Q))
     if lo <= 0:
         positive = values[values > 0]
         if positive.size == 0:

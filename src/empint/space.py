@@ -285,14 +285,14 @@ def draw_counts(space: AtomSpace, n: int, source: RandomSource, replicates: int,
     return out
 
 
-def enumerate_samples(space: AtomSpace, n: int, cap: int = ENUMERATION_CAP) -> Iterator[tuple[Sample, Scalar]]:
+def enumerate_samples(space: AtomSpace, n: int) -> Iterator[tuple[Sample, Scalar]]:
     """All atoms^n ordered samples with their product weights.
 
     The weights sum to exactly one in exact mode.  Raises EnumerationTooLarge
-    when atoms^n exceeds the cap.
+    when atoms^n exceeds ENUMERATION_CAP.
     """
-    if space.n_atoms**n > cap:
-        raise EnumerationTooLarge(f"{space.n_atoms}^{n} samples exceeds cap {cap}")
+    if space.n_atoms**n > ENUMERATION_CAP:
+        raise EnumerationTooLarge(f"{space.n_atoms}^{n} samples exceeds cap {ENUMERATION_CAP}")
     one = mode_of(space).one
     for pts in itertools.product(range(space.n_atoms), repeat=n):
         w = one

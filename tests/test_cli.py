@@ -95,6 +95,16 @@ def test_tails_outputs(tmp_path):
     assert len(manifest["kernel_hash"]) == 16
 
 
+def test_manifest_hash_tells_canonicalized_runs_apart(tmp_path):
+    hashes = set()
+    for canonicalize in (False, True):
+        out = tmp_path / str(canonicalize)
+        cfg = write_json(tmp_path / "t.json", {**TAILS_CFG, "canonicalize": canonicalize})
+        assert run(["tails", "--config", cfg, "--out-dir", str(out)]) == 0
+        hashes.add(json.loads((out / "manifest.json").read_text())["kernel_hash"])
+    assert len(hashes) == 2
+
+
 def test_tails_deterministic_across_workers(tmp_path):
     cfg = write_json(tmp_path / "t.json", TAILS_CFG)
     out1, out2 = tmp_path / "w1", tmp_path / "w2"
@@ -252,13 +262,24 @@ def test_bounds_comma_grid_and_constants_file(tmp_path):
     ("tails", {"kernel": {"arity": 1, "values": [float("nan"), "0"]}}),
     ("bounds", {"C": "abc"}), ("bounds", {"Cc": 2.0}), ("bounds", {"C": -1.0}),
     ("verify", {"seed": -3}), ("tails", {"seed": -1}),
+    ("bounds", ["--k", "0"]), ("bounds", ["--sigma", "1.5"]), ("bounds", ["--sigma", "0"]),
+    ("bounds", ["--n", "0"]), ("constants", ["--k-max", "-1"]), ("constants", ["--k-max", "0"]),
+    ("constants", ["--m-max", "-1"]), ("constants", ["--n-max", "1"]),
+    ("tails", {"canonicalize": "no"}), ("tails", {"canonicalize": 1}),
+    ("tails", {"x_grid": 0}), ("tails", {"x_grid": []}),
 ])
 def test_bad_input_is_config_error(tmp_path, capsys, command, arg):
     if command == "bounds":
-        grid, extra = (arg, []) if isinstance(arg, str) else \
-            ("0.5,1", ["--constants-file", write_json(tmp_path / "c.json", arg)])
+        # a string is the grid, a dict a constants file, a list flags that override the defaults
+        grid, extra = "0.5,1", arg
+        if isinstance(arg, str):
+            grid, extra = arg, []
+        elif isinstance(arg, dict):
+            extra = ["--constants-file", write_json(tmp_path / "c.json", arg)]
         argv = ["bounds", "--k", "2", "--sigma", "0.4", "--n", "25",
                 "--x-grid", grid, "--out", str(tmp_path / "b.csv"), *extra]
+    elif command == "constants":
+        argv = ["constants", "--out-dir", str(tmp_path / "c"), *arg]
     elif command == "verify":
         argv = ["verify", "--config", write_json(tmp_path / "cfg.json", arg)]
     else:

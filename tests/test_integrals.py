@@ -110,7 +110,7 @@ def test_ustat_hand_value():
     with pytest.raises(EmptySample):
         expected_integral_oracle(f, 0)
     with pytest.raises(EmptySample):
-        eval_batch(f, 0, np.zeros((1, 2), dtype=np.int64))
+        eval_batch(f, np.zeros((1, 2), dtype=np.int64))
 
 
 def test_canonical_identity_exact_small_sweep():
@@ -219,9 +219,61 @@ def test_batch_evaluator_matches_recursive(weights):
             samples = [sample_from_counts(f.space, tuple(row.tolist())) for row in counts]
             want = [_oracle.integral_coeff(f, s) * float(n) ** (k / 2) for s in samples]
             want_u = [_oracle.ustat(f, s) / float(n) ** (k / 2) for s in samples]
-            np.testing.assert_allclose(eval_batch(f, n, counts), want, rtol=1e-12, atol=1e-12)
-            np.testing.assert_allclose(eval_batch(f, n, counts, ustat=True), want_u,
+            np.testing.assert_allclose(eval_batch(f, counts), want, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(eval_batch(f, counts, ustat=True), want_u,
                                        rtol=1e-12, atol=1e-12)
+
+
+def _exact_rows(f, counts):
+    """The exact statistic of every row, as floats: ``eval_integral(...).value``
+    and the U-statistic over n^{k/2}, each row at its own n."""
+    samples = [sample_from_counts(f.space, tuple(row.tolist())) for row in counts]
+    return ([eval_integral(f, s).value for s in samples],
+            [float(eval_ustat(f, s)) / s.n ** (f.arity / 2) for s in samples])
+
+
+@pytest.mark.parametrize("weights, k", [(["1/6", "1/3", "1/2"], 3),
+                                        (["1/10", "1/5", "3/10", "2/5"], 2)])
+def test_batch_matches_exact_at_the_benchmark_sizes(weights, k):
+    # the largest Monte Carlo shapes: n = 300, canonical kernels on 3 or 4 atoms
+    sp = make_space(weights)
+    f = canonical_project(random_kernel(sp, k, np.random.default_rng(k)))
+    counts = draw_counts(sp, 300, RandomSource(k), 40)
+    want, want_u = _exact_rows(f, counts)
+    np.testing.assert_allclose(eval_batch(f, counts), want, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(eval_batch(f, counts, ustat=True), want_u, rtol=1e-12, atol=1e-12)
+
+
+def test_batch_reads_each_rows_size_from_its_counts():
+    sp = make_space(["1/6", "1/3", "1/2"])
+    f = random_kernel(sp, 2, np.random.default_rng(3))
+    counts = np.array([[1, 0, 0], [0, 3, 4], [2, 2, 1], [10, 0, 20], [0, 0, 2]])
+    want, want_u = _exact_rows(f, counts)
+    np.testing.assert_allclose(eval_batch(f, counts), want, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(eval_batch(f, counts, ustat=True), want_u, rtol=1e-12, atol=1e-12)
+    with pytest.raises(EmptySample):
+        eval_batch(f, np.vstack([counts, [0, 0, 0]]))
+
+
+def test_batch_of_the_zero_kernel_is_zero_per_row():
+    sp = uniform_space(3)
+    f = kernel_from_values(sp, np.zeros((3, 3), dtype=int))
+    counts = draw_counts(sp, 7, RandomSource(1), 5)
+    for ustat in (False, True):
+        out = eval_batch(f, counts, ustat=ustat)
+        assert out.shape == (5,) and not out.any()
+
+
+def test_batch_with_huge_weight_denominators():
+    # d_w^3 is about 1e360: integer coefficients this large do not fit a
+    # float, so each is divided by the common denominator before use
+    d = 10**120 + 1
+    sp = make_space([F(1, d), F(2, d), F(d - 3, d)])
+    f = random_kernel(sp, 3, np.random.default_rng(5))
+    counts = np.array([[1, 2, 4], [0, 0, 6], [3, 1, 1]])
+    want, want_u = _exact_rows(f, counts)
+    np.testing.assert_allclose(eval_batch(f, counts), want, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(eval_batch(f, counts, ustat=True), want_u, rtol=1e-12, atol=1e-12)
 
 
 def test_product_formula_with_arity_zero():
@@ -280,10 +332,10 @@ def test_evaluators_match_recursive_oracle_on_many_atoms(n_atoms, k):
         assert eval_ustat(f, s) == _oracle.ustat(f, s)
         n = s.n
         np.testing.assert_allclose(
-            eval_batch(f, n, np.array([s.counts]), ustat=True)[0],
+            eval_batch(f, np.array([s.counts]), ustat=True)[0],
             float(_oracle.ustat(f, s)) / n ** (k / 2), rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(
-            eval_batch(f, n, np.array([s.counts]))[0],
+            eval_batch(f, np.array([s.counts]))[0],
             float(_oracle.integral_coeff(f, s)) * n ** (k / 2), rtol=1e-12, atol=1e-12)
 
 
@@ -305,8 +357,8 @@ def test_batch_eval_matches_recursive_oracle_property(data, sp, k, n):
     counts = np.array([s.counts for s in samples])
     want = [float(_oracle.integral_coeff(f, s)) * n ** (k / 2) for s in samples]
     want_u = [float(_oracle.ustat(f, s)) / n ** (k / 2) for s in samples]
-    np.testing.assert_allclose(eval_batch(f, n, counts), want, rtol=1e-12, atol=1e-12)
-    np.testing.assert_allclose(eval_batch(f, n, counts, ustat=True), want_u,
+    np.testing.assert_allclose(eval_batch(f, counts), want, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(eval_batch(f, counts, ustat=True), want_u,
                                rtol=1e-12, atol=1e-12)
 
 
