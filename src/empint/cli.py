@@ -58,20 +58,22 @@ def _int_field(cfg: dict, key: str, default: int | None = None, minimum: int | N
     if key not in cfg and default is None:
         raise MalformedInput(f"config needs {key!r}")
     value = cfg.get(key, default)
-    try:
-        if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-            raise ValueError
-        value = int(value)
-    except (TypeError, ValueError):
-        raise MalformedInput(f"{key!r} must be an integer, got {value!r}") from None
+    if isinstance(value, bool) or not (isinstance(value, int) or (
+            isinstance(value, float) and value.is_integer())):
+        raise MalformedInput(f"{key!r} must be an integer, got {value!r}")
+    value = int(value)
     if minimum is not None and value < minimum:
         raise MalformedInput(f"{key!r} must be at least {minimum}, got {value}")
     return value
 
 
 def _levels(values) -> tuple[float, ...]:
-    """A level grid: finite positive numbers in strictly ascending order."""
+    """A level grid: finite positive numbers, not booleans, in strictly
+    ascending order."""
     try:
+        values = list(values)
+        if any(isinstance(x, bool) for x in values):
+            raise TypeError
         xs = tuple(float(x) for x in values)
     except (TypeError, ValueError):
         raise MalformedInput(f"grid levels must be numbers, got {values!r}") from None

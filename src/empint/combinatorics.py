@@ -4,7 +4,8 @@ constant tables used by the moment recursion.
 Everything here is exact.  The oracles enumerate occupation-count vectors
 with multinomial probabilities, which agrees with enumerating ordered
 samples because the statistics only read counts; tests cross-check the two
-enumerations on small cases.
+enumerations on small cases.  The counts oracles sum integer numerators
+and divide once.
 """
 from __future__ import annotations
 
@@ -16,9 +17,10 @@ from functools import lru_cache
 from typing import Iterator
 
 from .errors import EnumerationTooLarge
-from .integrals import _eval_counts, eval_integral
+from .integrals import _count_fraction, eval_integral
 from .kernels import Kernel
-from .space import enumerate_counts, enumerate_samples
+from .scalars import mode_of
+from .space import count_vectors, enumerate_samples
 
 __all__ = [
     "set_partitions", "stirling2", "bell_number", "partition_count_bound",
@@ -138,13 +140,19 @@ def expectation_coefficient_scaled(n: int, k: int) -> float:
 # -- exact oracles by enumeration -------------------------------------------
 
 def _counts_moment(f: Kernel, n: int, order: int, ustat: bool) -> Fraction:
-    """E[statistic^order], evaluated straight from every occupation-count vector."""
+    """E[statistic^order], evaluated straight from every occupation-count
+    vector c: with the statistic N(c) / D and the weights W / d_w, the sum
+    of multinomial(c) prod W_a^c_a N(c)^order runs in integers and is
+    divided once by d_w^n D^order."""
     if order < 1:
         raise ValueError("order must be a positive integer")
-    total = Fraction(0)
-    for counts, w in enumerate_counts(f.space, n):
-        total += w * _eval_counts(f, counts, ustat) ** order
-    return total
+    mode = mode_of(f)
+    w, d_w = mode.numerators(f.space.weight_vector)
+    total, den = 0, 1
+    for counts, p in count_vectors(w, n):
+        num, den = _count_fraction(f, counts, ustat)
+        total = total + p * num**order
+    return mode.ratio(total, d_w**n * den**order)
 
 
 def expected_integral_oracle(f: Kernel, n: int, method: str = "counts") -> Fraction:
@@ -180,6 +188,7 @@ def damping_factor(m: int) -> Fraction:
     return Fraction(1 + 2 ** (4 - m))
 
 
+@lru_cache(maxsize=None)
 def cumulative_constant(k: int, m: int) -> Fraction:
     """The level-m constant: (product of D(0..m-1))^k, with level 0 equal
     to one."""

@@ -38,8 +38,7 @@ import numpy as np
 
 from .diagrams import ColoredDiagram
 from .errors import BlockMismatch, RankTooSmall, SigmaMismatch
-from .kernels import (Kernel, constant_kernel, l2_norm_sq, labeled_product, random_kernel,
-                      sup_norm)
+from .kernels import Kernel, constant_kernel, l2_norm_sq, labeled_product, random_kernel
 from .scalars import Scalar, is_exact, mode_of
 
 __all__ = [
@@ -76,38 +75,41 @@ class DominanceCertificate:
         return is_exact(self.sigma_sq) and all(h.exact for h in self.factors)
 
 
-def _expanded_product(cert: DominanceCertificate, labels: tuple[int, ...]) -> np.ndarray:
-    """The pointwise product of all factors as a tensor over ``labels``,
-    which the blocks partition."""
-    operands = [(h.values, h.axis_labels) for h in cert.factors]
-    return labeled_product(cert.factors[0].space, operands, labels).values
-
-
 def verify_certificate(f: Kernel, cert: DominanceCertificate,
                        tol: float = POINTWISE_TOL) -> bool:
     """Check every clause of the dominance definition against f.
 
     Structural violations (blocks not partitioning f's labels) raise
-    BlockMismatch; numeric clauses return False.  Exact certificates are
-    checked exactly except for the [0, sigma] clause on constants, which
-    squares to stay rational.
+    BlockMismatch; numeric clauses return False.  Every clause reads the
+    mode's numerators (Python ints over one denominator in exact mode) and
+    compares by cross-multiplying, so exact certificates are checked
+    exactly: a factor N / d is nonnegative when N >= 0 and has sup norm at
+    most 1 when max |N| <= d, and |F| / d_f <= P / D, with P / D the
+    product of the factors' numerators, is |F| D <= P d_f.
     """
     flat = [j for block in cert.blocks for j in block]
     if sorted(flat) != sorted(f.axis_labels) or len(flat) != len(set(flat)):
         raise BlockMismatch(f"blocks {cert.blocks} do not partition labels {f.axis_labels}")
-    slack = mode_of(cert, f).slack(tol)
-    if not 0 < float(cert.sigma_sq) <= 1 + slack:
+    mode = mode_of(cert, f)
+    slack = mode.slack(tol)
+    if not 0 < cert.sigma_sq <= 1 + slack:
         return False
+    operands, den = [], 1
     for h in cert.factors:
-        if any(x < -slack for x in h.values.flat):
-            return False
-        if sup_norm(h) > 1 + slack:
+        nums, d = mode.numerators(h.values)
+        # 0 <= h <= 1, so the sup norm is at most 1
+        lo, hi = -slack * d, (1 + slack) * d
+        if not all(lo <= x <= hi for x in nums.flat):
             return False
         if l2_norm_sq(h) > cert.sigma_sq + slack:
             return False
-    prod = _expanded_product(cert, f.axis_labels)
-    gap = np.asarray(np.abs(f.values) - prod)
-    return all(x <= slack for x in gap.flat)
+        operands.append((nums, h.axis_labels))
+        den *= d
+    prod = labeled_product(f.space, operands, f.axis_labels).values
+    nums, d_f = mode.numerators(f.values)
+    # flat arrays: arithmetic on 0-d object arrays returns bare scalars
+    gap = np.abs(nums.reshape(-1)) * den - prod.reshape(-1) * d_f
+    return all(x <= slack * d_f * den for x in gap)
 
 
 def unit_certificate(f: Kernel, sigma_sq: Scalar | None = None) -> DominanceCertificate:
@@ -223,6 +225,7 @@ def random_dominated_pair(space, blocks: tuple[tuple[int, ...], ...],
     factors = tuple(drawn[b] if b else constant_kernel(space, sigma_sq) for b in blocks)
     cert = DominanceCertificate(sigma_sq, factors)
     damp = random_kernel(space, len(labels), rng, max_den=max_den)
-    f_vals = _expanded_product(cert, labels) * damp.values
+    f_vals = labeled_product(space, [(h.values, h.axis_labels) for h in factors],
+                             labels).values * damp.values
     f = Kernel(space, f_vals, labels)
     return f, cert

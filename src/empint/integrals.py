@@ -129,10 +129,11 @@ def _evaluate(blocks, n, falling, ustat: bool):
     return total
 
 
-def _eval_counts(f: Kernel, counts, ustat: bool = False) -> Scalar:
-    """The descaled centered integral q of f, or with ``ustat`` the
-    U-statistic, at a sample with these occupation counts.  Exact when f
-    and the space are exact."""
+def _count_fraction(f: Kernel, counts, ustat: bool = False) -> tuple[Scalar, int]:
+    """(N, D) with N / D the descaled centered integral q of f, or with
+    ``ustat`` the U-statistic, at a sample with these occupation counts.
+    N is a Python int when f and the space are exact; D depends only on f,
+    the sample size and the target."""
     if len(counts) != f.space.n_atoms:
         raise SpaceMismatch(f"counts over {len(counts)} atoms for a kernel on {f.space.n_atoms}")
     poly = _count_polynomial(f)
@@ -141,8 +142,12 @@ def _eval_counts(f: Kernel, counts, ustat: bool = False) -> Scalar:
     if not n and k and not ustat:
         raise EmptySample(f"the arity-{k} integral of an empty sample divides by zero")
     falling = [[math.perm(c, m) for c in counts] for m in range(k + 1)]
-    total = _evaluate(poly.blocks, n, falling, ustat)
-    return poly.mode.cast(total) / (poly.den * n ** (0 if ustat else k))
+    return _evaluate(poly.blocks, n, falling, ustat), poly.den * n ** (0 if ustat else k)
+
+
+def _eval_counts(f: Kernel, counts, ustat: bool = False) -> Scalar:
+    """The statistic of ``_count_fraction``, divided once."""
+    return mode_of(f).ratio(*_count_fraction(f, counts, ustat))
 
 
 def eval_integral(f: Kernel, sample: Sample) -> ScaledValue:

@@ -12,9 +12,13 @@ subscripts; ``tensor_product``, ``substitute_axis`` and ``integrate_axis``
 remain as the step-by-step operators.
 
 Exact-mode kernels hold Fractions in an object-dtype array and every
-operation below is closed over the rationals.  Float-mode kernels use
-IEEE doubles with the same code paths.  A kernel's values are read-only,
-so results memoized on a kernel can never go stale.
+operation below is closed over the rationals.  The operators that return
+a kernel work on those Fractions.  The norms and ``is_canonical``, which
+end in a scalar or a verdict, read the values as Python-int numerators
+over one common denominator (``Arithmetic.numerators``) and divide or
+compare once at the end.  Float-mode kernels use IEEE doubles with the
+same code paths, over a denominator of 1.  A kernel's values are
+read-only, so results memoized on a kernel can never go stale.
 """
 from __future__ import annotations
 
@@ -28,7 +32,7 @@ import numpy as np
 
 from .errors import (ArityMismatch, MalformedInput, NoSuchAxis, NotCanonical, SameAxis,
                      SpaceMismatch)
-from .scalars import FLOAT_TOL, Scalar, format_scalar, mode_of, parse_scalar
+from .scalars import FLOAT_TOL, Arithmetic, Scalar, format_scalar, mode_of, parse_scalar
 from .space import AtomSpace
 
 __all__ = [
@@ -133,29 +137,39 @@ def kernel_from_values(space: AtomSpace, values, labels: tuple[int, ...] | None 
 # -- norms ------------------------------------------------------------------
 
 def sup_norm(f: Kernel) -> Scalar:
-    return max(abs(x) for x in f.values.flat)
+    mode = mode_of(f)
+    nums, d = mode.numerators(f.values)
+    return mode.ratio(max(abs(x) for x in nums.flat), d)
 
 
 def l1_norm(f: Kernel) -> Scalar:
     """Integral of |f| against the product measure."""
-    return _full_contraction(np.abs(f.values), f.space)
+    mode = mode_of(f)
+    nums, d = mode.numerators(f.values)
+    return _full_contraction(mode, np.abs(nums.reshape(-1)), d, f)
 
 
 def l2_norm_sq(f: Kernel) -> Scalar:
     """Integral of f^2 against the product measure; rational in exact mode."""
-    return _full_contraction(f.values * f.values, f.space)
+    mode = mode_of(f)
+    nums, d = mode.numerators(f.values)
+    flat = nums.reshape(-1)
+    return _full_contraction(mode, flat * flat, d * d, f)
 
 
 def l2_norm(f: Kernel) -> float:
     return math.sqrt(float(l2_norm_sq(f)))
 
 
-def _full_contraction(values: np.ndarray, space: AtomSpace) -> Scalar:
-    w = space.weight_vector
-    v = np.asarray(values)
-    while v.ndim > 0:
-        v = np.asarray(np.tensordot(v, w, axes=([v.ndim - 1], [0])))
-    return v[()]
+def _full_contraction(mode: Arithmetic, flat: np.ndarray, d: int, f: Kernel) -> Scalar:
+    """The integral of flat / d, f's values flattened row-major, against
+    the product measure: contract the last axis with the weight numerators
+    W / d_w until one entry is left, then divide by d d_w^k."""
+    w, d_w = mode.numerators(f.space.weight_vector)
+    column = w.reshape(-1, 1)
+    for _ in range(f.arity):
+        flat = np.dot(flat.reshape(-1, len(w)), column).reshape(-1)
+    return mode.ratio(flat[0], d * d_w**f.arity)
 
 
 # -- operators --------------------------------------------------------------
@@ -175,8 +189,10 @@ def labeled_product(space: AtomSpace, factors: Iterable[tuple[np.ndarray, Sequen
     if set().union(*(labels for _, labels in factors)) != set(out) | set(integrate):
         raise ArityMismatch(f"every label must be kept {tuple(out)} or integrated {integrate}")
     args = [x for pair in factors + [(space.weight_vector, [j]) for j in integrate] for x in pair]
-    # a full contraction comes back as a bare scalar
-    return Kernel(space, np.asarray(np.einsum(*args, list(out))), tuple(out))
+    # a full contraction comes back as a bare scalar; keep the operands' dtype
+    # so a Python int does not turn into an int64
+    dtype = np.result_type(*args[::2])
+    return Kernel(space, np.asarray(np.einsum(*args, list(out)), dtype=dtype), tuple(out))
 
 
 def tensor_product(f: Kernel, g: Kernel) -> Kernel:
@@ -239,9 +255,15 @@ def canonical_project(f: Kernel) -> Kernel:
 
 
 def is_canonical(f: Kernel, tol: float = FLOAT_TOL) -> bool:
-    """True when integrating out any single argument yields the zero kernel."""
-    slack = mode_of(f).slack(tol)
-    return all(abs(x) <= slack for j in f.axis_labels for x in integrate_axis(f, j).values.flat)
+    """True when integrating out any single argument yields the zero kernel:
+    every marginal of the numerators N against the weight numerators W is
+    compared with the slack scaled by the denominator d d_w."""
+    mode = mode_of(f)
+    nums, d = mode.numerators(f.values)
+    w, d_w = mode.numerators(f.space.weight_vector)
+    bound = mode.slack(tol) * d * d_w
+    return all(abs(x) <= bound for pos in range(f.arity)
+               for x in np.tensordot(nums, w, axes=([pos], [0])).flat)
 
 
 def require_canonical(f: Kernel, tol: float = FLOAT_TOL):

@@ -177,11 +177,25 @@ def fit_constants(est: TailEstimate, form: str = "two_regime") -> BoundParams:
     return BoundParams(c1=math.exp(log_c), c2=alpha)
 
 
+def _off_pilot(x: float, attained: np.ndarray) -> float:
+    """x, or when x is one of the sorted distinct pilot values, the
+    midpoint between it and the nearest one above it (below it when there
+    is none above), so float rounding of the statistic cannot decide a tie
+    at that level."""
+    i = int(np.searchsorted(attained, x))
+    if i == len(attained) or attained[i] != x:
+        return x
+    other = attained[i + 1] if i + 1 < len(attained) else attained[max(i - 1, 0)]
+    return float((x + other) / 2)
+
+
 def auto_grid(f: Kernel, cfg: McConfig, points: int = 12) -> tuple[float, ...]:
     """A geometric level grid spanning the pilot run's |statistic|
-    quantiles.  Pilot streams are offset so they never reuse run streams."""
+    quantiles, with each end moved off the values the pilot attained.
+    Pilot streams are offset so they never reuse run streams."""
     pilot_cfg = McConfig(_PILOT_REPLICATES, cfg.seed, cfg.n, (), cfg.target)
     values = np.abs(replicate_values(f, pilot_cfg, base_offset=_PILOT_OFFSET))
+    attained = np.unique(values)
     lo = float(np.quantile(values, _PILOT_LO_Q))
     hi = float(np.quantile(values, _PILOT_HI_Q))
     if lo <= 0:
@@ -189,6 +203,7 @@ def auto_grid(f: Kernel, cfg: McConfig, points: int = 12) -> tuple[float, ...]:
         if positive.size == 0:
             raise InsufficientTailData("pilot run produced no nonzero statistics")
         lo = float(np.min(positive))
-    if hi <= lo:
+    lo, hi = _off_pilot(lo, attained), _off_pilot(hi, attained)
+    if hi <= lo:  # at most two distinct values above the median
         hi = lo * 2.0
     return tuple(float(x) for x in np.geomspace(lo, hi, points))

@@ -6,11 +6,15 @@ in it is a Fraction (or int), and the two modes never mix silently: parsing
 decides the mode once, and all downstream arithmetic preserves it.
 
 The decision lives here alone: other modules ask ``mode_of`` once and use
-the returned ``Arithmetic`` object instead of branching on exactness.
+the returned ``Arithmetic`` object instead of branching on exactness.  A
+computation that ends in a scalar reads its inputs with ``numerators``
+(Python-int numerators over one common denominator in exact mode, the
+values over 1 in float mode) and builds its result with one ``ratio``.
 """
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
@@ -67,8 +71,11 @@ class Arithmetic:
     dtype: type
     zero: Scalar
     one: Scalar
-    inv: Callable[[int], Scalar]  # n -> 1/n
+    ratio: Callable[[object, int], Scalar]  # (numerator, d) -> numerator / d, one division
     numerators: Callable[[np.ndarray], tuple[np.ndarray, int]]  # values -> (values * d, d)
+
+    def inv(self, n: int) -> Scalar:
+        return self.ratio(1, n)
 
     def inv_factorial(self, k: int) -> Scalar:
         return self.inv(math.factorial(k))
@@ -88,9 +95,9 @@ def _integer_numerators(values: np.ndarray) -> tuple[np.ndarray, int]:
     return np.array(nums, dtype=object).reshape(values.shape), d
 
 
-EXACT = Arithmetic(True, Fraction, object, Fraction(0), Fraction(1), lambda n: Fraction(1, n),
+EXACT = Arithmetic(True, Fraction, object, Fraction(0), Fraction(1), Fraction,
                    _integer_numerators)
-FLOAT = Arithmetic(False, float, float, 0.0, 1.0, lambda n: 1.0 / n,
+FLOAT = Arithmetic(False, float, float, 0.0, 1.0, operator.truediv,
                    lambda values: (np.asarray(values, dtype=float), 1))
 
 

@@ -32,6 +32,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterator, Sequence
 
@@ -49,7 +50,8 @@ class AtomSpace:
     """A finite measure space: atoms 0..len(weights)-1 with the given weights.
 
     ``exact`` is True when every weight is a rational; in that mode all
-    integrals computed against the space stay in exact arithmetic.
+    integrals computed against the space stay in exact arithmetic.  Both it
+    and ``weight_vector`` are computed once, on first use.
     """
 
     weights: tuple[Scalar, ...]
@@ -58,15 +60,18 @@ class AtomSpace:
     def n_atoms(self) -> int:
         return len(self.weights)
 
-    @property
+    @cached_property
     def exact(self) -> bool:
         return all(is_exact(w) for w in self.weights)
 
-    @property
+    @cached_property
     def weight_vector(self) -> np.ndarray:
-        """Weights as a numpy vector: object dtype of Fractions when exact."""
+        """Weights as a read-only numpy vector: object dtype of Fractions
+        when exact."""
         mode = mode_of(self)
-        return np.array([mode.cast(w) for w in self.weights], dtype=mode.dtype)
+        v = np.array([mode.cast(w) for w in self.weights], dtype=mode.dtype)
+        v.flags.writeable = False
+        return v
 
     def as_float(self) -> "AtomSpace":
         if not self.exact:
@@ -301,29 +306,35 @@ def enumerate_samples(space: AtomSpace, n: int) -> Iterator[tuple[Sample, Scalar
         yield Sample(space, pts), w
 
 
+def count_vectors(w: np.ndarray, n: int) -> Iterator[tuple[tuple[int, ...], Scalar]]:
+    """All occupation-number vectors c of size-n samples over len(w) atoms,
+    each with n! / prod c_a! * prod w_a^c_a.  For the weights' integer
+    numerators W over d that is the vector's probability times d^n, a
+    Python int."""
+    A = len(w)
+    w = w.tolist()
+    nfact = math.factorial(n)
+    for cuts in itertools.combinations(range(n + A - 1), A - 1):
+        counts = [b - a - 1 for a, b in zip((-1, *cuts), (*cuts, n + A - 1))]
+        multinomial, p = nfact, 1
+        for wa, c in zip(w, counts):
+            multinomial //= math.factorial(c)
+            p = p * wa**c
+        yield tuple(counts), multinomial * p
+
+
 def enumerate_counts(space: AtomSpace, n: int) -> Iterator[tuple[tuple[int, ...], Scalar]]:
     """All occupation-number vectors with their multinomial probabilities.
 
     Statistics of the empirical measure depend on a sample only through its
     counts, so expectation sums over this (much smaller) enumeration agree
-    exactly with sums over enumerate_samples.
+    exactly with sums over enumerate_samples.  Exact mode runs on the
+    weights' integer numerators and divides once per vector.
     """
-    A = space.n_atoms
-    one = mode_of(space).one
-    nfact = math.factorial(n)
-    for cuts in itertools.combinations(range(n + A - 1), A - 1):
-        counts = []
-        prev = -1
-        for c in cuts:
-            counts.append(c - prev - 1)
-            prev = c
-        counts.append(n + A - 2 - prev)
-        coef = nfact
-        w = one
-        for a, c in enumerate(counts):
-            coef //= math.factorial(c)
-            w = w * space.weights[a] ** c
-        yield tuple(counts), coef * w
+    mode = mode_of(space)
+    w, d = mode.numerators(space.weight_vector)
+    for counts, p in count_vectors(w, n):
+        yield counts, mode.ratio(p, d**n)
 
 
 def sample_from_counts(space: AtomSpace, counts: tuple[int, ...]) -> Sample:

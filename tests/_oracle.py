@@ -1,15 +1,21 @@
-"""The recursive evaluator of the statistic, kept as the reference that the
-count-polynomial evaluator in ``empint.integrals`` is checked against.
+"""Reference definitions that the fast paths in ``empint`` are checked
+against.
 
-It follows the definition directly: for every subset S of coordinates, the
-kernel with the other coordinates integrated out is summed over injective
-assignments of sample positions to the slots of S, one slot at a time.
+The recursive evaluator of the statistic follows the definition directly:
+for every subset S of coordinates, the kernel with the other coordinates
+integrated out is summed over injective assignments of sample positions to
+the slots of S, one slot at a time.  The norms, the canonical test and the
+certificate clauses below apply their definitions entry by entry to the
+kernels' own values (``Fraction`` objects in exact mode), where the library
+runs on integer numerators and divides once.
 """
 import itertools
 import math
 
 import numpy as np
 
+from empint.errors import BlockMismatch
+from empint.kernels import integrate_axis, labeled_product
 from empint.scalars import mode_of
 
 
@@ -75,3 +81,49 @@ def ustat(f, sample):
     mode = mode_of(f)
     return _injection_sum(f.values, list(sample.counts), mode.zero) / mode.cast(
         math.factorial(f.arity))
+
+
+def sup_norm(f):
+    return max(abs(x) for x in f.values.flat)
+
+
+def _full_contraction(values, space):
+    w = space.weight_vector
+    v = np.asarray(values)
+    while v.ndim > 0:
+        v = np.asarray(np.tensordot(v, w, axes=([v.ndim - 1], [0])))
+    return v[()]
+
+
+def l1_norm(f):
+    return _full_contraction(np.abs(f.values), f.space)
+
+
+def l2_norm_sq(f):
+    return _full_contraction(f.values * f.values, f.space)
+
+
+def is_canonical(f, tol=1e-12):
+    slack = mode_of(f).slack(tol)
+    return all(abs(x) <= slack for j in f.axis_labels for x in integrate_axis(f, j).values.flat)
+
+
+def verify_certificate(f, cert, tol=1e-10):
+    """Every clause of the dominance definition, entry by entry."""
+    flat = [j for block in cert.blocks for j in block]
+    if sorted(flat) != sorted(f.axis_labels) or len(flat) != len(set(flat)):
+        raise BlockMismatch(f"blocks {cert.blocks} do not partition labels {f.axis_labels}")
+    slack = mode_of(cert, f).slack(tol)
+    if not 0 < cert.sigma_sq <= 1 + slack:
+        return False
+    for h in cert.factors:
+        if any(x < -slack for x in h.values.flat):
+            return False
+        if sup_norm(h) > 1 + slack:
+            return False
+        if l2_norm_sq(h) > cert.sigma_sq + slack:
+            return False
+    prod = labeled_product(f.space, [(h.values, h.axis_labels) for h in cert.factors],
+                           f.axis_labels).values
+    gap = np.asarray(np.abs(f.values) - prod)
+    return all(x <= slack for x in gap.flat)

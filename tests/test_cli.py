@@ -267,6 +267,8 @@ def test_bounds_comma_grid_and_constants_file(tmp_path):
     ("constants", ["--m-max", "-1"]), ("constants", ["--n-max", "1"]),
     ("tails", {"canonicalize": "no"}), ("tails", {"canonicalize": 1}),
     ("tails", {"x_grid": 0}), ("tails", {"x_grid": []}),
+    ("tails", {"replicates": "400"}), ("tails", {"n": "30"}), ("verify", {"seed": "5"}),
+    ("tails", {"x_grid": [0.2, 0.5, 0.9, True]}),
 ])
 def test_bad_input_is_config_error(tmp_path, capsys, command, arg):
     if command == "bounds":

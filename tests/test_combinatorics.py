@@ -11,8 +11,11 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from empint.combinatorics import (bell_number, check_moment_recursion,
+from _strategies import exact_kernels, exact_spaces
+
+from empint.combinatorics import (_counts_moment, bell_number, check_moment_recursion,
                                   cumulative_constant, damping_factor,
                                   expectation_coefficient,
                                   expectation_coefficient_bruteforce,
@@ -22,10 +25,10 @@ from empint.combinatorics import (bell_number, check_moment_recursion,
                                   profile_maximizer, profile_weight,
                                   recursion_weight, set_partitions, stirling2,
                                   ustat_moment_oracle)
-from empint.errors import EnumerationTooLarge
-from empint.integrals import eval_integral
+from empint.errors import EmptySample, EnumerationTooLarge
+from empint.integrals import _eval_counts, eval_integral, eval_ustat
 from empint.kernels import canonical_project, random_kernel, tensor_product
-from empint.space import enumerate_samples, make_space, uniform_space
+from empint.space import enumerate_counts, enumerate_samples, make_space, uniform_space
 
 
 def test_set_partitions_counts():
@@ -215,3 +218,30 @@ def test_moment_constant_table_shape():
     for k, m, d, cbar in t.rows:
         assert d == damping_factor(m)
         assert cbar == cumulative_constant(k, m)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(data=st.data(), sp=exact_spaces(), k=st.integers(0, 3), n=st.integers(0, 5),
+       order=st.integers(1, 3), ustat=st.booleans())
+def test_counts_moment_matches_fraction_sums_property(data, sp, k, n, order, ustat):
+    # the integer sum divided once against Fraction accumulations over the
+    # counts and over every ordered sample
+    f = data.draw(exact_kernels(sp, k))
+    if n == 0 and k and not ustat:
+        with pytest.raises(EmptySample):
+            _counts_moment(f, n, order, ustat)
+        return
+    got = _counts_moment(f, n, order, ustat)
+    over_counts = sum((w * _eval_counts(f, c, ustat) ** order for c, w in enumerate_counts(sp, n)),
+                      F(0))
+    stat = eval_ustat if ustat else (lambda g, s: eval_integral(g, s).coeff)
+    over_samples = sum((w * stat(f, s) ** order for s, w in enumerate_samples(sp, n)), F(0))
+    assert type(got) is F and type(got.numerator) is int and type(got.denominator) is int
+    assert got == over_counts == over_samples
+    if order == 1 and not ustat:
+        assert expected_integral_oracle(f, n, method="samples") == got
+
+
+def test_cumulative_constant_is_memoized():
+    assert cumulative_constant(3, 7) is cumulative_constant(3, 7)
+    assert cumulative_constant(2, 2) == (17 * 9) ** 2

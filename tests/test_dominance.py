@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import _oracle
 from empint.diagrams import ColoredDiagram, DiagramClass, contract, enumerate_diagrams
 from empint.dominance import (DominanceCertificate, collapse_certificate,
                               contract_certificate, product_certificate,
@@ -11,7 +12,7 @@ from empint.dominance import (DominanceCertificate, collapse_certificate,
                               tensor_certificate, unit_certificate,
                               verify_certificate)
 from empint.errors import BlockMismatch, RankTooSmall, SigmaMismatch
-from empint.kernels import (Kernel, compact_relabel, kernel_from_values,
+from empint.kernels import (Kernel, compact_relabel, constant_kernel, kernel_from_values,
                             l2_norm_sq, random_kernel, tensor_product)
 from empint.space import make_space, uniform_space
 
@@ -241,3 +242,60 @@ def test_collapse_certificate_float_budget_odd_rank(sp):
     # odd total rank forces a float budget sigma^3
     assert out.sigma_sq == pytest.approx(float(sig) ** 1.5)
     assert verify_certificate(h, out)
+
+
+def test_a_certificate_failing_each_clause_is_refused_in_both_modes():
+    # a zero-weight atom, a two-block certificate and an empty block's constant
+    sp = make_space(["1/3", "2/3", "0"])
+    f = kernel_from_values(sp, [["1/2", "0", "0"], ["0", "-1/4", "0"], ["0", "0", "1"]])
+    row = kernel_from_values(sp, ["1", "1/2", "1"], labels=(1,))
+    col = kernel_from_values(sp, ["1/2", "1/2", "1"], labels=(2,))
+    good = DominanceCertificate(F(1, 2), (row, col))
+    failing = {
+        "sigma above 1": DominanceCertificate(F(3, 2), (row, col)),
+        "sigma zero": DominanceCertificate(F(0), (row, col)),
+        # two nonpositive factors: their product still dominates
+        "negative entry": DominanceCertificate(F(1, 2), (row.scale(-1), col.scale(-1))),
+        # 3/2 sits on the zero-weight atom: only the sup clause sees it
+        "sup above 1": DominanceCertificate(
+            F(1, 2), (kernel_from_values(sp, ["1", "1/2", "3/2"], labels=(1,)), col)),
+        "L2 above budget": DominanceCertificate(F(1, 5), (row, col)),
+        "product below |f|": DominanceCertificate(
+            F(1, 2), (row, col.scale(F(1, 2)), constant_kernel(sp, "1/2"))),
+    }
+    assert verify_certificate(f, good) and _oracle.verify_certificate(f, good)
+    for clause, cert in failing.items():
+        for mode in ("exact", "float"):
+            g, c = f, cert
+            if mode == "float":
+                g = f.as_float()
+                c = DominanceCertificate(float(cert.sigma_sq), tuple(h.as_float() for h in cert.factors))
+            assert not verify_certificate(g, c), (clause, mode)
+            assert not _oracle.verify_certificate(g, c), (clause, mode)
+    assert verify_certificate(f.as_float(), DominanceCertificate(
+        0.5, tuple(h.as_float() for h in good.factors)))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(sp=small_spaces, blocks=block_partitions(), seed=st.integers(0, 2**32 - 1),
+       scale=st.sampled_from([F(1), F(3, 2), F(1, 2)]))
+def test_verify_matches_fraction_oracle_property(sp, blocks, seed, scale):
+    f, cert = _random_cert(sp, blocks, seed)
+    f = f.scale(scale)
+    for budget in (cert.sigma_sq, cert.sigma_sq / 2):
+        c = DominanceCertificate(budget, cert.factors)
+        assert verify_certificate(f, c) == _oracle.verify_certificate(f, c)
+        fc = DominanceCertificate(float(budget), tuple(h.as_float() for h in c.factors))
+        assert verify_certificate(f.as_float(), fc) == _oracle.verify_certificate(f.as_float(), fc)
+
+
+def test_verify_arity_zero_certificate():
+    sp = make_space(["1/2", "1/2"])
+    f = constant_kernel(sp, F(1, 3))
+    assert verify_certificate(f, DominanceCertificate(F(1, 2), (constant_kernel(sp, "1/2"),)))
+    assert not verify_certificate(f, DominanceCertificate(F(1, 2), (constant_kernel(sp, "1/4"),)))
+    # numerators that fit an int64 while their cross products do not
+    h = constant_kernel(sp, F(2**40 - 1, 2**40))
+    g = constant_kernel(sp, F(2**39, 2**40 + 7))
+    assert verify_certificate(g, DominanceCertificate(F(1), (h,)))
+    assert not verify_certificate(h, DominanceCertificate(F(1), (g,)))

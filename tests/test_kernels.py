@@ -2,7 +2,10 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import _oracle
+from _strategies import exact_kernels, exact_spaces
 from empint.errors import (ArityMismatch, MalformedInput, NoSuchAxis, NotCanonical, SameAxis,
                            SpaceMismatch)
 from empint.kernels import (Kernel, canonical_project, center_axis, compact_relabel,
@@ -218,3 +221,34 @@ def test_labeled_product_identifies_and_integrates():
     assert full.values[()] == l1_norm(f)
     with pytest.raises(ArityMismatch):
         labeled_product(sp, [(f.values, (1, 2))], (1,))  # label 2 neither kept nor integrated
+
+
+def _is_exact_rational(x):
+    return type(x) is F and type(x.numerator) is int and type(x.denominator) is int
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(data=st.data(), sp=exact_spaces(), k=st.integers(0, 4))
+def test_norms_and_canonical_test_match_fraction_oracle_property(data, sp, k):
+    f = data.draw(exact_kernels(sp, k))
+    for g in (f, canonical_project(f), f.as_float(), canonical_project(f).as_float()):
+        got = (sup_norm(g), l1_norm(g), l2_norm_sq(g))
+        assert got == (_oracle.sup_norm(g), _oracle.l1_norm(g), _oracle.l2_norm_sq(g))
+        assert is_canonical(g) == _oracle.is_canonical(g)
+        if g.exact:
+            assert all(_is_exact_rational(x) for x in got)
+        else:
+            assert all(type(x) in (float, np.float64) for x in got)
+    assert is_canonical(canonical_project(f))
+
+
+def test_norms_keep_python_ints_at_arity_zero():
+    # object-dtype arithmetic on a 0-d array returns a bare int, which an
+    # np.asarray without dtype=object would turn into an int64
+    sp = make_space(["1/3", "2/3"])
+    c = constant_kernel(sp, F(3**50, 7))
+    for value in (sup_norm(c), l1_norm(c), l2_norm_sq(c)):
+        assert _is_exact_rational(value)
+    assert l2_norm_sq(c) == F(3**100, 49)
+    full = labeled_product(sp, [(np.array(7, dtype=object), ())], ())
+    assert full.values.dtype == object and type(full.values[()]) is int

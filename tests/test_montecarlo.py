@@ -4,9 +4,10 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from empint import montecarlo
 from empint.errors import InsufficientTailData, NegativeSeed
-from empint.kernels import (canonical_project, indicator_kernel, l2_norm, l2_norm_sq,
-                            random_kernel)
+from empint.kernels import (canonical_project, indicator_kernel, kernel_from_values, l2_norm,
+                            l2_norm_sq, random_kernel)
 from empint.montecarlo import (McConfig, TailEstimate, auto_grid, binomial_levels,
                                binomial_tail_oracle, estimate_moments,
                                estimate_tail, fit_constants, replicate_values)
@@ -190,6 +191,24 @@ def test_auto_grid_shape():
     assert len(grid) == 8
     assert all(b > a for a, b in zip(grid, grid[1:]))
     assert all(x > 0 for x in grid)
+
+
+@pytest.mark.parametrize("n", [30, 100, 300])
+@pytest.mark.parametrize("target", ["integral", "ustat"])
+@pytest.mark.parametrize("kernel", ["indicator", "rank_one"])
+def test_auto_grid_levels_avoid_pilot_values(kernel, target, n):
+    # both statistics live on a lattice, so the pilot median (and often the
+    # 0.999 quantile) is a value the statistic attains
+    sp = uniform_space(2)
+    values = ["1", "0"] if kernel == "indicator" else [["1", "0"], ["0", "0"]]
+    f = canonical_project(kernel_from_values(sp, values))
+    for seed in (1, 2, 3):
+        cfg = McConfig(replicates=100, seed=seed, n=n, x_grid=(), target=target)
+        grid = auto_grid(f, cfg)
+        pilot = np.abs(replicate_values(f, McConfig(1000, seed, n, (), target),
+                                        base_offset=montecarlo._PILOT_OFFSET))
+        assert not set(grid) & set(pilot.tolist())
+        assert 0 < grid[0] < grid[-1]
 
 
 def test_estimate_tail_requires_ascending_grid():

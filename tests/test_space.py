@@ -251,3 +251,20 @@ def test_negative_seed_is_a_typed_error():
         RandomSource(3).child(-1)
     with pytest.raises(NegativeSeed):
         draw_counts(uniform_space(2), 4, RandomSource(3), 5, base_offset=-1)
+
+
+def test_weight_vector_is_cached_and_read_only():
+    sp = make_space(["1/3", "2/3"])
+    w = sp.weight_vector
+    assert w is sp.weight_vector and sp.exact is True
+    with pytest.raises(ValueError):
+        w[0] = F(1)
+
+
+def test_enumerate_counts_probabilities_are_exact():
+    sp = make_space(["1/3", "2/3", "0"])
+    listed = list(enumerate_counts(sp, 4))
+    assert len(listed) == 15 and sum(w for _, w in listed) == 1
+    assert all(type(w) is F for _, w in listed)
+    assert dict(listed)[(1, 3, 0)] == 4 * F(1, 3) * F(2, 3) ** 3
+    assert dict(listed)[(0, 3, 1)] == 0
