@@ -5,7 +5,9 @@ Subcommands:
     verify     run the self-verification suites; exit 0 iff all pass,
                else the code of the first failing suite
                (10 diagram, 11 expectation, 12 norms, 13 moments,
-                14 dominance, 15 constants)
+                14 dominance, 15 constants); --workers N (default: the
+               usable CPUs) runs them on up to N forked processes, with
+               the same report and stdout for every N
     tails      Monte Carlo tail estimation for a configured kernel;
                writes tails.csv, self_check.csv and a run manifest
     constants  export the exact constant tables as CSV
@@ -23,6 +25,7 @@ import csv
 import hashlib
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -67,16 +70,23 @@ def _int_field(cfg: dict, key: str, default: int | None = None, minimum: int | N
     return value
 
 
+def _workers(args) -> int:
+    if args.workers < 1:
+        raise MalformedInput(f"--workers must be at least 1, got {args.workers}")
+    return args.workers
+
+
 def _levels(values) -> tuple[float, ...]:
-    """A level grid: finite positive numbers, not booleans, in strictly
-    ascending order."""
+    """A level grid: finite positive numbers (ints or floats, not booleans
+    or strings), in strictly ascending order."""
     try:
         values = list(values)
-        if any(isinstance(x, bool) for x in values):
+        if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in values):
             raise TypeError
         xs = tuple(float(x) for x in values)
-    except (TypeError, ValueError):
-        raise MalformedInput(f"grid levels must be numbers, got {values!r}") from None
+    except (TypeError, OverflowError):
+        raise MalformedInput(
+            f"grid levels must be numbers in float range, got {values!r}") from None
     if not xs or not all(0 < x < math.inf for x in xs) or any(b <= a for a, b in zip(xs, xs[1:])):
         raise MalformedInput(f"grid levels must be positive and strictly ascending, got {xs}")
     return xs
@@ -110,7 +120,7 @@ def cmd_verify(args) -> int:
     if suites is not None and not (isinstance(suites, list) and all(
             isinstance(s, str) and s in verify.SUITES for s in suites)):
         raise MalformedInput(f"'suites' must list names from {list(verify.SUITES)}, got {suites!r}")
-    results = verify.run_all(seed, suites)
+    results = verify.run_all(seed, suites, workers=_workers(args))
     report = {"schema": REPORT_SCHEMA, "seed": seed, "mode": mode,
               "results": [r.as_dict() for r in results]}
     text = json.dumps(report, indent=2)
@@ -148,8 +158,7 @@ _TAILS_KEYS = ("space", "kernel", "canonicalize", "replicates", "n", "x_grid",
 
 
 def cmd_tails(args) -> int:
-    if args.workers < 1:
-        raise MalformedInput(f"--workers must be at least 1, got {args.workers}")
+    _workers(args)  # validated only: replicates run serially
     cfg = _load_config(args.config, _TAILS_KEYS)
     replicates, n = _int_field(cfg, "replicates"), _int_field(cfg, "n")
     space, f, canonicalize = _build_kernel(cfg)
@@ -244,9 +253,9 @@ def cmd_constants(args) -> int:
 # -- bounds -----------------------------------------------------------------
 
 def _parse_grid(text: str) -> tuple[float, ...]:
-    if ":" not in text:
-        return _levels(text.split(","))
     try:
+        if ":" not in text:
+            return _levels([float(x) for x in text.split(",")])
         lo, hi, num = text.split(":")
         lo, hi, num = float(lo), float(hi), int(num)
     except ValueError:
@@ -296,6 +305,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the self-verification suites")
     p.add_argument("--config", help="JSON config with seed/mode/suites")
     p.add_argument("--report", help="where to write the JSON report")
+    p.add_argument("--workers", type=int, help="processes to run the suites on "
+                   "(default: the usable CPUs); 1 runs them in this process",
+                   default=len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                   else os.cpu_count() or 1)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("tails", help="Monte Carlo tail estimation")

@@ -11,12 +11,15 @@ Six suites, each with its own exit code for the command line driver:
     15 constants    recursion constants, coefficients, partition bounds
 
 All randomness is drawn from the configured seed; there is no wall-clock
-entropy anywhere.  Identity suites refuse float mode.
+entropy anywhere.  Identity suites refuse float mode.  Each suite draws from
+its own ``default_rng(seed)`` and shares nothing else, so ``run_all`` may
+run them side by side on forked workers with the same results.
 """
 from __future__ import annotations
 
 import itertools
 import math
+import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -263,9 +266,34 @@ SUITES = {
 }
 
 
-def run_all(seed: int, suites: list[str] | None = None) -> list[SuiteResult]:
+# Longest first (about 66, 40, 40, 22, 19 and 8 ms at seed 5), so that the
+# workers of a pool finish close together.
+_LONGEST_FIRST = ("dominance", "diagram", "expectation", "norms", "moments", "constants")
+
+
+def _run_suite(name: str, seed: int) -> SuiteResult:
+    # looked up in the worker, a fork of the caller: patches included
+    return SUITES[name](seed)
+
+
+def run_all(seed: int, suites: list[str] | None = None, workers: int = 1) -> list[SuiteResult]:
+    """The results of ``suites`` (default: all, in ``SUITES`` order), in the
+    order asked for.  With ``workers`` > 1 and where ``os.fork`` exists the
+    suites run on as many forked processes, at most one per distinct suite;
+    otherwise in this process.  An error raised by a suite is raised here,
+    the first in the requested order."""
     names = suites if suites is not None else list(SUITES)
     unknown = [s for s in names if s not in SUITES]
     if unknown:
         raise ValueError(f"unknown suites: {unknown}")
-    return [SUITES[name](seed) for name in names]
+    workers = min(len(set(names)), workers)
+    if workers < 2 or not hasattr(os, "fork"):
+        return [_run_suite(name, seed) for name in names]
+    # imported here: they cost every process that imports empint.cli
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        futures = {name: pool.submit(_run_suite, name, seed)
+                   for name in sorted(set(names), key=_LONGEST_FIRST.index)}
+        return [futures[name].result() for name in names]

@@ -1,11 +1,14 @@
 import csv
 import json
+import os
 from fractions import Fraction as F
 
 import pytest
 
 import empint.diagrams
+import empint.verify
 from empint.cli import main
+from empint.errors import EmpintError
 
 
 def run(argv):
@@ -66,6 +69,30 @@ def test_verify_reports_failing_suite_code(tmp_path, monkeypatch, capsys):
     code = run(["verify"])
     assert code == 10
     assert "FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("seed", [2024, 12345])
+def test_verify_output_independent_of_workers(tmp_path, capsys, seed):
+    cfg = write_json(tmp_path / "cfg.json", {"seed": seed})
+    reports, outs = [], []
+    for workers in ("1", "2"):
+        report = tmp_path / f"report{workers}.json"
+        assert run(["verify", "--config", cfg, "--report", str(report),
+                    "--workers", workers]) == 0
+        reports.append(report.read_bytes())
+        outs.append(capsys.readouterr().out)
+    assert reports[0] == reports[1] and outs[0] == outs[1]
+
+
+def test_verify_error_in_worker_exits_1(monkeypatch, capsys):
+    def broken(seed):
+        raise EmpintError(f"raised in process {os.getpid()}")
+
+    monkeypatch.setitem(empint.verify.SUITES, "norms", broken)
+    assert run(["verify", "--workers", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: raised in process ")
+    assert err.split()[-1] != str(os.getpid())  # the suite ran in a forked worker
 
 
 def test_tails_outputs(tmp_path):
@@ -269,6 +296,8 @@ def test_bounds_comma_grid_and_constants_file(tmp_path):
     ("tails", {"x_grid": 0}), ("tails", {"x_grid": []}),
     ("tails", {"replicates": "400"}), ("tails", {"n": "30"}), ("verify", {"seed": "5"}),
     ("tails", {"x_grid": [0.2, 0.5, 0.9, True]}),
+    ("tails", {"x_grid": ["0.2", "0.5", "0.9"]}), ("tails", {"x_grid": [0.2, "0.5", 0.9]}),
+    ("verify", ["--workers", "0"]), ("tails", {"x_grid": [0.2, 10**400]}),
 ])
 def test_bad_input_is_config_error(tmp_path, capsys, command, arg):
     if command == "bounds":
@@ -283,7 +312,10 @@ def test_bad_input_is_config_error(tmp_path, capsys, command, arg):
     elif command == "constants":
         argv = ["constants", "--out-dir", str(tmp_path / "c"), *arg]
     elif command == "verify":
-        argv = ["verify", "--config", write_json(tmp_path / "cfg.json", arg)]
+        # a dict is the config, a list flags
+        if isinstance(arg, dict):
+            arg = ["--config", write_json(tmp_path / "cfg.json", arg)]
+        argv = ["verify", *arg]
     else:
         argv = ["tails", "--config", write_json(tmp_path / "cfg.json", {**TAILS_CFG, **arg}),
                 "--out-dir", str(tmp_path / "o")]

@@ -1,6 +1,6 @@
 import pytest
 
-from empint.verify import (SUITE_CODES, SuiteResult, run_all, run_suite_constants,
+from empint.verify import (SUITE_CODES, SUITES, SuiteResult, run_all, run_suite_constants,
                            run_suite_diagram, run_suite_dominance,
                            run_suite_expectation, run_suite_moments,
                            run_suite_norms)
@@ -39,6 +39,16 @@ def test_run_all_selection():
     assert [r.name for r in sel] == ["diagram", "constants"]
     with pytest.raises(ValueError):
         run_all(seed=2024, suites=["nonsense"])
+
+
+@pytest.mark.parametrize("seed, suites", [
+    (2024, None), (12345, None), (2024, ["constants", "dominance", "norms", "diagram"]),
+])
+def test_run_all_independent_of_workers(seed, suites):
+    serial = run_all(seed, suites, workers=1)
+    pooled = run_all(seed, suites, workers=2)
+    assert [r.name for r in pooled] == (suites or list(SUITES))
+    assert [r.as_dict() for r in serial] == [r.as_dict() for r in pooled]
 
 
 def test_suites_deterministic_in_seed():
