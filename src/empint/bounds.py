@@ -47,13 +47,27 @@ def _validate(x: float, k: int, sigma: float, n: int):
 
 def crossover_level(k: int, sigma: float, n: int) -> float:
     """n^{k/2} sigma^{k+1}: where the two exponents of the two-regime bound
-    coincide.  Below it the Gaussian-type branch is active."""
-    return float(n) ** (k / 2) * sigma ** (k + 1)
+    coincide.  Below it the Gaussian-type branch is active.  Raises
+    RegimeViolation when n, n^{k/2} or the level leaves float range."""
+    try:
+        return float(n) ** (k / 2) * sigma ** (k + 1)
+    except OverflowError:
+        raise RegimeViolation(f"the crossover level n^(k/2) sigma^(k+1) leaves float range "
+                              f"at k={k}, n={n}") from None
+
+
+def _power(base: float, e: float) -> float:
+    """base ** e, with a result past float range read as inf: the bounds
+    built on an exponent that large are 0."""
+    try:
+        return base**e
+    except OverflowError:
+        return math.inf
 
 
 def _gaussian_exponent(x: float, k: int, sigma: float) -> float:
     """(x/sigma)^{2/k}: the exponent of a k-fold Gaussian integral's tail."""
-    return (x / sigma) ** (2.0 / k)
+    return _power(x / sigma, 2.0 / k)
 
 
 def two_regime_exponent(x: float, k: int, sigma: float, n: int) -> float:
@@ -65,7 +79,8 @@ def two_regime_exponent(x: float, k: int, sigma: float, n: int) -> float:
 def bernstein_exponent(x: float, k: int, sigma: float, n: int) -> float:
     """x^{2/k} / (sigma^{2/k} + (x^{1/k} n^{-1/2})^{2/(k+1)}), the exponent
     c2 scales in the Bernstein form."""
-    return x ** (2.0 / k) / (sigma ** (2.0 / k) + (x ** (1.0 / k) / math.sqrt(n)) ** (2.0 / (k + 1)))
+    return _power(x, 2.0 / k) / (sigma ** (2.0 / k)
+                                  + (x ** (1.0 / k) / math.sqrt(n)) ** (2.0 / (k + 1)))
 
 
 def two_regime_tail_bound(x: float, k: int, sigma: float, n: int,
@@ -145,6 +160,12 @@ def moment_growth_bound(k: int, M: int, sigma: float, n: int, C: float,
     return main * deficit
 
 
+def _log_bound(bound: float, lead: float, rate: float, exponent: float) -> float:
+    """log(bound) for bound = lead * exp(-rate * exponent), from the factors
+    when the bound underflows to 0."""
+    return math.log(bound) if bound > 0 else math.log(lead) - rate * exponent
+
+
 def regime_report(k: int, sigma: float, n: int, x_grid, params: BoundParams = BoundParams()):
     """Rows (x, two-regime bound, Bernstein bound, active branch, log ratio)
     over an ascending grid.  The active branch flips from 'gaussian' to
@@ -160,5 +181,7 @@ def regime_report(k: int, sigma: float, n: int, x_grid, params: BoundParams = Bo
         b13 = two_regime_tail_bound(x, k, sigma, n, params)
         b16 = bernstein_tail_bound(x, k, sigma, n, params)
         branch = "gaussian" if x <= xc else "empirical"
-        rows.append((x, b13, b16, branch, math.log(b13) - math.log(b16)))
+        log13 = _log_bound(b13, params.C, params.alpha, two_regime_exponent(x, k, sigma, n))
+        log16 = _log_bound(b16, params.c1, params.c2, bernstein_exponent(x, k, sigma, n))
+        rows.append((x, b13, b16, branch, log13 - log16))
     return rows

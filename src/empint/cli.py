@@ -14,9 +14,9 @@ Subcommands:
     bounds     tabulate the closed-form tail bounds over a level grid
 
 All seeds come from configuration; no reproducible artifact depends on the
-clock.  Configuration errors (bad JSON, float mode for identity suites,
-missing fields, unknown keys, malformed scalars, out-of-schema values, bad
-level grids, out-of-range flags such as --workers below 1) exit 2.
+clock.  Config files and range-checked flags are read through one table in
+JSON Schema's keywords (``SCHEMAS``, ``_FLAGS``); a value outside it, an
+unreadable config or an output path that cannot be written exits 2.
 """
 from __future__ import annotations
 
@@ -33,99 +33,149 @@ from pathlib import Path
 from . import bounds as bounds_mod
 from . import combinatorics, montecarlo, verify
 from .errors import EmpintError, MalformedInput
-from .kernels import canonical_project, indicator_kernel, kernel_from_json, l2_norm
-from .scalars import format_scalar
-from .space import AtomSpace, make_space
+from .kernels import MAX_ARITY, canonical_project, indicator_kernel, kernel_from_json, l2_norm
+from .scalars import format_scalar, in_float_range
+from .space import make_space
 
 DEFAULT_SEED = 12345
 REPORT_SCHEMA = 1
 _SELF_CHECK_OFFSET = 2 * 10**9
 
+# -- the schema table -------------------------------------------------------
+# One JSON Schema per config file; docs/config_schema.md carries the same
+# blocks and a test holds the two equal.  Nested objects allow extra keys.
 
-def _load_config(path: str, keys: tuple[str, ...]) -> dict:
-    """A JSON object whose keys are all in ``keys`` (the schema's properties)."""
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
-        raise MalformedInput(f"cannot read config {path}: {e}") from e
-    if not isinstance(doc, dict):
-        raise MalformedInput(f"config {path} must hold a JSON object")
-    unknown = sorted(set(doc) - set(keys))
-    if unknown:
-        raise MalformedInput(f"unknown keys {unknown} in {path}; allowed: {list(keys)}")
-    return doc
+_SCALARS = {"type": "array", "items": {"type": ["string", "number"]}}
+_SEED = {"type": "integer", "minimum": 0, "default": DEFAULT_SEED}
+_COUNT = {"type": "integer", "minimum": 1, "maximum": 2**63 - 1}  # int64 count arrays
+_CONSTANT = {"type": "number", "exclusiveMinimum": 0, "default": 1.0}
+SCHEMAS = {
+    "verify": {"type": "object", "additionalProperties": False, "properties": {
+        "seed": _SEED,
+        "mode": {"const": "exact", "default": "exact"},
+        "suites": {"type": "array", "items": {"enum": list(verify.SUITES)},
+                   "default": list(verify.SUITES)}}},
+    "tails": {"type": "object", "additionalProperties": False,
+              "required": ["space", "kernel", "replicates", "n"], "properties": {
+        "space": {"type": "object", "required": ["weights"], "properties": {"weights": _SCALARS}},
+        "kernel": {"type": "object", "required": ["arity", "values"], "properties": {
+            "arity": {"type": "integer", "minimum": 0, "maximum": MAX_ARITY},
+            "values": _SCALARS}},
+        "canonicalize": {"type": "boolean", "default": False},
+        "replicates": _COUNT,
+        "n": _COUNT,
+        "x_grid": {"type": "array", "minItems": 1,
+                   "items": {"type": "number", "exclusiveMinimum": 0}},
+        "grid_points": {"type": "integer", "minimum": 2, "default": 12},
+        "seed": _SEED,
+        "target": {"enum": ["integral", "ustat"], "default": "integral"}}},
+    "bounds": {"type": "object", "additionalProperties": False, "properties": {
+        "C": _CONSTANT, "alpha": _CONSTANT, "c1": _CONSTANT, "c2": _CONSTANT}},
+}
+# The range-checked flags, by argparse dest.
+_FLAGS = {dest: {"type": "integer", "minimum": low} for dest, low in (
+    ("workers", 1), ("k", 1), ("n", 1), ("k_max", 1), ("m_max", 0), ("n_max", 2))}
+_FLAGS["sigma"] = {"type": "number", "exclusiveMinimum": 0, "maximum": 1}
+# "number" is a finite JSON number in float range, "integer" any whole number.
+_TYPES = {
+    "object": lambda v: isinstance(v, dict), "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str), "boolean": lambda v: isinstance(v, bool),
+    "number": lambda v: type(v) in (int, float) and in_float_range(v),
+    "integer": lambda v: type(v) is int or type(v) is float and v.is_integer(),
+}
 
 
-def _int_field(cfg: dict, key: str, default: int | None = None, minimum: int | None = None) -> int:
-    if key not in cfg and default is None:
-        raise MalformedInput(f"config needs {key!r}")
-    value = cfg.get(key, default)
-    if isinstance(value, bool) or not (isinstance(value, int) or (
-            isinstance(value, float) and value.is_integer())):
-        raise MalformedInput(f"{key!r} must be an integer, got {value!r}")
-    value = int(value)
-    if minimum is not None and value < minimum:
-        raise MalformedInput(f"{key!r} must be at least {minimum}, got {value}")
+def _check(name: str, value, spec: dict):
+    """``value`` checked against ``spec`` in the JSON Schema keywords the
+    table uses, with an integral float of type integer read as an int and
+    an object's absent properties filled from their defaults.  Anything
+    else raises MalformedInput naming ``name``."""
+    def refuse(rule: str):
+        raise MalformedInput(f"{name} must {rule}, got {value!r}")
+
+    types = spec.get("type", [])
+    types = [types] if isinstance(types, str) else types
+    if types and not any(_TYPES[t](value) for t in types):
+        refuse(f"be of type {' or '.join(types)}")
+    if "integer" in types and isinstance(value, float):
+        value = int(value)
+    if "const" in spec and value != spec["const"]:
+        refuse(f"be {spec['const']!r}")
+    if "enum" in spec and value not in spec["enum"]:
+        refuse(f"be one of {spec['enum']}")
+    if "minimum" in spec and value < spec["minimum"]:
+        refuse(f"be at least {spec['minimum']}")
+    if "exclusiveMinimum" in spec and value <= spec["exclusiveMinimum"]:
+        refuse(f"be above {spec['exclusiveMinimum']}")
+    if "maximum" in spec and value > spec["maximum"]:
+        refuse(f"be at most {spec['maximum']}")
+    if "minItems" in spec and len(value) < spec["minItems"]:
+        refuse(f"hold at least {spec['minItems']} items")
+    if "items" in spec:
+        value = [_check(f"{name}[{i}]", v, spec["items"]) for i, v in enumerate(value)]
+    if "properties" in spec:
+        props = spec["properties"]
+        missing = [key for key in spec.get("required", []) if key not in value]
+        if missing:
+            raise MalformedInput(f"{name} needs the keys {missing}")
+        unknown = sorted(set(value) - set(props))
+        if unknown and spec.get("additionalProperties", True) is False:
+            raise MalformedInput(f"unknown keys {unknown} in {name}; allowed: {list(props)}")
+        value = {**value, **{key: _check(f"{name}.{key}", value[key], sub) if key in value
+                             else sub["default"]
+                             for key, sub in props.items() if key in value or "default" in sub}}
     return value
 
 
-def _workers(args) -> int:
-    if args.workers < 1:
-        raise MalformedInput(f"--workers must be at least 1, got {args.workers}")
-    return args.workers
+def _read_config(path: str | None, schema: dict) -> dict:
+    """The JSON object in the file at ``path`` (none: the empty object),
+    checked against ``schema`` and with its defaults filled in."""
+    doc = {}
+    if path:
+        try:
+            with open(path) as fh:
+                doc = json.load(fh)
+        except (OSError, ValueError, RecursionError) as e:
+            raise MalformedInput(f"cannot read config {path}: {e}") from e
+    return _check("config", doc, schema)
 
 
 def _levels(values) -> tuple[float, ...]:
-    """A level grid: finite positive numbers (ints or floats, not booleans
-    or strings), in strictly ascending order."""
-    try:
-        values = list(values)
-        if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in values):
-            raise TypeError
-        xs = tuple(float(x) for x in values)
-    except (TypeError, OverflowError):
-        raise MalformedInput(
-            f"grid levels must be numbers in float range, got {values!r}") from None
+    """A level grid: finite positive numbers in strictly ascending order."""
+    xs = tuple(float(x) for x in values)
     if not xs or not all(0 < x < math.inf for x in xs) or any(b <= a for a, b in zip(xs, xs[1:])):
         raise MalformedInput(f"grid levels must be positive and strictly ascending, got {xs}")
     return xs
 
 
-def space_to_json(space: AtomSpace) -> dict:
-    return {"weights": [format_scalar(w) for w in space.weights]}
-
-
-def space_from_json(doc: dict) -> AtomSpace:
-    if not (isinstance(doc, dict) and isinstance(doc.get("weights"), list)):
-        raise MalformedInput("space descriptor needs a 'weights' list")
-    return make_space(doc["weights"])
-
-
-def _kernel_hash(space: AtomSpace, kernel_doc: dict, canonicalize: bool) -> str:
-    payload = json.dumps({"space": space_to_json(space), "kernel": kernel_doc,
-                          "canonicalize": canonicalize}, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]
+def _write(files: dict, out_dir: str = "") -> None:
+    """Write each of ``files``, a path under ``out_dir`` (created if absent)
+    -> its text or CSV rows.  A path that cannot be written is a
+    configuration error, as an unreadable config is."""
+    path = Path(out_dir)
+    try:
+        if out_dir:
+            path.mkdir(parents=True, exist_ok=True)
+        for name, content in files.items():
+            path = Path(out_dir, name)
+            with open(path, "w", newline="") as fh:
+                if isinstance(content, str):
+                    fh.write(content)
+                else:
+                    csv.writer(fh).writerows(content)
+    except OSError as e:
+        raise MalformedInput(f"cannot write {path}: {e}") from e
 
 
 # -- verify -----------------------------------------------------------------
 
 def cmd_verify(args) -> int:
-    cfg = _load_config(args.config, ("seed", "mode", "suites")) if args.config else {}
-    mode = cfg.get("mode", "exact")
-    if mode != "exact":
-        raise MalformedInput(f"identity suites require exact mode, got {mode!r}")
-    seed = _int_field(cfg, "seed", DEFAULT_SEED, minimum=0)
-    suites = cfg.get("suites")
-    if suites is not None and not (isinstance(suites, list) and all(
-            isinstance(s, str) and s in verify.SUITES for s in suites)):
-        raise MalformedInput(f"'suites' must list names from {list(verify.SUITES)}, got {suites!r}")
-    results = verify.run_all(seed, suites, workers=_workers(args))
-    report = {"schema": REPORT_SCHEMA, "seed": seed, "mode": mode,
+    cfg = _read_config(args.config, SCHEMAS["verify"])
+    results = verify.run_all(cfg["seed"], cfg["suites"], workers=args.workers)
+    report = {"schema": REPORT_SCHEMA, "seed": cfg["seed"], "mode": cfg["mode"],
               "results": [r.as_dict() for r in results]}
-    text = json.dumps(report, indent=2)
     if args.report:
-        Path(args.report).write_text(text + "\n")
+        _write({args.report: json.dumps(report, indent=2) + "\n"})
     for r in results:
         status = "pass" if r.passed else "FAIL"
         print(f"{r.name:12s} {status}  checks={r.checks} failures={r.failures} "
@@ -136,42 +186,19 @@ def cmd_verify(args) -> int:
 
 # -- tails ------------------------------------------------------------------
 
-def _build_kernel(cfg: dict):
-    if "space" not in cfg or "kernel" not in cfg:
-        raise MalformedInput("tails config needs 'space' and 'kernel' descriptors")
-    kernel_doc = cfg["kernel"]
-    if not (isinstance(kernel_doc, dict) and "arity" in kernel_doc
-            and isinstance(kernel_doc.get("values"), list)):
-        raise MalformedInput("kernel descriptor needs 'arity' and a 'values' list")
-    canonicalize = cfg.get("canonicalize", False)
-    if not isinstance(canonicalize, bool):
-        raise MalformedInput(f"'canonicalize' must be true or false, got {canonicalize!r}")
-    space = space_from_json(cfg["space"])
-    f = kernel_from_json(space, kernel_doc)
-    if canonicalize:
-        f = canonical_project(f)
-    return space, f, canonicalize
-
-
-_TAILS_KEYS = ("space", "kernel", "canonicalize", "replicates", "n", "x_grid",
-               "grid_points", "seed", "target")
-
-
 def cmd_tails(args) -> int:
-    _workers(args)  # validated only: replicates run serially
-    cfg = _load_config(args.config, _TAILS_KEYS)
-    replicates, n = _int_field(cfg, "replicates"), _int_field(cfg, "n")
-    space, f, canonicalize = _build_kernel(cfg)
-    seed = _int_field(cfg, "seed", DEFAULT_SEED, minimum=0)
-    grid_points = _int_field(cfg, "grid_points", 12, minimum=2)
-    grid = _levels(cfg["x_grid"]) if "x_grid" in cfg else ()
+    cfg = _read_config(args.config, SCHEMAS["tails"])
     try:
-        mc = montecarlo.McConfig(replicates, seed, n, grid, cfg.get("target", "integral"))
-    except ValueError as e:
-        raise MalformedInput(str(e)) from None
-    if not mc.x_grid:
-        grid = montecarlo.auto_grid(f, mc, points=grid_points)
-        mc = montecarlo.McConfig(mc.replicates, mc.seed, mc.n, grid, mc.target)
+        space = make_space(cfg["space"]["weights"])
+        f = kernel_from_json(space, cfg["kernel"])
+    except EmpintError as e:
+        raise MalformedInput(f"bad space or kernel: {e}") from e
+    if cfg["canonicalize"]:
+        f = canonical_project(f)
+    mc = montecarlo.McConfig(cfg["replicates"], cfg["seed"], cfg["n"], (), cfg["target"])
+    grid = (_levels(cfg["x_grid"]) if "x_grid" in cfg
+            else montecarlo.auto_grid(f, mc, points=cfg["grid_points"]))
+    mc = montecarlo.McConfig(mc.replicates, mc.seed, mc.n, grid, mc.target)
     est = montecarlo.estimate_tail(f, mc)
     if est.sigma == 0.0:
         # zero kernel: the statistic vanishes identically, so the exact
@@ -183,24 +210,19 @@ def cmd_tails(args) -> int:
             p16 = montecarlo.fit_constants(est, "bernstein")
         except EmpintError as e:
             raise MalformedInput(f"cannot fit bound constants: {e}") from e
-
-    outdir = Path(args.out_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    with open(outdir / "tails.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["x", "p_hat", "stderr", "bound13", "bound16"])
-        for x, p, se in zip(est.x_grid, est.p_hat, est.stderr):
-            if p13 is None:
-                b13 = b16 = 0.0
-            else:
-                b13 = bounds_mod.two_regime_tail_bound(x, est.k, est.sigma, est.n, p13)
-                b16 = bounds_mod.bernstein_tail_bound(x, est.k, est.sigma, est.n, p16)
-            w.writerow([repr(x), repr(p), repr(se), repr(b13), repr(b16)])
+    tails = [["x", "p_hat", "stderr", "bound13", "bound16"]]
+    for x, p, se in zip(est.x_grid, est.p_hat, est.stderr):
+        if p13 is None:
+            b13 = b16 = 0.0
+        else:
+            b13 = bounds_mod.two_regime_tail_bound(x, est.k, est.sigma, est.n, p13)
+            b16 = bounds_mod.bernstein_tail_bound(x, est.k, est.sigma, est.n, p16)
+        tails.append([repr(x), repr(p), repr(se), repr(b13), repr(b16)])
 
     # self check: the arity-1 centered indicator has an exact binomial tail
     w0 = space.weights[0]
     ind = canonical_project(indicator_kernel(space, 0))
-    sc_mc = montecarlo.McConfig(mc.replicates, seed, mc.n, (), "integral")
+    sc_mc = montecarlo.McConfig(mc.replicates, mc.seed, mc.n, (), "integral")
     sc_values = montecarlo.replicate_values(ind, sc_mc, base_offset=_SELF_CHECK_OFFSET)
     sc_grid = montecarlo.binomial_levels(w0, mc.n, l2_norm(ind), (0.5, 1.0, 1.5, 2.0, 3.0))
     exact = montecarlo.binomial_tail_oracle(Fraction(w0), mc.n, sc_grid)
@@ -209,16 +231,18 @@ def cmd_tails(args) -> int:
     stderr = [math.sqrt(pe * (1.0 - pe) / mc.replicates) for pe in exact]
     zs = [abs(p - pe) / se if se > 0 else (0.0 if p == pe else math.inf)
           for pe, p, se in zip(exact, p_hat, stderr)]
-    with open(outdir / "self_check.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["x", "p_hat", "p_exact", "stderr", "z"])
-        for row in zip(sc_grid, p_hat, exact, stderr, zs):
-            w.writerow([repr(v) for v in row])
+    self_check = [["x", "p_hat", "p_exact", "stderr", "z"],
+                  *([repr(v) for v in row] for row in zip(sc_grid, p_hat, exact, stderr, zs))]
 
-    manifest = {"seed": seed, "replicates": mc.replicates, "n": mc.n,
-                "kernel_hash": _kernel_hash(space, cfg["kernel"], canonicalize)}
-    (outdir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
-    print(f"wrote {outdir}/tails.csv, self_check.csv, manifest.json; "
+    # the space, the kernel as written and canonicalize
+    hashed = json.dumps({"space": {"weights": [format_scalar(w) for w in space.weights]},
+                         "kernel": cfg["kernel"], "canonicalize": cfg["canonicalize"]},
+                        sort_keys=True, separators=(",", ":"))
+    manifest = {"seed": mc.seed, "replicates": mc.replicates, "n": mc.n,
+                "kernel_hash": hashlib.sha256(hashed.encode()).hexdigest()[:16]}
+    _write({"tails.csv": tails, "self_check.csv": self_check,
+            "manifest.json": json.dumps(manifest, indent=2) + "\n"}, args.out_dir)
+    print(f"wrote {Path(args.out_dir)}/tails.csv, self_check.csv, manifest.json; "
           f"worst self-check z {max(zs):.2f}")
     return 0
 
@@ -226,27 +250,14 @@ def cmd_tails(args) -> int:
 # -- constants --------------------------------------------------------------
 
 def cmd_constants(args) -> int:
-    for flag, value, minimum in (("--k-max", args.k_max, 1), ("--m-max", args.m_max, 0),
-                                 ("--n-max", args.n_max, 2)):
-        if value < minimum:
-            raise MalformedInput(f"{flag} must be at least {minimum}, got {value}")
-    outdir = Path(args.out_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
     table = combinatorics.moment_constant_table(args.k_max, args.m_max)
-    with open(outdir / "moment_constants.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["k", "m", "D", "Cbar"])
-        for k, m, d, cbar in table.rows:
-            w.writerow([k, m, str(d), str(cbar)])
-    with open(outdir / "expectation_constants.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        # B_nk is the exact rational b with scaled constant = b * n^{-k/2}
-        w.writerow(["n", "k", "B_nk"])
-        for n in range(2, args.n_max + 1):
-            for k in range(1, args.k_max + 1):
-                b = combinatorics.expectation_coefficient(n, k) * Fraction(n) ** k
-                w.writerow([n, k, str(b)])
-    print(f"wrote {outdir}/moment_constants.csv, expectation_constants.csv")
+    # B_nk is the exact rational b with scaled constant = b * n^{-k/2}
+    expectation = [[n, k, str(combinatorics.expectation_coefficient(n, k) * Fraction(n) ** k)]
+                   for n in range(2, args.n_max + 1) for k in range(1, args.k_max + 1)]
+    _write({"moment_constants.csv": [["k", "m", "D", "Cbar"],
+                                     *([k, m, str(d), str(c)] for k, m, d, c in table.rows)],
+            "expectation_constants.csv": [["n", "k", "B_nk"], *expectation]}, args.out_dir)
+    print(f"wrote {Path(args.out_dir)}/moment_constants.csv, expectation_constants.csv")
     return 0
 
 
@@ -267,28 +278,12 @@ def _parse_grid(text: str) -> tuple[float, ...]:
 
 
 def cmd_bounds(args) -> int:
-    if args.k < 1 or args.n < 1 or not 0 < args.sigma <= 1:
-        raise MalformedInput(f"need --k >= 1, 0 < --sigma <= 1 and --n >= 1, "
-                             f"got {args.k}, {args.sigma}, {args.n}")
-    params = bounds_mod.BoundParams()
-    if args.constants_file:
-        doc = _load_config(args.constants_file, ("C", "alpha", "c1", "c2"))
-        try:
-            consts = {key: float(v) for key, v in doc.items()}
-        except (TypeError, ValueError):
-            consts = None
-        if consts is None or not all(0 < v < math.inf for v in consts.values()):
-            raise MalformedInput(f"bound constants must be positive finite numbers, got {doc}")
-        params = bounds_mod.BoundParams(**consts)
-    grid = _parse_grid(args.x_grid)
-    rows = bounds_mod.regime_report(args.k, args.sigma, args.n, grid, params)
-    out = Path(args.out)
-    with open(out, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["x", "bound13", "bound16", "active_branch", "log_ratio"])
-        for x, b13, b16, branch, lr in rows:
-            w.writerow([repr(x), repr(b13), repr(b16), branch, repr(lr)])
-    print(f"wrote {out}")
+    params = bounds_mod.BoundParams(**_read_config(args.constants_file, SCHEMAS["bounds"]))
+    rows = bounds_mod.regime_report(args.k, args.sigma, args.n, _parse_grid(args.x_grid), params)
+    _write({args.out: [["x", "bound13", "bound16", "active_branch", "log_ratio"],
+                       *([repr(x), repr(b13), repr(b16), branch, repr(lr)]
+                         for x, b13, b16, branch, lr in rows)]})
+    print(f"wrote {Path(args.out)}")
     return 0
 
 
@@ -339,6 +334,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        for dest, spec in _FLAGS.items():
+            if dest in vars(args):
+                _check("--" + dest.replace("_", "-"), vars(args)[dest], spec)
         return args.func(args)
     except MalformedInput as e:
         print(f"configuration error: {e}", file=sys.stderr)

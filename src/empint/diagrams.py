@@ -166,8 +166,8 @@ def contract_class_average(f: Kernel, g: Kernel, cls: DiagramClass) -> Kernel:
 
 # -- text form --------------------------------------------------------------
 
-_DIAGRAM_RE = re.compile(r"^B\((\d+),\s*(\d+);\s*((?:\(\d+,\s*\d+\)[+-]\s*)*)\)$")
-_EDGE_RE = re.compile(r"\((\d+),\s*(\d+)\)([+-])")
+_DIAGRAM_RE = re.compile(r"B\((\d+),\s*(\d+);\s*((?:\(\d+,\s*\d+\)[+-]\s*)*)\)", re.ASCII)
+_EDGE_RE = re.compile(r"\((\d+),\s*(\d+)\)([+-])", re.ASCII)
 
 
 def format_diagram(d: ColoredDiagram) -> str:
@@ -180,15 +180,17 @@ def format_diagram(d: ColoredDiagram) -> str:
 
 
 def parse_diagram(text: str) -> ColoredDiagram:
-    """Read the text form of format_diagram; anything else raises InvalidDiagram."""
-    m = _DIAGRAM_RE.match(text.strip())
+    """Read the text form of format_diagram; anything else, a non-string
+    included, raises InvalidDiagram."""
+    m = _DIAGRAM_RE.fullmatch(text.strip()) if isinstance(text, str) else None
     if not m:
         raise InvalidDiagram(f"cannot parse diagram {text!r}")
-    k1, k2, rest = int(m.group(1)), int(m.group(2)), m.group(3)
-    edges = []
-    colored = set()
-    for t, em in enumerate(_EDGE_RE.finditer(rest), 1):
-        edges.append((int(em.group(1)), int(em.group(2))))
-        if em.group(3) == "+":
-            colored.add(t)
-    return ColoredDiagram(k1, k2, tuple(edges), frozenset(colored))
+    k1, k2, rest = m.groups()
+    found = _EDGE_RE.findall(rest)
+    try:
+        k1, k2 = int(k1), int(k2)
+        edges = tuple((int(a), int(b)) for a, b, _ in found)
+    except ValueError:  # more digits than int() converts
+        raise InvalidDiagram(f"cannot parse diagram {text!r}") from None
+    return ColoredDiagram(k1, k2, edges, frozenset(t for t, (*_, sign) in enumerate(found, 1)
+                                                   if sign == "+"))

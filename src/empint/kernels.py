@@ -32,7 +32,8 @@ import numpy as np
 
 from .errors import (ArityMismatch, MalformedInput, NoSuchAxis, NotCanonical, SameAxis,
                      SpaceMismatch)
-from .scalars import FLOAT_TOL, Arithmetic, Scalar, format_scalar, mode_of, parse_scalar
+from .scalars import (FLOAT_TOL, Arithmetic, Scalar, format_scalar, in_float_range, mode_of,
+                      parse_scalar)
 from .space import AtomSpace
 
 __all__ = [
@@ -43,6 +44,8 @@ __all__ = [
     "compact_relabel", "random_kernel", "kernel_to_json",
     "kernel_from_json",
 ]
+
+MAX_ARITY = 32  # numpy 1.x's limit on array dimensions
 
 
 @dataclass(frozen=True, eq=False)
@@ -300,15 +303,20 @@ def kernel_to_json(f: Kernel) -> dict:
 
 
 def kernel_from_json(space: AtomSpace, doc: dict) -> Kernel:
-    """Read the wire form.  Raises MalformedInput for an arity that is not a
-    non-negative integer, a value parse_scalar rejects or a value that is
-    not finite."""
+    """Read the wire form.  Raises MalformedInput for a doc that is not an
+    object with an ``arity`` and a ``values`` list, an arity that is not an
+    integer from 0 to MAX_ARITY, a value parse_scalar rejects or a value
+    that is not finite or lies outside float range."""
+    if not (isinstance(doc, dict) and "arity" in doc and isinstance(doc.get("values"), list)):
+        raise MalformedInput(f"a kernel needs an 'arity' and a 'values' list, got {doc!r}")
     arity = doc["arity"]
-    if isinstance(arity, bool) or not isinstance(arity, int) or arity < 0:
-        raise MalformedInput(f"kernel arity must be a non-negative integer, got {arity!r}")
+    if isinstance(arity, bool) or not isinstance(arity, int) or not 0 <= arity <= MAX_ARITY:
+        raise MalformedInput(f"kernel arity must be an integer from 0 to {MAX_ARITY}, "
+                             f"got {arity!r}")
     vals = [parse_scalar(v) for v in doc["values"]]
-    if not all(math.isfinite(v) for v in vals):
-        raise MalformedInput(f"kernel values must be finite, got {doc['values']!r}")
+    if not all(in_float_range(v) for v in vals):
+        raise MalformedInput(f"kernel values must be finite and in float range, "
+                             f"got {doc['values']!r}")
     want = space.n_atoms**arity
     if len(vals) != want:
         raise ArityMismatch(f"expected {want} values for arity {arity}, got {len(vals)}")

@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .bounds import BoundParams, bernstein_exponent, two_regime_exponent
-from .errors import EmptyGrid, InsufficientTailData, NegativeSeed
+from .errors import EmptyGrid, InsufficientTailData, NegativeSeed, RegimeViolation
 from .integrals import eval_batch
 from .kernels import Kernel, l2_norm
 from .space import RandomSource, draw_counts
@@ -155,8 +155,12 @@ def fit_constants(est: TailEstimate, form: str = "two_regime") -> BoundParams:
     shape, then lift the constant so the bound dominates every empirical
     point.  Needs at least three grid points with nonzero exceedance and
     a decaying fit: a fitted exponent <= 0 would be a bound that grows
-    with x.
+    with x.  The shapes hold for arity >= 1 and 0 < sigma <= 1; anything
+    else raises RegimeViolation.
     """
+    if est.k < 1 or not 0 < est.sigma <= 1:
+        raise RegimeViolation(f"the bound shapes need arity >= 1 and 0 < sigma <= 1, "
+                              f"got arity {est.k} and sigma {est.sigma}")
     pts = [(x, p) for x, p in zip(est.x_grid, est.p_hat) if p > 0]
     if len(pts) < 3:
         raise InsufficientTailData(f"only {len(pts)} nonzero tail points, need 3")

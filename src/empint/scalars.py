@@ -48,6 +48,15 @@ def parse_scalar(v) -> Scalar:
     raise MalformedInput(f"not a scalar: {v!r}")
 
 
+def in_float_range(x) -> bool:
+    """Whether a scalar is finite and a float can hold it: not NaN, not
+    infinite and, for an exact scalar, not too large to convert."""
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
+
+
 def format_scalar(x: Scalar) -> str:
     """Render a scalar the way parse_scalar reads it back; exact stays exact."""
     if is_exact(x):

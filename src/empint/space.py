@@ -38,8 +38,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import (EmptySpace, EnumerationTooLarge, NegativeSeed, NegativeWeight,
-                     NonfiniteWeight, WeightsNotNormalized)
+from .errors import (EmptySpace, EnumerationTooLarge, MalformedInput, NegativeSeed,
+                     NegativeWeight, NonfiniteWeight, WeightsNotNormalized)
 from .scalars import FLOAT_TOL, Scalar, is_exact, mode_of, parse_scalar
 
 ENUMERATION_CAP = 10**6
@@ -83,8 +83,12 @@ def make_space(weights) -> AtomSpace:
     """Validate and build a space.  Weights may be Fractions, "p/q" strings,
     ints, or floats; a fully rational list yields an exact-mode space.
 
-    Raises EmptySpace, NonfiniteWeight, NegativeWeight, or WeightsNotNormalized.
+    Raises MalformedInput for a string or a non-iterable in place of the
+    list and for a weight parse_scalar rejects; EmptySpace, NonfiniteWeight,
+    NegativeWeight, or WeightsNotNormalized otherwise.
     """
+    if isinstance(weights, (str, bytes)) or not hasattr(weights, "__iter__"):
+        raise MalformedInput(f"weights must be a list of scalars, got {weights!r}")
     parsed = tuple(parse_scalar(w) for w in weights)
     if not parsed:
         raise EmptySpace("a space needs at least one atom")
@@ -93,6 +97,8 @@ def make_space(weights) -> AtomSpace:
             raise NonfiniteWeight(f"weight {w} is not finite")
         if w < 0:
             raise NegativeWeight(f"weight {w} is negative")
+        if w > 1 + FLOAT_TOL:  # keeps an exact weight too large for a float out of the sum
+            raise WeightsNotNormalized(f"weight {w} exceeds 1")
     total = sum(parsed)
     if all(is_exact(w) for w in parsed):
         if total != 1:

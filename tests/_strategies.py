@@ -1,5 +1,5 @@
 """Hypothesis strategies shared by the property tests: small exact spaces,
-kernels on them and samples from them."""
+kernels on them, samples from them and arbitrary JSON values."""
 from fractions import Fraction as F
 
 import numpy as np
@@ -27,6 +27,19 @@ def exact_kernels(sp, arity):
 def samples_of(sp, n):
     return st.lists(st.integers(0, sp.n_atoms - 1), min_size=n, max_size=n).map(
         lambda pts: Sample(sp, tuple(pts)))
+
+
+def json_values(floats=st.floats()):
+    """Any JSON value: strings, booleans, floats drawn from ``floats``, null,
+    ints up to 50 (negative ones included), ints past int64, and lists and
+    objects of them.  Strings and object keys are often names the config
+    readers look for, so valid values turn up too."""
+    names = st.sampled_from(["weights", "arity", "values", "exact", "ustat", "norms", "1/2"])
+    leaves = (names | st.text(max_size=6) | st.booleans() | floats | st.none()
+              | st.integers(max_value=50) | st.integers(min_value=2**63))
+    return leaves | st.recursive(leaves, lambda inner: st.lists(inner, max_size=4)
+                                 | st.dictionaries(names | st.text(max_size=6), inner, max_size=3),
+                                 max_leaves=8)
 
 
 PROPERTY = settings(derandomize=True, max_examples=150, deadline=None)

@@ -129,6 +129,21 @@ def test_regime_report_errors():
         regime_report(2, 0.4, 25, [])
     with pytest.raises(ValueError):
         regime_report(2, 0.4, 25, [1.0, 0.5])
+    for k, sigma, n in ((100000, 0.4, 10), (2, 0.4, 10**400), (1000, 0.01, 10)):
+        with pytest.raises(RegimeViolation):
+            crossover_level(k, sigma, n)
+        with pytest.raises(RegimeViolation):
+            regime_report(k, sigma, n, [0.5, 1.0])
+
+
+def test_regime_report_past_float_range():
+    # a bound that underflows to 0 keeps its log from the exponent
+    (_, b13, b16, _, lr), = regime_report(2, 0.4, 25, [1.0], BoundParams(alpha=1e5))
+    assert b13 == 0.0 and lr == pytest.approx(-1e5 * 2.5 - math.log(b16))
+    # an exponent past float range reads as inf: both bounds are 0
+    for x in (1e155, 1e300):
+        assert two_regime_tail_bound(x, 1, 0.5, 10) == bernstein_tail_bound(x, 1, 0.5, 10) == 0.0
+    assert all(r[1] == r[2] == 0.0 for r in regime_report(1, 0.5, 10, [1e155, 1e300]))
 
 
 def test_bounds_are_exponentials_of_the_exponent_functions():

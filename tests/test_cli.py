@@ -1,13 +1,22 @@
+import contextlib
 import csv
+import io
 import json
+import math
 import os
+import re
+import sys
+import tempfile
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 import empint.diagrams
 import empint.verify
-from empint.cli import main
+from _strategies import PROPERTY, json_values
+from empint.cli import SCHEMAS, main
 from empint.errors import EmpintError
 
 
@@ -219,6 +228,9 @@ def test_tails_config_errors(tmp_path, capsys):
                 str(tmp_path / "o")]) == 2
     assert run(["tails", "--config", str(tmp_path / "nope.json"),
                 "--out-dir", str(tmp_path / "o")]) == 2
+    not_utf8 = tmp_path / "latin1.json"
+    not_utf8.write_bytes(b'{"seed": "\xff"}')
+    assert run(["tails", "--config", str(not_utf8), "--out-dir", str(tmp_path / "o")]) == 2
     capsys.readouterr()
 
 
@@ -298,6 +310,15 @@ def test_bounds_comma_grid_and_constants_file(tmp_path):
     ("tails", {"x_grid": [0.2, 0.5, 0.9, True]}),
     ("tails", {"x_grid": ["0.2", "0.5", "0.9"]}), ("tails", {"x_grid": [0.2, "0.5", 0.9]}),
     ("verify", ["--workers", "0"]), ("tails", {"x_grid": [0.2, 10**400]}),
+    ("bounds", {"C": True}), ("bounds", {"C": "2"}), ("bounds", {"C": 10**400}),
+    ("tails", {"replicates": 10**22}), ("tails", {"n": 2**63}),
+    ("tails", {"kernel": {"arity": 1, "values": [10**400, "0"]}}),
+    ("tails", {"kernel": {"arity": 33, "values": ["1", "0"]}}),
+    ("tails", {"kernel": {"arity": 2, "values": ["1", "0"]}}),
+    ("tails", {"space": {"weights": ["1/3", "1/3"]}}), ("tails", {"space": {"weights": []}}),
+    ("tails", {"kernel": {"arity": 0, "values": ["3"]}}),
+    ("tails", {"kernel": {"arity": 1, "values": ["5", "0"]}}),
+    ("bounds", ["--sigma", "nan"]), ("verify", {"mode": 0}),
 ])
 def test_bad_input_is_config_error(tmp_path, capsys, command, arg):
     if command == "bounds":
@@ -329,3 +350,106 @@ def test_bounds_bad_grid(tmp_path, capsys):
     assert run(["bounds", "--k", "2", "--sigma", "0.4", "--n", "25",
                 "--x-grid", "5:1:4", "--out", str(tmp_path / "b.csv")]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["verify", "tails", "constants", "bounds"])
+def test_unwritable_output_is_config_error(tmp_path, capsys, command):
+    (tmp_path / "file").write_text("")
+    blocked = str(tmp_path / "file" / "out")  # a path under a regular file
+    argv = {
+        "verify": ["verify", "--config", write_json(tmp_path / "v.json", {"suites": ["constants"]}),
+                   "--workers", "1", "--report", blocked],
+        "tails": ["tails", "--config", write_json(tmp_path / "t.json", TAILS_CFG),
+                  "--out-dir", blocked],
+        "constants": ["constants", "--k-max", "2", "--m-max", "2", "--n-max", "3",
+                      "--out-dir", blocked],
+        "bounds": ["bounds", "--k", "2", "--sigma", "0.4", "--n", "25", "--x-grid", "0.5,1",
+                   "--out", blocked],
+    }[command]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: cannot write {blocked}")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("k, n", [("100000", "10"), ("2", str(10**400))])
+def test_bounds_past_float_range_is_library_error(tmp_path, capsys, k, n):
+    assert run(["bounds", "--k", k, "--sigma", "0.4", "--n", n, "--x-grid", "0.5,1",
+                "--out", str(tmp_path / "b.csv")]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "b.csv").exists()
+
+
+def test_docs_schema_blocks_match_the_table():
+    text = (Path(__file__).parents[1] / "docs" / "config_schema.md").read_text()
+    documented = {}
+    for section in text.split("\n## ")[1:]:
+        command = section.split()[1]  # "`empint tails --config FILE`" -> "tails"
+        for block in re.findall(r"```json\n(.*?)```", section, re.S):
+            doc = json.loads(block)
+            if doc.pop("$schema", None):
+                documented[command] = doc
+    assert documented == SCHEMAS
+
+
+# -- each config key swapped for an arbitrary JSON value ----------------------
+
+def _whole(lo, hi=math.inf):
+    """Whole JSON numbers from lo to hi: 400 and 400.0, not "400" or true."""
+    return lambda v: (type(v) is int or type(v) is float and v.is_integer()) and lo <= v <= hi
+
+
+def _positive_number(v):
+    return type(v) in (int, float) and 0 < v <= sys.float_info.max
+
+
+def _levels(v):
+    return (isinstance(v, list) and len(v) > 0 and all(_positive_number(x) for x in v)
+            and all(a < b for a, b in zip(v, v[1:])))
+
+
+# an independent reading of docs/config_schema.md: what a key may hold for
+# its command to exit 0
+IN_SCHEMA = {
+    "verify": {
+        "seed": _whole(0), "mode": lambda v: v == "exact",
+        "suites": lambda v: isinstance(v, list) and all(s in tuple(empint.verify.SUITES)
+                                                        for s in v),
+    },
+    "tails": {
+        "space": lambda v: isinstance(v, dict) and isinstance(v.get("weights"), list),
+        "kernel": lambda v: isinstance(v, dict) and "arity" in v
+                            and isinstance(v.get("values"), list),
+        "canonicalize": lambda v: isinstance(v, bool),
+        "replicates": _whole(1, 2**63 - 1), "n": _whole(1, 2**63 - 1), "x_grid": _levels,
+        "grid_points": _whole(2), "seed": _whole(0), "target": lambda v: v in ("integral", "ustat"),
+    },
+    "bounds": {key: _positive_number for key in ("C", "alpha", "c1", "c2")},
+}
+FUZZ_BASE = {"verify": {"seed": 5, "suites": ["constants"]}, "tails": TAILS_CFG,
+             "bounds": {"C": 2.0, "alpha": 0.5}}
+_ANY, _SMALL = json_values(), json_values(st.floats(-50, 50))
+_RUN_SIZING = ("replicates", "n", "grid_points")  # drawn small, as the run may go ahead
+FUZZ = {command: st.one_of([st.tuples(st.just(key), _SMALL if key in _RUN_SIZING else _ANY)
+                            for key in sorted(keys)])
+        for command, keys in IN_SCHEMA.items()}
+
+
+@pytest.mark.parametrize("command", sorted(IN_SCHEMA))
+@PROPERTY
+@given(data=st.data())
+def test_config_key_fuzz_exits_0_or_2_property(command, data):
+    key, value = data.draw(FUZZ[command])
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = write_json(Path(tmp, "cfg.json"), {**FUZZ_BASE[command], key: value})
+        out = Path(tmp, "out")
+        argv = {"verify": ["verify", "--config", cfg, "--workers", "1", "--report", str(out)],
+                "tails": ["tails", "--config", cfg, "--out-dir", str(out)],
+                "bounds": ["bounds", "--k", "2", "--sigma", "0.4", "--n", "25", "--x-grid", "0.5,1",
+                           "--constants-file", cfg, "--out", str(out)]}[command]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 2) and "Traceback" not in err.getvalue()
+        assert code != 0 or IN_SCHEMA[command][key](value)
+        assert out.exists() == (code == 0)

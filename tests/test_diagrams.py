@@ -3,12 +3,14 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from _strategies import PROPERTY, json_values
 from empint.diagrams import (ColoredDiagram, DiagramClass, contract,
                              contract_class_average, diagram_count,
                              enumerate_diagrams, format_diagram, is_gaussian,
                              parse_diagram, product_formula_coefficient)
-from empint.errors import InvalidClass, InvalidDiagram
+from empint.errors import EmpintError, InvalidClass, InvalidDiagram
 from empint.kernels import (indicator_kernel, integrate_axis, kernel_from_values,
                             l2_norm_sq, random_kernel, substitute_axis,
                             sup_norm, tensor_product)
@@ -180,6 +182,25 @@ def test_parse_rejects_garbage():
         parse_diagram("B(2,2; (3,1)+)")
     with pytest.raises(InvalidDiagram):
         parse_diagram("B(2,2; (1,3)x (2,4)?)")
+    for bad in ("B(\u0661,1;)", "B(2,2; (1,\u0663)+)", 5, None, "B(" + "9" * 5000 + ",1;)"):
+        with pytest.raises(InvalidDiagram):
+            parse_diagram(bad)
+
+
+_NUMBERS = st.integers(0, 5).map(str) | st.sampled_from(["\u0661", "\u0663", "07"])
+_EDGES = st.builds("({},{}){}".format, _NUMBERS, _NUMBERS, st.sampled_from("+-"))
+_DIAGRAM_TEXTS = st.builds(lambda k1, k2, edges: f"B({k1},{k2}; {' '.join(edges)})",
+                           _NUMBERS, _NUMBERS, st.lists(_EDGES, max_size=3))
+
+
+@PROPERTY
+@given(text=_DIAGRAM_TEXTS | st.text(max_size=20) | json_values())
+def test_parse_diagram_returns_or_raises_typed_property(text):
+    try:
+        d = parse_diagram(text)
+    except EmpintError:
+        return
+    assert parse_diagram(format_diagram(d)) == d
 
 
 def test_contract_factorizes_over_tensor_structure():

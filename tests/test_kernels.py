@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import _oracle
-from _strategies import exact_kernels, exact_spaces
-from empint.errors import (ArityMismatch, MalformedInput, NoSuchAxis, NotCanonical, SameAxis,
-                           SpaceMismatch)
+from _strategies import PROPERTY, exact_kernels, exact_spaces, json_values
+from empint.errors import (ArityMismatch, EmpintError, MalformedInput, NoSuchAxis, NotCanonical,
+                           SameAxis, SpaceMismatch)
 from empint.kernels import (Kernel, canonical_project, center_axis, compact_relabel,
                             constant_kernel, indicator_kernel, integrate_axis,
                             is_canonical, kernel_from_json, kernel_from_values,
@@ -167,6 +167,22 @@ def test_kernel_json_round_trip(sp2):
     for bad in ("1/0", float("inf")):
         with pytest.raises(MalformedInput):
             kernel_from_json(sp2, {"arity": 1, "values": [bad, "0"]})
+    for doc in (["1", "0"], {"arity": 1}, {"arity": 1, "values": "10"},
+                {"arity": 1, "values": [10**400, "0"]}, {"arity": 33, "values": ["1"] * 2}):
+        with pytest.raises(MalformedInput):
+            kernel_from_json(sp2, doc)
+
+
+@PROPERTY
+@given(sp=exact_spaces(), doc=json_values() | st.fixed_dictionaries(
+    {"arity": st.integers(0, 3) | json_values(), "values": st.lists(
+        st.integers(-3, 3) | st.sampled_from(["1/2", "-2/3"]) | json_values(), max_size=9)}))
+def test_kernel_from_json_returns_or_raises_typed_property(sp, doc):
+    try:
+        f = kernel_from_json(sp, doc)
+    except EmpintError:
+        return
+    assert f.arity == doc["arity"] and f.values.size == len(doc["values"])
 
 
 def test_relabel_rules(sp2):

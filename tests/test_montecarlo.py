@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from empint import montecarlo
-from empint.errors import InsufficientTailData, NegativeSeed
+from empint.errors import InsufficientTailData, NegativeSeed, RegimeViolation
 from empint.kernels import (canonical_project, indicator_kernel, kernel_from_values, l2_norm,
                             l2_norm_sq, random_kernel)
 from empint.montecarlo import (McConfig, TailEstimate, auto_grid, binomial_levels,
@@ -150,6 +150,11 @@ def test_fit_constants_needs_data():
                                    stderr=(0.1, 0.1, 0.1), replicates=100,
                                    k=1, n=10, sigma=0.5, target="integral"),
                       form="cauchy")
+    for k, sigma in ((0, 0.5), (1, 2.5)):  # outside the bound shapes' regime
+        with pytest.raises(RegimeViolation):
+            fit_constants(TailEstimate(x_grid=(1.0, 2.0, 3.0), p_hat=(0.5, 0.4, 0.3),
+                                       stderr=(0.1, 0.1, 0.1), replicates=100, k=k, n=10,
+                                       sigma=sigma, target="integral"))
 
 
 def test_fit_constants_rejects_a_rising_tail():

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import empint
-from empint.errors import (EmptySpace, EnumerationTooLarge, NegativeSeed, NegativeWeight,
-                           NonfiniteWeight, WeightsNotNormalized)
+from _strategies import PROPERTY, json_values
+from empint.errors import (EmpintError, EmptySpace, EnumerationTooLarge, MalformedInput,
+                           NegativeSeed, NegativeWeight, NonfiniteWeight, WeightsNotNormalized)
 from empint import space as space_mod
 from empint.space import (RandomSource, Sample, draw_counts, draw_sample,
                           enumerate_counts, enumerate_samples, make_space, pcg64_state,
@@ -43,6 +44,22 @@ def test_make_space_errors():
             make_space(bad)
     # tiny float slack is accepted
     make_space([0.5, 0.5 + 1e-14])
+    for bad in ("1", b"\x01", 5, None):
+        with pytest.raises(MalformedInput):
+            make_space(bad)
+    with pytest.raises(WeightsNotNormalized):
+        make_space([10**400, 0.5])  # no float sum that overflows
+
+
+@PROPERTY
+@given(weights=json_values() | st.lists(json_values() | st.sampled_from(["1/2", "1/3", 0.5]),
+                                        max_size=4))
+def test_make_space_returns_or_raises_typed_property(weights):
+    try:
+        sp = make_space(weights)
+    except EmpintError:
+        return
+    assert sp.n_atoms == len(weights)
 
 
 def test_uniform_space():
