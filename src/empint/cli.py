@@ -33,7 +33,7 @@ from pathlib import Path
 from . import bounds as bounds_mod
 from . import combinatorics, montecarlo, verify
 from .errors import EmpintError, MalformedInput
-from .kernels import MAX_ARITY, canonical_project, indicator_kernel, kernel_from_json, l2_norm
+from .kernels import MAX_ARITY, canonical_project, indicator_kernel, kernel_from_json, l1_norm, l2_norm
 from .scalars import format_scalar, in_float_range
 from .space import make_space
 
@@ -53,7 +53,7 @@ SCHEMAS = {
     "verify": {"type": "object", "additionalProperties": False, "properties": {
         "seed": _SEED,
         "mode": {"const": "exact", "default": "exact"},
-        "suites": {"type": "array", "items": {"enum": list(verify.SUITES)},
+        "suites": {"type": "array", "minItems": 1, "items": {"enum": list(verify.SUITES)},
                    "default": list(verify.SUITES)}}},
     "tails": {"type": "object", "additionalProperties": False,
               "required": ["space", "kernel", "replicates", "n"], "properties": {
@@ -195,6 +195,8 @@ def cmd_tails(args) -> int:
         raise MalformedInput(f"bad space or kernel: {e}") from e
     if cfg["canonicalize"]:
         f = canonical_project(f)
+    if "x_grid" not in cfg and not l1_norm(f):
+        raise MalformedInput("the kernel vanishes on the support: no auto grid; give an x_grid")
     mc = montecarlo.McConfig(cfg["replicates"], cfg["seed"], cfg["n"], (), cfg["target"])
     grid = (_levels(cfg["x_grid"]) if "x_grid" in cfg
             else montecarlo.auto_grid(f, mc, points=cfg["grid_points"]))

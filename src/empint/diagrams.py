@@ -126,6 +126,7 @@ def enumerate_diagrams(cls: DiagramClass) -> Iterator[ColoredDiagram]:
                 yield ColoredDiagram(cls.k1, cls.k2, edges, frozenset(colored))
 
 
+@functools.lru_cache
 def product_formula_coefficient(k1: int, k2: int, l: int, p: int) -> Fraction:
     """Class coefficient in the product expansion of two normalized multiple
     integrals: (k1+k2-l-p)! / ((k1-l)! (k2-l)! (l-p)! p!)."""

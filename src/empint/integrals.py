@@ -18,8 +18,10 @@ measure (the rest to the negated base measure):
 The injective sum runs over *positions*, so it only depends on the sample's
 occupation counts c: grouping its slots by atom turns it into a polynomial
 in falling factorials (c_a)_m of the counts, one block of monomials per
-subset size.  Each kernel's polynomial is built once and memoized on the
-kernel and evaluated by one loop (``_evaluate``, Horner in n) that only
+subset size.  Which monomial each table entry feeds depends only on the
+table's shape, so that plan is built once per (atoms, axes) and only an
+``np.add.at`` runs per kernel.  Each polynomial is memoized on its kernel
+and evaluated by one loop (``_evaluate``, Horner in n) that only
 multiplies and adds.  In exact mode the coefficients are integers over one
 common denominator, so ``eval_integral`` and ``eval_ustat`` run the loop in
 Python ints and divide once; ``eval_batch`` runs it on float count arrays,
@@ -28,6 +30,7 @@ evaluate many samples at once for Monte Carlo.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import groupby
@@ -80,25 +83,33 @@ class _CountPolynomial:
 _polynomials: "WeakKeyDictionary[Kernel, _CountPolynomial]" = WeakKeyDictionary()
 
 
-def _monomials(table: np.ndarray, scale: int) -> tuple:
-    """The injective sum of a table as (coeff, ((atom, m), ...)) terms: slot
-    tuples that fill each atom equally often share one monomial, keyed by
-    the flat index of the tuple with its atoms sorted."""
-    s = table.ndim
-    slots = np.sort(np.indices(table.shape).reshape(s, table.size), axis=0)
-    keys = np.ravel_multi_index(slots, table.shape).reshape(table.size)
+@functools.lru_cache(maxsize=64)
+def _monomial_plan(atoms: int, s: int) -> tuple[np.ndarray, tuple]:
+    """Entry i of a flat s-axis table feeds monomial which[i], with factors
+    pairs[which[i]]: slot tuples that fill each atom equally often share one,
+    keyed by the flat index of the tuple with its atoms sorted."""
+    shape = (atoms,) * s
+    slots = np.sort(np.indices(shape).reshape(s, atoms**s), axis=0)
+    keys = np.ravel_multi_index(slots, shape).reshape(atoms**s)
     _, first, which = np.unique(keys, return_index=True, return_inverse=True)
-    coeffs = np.zeros(len(first), dtype=table.dtype)
-    np.add.at(coeffs, which.ravel(), table.ravel())
-    return tuple((c * scale, tuple((a, len(list(run))) for a, run in groupby(row)))
-                 for row, c in zip(slots[:, first].T.tolist(), coeffs.tolist()) if c)
+    which.flags.writeable = False  # shared by every caller
+    return which, tuple(tuple((a, len(list(run))) for a, run in groupby(row))
+                        for row in slots[:, first].T.tolist())
+
+
+def _monomials(table: np.ndarray, scale: int, atoms: int) -> tuple:
+    """The injective sum of a table as (coeff, ((atom, m), ...)) terms."""
+    which, pairs = _monomial_plan(atoms, table.ndim)
+    coeffs = np.zeros(len(pairs), dtype=table.dtype)
+    np.add.at(coeffs, which, table.ravel())
+    return tuple((c * scale, key) for key, c in zip(pairs, coeffs.tolist()) if c)
 
 
 def _count_polynomial(f: Kernel) -> _CountPolynomial:
     """The count polynomial of f, built once.  With f = F/d_f and weights
     W/d_w, block s sums, over every set S of s axes, F integrated against W
     over the axes outside S; scaling it by d_w^s puts all blocks over
-    den = k! d_f d_w^k."""
+    den = k! d_f d_w^k.  Block s reuses the plan of shape (atoms, s)."""
     if f in _polynomials:
         return _polynomials[f]
     mode = mode_of(f)
@@ -109,7 +120,7 @@ def _count_polynomial(f: Kernel) -> _CountPolynomial:
     for _ in range(k):
         integrated = [np.tensordot(t, w, axes=([s], [0])) for s, t in enumerate(sums)]
         sums = [integrated[0], *(a + b for a, b in zip(integrated[1:], sums)), sums[-1]]
-    blocks = tuple(_monomials(t, (-1) ** (k - s) * d_w**s) for s, t in enumerate(sums))
+    blocks = tuple(_monomials(t, (-1) ** (k - s) * d_w**s, len(w)) for s, t in enumerate(sums))
     _polynomials[f] = poly = _CountPolynomial(blocks, math.factorial(k) * d_f * d_w**k, mode)
     return poly
 

@@ -62,9 +62,9 @@ class Kernel:
         object.__setattr__(self, "values", v)
         if v.ndim != len(self.axis_labels):
             raise ArityMismatch(f"{v.ndim} tensor axes for {len(self.axis_labels)} labels")
-        if any(d != self.space.n_atoms for d in v.shape):
+        if v.shape != (self.space.n_atoms,) * v.ndim:
             raise ArityMismatch(f"tensor shape {v.shape} does not match {self.space.n_atoms} atoms")
-        if list(self.axis_labels) != sorted(set(self.axis_labels)):
+        if any(a >= b for a, b in zip(self.axis_labels, self.axis_labels[1:])):
             raise ValueError(f"axis labels must be strictly increasing, got {self.axis_labels}")
 
     @property

@@ -1,6 +1,11 @@
 """Reference definitions that the fast paths in ``empint`` are checked
 against.
 
+The count polynomial below sorts, ``np.unique``-s and groups the slots of
+every table afresh, where the library reuses one monomial plan per table
+shape.  The operations and their order are the same, so its blocks must
+match the library's with ``==``, and in float mode bit for bit.
+
 The recursive evaluator of the statistic follows the definition directly:
 for every subset S of coordinates, the kernel with the other coordinates
 integrated out is summed over injective assignments of sample positions to
@@ -11,6 +16,7 @@ runs on integer numerators and divides once.
 """
 import itertools
 import math
+from itertools import groupby
 
 import numpy as np
 
@@ -34,6 +40,31 @@ def subset_tables(f) -> dict:
             parent = tuple(sorted(S + (missing[0],)))
             tables[S] = np.tensordot(tables[parent], w, axes=([parent.index(missing[0])], [0]))
     return tables
+
+
+def _monomials(table: np.ndarray, scale: int) -> tuple:
+    s = table.ndim
+    slots = np.sort(np.indices(table.shape).reshape(s, table.size), axis=0)
+    keys = np.ravel_multi_index(slots, table.shape).reshape(table.size)
+    _, first, which = np.unique(keys, return_index=True, return_inverse=True)
+    coeffs = np.zeros(len(first), dtype=table.dtype)
+    np.add.at(coeffs, which.ravel(), table.ravel())
+    return tuple((c * scale, tuple((a, len(list(run))) for a, run in groupby(row)))
+                 for row, c in zip(slots[:, first].T.tolist(), coeffs.tolist()) if c)
+
+
+def count_polynomial(f) -> tuple:
+    """(blocks, den) of f's count polynomial, built for this kernel alone."""
+    mode = mode_of(f)
+    k = f.arity
+    values, d_f = mode.numerators(f.values)
+    w, d_w = mode.numerators(f.space.weight_vector)
+    sums = [values]
+    for _ in range(k):
+        integrated = [np.tensordot(t, w, axes=([s], [0])) for s, t in enumerate(sums)]
+        sums = [integrated[0], *(a + b for a, b in zip(integrated[1:], sums)), sums[-1]]
+    blocks = tuple(_monomials(t, (-1) ** (k - s) * d_w**s) for s, t in enumerate(sums))
+    return blocks, math.factorial(k) * d_f * d_w**k
 
 
 def _injection_sum(table: np.ndarray, counts: list[int], zero):

@@ -59,6 +59,14 @@ def test_verify_subset_and_seed(tmp_path):
     assert run(["verify", "--config", cfg]) == 0
 
 
+def test_verify_without_suites_is_config_error(tmp_path, capsys):
+    report = tmp_path / "report.json"
+    cfg = write_json(tmp_path / "cfg.json", {"suites": []})
+    assert run(["verify", "--config", cfg, "--report", str(report)]) == 2
+    assert capsys.readouterr().err.startswith("configuration error: config.suites must hold")
+    assert not report.exists()
+
+
 def test_verify_float_mode_is_config_error(tmp_path, capsys):
     cfg = write_json(tmp_path / "cfg.json", {"mode": "float"})
     assert run(["verify", "--config", cfg]) == 2
@@ -220,6 +228,23 @@ def test_tails_zero_kernel_writes_zero_file(tmp_path):
     for _, p_hat, stderr, b13, b16 in rows[1:]:
         assert (float(p_hat), float(stderr), float(b13), float(b16)) \
             == (0.0, 0.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("change", [
+    {"kernel": {"arity": 1, "values": ["0", "0"]}},
+    {"kernel": {"arity": 1, "values": ["1", "1"]}},  # zero once canonicalized
+    {"space": {"weights": ["1", "0"]}, "kernel": {"arity": 1, "values": ["0", "5"]},
+     "canonicalize": False},  # nonzero only off the support
+])
+def test_tails_zero_kernel_without_grid_is_config_error(tmp_path, capsys, change):
+    cfg_doc = {**TAILS_CFG, **change}
+    del cfg_doc["x_grid"]
+    out = tmp_path / "out"
+    assert run(["tails", "--config", write_json(tmp_path / "t.json", cfg_doc),
+                "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and "give an x_grid" in err
+    assert not out.exists()
 
 
 def test_tails_config_errors(tmp_path, capsys):
@@ -413,8 +438,8 @@ def _levels(v):
 IN_SCHEMA = {
     "verify": {
         "seed": _whole(0), "mode": lambda v: v == "exact",
-        "suites": lambda v: isinstance(v, list) and all(s in tuple(empint.verify.SUITES)
-                                                        for s in v),
+        "suites": lambda v: isinstance(v, list) and len(v) > 0
+                            and all(s in tuple(empint.verify.SUITES) for s in v),
     },
     "tails": {
         "space": lambda v: isinstance(v, dict) and isinstance(v.get("weights"), list),

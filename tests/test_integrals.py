@@ -307,6 +307,7 @@ def test_evaluators_match_recursive_oracle_on_many_atoms(n_atoms, k):
     top = (n_atoms - 1, n_atoms - 1, n_atoms - 2)
     samples = [Sample(sp, top + tuple(int(a) for a in rng.integers(0, n_atoms, size=n)))
                for n in (2, 5, 9)]
+    _assert_plan_matches_per_kernel_build(f)
     for s in samples:
         assert eval_integral(f, s).coeff == _oracle.integral_coeff(f, s)
         assert eval_ustat(f, s) == _oracle.ustat(f, s)
@@ -317,6 +318,20 @@ def test_evaluators_match_recursive_oracle_on_many_atoms(n_atoms, k):
         np.testing.assert_allclose(
             eval_batch(f, np.array([s.counts]))[0],
             float(_oracle.integral_coeff(f, s)) * n ** (k / 2), rtol=1e-12, atol=1e-12)
+
+
+def _assert_plan_matches_per_kernel_build(f):
+    for g in (f, f.as_float()):
+        poly = integrals._count_polynomial(g)
+        blocks, den = _oracle.count_polynomial(g)
+        assert poly.blocks == blocks and poly.den == den
+        assert repr(poly.blocks) == repr(blocks)
+
+
+@PROPERTY
+@given(data=st.data(), sp=exact_spaces(), k=st.integers(0, 3))
+def test_count_polynomial_plan_matches_per_kernel_build_property(data, sp, k):
+    _assert_plan_matches_per_kernel_build(data.draw(exact_kernels(sp, k)))
 
 
 @PROPERTY

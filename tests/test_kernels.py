@@ -185,6 +185,25 @@ def test_kernel_from_json_returns_or_raises_typed_property(sp, doc):
     assert f.arity == doc["arity"] and f.values.size == len(doc["values"])
 
 
+@pytest.mark.parametrize("shape, labels, error, message", [
+    ((2, 2), (1,), ArityMismatch, "2 tensor axes for 1 labels"),
+    ((), (1,), ArityMismatch, "0 tensor axes for 1 labels"),
+    ((2, 3), (1, 2), ArityMismatch, "tensor shape (2, 3) does not match 2 atoms"),
+    ((2, 2), (1, 1), ValueError, "axis labels must be strictly increasing, got (1, 1)"),
+    ((2, 2), (2, 1), ValueError, "axis labels must be strictly increasing, got (2, 1)"),
+    ((2, 2, 2), (1, 3, 3), ValueError, "axis labels must be strictly increasing, got (1, 3, 3)"),
+])
+def test_kernel_validation_paths(sp2, shape, labels, error, message):
+    with pytest.raises(error) as info:
+        Kernel(sp2, np.zeros(shape, dtype=object), labels)
+    assert type(info.value) is error and str(info.value) == message
+
+
+def test_kernel_accepts_arity_zero_and_increasing_labels(sp2):
+    assert Kernel(sp2, np.array(F(3), dtype=object), ()).arity == 0
+    assert Kernel(sp2, np.zeros((2, 2, 2), dtype=object), (1, 4, 9)).axis_labels == (1, 4, 9)
+
+
 def test_relabel_rules(sp2):
     f = kernel_from_values(sp2, [["1", "2"], ["3", "4"]])
     g = Kernel(sp2, f.values, (3, 5))
