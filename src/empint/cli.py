@@ -32,8 +32,8 @@ from pathlib import Path
 
 from . import bounds as bounds_mod
 from . import combinatorics, montecarlo, verify
-from .errors import EmpintError, MalformedInput
-from .kernels import MAX_ARITY, canonical_project, indicator_kernel, kernel_from_json, l1_norm, l2_norm
+from .errors import EmpintError, InsufficientTailData, MalformedInput
+from .kernels import MAX_ARITY, canonical_project, indicator_kernel, kernel_from_json, l2_norm
 from .scalars import format_scalar, in_float_range
 from .space import make_space
 
@@ -195,11 +195,15 @@ def cmd_tails(args) -> int:
         raise MalformedInput(f"bad space or kernel: {e}") from e
     if cfg["canonicalize"]:
         f = canonical_project(f)
-    if "x_grid" not in cfg and not l1_norm(f):
-        raise MalformedInput("the kernel vanishes on the support: no auto grid; give an x_grid")
     mc = montecarlo.McConfig(cfg["replicates"], cfg["seed"], cfg["n"], (), cfg["target"])
-    grid = (_levels(cfg["x_grid"]) if "x_grid" in cfg
-            else montecarlo.auto_grid(f, mc, points=cfg["grid_points"]))
+    if "x_grid" in cfg:
+        grid = _levels(cfg["x_grid"])
+    else:
+        try:
+            grid = montecarlo.auto_grid(f, mc, points=cfg["grid_points"])
+        except InsufficientTailData as e:
+            # a kernel zero on the support, or one whose statistic vanishes
+            raise MalformedInput(f"{e}: no auto grid; give an x_grid") from e
     mc = montecarlo.McConfig(mc.replicates, mc.seed, mc.n, grid, mc.target)
     est = montecarlo.estimate_tail(f, mc)
     if est.sigma == 0.0:
@@ -292,11 +296,11 @@ def cmd_bounds(args) -> int:
 # -- entry point ------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
+    codes = ", ".join(f"{code} {suite}" for suite, code in verify.SUITE_CODES.items())
     ap = argparse.ArgumentParser(
         prog="empint",
         description="Exact and Monte Carlo analysis of empirical-measure multiple integrals.",
-        epilog="verify exit codes: 10 diagram, 11 expectation, 12 norms, "
-               "13 moments, 14 dominance, 15 constants; config errors exit 2.")
+        epilog=f"verify exit codes: {codes}; config errors exit 2.")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", help="run the self-verification suites")
@@ -342,6 +346,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except MalformedInput as e:
         print(f"configuration error: {e}", file=sys.stderr)
+        return 2
+    except MemoryError as e:  # a size in the schema too large to allocate
+        print(f"configuration error: the run needs more memory than there is: {e}",
+              file=sys.stderr)
         return 2
     except EmpintError as e:
         print(f"error: {e}", file=sys.stderr)

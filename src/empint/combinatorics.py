@@ -1,15 +1,19 @@
 """Set-partition combinatorics, exact expectation/moment oracles, and the
 constant tables used by the moment recursion.
 
-Everything here is exact.  The oracles enumerate occupation-count vectors
-with multinomial probabilities, which agrees with enumerating ordered
-samples because the statistics only read counts; tests cross-check the two
-enumerations on small cases.  The counts oracles sum integer numerators
-and divide once.
+Everything here is exact.  The expectation constant r(n, k) comes from
+the subset expansion of the statistic (see ``integrals``): a subset of s
+coordinates contributes C(k, s) (-1)^{k-s} (n falling s) n^{k-s}, over
+k! n^k.  The set-partition sum ``expectation_coefficient_bruteforce`` stays
+as its oracle, because it derives the same constant another way.
+
+The oracles enumerate occupation-count vectors with multinomial
+probabilities, which agrees with enumerating ordered samples because the
+statistics only read counts; tests cross-check the two enumerations on
+small cases.  The counts oracles sum integer numerators and divide once.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -79,49 +83,26 @@ def partition_count_bound(k: int, s: int) -> int:
 
 # -- expectation of the centered integral -----------------------------------
 
-def _partition_profiles(k: int) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """(number of set partitions with these block sizes, sizes) for every
-    multiset of block sizes >= 2 summing to k.  Sizes with a size-1 block
-    are skipped because their weight vanishes below."""
-
-    def compositions(remaining: int, minimum: int) -> Iterator[tuple[int, ...]]:
-        if remaining == 0:
-            yield ()
-            return
-        for first in range(minimum, remaining + 1):
-            for rest in compositions(remaining - first, first):
-                yield (first,) + rest
-
-    for sizes in compositions(k, 2):
-        count = math.factorial(k)
-        for r in sizes:
-            count //= math.factorial(r)
-        for _, group in itertools.groupby(sizes):
-            count //= math.factorial(len(list(group)))
-        yield count, sizes
-
-
 def expectation_coefficient(n: int, k: int) -> Fraction:
     """The exact rational r(n, k) with E[q] = r(n, k) * integral of f over
     the k-fold product measure, q the descaled centered integral.
 
-    The sum runs over set partitions of the k coordinates: a partition with
-    blocks D contributes (n falling |pi|) * prod over D of (-1)^{|D|-1}(|D|-1),
-    all divided by k! n^k.  Partitions with singleton blocks vanish.
+    It follows from the subset expansion ``integrals`` evaluates: the
+    injective sum over s sample positions has mean (n falling s) times the
+    integral, and there are C(k, s) subsets of size s, so
+
+        r(n, k) = sum_s C(k, s) (-1)^{k-s} (n falling s) n^{k-s} / (k! n^k).
     """
-    if k == 0:
-        return Fraction(1)
-    total = 0
-    for count, sizes in _partition_profiles(k):
-        weight = 1
-        for r in sizes:
-            weight *= (-1) ** (r - 1) * (r - 1)
-        total += count * math.perm(n, len(sizes)) * weight
-    return Fraction(total, math.factorial(k) * n**k)
+    return Fraction(sum(math.comb(k, s) * (-1) ** (k - s) * math.perm(n, s) * n ** (k - s)
+                        for s in range(k + 1)), math.factorial(k) * n**k)
 
 
 def expectation_coefficient_bruteforce(n: int, k: int) -> Fraction:
-    """Same sum by explicit set-partition enumeration (for cross-checks)."""
+    """r(n, k) again, as a sum over set partitions of the k coordinates: a
+    partition with blocks D contributes (n falling |pi|) * prod over D of
+    (-1)^{|D|-1}(|D|-1), all divided by k! n^k; partitions with singleton
+    blocks vanish.  An independent derivation, kept to cross-check the
+    subset form."""
     total = 0
     for blocks in set_partitions(k):
         weight = 1

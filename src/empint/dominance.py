@@ -39,7 +39,7 @@ import numpy as np
 from .diagrams import ColoredDiagram
 from .errors import BlockMismatch, RankTooSmall, SigmaMismatch
 from .kernels import Kernel, constant_kernel, l2_norm_sq, labeled_product, random_kernel
-from .scalars import Scalar, is_exact, mode_of
+from .scalars import FLOAT, Scalar, is_exact, mode_of
 
 __all__ = [
     "DominanceCertificate", "verify_certificate", "unit_certificate",
@@ -203,11 +203,9 @@ def collapse_certificate(h: Kernel, cf: DominanceCertificate,
     if cf.sigma_sq != cg.sigma_sq:
         raise SigmaMismatch(f"budgets differ: {cf.sigma_sq} vs {cg.sigma_sq}")
     r_total = cf.rank + cg.rank
-    if is_exact(cf.sigma_sq) and r_total % 2 == 0 and h.exact:
-        budget: Scalar = Fraction(cf.sigma_sq) ** (r_total // 2)
-    else:
-        budget = float(cf.sigma_sq) ** (r_total / 2)
-    return DominanceCertificate(budget, (h.abs(),))
+    # an odd total makes the budget a square root, so a float
+    mode = mode_of(cf.sigma_sq, h) if r_total % 2 == 0 else FLOAT
+    return DominanceCertificate(mode.cast(cf.sigma_sq) ** mode.ratio(r_total, 2), (h.abs(),))
 
 
 def random_dominated_pair(space, blocks: tuple[tuple[int, ...], ...],

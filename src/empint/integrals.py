@@ -41,7 +41,7 @@ import numpy as np
 from . import diagrams
 from .errors import EmptySample, SpaceMismatch
 from .kernels import Kernel, require_canonical
-from .scalars import Arithmetic, Scalar, close, mode_of
+from .scalars import FLOAT_TOL, Arithmetic, Scalar, mode_of
 from .space import Sample
 
 __all__ = [
@@ -218,10 +218,10 @@ def check_canonical_ustat_identity(f: Kernel, sample: Sample) -> CheckResult:
     by path: q * n^k equals the U-statistic.  Raises NotCanonical otherwise."""
     require_canonical(f)
     n = sample.n
-    q = eval_integral(f, sample).coeff
-    lhs = q * mode_of(q).cast(n) ** f.arity
+    mode = mode_of(f)
+    lhs = eval_integral(f, sample).coeff * mode.cast(n) ** f.arity
     rhs = eval_ustat(f, sample)
-    return CheckResult(lhs, rhs, close(lhs, rhs))
+    return CheckResult(lhs, rhs, abs(lhs - rhs) <= mode.slack(FLOAT_TOL))
 
 
 def product_formula_terms(f: Kernel, g: Kernel) -> dict[tuple[int, int], Kernel]:
@@ -256,4 +256,4 @@ def check_product_formula(f: Kernel, g: Kernel, sample: Sample,
     for (l, p), h in terms.items():
         c = mode.cast(diagrams.product_formula_coefficient(f.arity, g.arity, l, p))
         rhs = rhs + c * inv_n**l * eval_integral(h, sample).coeff
-    return CheckResult(lhs, rhs, close(lhs, rhs))
+    return CheckResult(lhs, rhs, abs(lhs - rhs) <= mode.slack(FLOAT_TOL))

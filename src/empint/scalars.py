@@ -10,6 +10,8 @@ the returned ``Arithmetic`` object instead of branching on exactness.  A
 computation that ends in a scalar reads its inputs with ``numerators``
 (Python-int numerators over one common denominator in exact mode, the
 values over 1 in float mode) and builds its result with one ``ratio``.
+Two scalars are compared by one rule, ``abs(a - b) <= mode.slack(tol)``:
+equality in exact mode, within tol in float mode.
 """
 from __future__ import annotations
 
@@ -62,13 +64,6 @@ def format_scalar(x: Scalar) -> str:
     if is_exact(x):
         return str(Fraction(x))
     return repr(float(x))
-
-
-def close(a, b, tol: float = FLOAT_TOL) -> bool:
-    """Equality in the weaker of the two operands' modes."""
-    if is_exact(a) and is_exact(b):
-        return a == b
-    return abs(float(a) - float(b)) <= tol
 
 
 @dataclass(frozen=True)

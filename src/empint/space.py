@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import (EmptySpace, EnumerationTooLarge, MalformedInput, NegativeSeed,
                      NegativeWeight, NonfiniteWeight, WeightsNotNormalized)
-from .scalars import FLOAT_TOL, Scalar, is_exact, mode_of, parse_scalar
+from .scalars import FLOAT_TOL, Scalar, format_scalar, is_exact, mode_of, parse_scalar
 
 ENUMERATION_CAP = 10**6
 
@@ -100,12 +100,8 @@ def make_space(weights) -> AtomSpace:
         if w > 1 + FLOAT_TOL:  # keeps an exact weight too large for a float out of the sum
             raise WeightsNotNormalized(f"weight {w} exceeds 1")
     total = sum(parsed)
-    if all(is_exact(w) for w in parsed):
-        if total != 1:
-            raise WeightsNotNormalized(f"weights sum to {total}, expected 1")
-    else:
-        if abs(float(total) - 1.0) > FLOAT_TOL:
-            raise WeightsNotNormalized(f"weights sum to {float(total)!r}, expected 1")
+    if abs(total - 1) > mode_of(*parsed).slack(FLOAT_TOL):
+        raise WeightsNotNormalized(f"weights sum to {format_scalar(total)}, expected 1")
     return AtomSpace(parsed)
 
 

@@ -233,6 +233,7 @@ def test_tails_zero_kernel_writes_zero_file(tmp_path):
 @pytest.mark.parametrize("change", [
     {"kernel": {"arity": 1, "values": ["0", "0"]}},
     {"kernel": {"arity": 1, "values": ["1", "1"]}},  # zero once canonicalized
+    {"kernel": {"arity": 1, "values": ["1", "1"]}, "canonicalize": False},  # constant q = 0
     {"space": {"weights": ["1", "0"]}, "kernel": {"arity": 1, "values": ["0", "5"]},
      "canonicalize": False},  # nonzero only off the support
 ])
@@ -344,6 +345,9 @@ def test_bounds_comma_grid_and_constants_file(tmp_path):
     ("tails", {"kernel": {"arity": 0, "values": ["3"]}}),
     ("tails", {"kernel": {"arity": 1, "values": ["5", "0"]}}),
     ("bounds", ["--sigma", "nan"]), ("verify", {"mode": 0}),
+    # in the schema, but each asks numpy for petabytes; None drops the key
+    ("tails", {"grid_points": 10**17, "x_grid": None}),
+    ("tails", {"replicates": 10**15}), ("tails", {"n": 10**15}),
 ])
 def test_bad_input_is_config_error(tmp_path, capsys, command, arg):
     if command == "bounds":
@@ -363,12 +367,20 @@ def test_bad_input_is_config_error(tmp_path, capsys, command, arg):
             arg = ["--config", write_json(tmp_path / "cfg.json", arg)]
         argv = ["verify", *arg]
     else:
-        argv = ["tails", "--config", write_json(tmp_path / "cfg.json", {**TAILS_CFG, **arg}),
+        cfg = {key: v for key, v in {**TAILS_CFG, **arg}.items() if v is not None}
+        argv = ["tails", "--config", write_json(tmp_path / "cfg.json", cfg),
                 "--out-dir", str(tmp_path / "o")]
     assert run(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error:")
     assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_tails_size_beyond_memory_names_memory(tmp_path, capsys):
+    cfg = write_json(tmp_path / "cfg.json", {**TAILS_CFG, "n": 10**15})
+    assert run(["tails", "--config", cfg, "--out-dir", str(tmp_path / "o")]) == 2
+    assert "memory" in capsys.readouterr().err
 
 
 def test_bounds_bad_grid(tmp_path, capsys):

@@ -75,8 +75,9 @@ def test_expectation_coefficient_small_closed_forms():
 
 
 def test_expectation_coefficient_matches_bruteforce():
-    for k in range(1, 6):
-        for n in range(1, 5):
+    # the subset form against the set-partition sum, two derivations
+    for k in range(9):
+        for n in range(1, 13):
             assert expectation_coefficient(n, k) == \
                 expectation_coefficient_bruteforce(n, k)
 

@@ -231,6 +231,24 @@ def test_certificate_transport_property(sp, bf, bg, seed):
         _check_transport(f, cf, g, cg, d)
 
 
+@pytest.mark.parametrize("sigma_sq, float_h, r1, budget", [
+    (F(1, 4), False, 1, F(1, 4)),  # even total, exact: sigma^2 itself
+    (F(1, 4), False, 2, 0.125),    # odd total: a square root, so a float
+    (0.25, True, 1, 0.25),
+    (0.25, True, 2, 0.125),
+    (F(1, 4), True, 1, 0.25),      # exact budget, float kernel
+])
+def test_collapse_budget_value_and_type(sp, sigma_sq, float_h, r1, budget):
+    env = kernel_from_values(sp, ["1/2", "0", "0"])
+    h = kernel_from_values(sp, ["1/8", "0", "0"])
+    if float_h:
+        env, h = env.as_float(), h.as_float()
+    factors = tuple(Kernel(env.space, env.values, (j,)) for j in range(1, r1 + 1))
+    out = collapse_certificate(h, DominanceCertificate(sigma_sq, factors),
+                               DominanceCertificate(sigma_sq, (env,)))
+    assert out.sigma_sq == budget and type(out.sigma_sq) is type(budget)
+
+
 def test_collapse_certificate_float_budget_odd_rank(sp):
     f, cf = _random_cert(sp, ((1,), (2,)), 70)
     g, cg = _random_cert(sp, ((1,),), 71)

@@ -51,6 +51,15 @@ def test_make_space_errors():
         make_space([10**400, 0.5])  # no float sum that overflows
 
 
+@pytest.mark.parametrize("weights, total", [
+    (["1/2", "1/3"], "5/6"), ([0.5, 0.5001], "1.0001"), (["1/2", 0.6], "1.1")])
+def test_weights_not_normalized_message(weights, total):
+    # the total prints in its own mode: a fraction when exact, a float repr otherwise
+    with pytest.raises(WeightsNotNormalized) as info:
+        make_space(weights)
+    assert str(info.value) == f"weights sum to {total}, expected 1"
+
+
 @PROPERTY
 @given(weights=json_values() | st.lists(json_values() | st.sampled_from(["1/2", "1/3", 0.5]),
                                         max_size=4))
