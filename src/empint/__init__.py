@@ -37,8 +37,8 @@ from .dominance import (DominanceCertificate, verify_certificate, unit_certifica
 from .bounds import (BoundParams, two_regime_exponent, bernstein_exponent, two_regime_tail_bound,
                      gaussian_regime_tail_bound, bernstein_tail_bound,
                      crossover_level, moment_growth_bound, regime_report, crude_sup_bound)
-from .montecarlo import (McConfig, TailEstimate, replicate_values, exceedance, estimate_tail,
-                         estimate_moments, binomial_tail_oracle, fit_constants,
+from .montecarlo import (McConfig, TailEstimate, replicate_counts, replicate_values, exceedance,
+                         estimate_tail, estimate_moments, binomial_tail_oracle, fit_constants,
                          auto_grid)
 
 __version__ = "0.1.0"

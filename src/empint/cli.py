@@ -9,7 +9,10 @@ Subcommands:
                usable CPUs) runs them on up to N forked processes, with
                the same report and stdout for every N
     tails      Monte Carlo tail estimation for a configured kernel;
-               writes tails.csv, self_check.csv and a run manifest
+               writes tails.csv, self_check.csv and a run manifest.  The
+               run's replicates are drawn once: the self check evaluates
+               the centered atom-0 indicator on the very counts tails.csv
+               reads, against its exact binomial tail
     constants  export the exact constant tables as CSV
     bounds     tabulate the closed-form tail bounds over a level grid
 
@@ -30,16 +33,17 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+from . import __version__
 from . import bounds as bounds_mod
 from . import combinatorics, montecarlo, verify
 from .errors import EmpintError, InsufficientTailData, MalformedInput
+from .integrals import eval_batch
 from .kernels import MAX_ARITY, canonical_project, indicator_kernel, kernel_from_json, l2_norm
 from .scalars import format_scalar, in_float_range
 from .space import make_space
 
 DEFAULT_SEED = 12345
 REPORT_SCHEMA = 1
-_SELF_CHECK_OFFSET = 2 * 10**9
 
 # -- the schema table -------------------------------------------------------
 # One JSON Schema per config file; docs/config_schema.md carries the same
@@ -197,15 +201,17 @@ def cmd_tails(args) -> int:
         f = canonical_project(f)
     mc = montecarlo.McConfig(cfg["replicates"], cfg["seed"], cfg["n"], (), cfg["target"])
     if "x_grid" in cfg:
-        grid = _levels(cfg["x_grid"])
+        grid, provenance = _levels(cfg["x_grid"]), {"grid": "config"}
     else:
+        provenance = {"grid": "auto", "pilot_replicates": montecarlo.PILOT_REPLICATES}
         try:
             grid = montecarlo.auto_grid(f, mc, points=cfg["grid_points"])
         except InsufficientTailData as e:
             # a kernel zero on the support, or one whose statistic vanishes
             raise MalformedInput(f"{e}: no auto grid; give an x_grid") from e
     mc = montecarlo.McConfig(mc.replicates, mc.seed, mc.n, grid, mc.target)
-    est = montecarlo.estimate_tail(f, mc)
+    counts = montecarlo.replicate_counts(space, mc)
+    est = montecarlo.estimate_tail(f, mc, counts)
     if est.sigma == 0.0:
         # zero kernel: the statistic vanishes identically, so the exact
         # tail is zero and there is nothing to fit
@@ -225,11 +231,11 @@ def cmd_tails(args) -> int:
             b16 = bounds_mod.bernstein_tail_bound(x, est.k, est.sigma, est.n, p16)
         tails.append([repr(x), repr(p), repr(se), repr(b13), repr(b16)])
 
-    # self check: the arity-1 centered indicator has an exact binomial tail
+    # self check on the run's own replicates: the arity-1 centered indicator
+    # of atom 0 reads their counts of atom 0, whose tail is an exact binomial
     w0 = space.weights[0]
     ind = canonical_project(indicator_kernel(space, 0))
-    sc_mc = montecarlo.McConfig(mc.replicates, mc.seed, mc.n, (), "integral")
-    sc_values = montecarlo.replicate_values(ind, sc_mc, base_offset=_SELF_CHECK_OFFSET)
+    sc_values = eval_batch(ind, counts)
     sc_grid = montecarlo.binomial_levels(w0, mc.n, l2_norm(ind), (0.5, 1.0, 1.5, 2.0, 3.0))
     exact = montecarlo.binomial_tail_oracle(Fraction(w0), mc.n, sc_grid)
     p_hat, _ = montecarlo.exceedance(sc_values, sc_grid)
@@ -244,7 +250,8 @@ def cmd_tails(args) -> int:
     hashed = json.dumps({"space": {"weights": [format_scalar(w) for w in space.weights]},
                          "kernel": cfg["kernel"], "canonicalize": cfg["canonicalize"]},
                         sort_keys=True, separators=(",", ":"))
-    manifest = {"seed": mc.seed, "replicates": mc.replicates, "n": mc.n,
+    manifest = {"seed": mc.seed, "replicates": mc.replicates, "n": mc.n, "target": mc.target,
+                **provenance, "version": __version__,
                 "kernel_hash": hashlib.sha256(hashed.encode()).hexdigest()[:16]}
     _write({"tails.csv": tails, "self_check.csv": self_check,
             "manifest.json": json.dumps(manifest, indent=2) + "\n"}, args.out_dir)

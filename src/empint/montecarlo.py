@@ -4,11 +4,15 @@ Estimates are reproducible down to the byte: replicate r draws from the
 child stream of (seed, r), replicates run serially in index order, and
 every reduction runs over the replicate-indexed array.
 
-A replicate is drawn as its occupation counts alone (``space.draw_counts``),
-and the statistic of all replicates is evaluated at once, in float, as a
-polynomial in those counts (``integrals.eval_batch(f, counts)``, which reads
-each replicate's n from its counts); no resampling shortcuts.  The exact
-engine runs the same evaluation loop over the same polynomial in integers.
+A replicate is drawn as its occupation counts alone (``replicate_counts``,
+over ``space.draw_counts``), and the statistic of all replicates is
+evaluated at once, in float, as a polynomial in those counts
+(``integrals.eval_batch(f, counts)``, which reads each replicate's n from
+its counts); no resampling shortcuts.  The exact engine runs the same
+evaluation loop over the same polynomial in integers.  Counts drawn once
+can feed several statistics: ``estimate_tail`` takes them as an argument,
+so a caller that also evaluates a check statistic on the run's replicates
+draws them once.
 """
 from __future__ import annotations
 
@@ -22,15 +26,16 @@ from .bounds import BoundParams, bernstein_exponent, two_regime_exponent
 from .errors import EmptyGrid, InsufficientTailData, NegativeSeed, RegimeViolation
 from .integrals import eval_batch
 from .kernels import Kernel, l2_norm
-from .space import RandomSource, draw_counts
+from .space import AtomSpace, RandomSource, draw_counts
 
 __all__ = [
-    "McConfig", "TailEstimate", "replicate_values", "exceedance", "estimate_tail",
-    "estimate_moments", "binomial_tail_oracle", "binomial_levels", "fit_constants", "auto_grid",
+    "McConfig", "TailEstimate", "PILOT_REPLICATES", "replicate_counts", "replicate_values",
+    "exceedance", "estimate_tail", "estimate_moments", "binomial_tail_oracle", "binomial_levels",
+    "fit_constants", "auto_grid",
 ]
 
 _PILOT_OFFSET = 10**9  # pilot replicate streams never collide with the run's
-_PILOT_REPLICATES = 1000
+PILOT_REPLICATES = 1000
 _PILOT_LO_Q, _PILOT_HI_Q = 0.5, 0.999  # the |statistic| quantiles the auto grid spans
 
 
@@ -67,11 +72,17 @@ class TailEstimate:
     target: str
 
 
+def replicate_counts(space: AtomSpace, cfg: McConfig, base_offset: int = 0) -> np.ndarray:
+    """The (replicates, n_atoms) occupation counts of every replicate,
+    indexed by replicate number: row r is drawn from the stream of
+    (cfg.seed, base_offset + r)."""
+    return draw_counts(space, cfg.n, RandomSource(cfg.seed), cfg.replicates, base_offset)
+
+
 def replicate_values(f: Kernel, cfg: McConfig, base_offset: int = 0) -> np.ndarray:
     """The statistic for every replicate, indexed by replicate number; a
     pure function of (kernel, cfg, base_offset)."""
-    counts = draw_counts(f.space, cfg.n, RandomSource(cfg.seed), cfg.replicates, base_offset)
-    return eval_batch(f, counts, ustat=cfg.target == "ustat")
+    return eval_batch(f, replicate_counts(f.space, cfg, base_offset), ustat=cfg.target == "ustat")
 
 
 def exceedance(values: np.ndarray, x_grid) -> tuple[tuple[float, ...], tuple[float, ...]]:
@@ -82,14 +93,22 @@ def exceedance(values: np.ndarray, x_grid) -> tuple[tuple[float, ...], tuple[flo
     return p_hat, tuple(math.sqrt(p * (1.0 - p) / R) for p in p_hat)
 
 
-def estimate_tail(f: Kernel, cfg: McConfig) -> TailEstimate:
-    """P(|statistic| > x) over cfg.x_grid with binomial standard errors."""
+def estimate_tail(f: Kernel, cfg: McConfig, counts: np.ndarray | None = None) -> TailEstimate:
+    """P(|statistic| > x) over cfg.x_grid with binomial standard errors.
+
+    ``counts`` are the run's occupation counts, ``replicate_counts(f.space,
+    cfg)``, for a caller that reads them too; they are drawn when None."""
     xs = tuple(float(x) for x in cfg.x_grid)
     if not xs:
         raise EmptyGrid("estimate_tail needs a nonempty x_grid")
     if any(b <= a for a, b in zip(xs, xs[1:])):
         raise ValueError("x_grid must be strictly ascending")
-    p_hat, stderr = exceedance(replicate_values(f, cfg), xs)
+    if counts is None:
+        counts = replicate_counts(f.space, cfg)
+    elif counts.shape != (cfg.replicates, f.space.n_atoms) or np.any(counts.sum(axis=1) != cfg.n):
+        raise ValueError(f"counts must be {cfg.replicates} rows of {f.space.n_atoms} atoms "
+                         f"summing to n={cfg.n}, got shape {counts.shape}")
+    p_hat, stderr = exceedance(eval_batch(f, counts, ustat=cfg.target == "ustat"), xs)
     return TailEstimate(xs, p_hat, stderr, cfg.replicates, f.arity, cfg.n,
                         l2_norm(f), cfg.target)
 
@@ -197,7 +216,7 @@ def auto_grid(f: Kernel, cfg: McConfig, points: int = 12) -> tuple[float, ...]:
     """A geometric level grid spanning the pilot run's |statistic|
     quantiles, with each end moved off the values the pilot attained.
     Pilot streams are offset so they never reuse run streams."""
-    pilot_cfg = McConfig(_PILOT_REPLICATES, cfg.seed, cfg.n, (), cfg.target)
+    pilot_cfg = McConfig(PILOT_REPLICATES, cfg.seed, cfg.n, (), cfg.target)
     values = np.abs(replicate_values(f, pilot_cfg, base_offset=_PILOT_OFFSET))
     attained = np.unique(values)
     lo = float(np.quantile(values, _PILOT_LO_Q))

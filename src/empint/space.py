@@ -93,7 +93,7 @@ def make_space(weights) -> AtomSpace:
     if not parsed:
         raise EmptySpace("a space needs at least one atom")
     for w in parsed:
-        if isinstance(w, float) and not math.isfinite(w):
+        if not -math.inf < w < math.inf:  # NaN or infinite; an exact weight is always finite
             raise NonfiniteWeight(f"weight {w} is not finite")
         if w < 0:
             raise NegativeWeight(f"weight {w} is negative")

@@ -10,14 +10,20 @@ import tempfile
 from fractions import Fraction as F
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import empint
 import empint.diagrams
+import empint.montecarlo
 import empint.verify
 from _strategies import PROPERTY, json_values
 from empint.cli import SCHEMAS, main
 from empint.errors import EmpintError
+from empint.integrals import eval_batch
+from empint.kernels import canonical_project, kernel_from_json
+from empint.space import RandomSource, draw_counts, make_space
 
 
 def run(argv):
@@ -139,6 +145,67 @@ def test_tails_outputs(tmp_path):
     assert len(manifest["kernel_hash"]) == 16
 
 
+# a 4-atom run on the auto grid; w0 = 1/10 and n = 100 put self-check
+# levels on the lattice of the indicator statistic
+AUTO_CFG = {**{k: v for k, v in TAILS_CFG.items() if k != "x_grid"},
+            "space": {"weights": ["1/10", "1/10", "1/2", "3/10"]},
+            "kernel": {"arity": 2, "values": [str(F(i % 5 - 2, 3)) for i in range(16)]},
+            "n": 100, "replicates": 1000, "seed": 11}
+
+
+@pytest.mark.parametrize("doc, draws", [(TAILS_CFG, 1), (AUTO_CFG, 2)], ids=["x_grid", "auto"])
+def test_tails_draws_each_replicate_once(tmp_path, monkeypatch, doc, draws):
+    # the run's counts feed tails.csv and self_check.csv; only the auto
+    # grid's pilot draws a second time
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[3])
+        return draw_counts(*args, **kwargs)
+
+    monkeypatch.setattr(empint.montecarlo, "draw_counts", counting)
+    assert run(["tails", "--config", write_json(tmp_path / "t.json", doc),
+                "--out-dir", str(tmp_path / "out")]) == 0
+    assert len(calls) == draws and calls[-1] == doc["replicates"]
+
+
+@pytest.mark.parametrize("doc", [TAILS_CFG, AUTO_CFG], ids=["x_grid", "auto"])
+def test_tails_and_self_check_read_the_same_counts(tmp_path, doc):
+    out = tmp_path / "out"
+    assert run(["tails", "--config", write_json(tmp_path / "t.json", doc),
+                "--out-dir", str(out)]) == 0
+    space = make_space(doc["space"]["weights"])
+    n, R = doc["n"], doc["replicates"]
+    counts = draw_counts(space, n, RandomSource(doc["seed"]), R)
+
+    def exceedances(values, name):
+        with open(out / name) as fh:
+            rows = list(csv.reader(fh))[1:]
+        return [float(r[1]) for r in rows], \
+            [np.count_nonzero(np.abs(values) > float(r[0])) / R for r in rows]
+
+    f = canonical_project(kernel_from_json(space, doc["kernel"]))
+    written, expected = exceedances(eval_batch(f, counts), "tails.csv")
+    assert written == expected
+    w0 = float(space.weights[0])
+    written, expected = exceedances(math.sqrt(n) * (counts[:, 0] / n - w0), "self_check.csv")
+    assert written == expected
+
+
+@pytest.mark.parametrize("doc, grid", [(TAILS_CFG, {"grid": "config"}),
+                                       (AUTO_CFG, {"grid": "auto", "pilot_replicates": 1000})],
+                         ids=["x_grid", "auto"])
+def test_manifest_records_the_run(tmp_path, doc, grid):
+    out = tmp_path / "out"
+    assert run(["tails", "--config", write_json(tmp_path / "t.json", {**doc, "target": "ustat"}),
+                "--out-dir", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    kernel_hash = manifest.pop("kernel_hash")
+    assert len(kernel_hash) == 16
+    assert manifest == {"seed": doc["seed"], "replicates": doc["replicates"], "n": doc["n"],
+                        "target": "ustat", **grid, "version": empint.__version__}
+
+
 def test_manifest_hash_tells_canonicalized_runs_apart(tmp_path):
     hashes = set()
     for canonicalize in (False, True):
@@ -161,14 +228,10 @@ def test_tails_deterministic_across_workers(tmp_path):
 
 
 def test_self_check_levels_avoid_the_lattice(tmp_path, capsys):
-    # w0 = 1/10 and n = 100: sigma * t is an attained value of the self-check
-    # statistic for t = 1, 2, 3, and those levels move to half-step midpoints
-    doc = {**TAILS_CFG, "space": {"weights": ["1/10", "1/10", "1/2", "3/10"]},
-           "kernel": {"arity": 2, "values": [str(F(i % 5 - 2, 3)) for i in range(16)]},
-           "n": 100, "replicates": 1000, "seed": 11}
-    del doc["x_grid"]
+    # sigma * t is an attained value of the self-check statistic for
+    # t = 1, 2, 3, and those levels move to half-step midpoints
     out = tmp_path / "out"
-    assert run(["tails", "--config", write_json(tmp_path / "t.json", doc),
+    assert run(["tails", "--config", write_json(tmp_path / "t.json", AUTO_CFG),
                 "--out-dir", str(out)]) == 0
     with open(out / "self_check.csv") as fh:
         rows = list(csv.reader(fh))[1:]

@@ -10,7 +10,8 @@ from empint.kernels import (canonical_project, indicator_kernel, kernel_from_val
                             l2_norm_sq, random_kernel)
 from empint.montecarlo import (McConfig, TailEstimate, auto_grid, binomial_levels,
                                binomial_tail_oracle, estimate_moments,
-                               estimate_tail, fit_constants, replicate_values)
+                               estimate_tail, fit_constants, replicate_counts,
+                               replicate_values)
 from empint.space import make_space, uniform_space
 
 
@@ -112,6 +113,17 @@ def test_estimate_tail_matches_binomial_oracle():
     for p_hat, p, se in zip(est.p_hat, exact, est.stderr):
         band = max(se, math.sqrt(p * (1 - p) / cfg.replicates))
         assert abs(p_hat - p) <= 4 * band + 1e-12
+
+
+def test_estimate_tail_reads_given_counts():
+    sp = make_space(["1/4", "3/4"])
+    f = centered_indicator(sp)
+    cfg = McConfig(replicates=300, seed=12, n=10, x_grid=(0.3, 0.6, 0.95), target="ustat")
+    counts = replicate_counts(sp, cfg)
+    assert estimate_tail(f, cfg, counts) == estimate_tail(f, cfg)
+    for bad in (counts[:-1], counts[:, :1], counts * 2):
+        with pytest.raises(ValueError):
+            estimate_tail(f, cfg, bad)
 
 
 def test_estimate_moments_second_moment():

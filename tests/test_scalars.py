@@ -1,4 +1,5 @@
 import ast
+import re
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -55,9 +56,12 @@ def test_numerators_over_one_denominator():
 
 def test_mode_decisions_live_in_scalars():
     """No conditional expression or if statement outside scalars.py
-    branches on exactness; such decisions go through the Arithmetic object.
-    The one test allowed is the early return of ``as_float`` on a space or
-    kernel that is already float."""
+    branches on exactness, and no code there tests a scalar's type with
+    ``isinstance(..., float | Fraction | Rational)``; such decisions go
+    through the Arithmetic object.  The tests allowed are the early return
+    of ``as_float`` on a space or kernel that is already float, and the
+    JSON-type test of ``cli._check``, which reads a config, not a mode."""
+    scalar_types = re.compile(r"\b(float|Fraction|Rational)\b")
     offenders = []
     for path in sorted(Path(empint.__file__).parent.glob("*.py")):
         if path.name == "scalars.py":
@@ -67,8 +71,16 @@ def test_mode_decisions_live_in_scalars():
                    if isinstance(node, ast.FunctionDef) and node.name == "as_float"
                    and isinstance(node.body[0], ast.If)
                    and ast.unparse(node.body[0].test) == "not self.exact"}
+        if path.name == "cli.py":
+            allowed |= {id(node) for fn in ast.walk(tree)
+                        if isinstance(fn, ast.FunctionDef) and fn.name == "_check"
+                        for node in ast.walk(fn)}
         for node in ast.walk(tree):
-            if isinstance(node, (ast.IfExp, ast.If)) and "exact" in ast.unparse(node.test) \
-                    and id(node) not in allowed:
+            if id(node) in allowed:
+                continue
+            if isinstance(node, (ast.IfExp, ast.If)) and "exact" in ast.unparse(node.test):
                 offenders.append(f"{path.name}:{node.lineno}: {ast.unparse(node.test)}")
+            if isinstance(node, ast.Call) and ast.unparse(node.func) == "isinstance" \
+                    and len(node.args) == 2 and scalar_types.search(ast.unparse(node.args[1])):
+                offenders.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
     assert not offenders, offenders
