@@ -6,14 +6,17 @@ Subcommands:
                else the code of the first failing suite
                (10 diagram, 11 expectation, 12 norms, 13 moments,
                 14 dominance, 15 constants); --workers N (default: the
-               usable CPUs) runs them on up to N forked processes, with
-               the same report and stdout for every N
+               usable CPUs) runs them on up to N processes, this one and
+               forked children, which claim the suites longest first from
+               a pipe; the report and stdout are the same for every N
     tails      Monte Carlo tail estimation for a configured kernel;
                writes tails.csv, self_check.csv and a run manifest.  The
                run's replicates are drawn once: the self check evaluates
                the centered atom-0 indicator on the very counts tails.csv
                reads, against its exact binomial tail
-    constants  export the exact constant tables as CSV
+    constants  export the exact constant tables as CSV; a table with an
+               integer past the interpreter's int-to-str digit limit
+               exits 2 and writes no file
     bounds     tabulate the closed-form tail bounds over a level grid
 
 All seeds come from configuration; no reproducible artifact depends on the
@@ -31,6 +34,7 @@ import math
 import os
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 from . import __version__
@@ -173,9 +177,16 @@ def _write(files: dict, out_dir: str = "") -> None:
 
 # -- verify -----------------------------------------------------------------
 
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def cmd_verify(args) -> int:
     cfg = _read_config(args.config, SCHEMAS["verify"])
-    results = verify.run_all(cfg["seed"], cfg["suites"], workers=args.workers)
+    workers = args.workers if args.workers is not None else _usable_cpus()
+    results = verify.run_all(cfg["seed"], cfg["suites"], workers=workers)
     report = {"schema": REPORT_SCHEMA, "seed": cfg["seed"], "mode": cfg["mode"],
               "results": [r.as_dict() for r in results]}
     if args.report:
@@ -264,11 +275,17 @@ def cmd_tails(args) -> int:
 
 def cmd_constants(args) -> int:
     table = combinatorics.moment_constant_table(args.k_max, args.m_max)
-    # B_nk is the exact rational b with scaled constant = b * n^{-k/2}
-    expectation = [[n, k, str(combinatorics.expectation_coefficient(n, k) * Fraction(n) ** k)]
-                   for n in range(2, args.n_max + 1) for k in range(1, args.k_max + 1)]
-    _write({"moment_constants.csv": [["k", "m", "D", "Cbar"],
-                                     *([k, m, str(d), str(c)] for k, m, d, c in table.rows)],
+    # every row is formatted before any file is written, so a constant past
+    # the interpreter's digit limit for int-to-str leaves no file behind
+    try:
+        moment = [[k, m, str(d), str(c)] for k, m, d, c in table.rows]
+        # B_nk is the exact rational b with scaled constant = b * n^{-k/2}
+        expectation = [[n, k, str(combinatorics.expectation_coefficient(n, k) * Fraction(n) ** k)]
+                       for n in range(2, args.n_max + 1) for k in range(1, args.k_max + 1)]
+    except ValueError as e:
+        raise MalformedInput(f"--k-max {args.k_max} with --m-max {args.m_max} and --n-max "
+                             f"{args.n_max} gives a constant too long to write: {e}") from e
+    _write({"moment_constants.csv": [["k", "m", "D", "Cbar"], *moment],
             "expectation_constants.csv": [["n", "k", "B_nk"], *expectation]}, args.out_dir)
     print(f"wrote {Path(args.out_dir)}/moment_constants.csv, expectation_constants.csv")
     return 0
@@ -302,6 +319,7 @@ def cmd_bounds(args) -> int:
 
 # -- entry point ------------------------------------------------------------
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     codes = ", ".join(f"{code} {suite}" for suite, code in verify.SUITE_CODES.items())
     ap = argparse.ArgumentParser(
@@ -313,10 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the self-verification suites")
     p.add_argument("--config", help="JSON config with seed/mode/suites")
     p.add_argument("--report", help="where to write the JSON report")
-    p.add_argument("--workers", type=int, help="processes to run the suites on "
-                   "(default: the usable CPUs); 1 runs them in this process",
-                   default=len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                   else os.cpu_count() or 1)
+    p.add_argument("--workers", type=int, help="processes to run the suites on, this one "
+                   "included (default: the usable CPUs); 1 runs them in this process alone")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("tails", help="Monte Carlo tail estimation")
@@ -348,7 +364,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         for dest, spec in _FLAGS.items():
-            if dest in vars(args):
+            if vars(args).get(dest) is not None:  # verify --workers defaults to None
                 _check("--" + dest.replace("_", "-"), vars(args)[dest], spec)
         return args.func(args)
     except MalformedInput as e:

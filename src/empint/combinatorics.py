@@ -185,12 +185,21 @@ def recursion_weight(l: int, p: int, k: int, m: int) -> Fraction:
 
         A(l, p, k, m) = 2^{2l(4-m)} (2k)^{2k-l+p} (2k-l-p)^{3l-p-2k} / (2l)^{2l}
 
-    with the 0^0 = 1 convention for l = 0 and for 2k - l - p = 0.
+    with the 0^0 = 1 convention for l = 0 and for 2k - l - p = 0, as
+    Python's integer ``0 ** 0``.  Each factor goes into the integer
+    numerator or denominator by the sign of its power, so one gcd reduces
+    the result.
     """
     if not 0 <= p <= l <= k:
         raise ValueError(f"need 0 <= p <= l <= k, got l={l}, p={p}, k={k}")
-    return (Fraction(2) ** (2 * l * (4 - m)) * Fraction(2 * k) ** (2 * k - l + p)
-            * Fraction(2 * k - l - p) ** (3 * l - p - 2 * k) / Fraction(2 * l) ** (2 * l))
+    num = den = 1
+    for base, power in ((2, 2 * l * (4 - m)), (2 * k, 2 * k - l + p),
+                        (2 * k - l - p, 3 * l - p - 2 * k), (2 * l, -2 * l)):
+        if power >= 0:
+            num *= base**power
+        else:
+            den *= base**-power
+    return Fraction(num, den)
 
 
 def check_moment_recursion(k_max: int, m_max: int) -> list[tuple[int, int, int, int]]:

@@ -124,3 +124,10 @@ class InsufficientTailData(EmpintError):
 
 class EmptyGrid(EmpintError):
     """A level grid must contain at least one point."""
+
+
+# -- verify -----------------------------------------------------------------
+
+class WorkerFailed(EmpintError):
+    """A forked verify worker ended without handing back a readable result:
+    it died, exited early, or wrote bytes that do not unpickle."""

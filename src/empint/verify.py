@@ -13,7 +13,8 @@ Six suites, each with its own exit code for the command line driver:
 All randomness is drawn from the configured seed; there is no wall-clock
 entropy anywhere.  Identity suites refuse float mode.  Each suite draws from
 its own ``default_rng(seed)`` and shares nothing else, so ``run_all`` may
-run them side by side on forked workers with the same results.
+run them side by side with the same results: the calling process and forked
+children claim the suites, longest first, one byte at a time from a pipe.
 """
 from __future__ import annotations
 
@@ -266,34 +267,100 @@ SUITES = {
 }
 
 
-# Longest first (about 66, 40, 40, 22, 19 and 8 ms at seed 5), so that the
-# workers of a pool finish close together.
+# Longest first (medians of about 40, 20, 16, 13, 7.5 and 3 ms over the 16
+# verify seeds of bench seeds 5 and 11; 2 cores, Python 3.11), so that the
+# processes claiming them finish close together: Graham's LPT list scheduling.
 _LONGEST_FIRST = ("dominance", "diagram", "expectation", "norms", "moments", "constants")
 
 
 def _run_suite(name: str, seed: int) -> SuiteResult:
-    # looked up in the worker, a fork of the caller: patches included
+    # looked up at run time, also in a fork of the caller: patches included
     return SUITES[name](seed)
+
+
+def _claim(claims: int, order: list[str], seed: int) -> dict:
+    """{name: (result, None)}, or (None, error) for a suite that raised, for
+    each suite this process claims: the next byte read from the pipe
+    ``claims`` indexes ``order``, until the pipe is empty.  A one-byte read
+    from a pipe is atomic, so no two processes claim the same suite."""
+    done = {}
+    while byte := os.read(claims, 1):
+        name = order[byte[0]]
+        try:
+            done[name] = (_run_suite(name, seed), None)
+        except Exception as e:  # raised by run_all, the first in requested order
+            done[name] = (None, e)
+    return done
+
+
+def _run_forked(order: list[str], seed: int, workers: int) -> dict:
+    """``_claim``'s dict for every suite in ``order``, claimed by this
+    process and ``workers`` - 1 forked children.  Each child pickles its
+    claims back over its own pipe; every child is reaped before this
+    returns or raises."""
+    import pickle
+
+    from .errors import WorkerFailed
+
+    claims, end = os.pipe()
+    os.write(end, bytes(range(len(order))))
+    os.close(end)
+    children = {}  # pid -> the read end of its result pipe
+    try:
+        for _ in range(workers - 1):
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # the child never returns from here
+                status = 1
+                try:
+                    os.close(r)
+                    for fh in children.values():
+                        fh.close()
+                    with open(w, "wb") as out:
+                        pickle.dump(_claim(claims, order, seed), out)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(w)
+            children[pid] = open(r, "rb")
+        done = _claim(claims, order, seed)
+        sent = {pid: fh.read() for pid, fh in children.items()}
+    finally:
+        os.read(claims, len(order))  # after an error, children stop at their current suite
+        os.close(claims)
+        codes = {}
+        for pid, fh in children.items():
+            fh.close()
+            codes[pid] = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    for pid, data in sent.items():
+        if codes[pid] != 0:
+            raise WorkerFailed(f"verify worker {pid} ended with status {codes[pid]} "
+                               "before sending its results")
+        try:
+            done.update(pickle.loads(data))
+        except Exception as e:  # unpickling runs the classes' own code
+            raise WorkerFailed(f"verify worker {pid} sent an unreadable result: {e!r}") from e
+    return done
 
 
 def run_all(seed: int, suites: list[str] | None = None, workers: int = 1) -> list[SuiteResult]:
     """The results of ``suites`` (default: all, in ``SUITES`` order), in the
-    order asked for.  With ``workers`` > 1 and where ``os.fork`` exists the
-    suites run on as many forked processes, at most one per distinct suite;
-    otherwise in this process.  An error raised by a suite is raised here,
-    the first in the requested order."""
+    order asked for.  With ``workers`` > 1 and where ``os.fork`` exists, this
+    process and ``workers`` - 1 forked children (at most one process per
+    distinct suite) claim the suites longest first from one pipe;
+    otherwise they run in this process.  An error raised by a suite is
+    raised here, the first in the requested order; a child that ends
+    without sending its results raises ``WorkerFailed``."""
     names = suites if suites is not None else list(SUITES)
     unknown = [s for s in names if s not in SUITES]
     if unknown:
         raise ValueError(f"unknown suites: {unknown}")
-    workers = min(len(set(names)), workers)
+    order = sorted(set(names), key=_LONGEST_FIRST.index)
+    workers = min(len(order), workers)
     if workers < 2 or not hasattr(os, "fork"):
         return [_run_suite(name, seed) for name in names]
-    # imported here: they cost every process that imports empint.cli
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        futures = {name: pool.submit(_run_suite, name, seed)
-                   for name in sorted(set(names), key=_LONGEST_FIRST.index)}
-        return [futures[name].result() for name in names]
+    done = _run_forked(order, seed, workers)
+    for name in names:
+        if done[name][1] is not None:
+            raise done[name][1]
+    return [done[name][0] for name in names]

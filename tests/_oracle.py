@@ -16,6 +16,7 @@ runs on integer numerators and divides once.
 """
 import itertools
 import math
+from fractions import Fraction
 from itertools import groupby
 
 import numpy as np
@@ -158,3 +159,11 @@ def verify_certificate(f, cert, tol=1e-10):
                            f.axis_labels).values
     gap = np.asarray(np.abs(f.values) - prod)
     return all(x <= slack for x in gap.flat)
+
+
+def recursion_weight(l, p, k, m):
+    """The recursion weight as its closed form reads, in ``Fraction`` powers
+    and products:
+    2^{2l(4-m)} (2k)^{2k-l+p} (2k-l-p)^{3l-p-2k} / (2l)^{2l}."""
+    return (Fraction(2) ** (2 * l * (4 - m)) * Fraction(2 * k) ** (2 * k - l + p)
+            * Fraction(2 * k - l - p) ** (3 * l - p - 2 * k) / Fraction(2 * l) ** (2 * l))

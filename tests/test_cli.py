@@ -1,10 +1,12 @@
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import math
 import os
 import re
+import select
 import sys
 import tempfile
 from fractions import Fraction as F
@@ -15,6 +17,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import empint
+import empint.cli
 import empint.diagrams
 import empint.montecarlo
 import empint.verify
@@ -94,28 +97,104 @@ def test_verify_reports_failing_suite_code(tmp_path, monkeypatch, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("seed", [2024, 12345])
+@pytest.mark.parametrize("seed", [2024, 12345, None])
 def test_verify_output_independent_of_workers(tmp_path, capsys, seed):
-    cfg = write_json(tmp_path / "cfg.json", {"seed": seed})
+    # None: no config, the default seed; 6 workers is one process per suite
+    cfg = [] if seed is None else ["--config", write_json(tmp_path / "cfg.json", {"seed": seed})]
     reports, outs = [], []
-    for workers in ("1", "2"):
+    for workers in ("1", "2", "6"):
         report = tmp_path / f"report{workers}.json"
-        assert run(["verify", "--config", cfg, "--report", str(report),
-                    "--workers", workers]) == 0
+        assert run(["verify", *cfg, "--report", str(report), "--workers", workers]) == 0
         reports.append(report.read_bytes())
         outs.append(capsys.readouterr().out)
-    assert reports[0] == reports[1] and outs[0] == outs[1]
+    assert reports[1:] == reports[:1] * 2 and outs[1:] == outs[:1] * 2
 
 
-def test_verify_error_in_worker_exits_1(monkeypatch, capsys):
-    def broken(seed):
-        raise EmpintError(f"raised in process {os.getpid()}")
+@pytest.fixture
+def meet():
+    """A rendezvous for two processes, the caller and one forked child:
+    ``meet()`` returns once both have called it, True in the caller.  A
+    suite that meets first has, at that point, a suite running in the
+    other process too."""
+    caller = os.getpid()
+    to_child, to_caller = os.pipe(), os.pipe()
 
-    monkeypatch.setitem(empint.verify.SUITES, "norms", broken)
-    assert run(["verify", "--workers", "2"]) == 1
+    def meet_():
+        in_caller = os.getpid() == caller
+        (_, mine), (theirs, _) = (to_child, to_caller) if in_caller else (to_caller, to_child)
+        os.write(mine, b".")
+        select.select([theirs], [], [], 30)
+        return in_caller
+
+    yield meet_
+    for fd in (*to_child, *to_caller):
+        os.close(fd)
+
+
+def _verify_split(tmp_path, monkeypatch, meet, then):
+    """``empint verify --workers 2`` on two suites that each meet the other
+    process, then call ``then(in_caller, name)`` and pass; with two suites
+    and two processes, the caller runs one and the child the other."""
+    for name in ("norms", "moments"):
+        def suite(seed, name=name):
+            then(meet(), name)
+            return empint.verify.SuiteResult(name, empint.verify.SUITE_CODES[name])
+        monkeypatch.setitem(empint.verify.SUITES, name, suite)
+    cfg = write_json(tmp_path / "cfg.json", {"suites": ["norms", "moments"]})
+    code = run(["verify", "--config", cfg, "--workers", "2"])
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)  # every child was reaped
+    return code
+
+
+def _raise_where(in_caller):
+    def then(here, name):
+        if here == in_caller:
+            raise EmpintError(f"raised in process {os.getpid()}")
+    return then
+
+
+def test_verify_error_in_worker_exits_1(tmp_path, monkeypatch, meet, capsys):
+    assert _verify_split(tmp_path, monkeypatch, meet, _raise_where(in_caller=False)) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: raised in process ")
     assert err.split()[-1] != str(os.getpid())  # the suite ran in a forked worker
+
+
+def test_verify_error_in_callers_own_claim_exits_1(tmp_path, monkeypatch, meet, capsys):
+    assert _verify_split(tmp_path, monkeypatch, meet, _raise_where(in_caller=True)) == 1
+    assert capsys.readouterr().err == f"error: raised in process {os.getpid()}\n"
+
+
+def test_verify_worker_dying_is_typed_error(tmp_path, monkeypatch, meet, capsys):
+    def die_in_child(in_caller, name):
+        if not in_caller:
+            os._exit(3)
+
+    assert _verify_split(tmp_path, monkeypatch, meet, die_in_child) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: verify worker ") and "status 3" in err
+    assert "Traceback" not in err
+
+
+def test_verify_raises_first_error_in_requested_order(tmp_path, monkeypatch, meet, capsys):
+    def fail(in_caller, name):
+        raise EmpintError(f"{name} failed")
+
+    assert _verify_split(tmp_path, monkeypatch, meet, fail) == 1
+    assert capsys.readouterr().err == "error: norms failed\n"
+
+
+def test_verify_workers_default_is_read_at_each_run(monkeypatch, capsys):
+    seen = []
+    monkeypatch.setattr(empint.verify, "run_all",
+                        lambda seed, suites, workers: seen.append(workers) or [])
+    assert empint.cli.build_parser() is empint.cli.build_parser()
+    for cpus in (3, 1):
+        monkeypatch.setattr(empint.cli, "_usable_cpus", lambda: cpus)
+        assert run(["verify"]) == 0
+    assert run(["verify", "--workers", "5"]) == 0
+    assert seen == [3, 1, 5]
 
 
 def test_tails_outputs(tmp_path):
@@ -340,6 +419,24 @@ def test_constants_outputs(tmp_path):
     assert erows[("2", "2")] == "-1"
     assert erows[("3", "2")] == "-3/2"
     assert erows[("4", "3")] == "4/3"  # r(4,3) 4^3 = (1/48) 64
+
+
+def test_constants_keep_their_bytes(tmp_path):
+    out = tmp_path / "c"
+    assert run(["constants", "--k-max", "10", "--m-max", "40", "--out-dir", str(out)]) == 0
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()[:16]
+               for name in ("moment_constants.csv", "expectation_constants.csv")}
+    assert digests == {"moment_constants.csv": "5fcb5fbd6ed6446c",
+                       "expectation_constants.csv": "7534adf71a5b6bd6"}
+
+
+def test_constants_past_the_digit_limit_is_config_error(tmp_path, capsys):
+    # a cumulative constant at k=10, m=60 has more digits than str(int) allows
+    out = tmp_path / "c"
+    assert run(["constants", "--k-max", "10", "--m-max", "60", "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: --k-max 10 with --m-max 60")
+    assert not out.exists()
 
 
 def test_bounds_geometric_grid(tmp_path):

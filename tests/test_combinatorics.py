@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import _oracle
 from _strategies import exact_kernels, exact_spaces
 
 from empint.combinatorics import (_counts_moment, bell_number, check_moment_recursion,
@@ -191,6 +192,14 @@ def test_recursion_weight_positive():
             for l in range(k + 1):
                 for p in range(l + 1):
                     assert recursion_weight(l, p, k, m) > 0
+
+
+def test_recursion_weight_matches_closed_form():
+    for k in range(1, 9):
+        for m in range(17):
+            for l in range(k + 1):
+                for p in range(l + 1):
+                    assert recursion_weight(l, p, k, m) == _oracle.recursion_weight(l, p, k, m)
 
 
 def test_moment_recursion_holds():

@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from empint.verify import (SUITE_CODES, SUITES, SuiteResult, run_all, run_suite_constants,
@@ -47,6 +49,8 @@ def test_run_all_selection():
 def test_run_all_independent_of_workers(seed, suites):
     serial = run_all(seed, suites, workers=1)
     pooled = run_all(seed, suites, workers=2)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)  # every child was reaped
     assert [r.name for r in pooled] == (suites or list(SUITES))
     assert [r.as_dict() for r in serial] == [r.as_dict() for r in pooled]
 
