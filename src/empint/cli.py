@@ -34,7 +34,6 @@ import math
 import os
 import sys
 from fractions import Fraction
-from functools import lru_cache
 from pathlib import Path
 
 from . import __version__
@@ -177,16 +176,9 @@ def _write(files: dict, out_dir: str = "") -> None:
 
 # -- verify -----------------------------------------------------------------
 
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def cmd_verify(args) -> int:
     cfg = _read_config(args.config, SCHEMAS["verify"])
-    workers = args.workers if args.workers is not None else _usable_cpus()
-    results = verify.run_all(cfg["seed"], cfg["suites"], workers=workers)
+    results = verify.run_all(cfg["seed"], cfg["suites"], workers=args.workers)
     report = {"schema": REPORT_SCHEMA, "seed": cfg["seed"], "mode": cfg["mode"],
               "results": [r.as_dict() for r in results]}
     if args.report:
@@ -319,7 +311,6 @@ def cmd_bounds(args) -> int:
 
 # -- entry point ------------------------------------------------------------
 
-@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     codes = ", ".join(f"{code} {suite}" for suite, code in verify.SUITE_CODES.items())
     ap = argparse.ArgumentParser(
@@ -332,7 +323,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="JSON config with seed/mode/suites")
     p.add_argument("--report", help="where to write the JSON report")
     p.add_argument("--workers", type=int, help="processes to run the suites on, this one "
-                   "included (default: the usable CPUs); 1 runs them in this process alone")
+                   "included (default: the usable CPUs); 1 runs them in this process alone",
+                   default=len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                   else os.cpu_count() or 1)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("tails", help="Monte Carlo tail estimation")
@@ -364,7 +357,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         for dest, spec in _FLAGS.items():
-            if vars(args).get(dest) is not None:  # verify --workers defaults to None
+            if dest in vars(args):
                 _check("--" + dest.replace("_", "-"), vars(args)[dest], spec)
         return args.func(args)
     except MalformedInput as e:

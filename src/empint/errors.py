@@ -129,5 +129,6 @@ class EmptyGrid(EmpintError):
 # -- verify -----------------------------------------------------------------
 
 class WorkerFailed(EmpintError):
-    """A forked verify worker ended without handing back a readable result:
-    it died, exited early, or wrote bytes that do not unpickle."""
+    """A verify worker could not be forked, or ended without handing back a
+    readable result: it died, exited early, or wrote bytes that do not
+    unpickle."""

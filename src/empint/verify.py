@@ -278,18 +278,29 @@ def _run_suite(name: str, seed: int) -> SuiteResult:
     return SUITES[name](seed)
 
 
+class _ChildTraceback(Exception):
+    """The cause attached to an error a forked child sent back: the
+    traceback, as text, that the error had in the child."""
+
+    def __str__(self):
+        return f'\n"""\n{self.args[0]}"""'
+
+
 def _claim(claims: int, order: list[str], seed: int) -> dict:
-    """{name: (result, None)}, or (None, error) for a suite that raised, for
-    each suite this process claims: the next byte read from the pipe
-    ``claims`` indexes ``order``, until the pipe is empty.  A one-byte read
-    from a pipe is atomic, so no two processes claim the same suite."""
+    """{name: (result, None, None)}, or (None, error, its traceback as text)
+    for a suite that raised, for each suite this process claims: the next
+    byte read from the pipe ``claims`` indexes ``order``, until the pipe is
+    empty.  A one-byte read from a pipe is atomic, so no two processes
+    claim the same suite."""
     done = {}
     while byte := os.read(claims, 1):
         name = order[byte[0]]
         try:
-            done[name] = (_run_suite(name, seed), None)
+            done[name] = (_run_suite(name, seed), None, None)
         except Exception as e:  # raised by run_all, the first in requested order
-            done[name] = (None, e)
+            import traceback
+
+            done[name] = (None, e, traceback.format_exc())
     return done
 
 
@@ -309,7 +320,12 @@ def _run_forked(order: list[str], seed: int, workers: int) -> dict:
     try:
         for _ in range(workers - 1):
             r, w = os.pipe()
-            pid = os.fork()
+            try:
+                pid = os.fork()
+            except OSError as e:
+                os.close(r)
+                os.close(w)
+                raise WorkerFailed(f"could not fork a verify worker: {e}") from e
             if pid == 0:  # the child never returns from here
                 status = 1
                 try:
@@ -319,6 +335,11 @@ def _run_forked(order: list[str], seed: int, workers: int) -> dict:
                     with open(w, "wb") as out:
                         pickle.dump(_claim(claims, order, seed), out)
                     status = 0
+                except BaseException:  # the caller sees only the status: say why here
+                    import traceback
+
+                    os.write(2, f"verify worker {os.getpid()} could not send its results:\n"
+                                f"{traceback.format_exc()}".encode())
                 finally:
                     os._exit(status)
             os.close(w)
@@ -337,9 +358,13 @@ def _run_forked(order: list[str], seed: int, workers: int) -> dict:
             raise WorkerFailed(f"verify worker {pid} ended with status {codes[pid]} "
                                "before sending its results")
         try:
-            done.update(pickle.loads(data))
+            sent_by_child = pickle.loads(data)
         except Exception as e:  # unpickling runs the classes' own code
             raise WorkerFailed(f"verify worker {pid} sent an unreadable result: {e!r}") from e
+        for _, error, tb in sent_by_child.values():
+            if error is not None:  # a pickled error loses its traceback
+                error.__cause__ = _ChildTraceback(tb)
+        done.update(sent_by_child)
     return done
 
 
@@ -349,8 +374,9 @@ def run_all(seed: int, suites: list[str] | None = None, workers: int = 1) -> lis
     process and ``workers`` - 1 forked children (at most one process per
     distinct suite) claim the suites longest first from one pipe;
     otherwise they run in this process.  An error raised by a suite is
-    raised here, the first in the requested order; a child that ends
-    without sending its results raises ``WorkerFailed``."""
+    raised here, the first in the requested order, with the child's
+    traceback as its cause if a child raised it; a child that cannot be
+    forked or ends without sending its results raises ``WorkerFailed``."""
     names = suites if suites is not None else list(SUITES)
     unknown = [s for s in names if s not in SUITES]
     if unknown:

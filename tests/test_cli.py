@@ -17,7 +17,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 import empint
-import empint.cli
 import empint.diagrams
 import empint.montecarlo
 import empint.verify
@@ -177,24 +176,58 @@ def test_verify_worker_dying_is_typed_error(tmp_path, monkeypatch, meet, capsys)
     assert "Traceback" not in err
 
 
+def test_verify_child_error_carries_its_traceback(tmp_path, monkeypatch, meet):
+    def bug_in_child(in_caller, name):
+        if not in_caller:
+            raise ValueError("a bug in a suite")
+
+    with pytest.raises(ValueError, match="a bug in a suite") as info:
+        _verify_split(tmp_path, monkeypatch, meet, bug_in_child)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert "in bug_in_child" in str(info.value.__cause__)  # the child's frames
+
+
+def test_verify_unpicklable_child_error_is_reported(tmp_path, monkeypatch, meet, capfd):
+    class Local(EmpintError):  # pickle cannot find a class defined in a function
+        pass
+
+    def raise_local_in_child(in_caller, name):
+        if not in_caller:
+            raise Local("not sendable")
+
+    assert _verify_split(tmp_path, monkeypatch, meet, raise_local_in_child) == 1
+    err = capfd.readouterr().err
+    assert re.search(r"verify worker \d+ could not send its results:\nTraceback", err)
+    assert "Local" in err  # the pickling error, written by the child
+    assert re.search(r"^error: verify worker \d+ ended with status 1 ", err, re.M)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists open fds from /proc")
+def test_verify_failed_fork_is_typed_error(monkeypatch, capsys):
+    real_fork, forks = os.fork, []
+
+    def fork_once():  # the second fork fails, as when a process limit is reached
+        forks.append(1)
+        if len(forks) > 1:
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+        return real_fork()
+
+    fds = sorted(os.listdir("/proc/self/fd"))
+    monkeypatch.setattr(os, "fork", fork_once)
+    assert run(["verify", "--workers", "3"]) == 1
+    assert capsys.readouterr().err.startswith("error: could not fork a verify worker: ")
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)  # the child that was forked was reaped
+    assert sorted(os.listdir("/proc/self/fd")) == fds  # and no pipe was left open
+
+
 def test_verify_raises_first_error_in_requested_order(tmp_path, monkeypatch, meet, capsys):
     def fail(in_caller, name):
         raise EmpintError(f"{name} failed")
 
     assert _verify_split(tmp_path, monkeypatch, meet, fail) == 1
     assert capsys.readouterr().err == "error: norms failed\n"
-
-
-def test_verify_workers_default_is_read_at_each_run(monkeypatch, capsys):
-    seen = []
-    monkeypatch.setattr(empint.verify, "run_all",
-                        lambda seed, suites, workers: seen.append(workers) or [])
-    assert empint.cli.build_parser() is empint.cli.build_parser()
-    for cpus in (3, 1):
-        monkeypatch.setattr(empint.cli, "_usable_cpus", lambda: cpus)
-        assert run(["verify"]) == 0
-    assert run(["verify", "--workers", "5"]) == 0
-    assert seen == [3, 1, 5]
 
 
 def test_tails_outputs(tmp_path):
