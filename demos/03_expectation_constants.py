@@ -9,8 +9,8 @@ small k and obeys a clean growth bound; all of it is computable exactly.
 from fractions import Fraction
 
 from empint import (cumulative_constant, damping_factor,
-                    expectation_coefficient, expectation_coefficient_scaled,
-                    expected_integral_oracle, kernel_from_values, make_space)
+                    expectation_coefficient, expected_integral_oracle,
+                    kernel_from_values, make_space)
 
 # closed forms at small k: 0, -1/(2n), 1/(3n^2)
 for n in (2, 5, 10):
@@ -20,7 +20,9 @@ for n in (2, 5, 10):
           expectation_coefficient(n, 3))
 
 # scaled by n^{k/2} the k=2 value is the constant -1/2 for every n
-print("scaled k=2:", [expectation_coefficient_scaled(n, 2) for n in (2, 9, 25)])
+scaled = [expectation_coefficient(n, 2) * n for n in (2, 9, 25)]
+print("scaled k=2:", [str(r) for r in scaled])
+assert scaled == [Fraction(-1, 2)] * 3
 
 # the prediction agrees with a brute-force average over all samples
 space = make_space(["1/4", "3/4"])

@@ -8,8 +8,7 @@ shape exp(-alpha (n x^2)^{1/(k+1)}) past the crossover level
 x* = n^{k/2} sigma^{k+1}.  A Bernstein-type form interpolates both.
 """
 from empint import (BoundParams, bernstein_tail_bound, crossover_level,
-                    crude_sup_bound, moment_growth_bound, regime_report,
-                    two_regime_tail_bound)
+                    moment_growth_bound, regime_report, two_regime_tail_bound)
 
 k, sigma, n = 2, 0.3, 200
 xc = crossover_level(k, sigma, n)
@@ -33,7 +32,5 @@ p = BoundParams(C=2.0, alpha=0.5)
 print("with C=2, alpha=1/2:", two_regime_tail_bound(xc, k, sigma, n, p))
 print("bernstein at x*    :", bernstein_tail_bound(xc, k, sigma, n))
 
-# two hard ceilings that need no tuning at all: the statistic never
-# exceeds 2^k n^{k/2} sup|f|, and even moments obey the growth bound
-print("crude sup ceiling:", crude_sup_bound(k, n))
+# even moments obey the growth bound
 print("E J^4 growth bound (M=2, C=2):", moment_growth_bound(k, 2, sigma, n, C=2.0))

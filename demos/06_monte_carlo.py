@@ -10,7 +10,7 @@ the exact tail is a binomial sum, which calibrates the whole pipeline.
 import numpy as np
 
 from empint import (McConfig, binomial_tail_oracle, canonical_project,
-                    estimate_tail, fit_constants, indicator_kernel,
+                    estimate_tail, fit_constants, indicator_kernel, l2_norm_sq,
                     replicate_values, two_regime_tail_bound, uniform_space)
 
 space = uniform_space(2)
@@ -39,8 +39,9 @@ for x, p_hat in zip(est.x_grid, est.p_hat):
     assert two_regime_tail_bound(x, est.k, est.sigma, est.n, params) >= p_hat
 print("fitted bound dominates the empirical tail")
 
-# moments from the same stream: E J^2 = ||f||_2^2 for canonical arity-1
-from empint import estimate_moments, l2_norm_sq
-[(order, value, se)] = estimate_moments(f, cfg, orders=(2,))
-print(f"MC second moment {value:.5f} vs exact {float(l2_norm_sq(f)):.5f} "
-      f"(stderr {se:.5f})")
+# moments from the same replicates: E J^2 = ||f||_2^2 for canonical arity-1
+squares = a**2
+value, exact = float(np.mean(squares)), float(l2_norm_sq(f))
+se = float(np.std(squares, ddof=1)) / np.sqrt(cfg.replicates)
+print(f"MC second moment {value:.5f} vs exact {exact:.5f} (stderr {se:.5f})")
+assert abs(value - exact) <= 4 * se

@@ -14,12 +14,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import BadM, EmptyGrid, NonpositiveX, OutOfRegime, RegimeViolation
+from .errors import BadM, EmptyGrid, NonpositiveX, RegimeViolation
 
 __all__ = [
     "BoundParams", "two_regime_exponent", "bernstein_exponent", "two_regime_tail_bound",
-    "gaussian_regime_tail_bound", "bernstein_tail_bound",
-    "crossover_level", "moment_growth_bound", "regime_report", "crude_sup_bound",
+    "bernstein_tail_bound", "crossover_level", "moment_growth_bound", "regime_report",
 ]
 
 
@@ -95,17 +94,6 @@ def two_regime_tail_bound(x: float, k: int, sigma: float, n: int,
     return params.C * math.exp(-params.alpha * two_regime_exponent(x, k, sigma, n))
 
 
-def gaussian_regime_tail_bound(x: float, k: int, sigma: float, n: int,
-                               params: BoundParams = BoundParams()) -> float:
-    """The pure Gaussian-type branch C exp(-alpha (x/sigma)^{2/k}), valid
-    only up to the crossover level; beyond it raises OutOfRegime."""
-    _validate(x, k, sigma, n)
-    xc = crossover_level(k, sigma, n)
-    if x > xc:
-        raise OutOfRegime(f"x={x} exceeds the regime boundary {xc}")
-    return params.C * math.exp(-params.alpha * _gaussian_exponent(x, k, sigma))
-
-
 def bernstein_tail_bound(x: float, k: int, sigma: float, n: int,
                          params: BoundParams = BoundParams()) -> float:
     """The Bernstein-type form
@@ -116,12 +104,6 @@ def bernstein_tail_bound(x: float, k: int, sigma: float, n: int,
     """
     _validate(x, k, sigma, n)
     return params.c1 * math.exp(-params.c2 * bernstein_exponent(x, k, sigma, n))
-
-
-def crude_sup_bound(k: int, n: int, sup: float = 1.0) -> float:
-    """2^k n^{k/2} sup|f|: the statistic can never exceed this, whatever
-    the sample (total variation of the centered measure is at most 2)."""
-    return 2.0**k * float(n) ** (k / 2) * sup
 
 
 def _is_power_of_two(M: int) -> bool:

@@ -266,11 +266,11 @@ def cmd_tails(args) -> int:
 # -- constants --------------------------------------------------------------
 
 def cmd_constants(args) -> int:
-    table = combinatorics.moment_constant_table(args.k_max, args.m_max)
     # every row is formatted before any file is written, so a constant past
     # the interpreter's digit limit for int-to-str leaves no file behind
     try:
-        moment = [[k, m, str(d), str(c)] for k, m, d, c in table.rows]
+        moment = [[k, m, str(d), str(c)]
+                  for k, m, d, c in combinatorics.moment_constant_table(args.k_max, args.m_max)]
         # B_nk is the exact rational b with scaled constant = b * n^{-k/2}
         expectation = [[n, k, str(combinatorics.expectation_coefficient(n, k) * Fraction(n) ** k)]
                        for n in range(2, args.n_max + 1) for k in range(1, args.k_max + 1)]

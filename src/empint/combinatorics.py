@@ -15,7 +15,6 @@ small cases.  The counts oracles sum integer numerators and divide once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator
@@ -27,12 +26,12 @@ from .scalars import mode_of
 from .space import count_vectors, enumerate_samples
 
 __all__ = [
-    "set_partitions", "stirling2", "bell_number", "partition_count_bound",
-    "expectation_coefficient", "expectation_coefficient_scaled",
+    "set_partitions", "stirling2", "partition_count_bound",
+    "expectation_coefficient", "expectation_coefficient_bruteforce",
     "expected_integral_oracle", "moment_oracle", "ustat_moment_oracle",
     "damping_factor", "cumulative_constant", "recursion_weight",
     "check_moment_recursion", "profile_weight", "profile_maximizer",
-    "MomentConstantTable", "moment_constant_table",
+    "moment_constant_table",
 ]
 
 PARTITION_CAP = 12
@@ -71,10 +70,6 @@ def stirling2(k: int, s: int) -> int:
     return s * stirling2(k - 1, s) + stirling2(k - 1, s - 1)
 
 
-def bell_number(k: int) -> int:
-    return sum(stirling2(k, s) for s in range(k + 1))
-
-
 def partition_count_bound(k: int, s: int) -> int:
     """2^k s^{k-s}, an elementary upper bound for stirling2(k, s): choose
     which elements are smallest in their block, then place the rest."""
@@ -110,12 +105,6 @@ def expectation_coefficient_bruteforce(n: int, k: int) -> Fraction:
             weight *= (-1) ** (len(block) - 1) * (len(block) - 1)
         total += math.perm(n, len(blocks)) * weight
     return Fraction(total, math.factorial(k) * n**k)
-
-
-def expectation_coefficient_scaled(n: int, k: int) -> float:
-    """The coefficient on the statistic's own scale: E[statistic] equals
-    this times the k-fold integral of f.  Equals r(n, k) * n^{k/2}."""
-    return float(expectation_coefficient(n, k)) * float(n) ** (k / 2)
 
 
 # -- exact oracles by enumeration -------------------------------------------
@@ -240,18 +229,8 @@ def profile_maximizer(k: int, m: int) -> float:
     return k / (2.0 ** (m - 4) + 1.0)
 
 
-@dataclass(frozen=True)
-class MomentConstantTable:
-    """Rows (k, m, D(m), cumulative(k, m)) for reporting and CSV export."""
-
-    k_max: int
-    m_max: int
-    rows: tuple[tuple[int, int, Fraction, Fraction], ...]
-
-
-def moment_constant_table(k_max: int, m_max: int) -> MomentConstantTable:
-    rows = []
-    for k in range(1, k_max + 1):
-        for m in range(m_max + 1):
-            rows.append((k, m, damping_factor(m), cumulative_constant(k, m)))
-    return MomentConstantTable(k_max, m_max, tuple(rows))
+def moment_constant_table(k_max: int, m_max: int) -> list[tuple[int, int, Fraction, Fraction]]:
+    """Rows (k, m, D(m), cumulative(k, m)) for 1 <= k <= k_max and
+    0 <= m <= m_max, for reporting and CSV export."""
+    return [(k, m, damping_factor(m), cumulative_constant(k, m))
+            for k in range(1, k_max + 1) for m in range(m_max + 1)]

@@ -28,10 +28,9 @@ from .kernels import Kernel, compact_relabel, labeled_product
 from .scalars import mode_of
 
 __all__ = [
-    "DiagramClass", "ColoredDiagram", "diagram_count", "enumerate_diagrams",
+    "DiagramClass", "ColoredDiagram", "enumerate_diagrams",
     "contract", "contract_class_average", "is_gaussian",
     "product_formula_coefficient", "format_diagram", "parse_diagram",
-    "compact_relabel",
 ]
 
 
@@ -91,10 +90,6 @@ class ColoredDiagram:
     def p(self) -> int:
         return len(self.colored)
 
-    @property
-    def diagram_class(self) -> DiagramClass:
-        return DiagramClass(self.k1, self.k2, self.l, self.p)
-
     def colored_edges(self) -> tuple[tuple[int, int], ...]:
         return tuple(self.edges[t - 1] for t in sorted(self.colored))
 
@@ -106,13 +101,6 @@ def is_gaussian(d: ColoredDiagram) -> bool:
     """True when every edge is colored; only these diagrams survive in the
     classical product formula for Gaussian integrals."""
     return len(d.colored) == len(d.edges)
-
-
-def diagram_count(cls: DiagramClass) -> int:
-    """k1! k2! / ((k1-l)! (k2-l)! (l-p)! p!), the size of the class."""
-    return (math.factorial(cls.k1) * math.factorial(cls.k2)
-            // (math.factorial(cls.k1 - cls.l) * math.factorial(cls.k2 - cls.l)
-                * math.factorial(cls.l - cls.p) * math.factorial(cls.p)))
 
 
 def enumerate_diagrams(cls: DiagramClass) -> Iterator[ColoredDiagram]:

@@ -42,8 +42,7 @@ from .kernels import Kernel, constant_kernel, l2_norm_sq, labeled_product, rando
 from .scalars import FLOAT, Scalar, is_exact, mode_of
 
 __all__ = [
-    "DominanceCertificate", "verify_certificate", "unit_certificate",
-    "product_certificate", "tensor_certificate", "contract_certificate",
+    "DominanceCertificate", "verify_certificate", "relax_sigma", "contract_certificate",
     "collapse_certificate", "random_dominated_pair",
 ]
 
@@ -112,31 +111,6 @@ def verify_certificate(f: Kernel, cert: DominanceCertificate,
     return all(x <= slack * d_f * den for x in gap)
 
 
-def unit_certificate(f: Kernel, sigma_sq: Scalar | None = None) -> DominanceCertificate:
-    """The rank-1 certificate with |f| itself as the only factor; valid
-    whenever sup|f| <= 1.  Default budget: the squared L2 norm of f."""
-    if sigma_sq is None:
-        sigma_sq = l2_norm_sq(f)
-    return DominanceCertificate(sigma_sq, (f.abs(),))
-
-
-def product_certificate(factors: list[Kernel], sigma_sq: Scalar | None = None) -> DominanceCertificate:
-    """A certificate whose blocks are the factors' own label sets."""
-    if sigma_sq is None:
-        sigma_sq = max(l2_norm_sq(h) for h in factors)
-    return DominanceCertificate(sigma_sq, tuple(factors))
-
-
-def tensor_certificate(cf: DominanceCertificate, cg: DominanceCertificate,
-                       shift: int) -> DominanceCertificate:
-    """Certificate for a tensor product: g-side labels shift past f's.
-    The variance budgets must agree (relax one first if needed)."""
-    if cf.sigma_sq != cg.sigma_sq:
-        raise SigmaMismatch(f"budgets differ: {cf.sigma_sq} vs {cg.sigma_sq}")
-    return DominanceCertificate(cf.sigma_sq, cf.factors + tuple(
-        Kernel(h.space, h.values, tuple(j + shift for j in h.axis_labels)) for h in cg.factors))
-
-
 def relax_sigma(cert: DominanceCertificate, sigma_sq: Scalar) -> DominanceCertificate:
     if sigma_sq < cert.sigma_sq:
         raise SigmaMismatch(f"cannot shrink budget {cert.sigma_sq} to {sigma_sq}")
@@ -150,16 +124,21 @@ def contract_certificate(cf: DominanceCertificate, cg: DominanceCertificate,
     variance budget.  Raises SigmaMismatch when the budgets differ, and
     RankTooSmall when that target is below one.
     """
-    combined = tensor_certificate(cf, cg, d.k1)
-    target = combined.rank - (d.l - d.p)
+    if cf.sigma_sq != cg.sigma_sq:
+        raise SigmaMismatch(f"budgets differ: {cf.sigma_sq} vs {cg.sigma_sq}")
+    target = cf.rank + cg.rank - (d.l - d.p)
     if target < 1:
         raise RankTooSmall(f"rank {cf.rank}+{cg.rank} cannot absorb {d.l - d.p} merges")
+
+    # g's factors take g's labels in the pair, shifted past f's k1.
+    pair = cf.factors + tuple(Kernel(h.space, h.values, tuple(j + d.k1 for j in h.axis_labels))
+                              for h in cg.factors)
 
     # Schwarz step: a factor holding colored endpoints becomes the square
     # root of its squared marginal over them.
     colored = {j for edge in d.colored_edges() for j in edge}
     factors = []
-    for h in (h.as_float() for h in combined.factors):
+    for h in (h.as_float() for h in pair):
         drop = [j for j in h.axis_labels if j in colored]
         if drop:
             keep = [j for j in h.axis_labels if j not in colored]
@@ -186,7 +165,7 @@ def contract_certificate(cf: DominanceCertificate, cg: DominanceCertificate,
 
     # One product per group, relabeled to the compact 1..arity frame.
     frame = {j: i + 1 for i, j in enumerate(sorted(set().union(*(g[0] for g in groups))))}
-    return DominanceCertificate(float(combined.sigma_sq), tuple(
+    return DominanceCertificate(float(cf.sigma_sq), tuple(
         labeled_product(factors[0].space, [(v, [frame[j] for j in ls]) for v, ls in ops],
                         sorted(frame[j] for j in labels))
         for labels, ops in groups))

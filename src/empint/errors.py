@@ -57,10 +57,6 @@ class NoSuchAxis(EmpintError):
     """An axis label is not present in the kernel."""
 
 
-class SameAxis(EmpintError):
-    """An operation needs two distinct axes but got the same one twice."""
-
-
 class ArityMismatch(EmpintError):
     """A kernel has the wrong number of arguments for the operation."""
 
@@ -97,10 +93,6 @@ class RankTooSmall(EmpintError):
 
 class NonpositiveX(EmpintError):
     """Tail bounds are only defined for positive levels x."""
-
-
-class OutOfRegime(EmpintError):
-    """The level x lies outside the bound's regime of validity."""
 
 
 class BadM(EmpintError):

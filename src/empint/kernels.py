@@ -8,8 +8,8 @@ that drops an argument leaves the remaining labels untouched.
 
 Diagram contractions and certificate factor products are single calls to
 ``labeled_product``, which hands the integer labels to ``np.einsum`` as
-subscripts; ``tensor_product``, ``substitute_axis`` and ``integrate_axis``
-remain as the step-by-step operators.
+subscripts; ``tensor_product`` and ``integrate_axis`` remain as the
+step-by-step operators.
 
 Exact-mode kernels hold Fractions in an object-dtype array and every
 operation below is closed over the rationals.  The operators that return
@@ -30,8 +30,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import (ArityMismatch, MalformedInput, NoSuchAxis, NotCanonical, SameAxis,
-                     SpaceMismatch)
+from .errors import ArityMismatch, MalformedInput, NoSuchAxis, NotCanonical, SpaceMismatch
 from .scalars import (FLOAT_TOL, Arithmetic, Scalar, format_scalar, in_float_range, mode_of,
                       parse_scalar)
 from .space import AtomSpace
@@ -39,10 +38,9 @@ from .space import AtomSpace
 __all__ = [
     "Kernel", "constant_kernel", "indicator_kernel", "kernel_from_values",
     "sup_norm", "l1_norm", "l2_norm_sq", "l2_norm",
-    "labeled_product", "tensor_product", "integrate_axis", "substitute_axis", "center_axis",
-    "symmetrize", "canonical_project", "is_canonical", "require_canonical",
-    "compact_relabel", "random_kernel", "kernel_to_json",
-    "kernel_from_json",
+    "labeled_product", "tensor_product", "integrate_axis", "center_axis",
+    "symmetrize", "canonical_project", "is_canonical",
+    "compact_relabel", "random_kernel", "kernel_to_json", "kernel_from_json",
 ]
 
 MAX_ARITY = 32  # numpy 1.x's limit on array dimensions
@@ -215,19 +213,6 @@ def integrate_axis(f: Kernel, label: int) -> Kernel:
     vals = np.tensordot(f.values, f.space.weight_vector, axes=([pos], [0]))
     labels = f.axis_labels[:pos] + f.axis_labels[pos + 1:]
     return Kernel(f.space, vals, labels)
-
-
-def substitute_axis(f: Kernel, keep: int, drop: int) -> Kernel:
-    """Identify the 'drop' argument with the 'keep' argument (diagonal
-    restriction); the result no longer depends on 'drop'."""
-    if keep == drop:
-        raise SameAxis(f"substitute needs two distinct axes, got {keep}")
-    pk, pd = f.axis_position(keep), f.axis_position(drop)
-    diag = np.diagonal(f.values, 0, pk, pd)
-    labels = tuple(j for j in f.axis_labels if j != drop)
-    new_pos = labels.index(keep)
-    vals = np.moveaxis(diag, -1, new_pos)
-    return Kernel(f.space, np.ascontiguousarray(vals), labels)
 
 
 def center_axis(f: Kernel, label: int) -> Kernel:

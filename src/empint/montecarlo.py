@@ -1,4 +1,4 @@
-"""Seeded Monte Carlo for tails and moments of the empirical integrals.
+"""Seeded Monte Carlo for the tails of the empirical integrals.
 
 Estimates are reproducible down to the byte: replicate r draws from the
 child stream of (seed, r), replicates run serially in index order, and
@@ -29,9 +29,8 @@ from .kernels import Kernel, l2_norm
 from .space import AtomSpace, RandomSource, draw_counts
 
 __all__ = [
-    "McConfig", "TailEstimate", "PILOT_REPLICATES", "replicate_counts", "replicate_values",
-    "exceedance", "estimate_tail", "estimate_moments", "binomial_tail_oracle", "binomial_levels",
-    "fit_constants", "auto_grid",
+    "McConfig", "TailEstimate", "replicate_counts", "replicate_values", "exceedance",
+    "estimate_tail", "binomial_tail_oracle", "fit_constants", "auto_grid",
 ]
 
 _PILOT_OFFSET = 10**9  # pilot replicate streams never collide with the run's
@@ -111,19 +110,6 @@ def estimate_tail(f: Kernel, cfg: McConfig, counts: np.ndarray | None = None) ->
     p_hat, stderr = exceedance(eval_batch(f, counts, ustat=cfg.target == "ustat"), xs)
     return TailEstimate(xs, p_hat, stderr, cfg.replicates, f.arity, cfg.n,
                         l2_norm(f), cfg.target)
-
-
-def estimate_moments(f: Kernel, cfg: McConfig,
-                     orders: tuple[int, ...]) -> list[tuple[int, float, float]]:
-    """Rows (order, empirical mean of statistic^order, standard error)."""
-    values = replicate_values(f, cfg)
-    rows = []
-    for order in orders:
-        powered = values**order
-        mean = float(np.mean(powered))
-        se = float(np.std(powered, ddof=1) / math.sqrt(cfg.replicates))
-        rows.append((order, mean, se))
-    return rows
 
 
 def binomial_tail_oracle(weight, n: int, x_grid) -> list[float]:

@@ -42,6 +42,11 @@ from .errors import (EmptySpace, EnumerationTooLarge, MalformedInput, NegativeSe
                      NegativeWeight, NonfiniteWeight, WeightsNotNormalized)
 from .scalars import FLOAT_TOL, Scalar, format_scalar, is_exact, mode_of, parse_scalar
 
+__all__ = [
+    "AtomSpace", "Sample", "RandomSource", "make_space", "uniform_space",
+    "draw_sample", "draw_counts", "enumerate_samples", "enumerate_counts",
+]
+
 ENUMERATION_CAP = 10**6
 
 
@@ -312,8 +317,12 @@ def count_vectors(w: np.ndarray, n: int) -> Iterator[tuple[tuple[int, ...], Scal
     """All occupation-number vectors c of size-n samples over len(w) atoms,
     each with n! / prod c_a! * prod w_a^c_a.  For the weights' integer
     numerators W over d that is the vector's probability times d^n, a
-    Python int."""
+    Python int.  Raises EnumerationTooLarge when the C(n + A - 1, A - 1)
+    vectors exceed ENUMERATION_CAP."""
     A = len(w)
+    if math.comb(n + A - 1, A - 1) > ENUMERATION_CAP:
+        raise EnumerationTooLarge(f"C({n + A - 1}, {A - 1}) count vectors exceeds cap "
+                                  f"{ENUMERATION_CAP}")
     w = w.tolist()
     nfact = math.factorial(n)
     for cuts in itertools.combinations(range(n + A - 1), A - 1):
@@ -331,7 +340,8 @@ def enumerate_counts(space: AtomSpace, n: int) -> Iterator[tuple[tuple[int, ...]
     Statistics of the empirical measure depend on a sample only through its
     counts, so expectation sums over this (much smaller) enumeration agree
     exactly with sums over enumerate_samples.  Exact mode runs on the
-    weights' integer numerators and divides once per vector.
+    weights' integer numerators and divides once per vector.  Raises
+    EnumerationTooLarge as count_vectors does.
     """
     mode = mode_of(space)
     w, d = mode.numerators(space.weight_vector)

@@ -209,7 +209,7 @@ def run_suite_dominance(seed: int) -> SuiteResult:
                     target = cf.rank + cg.rank - (l - p)
                     if target < 1:
                         continue
-                    h = diagrams.compact_relabel(diagrams.contract(f, g, d))
+                    h = kernels.compact_relabel(diagrams.contract(f, g, d))
                     ct = dominance.contract_certificate(cf, cg, d)
                     res.record(ct.rank == target, 0.0,
                                f"rank {ct.rank} != {target} for {diagrams.format_diagram(d)}")

@@ -13,6 +13,10 @@ the slots of S, one slot at a time.  The norms, the canonical test and the
 certificate clauses below apply their definitions entry by entry to the
 kernels' own values (``Fraction`` objects in exact mode), where the library
 runs on integer numerators and divides once.
+
+``substitute_axis`` and ``diagram_count`` are the step-by-step and
+closed-form references for ``diagrams.contract`` and
+``diagrams.enumerate_diagrams``.
 """
 import itertools
 import math
@@ -22,7 +26,7 @@ from itertools import groupby
 import numpy as np
 
 from empint.errors import BlockMismatch
-from empint.kernels import integrate_axis, labeled_product
+from empint.kernels import Kernel, integrate_axis, labeled_product
 from empint.scalars import mode_of
 
 
@@ -167,3 +171,20 @@ def recursion_weight(l, p, k, m):
     2^{2l(4-m)} (2k)^{2k-l+p} (2k-l-p)^{3l-p-2k} / (2l)^{2l}."""
     return (Fraction(2) ** (2 * l * (4 - m)) * Fraction(2 * k) ** (2 * k - l + p)
             * Fraction(2 * k - l - p) ** (3 * l - p - 2 * k) / Fraction(2 * l) ** (2 * l))
+
+
+def substitute_axis(f, keep, drop):
+    """Identify the 'drop' argument with the 'keep' argument (diagonal
+    restriction); the result no longer depends on 'drop'."""
+    pk, pd = f.axis_position(keep), f.axis_position(drop)
+    diag = np.diagonal(f.values, 0, pk, pd)
+    labels = tuple(j for j in f.axis_labels if j != drop)
+    vals = np.moveaxis(diag, -1, labels.index(keep))
+    return Kernel(f.space, np.ascontiguousarray(vals), labels)
+
+
+def diagram_count(cls):
+    """k1! k2! / ((k1-l)! (k2-l)! (l-p)! p!), the size of the class."""
+    return (math.factorial(cls.k1) * math.factorial(cls.k2)
+            // (math.factorial(cls.k1 - cls.l) * math.factorial(cls.k2 - cls.l)
+                * math.factorial(cls.l - cls.p) * math.factorial(cls.p)))

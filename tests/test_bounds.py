@@ -3,11 +3,9 @@ import math
 import pytest
 
 from empint.bounds import (BoundParams, bernstein_exponent, bernstein_tail_bound,
-                           crossover_level, crude_sup_bound, gaussian_regime_tail_bound,
-                           moment_growth_bound, regime_report, two_regime_exponent,
-                           two_regime_tail_bound)
-from empint.errors import (BadM, EmptyGrid, NonpositiveX, OutOfRegime,
-                           RegimeViolation)
+                           crossover_level, moment_growth_bound, regime_report,
+                           two_regime_exponent, two_regime_tail_bound)
+from empint.errors import BadM, EmptyGrid, NonpositiveX, RegimeViolation
 
 
 def test_crossover_hand_value():
@@ -52,16 +50,6 @@ def test_validation_errors():
         two_regime_tail_bound(0.5, 2, 0.5, 0)
 
 
-def test_gaussian_regime_guard():
-    k, sigma, n = 2, 0.4, 30
-    xc = crossover_level(k, sigma, n)
-    inside = gaussian_regime_tail_bound(xc * 0.9, k, sigma, n)
-    assert inside == pytest.approx(
-        math.exp(-((xc * 0.9) / sigma) ** (2 / k)))
-    with pytest.raises(OutOfRegime):
-        gaussian_regime_tail_bound(xc * 1.1, k, sigma, n)
-
-
 def test_bernstein_between_regimes():
     # the Bernstein denominator is at most twice each pure term, so its
     # exponent is at least half of the two-regime exponent
@@ -73,11 +61,6 @@ def test_bernstein_between_regimes():
                 t = two_regime_tail_bound(x, k, sigma, n)
                 assert b >= t  # losing a factor of 2 in the exponent only helps
                 assert b <= math.sqrt(t) * 1.0 + 1e-12
-
-
-def test_crude_sup_bound():
-    assert crude_sup_bound(2, 4) == pytest.approx(16.0)
-    assert crude_sup_bound(1, 9, sup=0.5) == pytest.approx(3.0)
 
 
 def test_moment_growth_plain():

@@ -6,7 +6,6 @@ coefficients from the brute-force sample average, and constant values
 from direct arithmetic on the closed forms.
 """
 
-import math
 from fractions import Fraction as F
 
 import numpy as np
@@ -16,11 +15,10 @@ from hypothesis import given, settings, strategies as st
 import _oracle
 from _strategies import exact_kernels, exact_spaces
 
-from empint.combinatorics import (_counts_moment, bell_number, check_moment_recursion,
+from empint.combinatorics import (_counts_moment, check_moment_recursion,
                                   cumulative_constant, damping_factor,
                                   expectation_coefficient,
                                   expectation_coefficient_bruteforce,
-                                  expectation_coefficient_scaled,
                                   expected_integral_oracle, moment_constant_table,
                                   moment_oracle, partition_count_bound,
                                   profile_maximizer, profile_weight,
@@ -36,7 +34,7 @@ def test_set_partitions_counts():
     # Bell numbers 1, 1, 2, 5, 15, 52, 203, 877, 4140
     expected = [1, 1, 2, 5, 15, 52, 203, 877, 4140]
     for k, b in enumerate(expected):
-        assert bell_number(k) == b
+        assert sum(stirling2(k, s) for s in range(k + 1)) == b
         if k >= 1:
             parts = list(set_partitions(k))
             assert len(parts) == b
@@ -56,9 +54,9 @@ def test_stirling_hand_values():
     assert stirling2(5, 3) == 25
     assert stirling2(4, 4) == 1
     assert stirling2(4, 0) == 0
-    # column sums give Bell numbers
+    # column sums count all set partitions
     for k in range(1, 9):
-        assert sum(stirling2(k, s) for s in range(k + 1)) == bell_number(k)
+        assert sum(stirling2(k, s) for s in range(k + 1)) == len(list(set_partitions(k)))
 
 
 def test_partition_count_bound_dominates():
@@ -83,11 +81,12 @@ def test_expectation_coefficient_matches_bruteforce():
                 expectation_coefficient_bruteforce(n, k)
 
 
-def test_expectation_coefficient_scaled():
-    # scaled value multiplies by n^{k/2}; at k = 2 this is the constant -1/2
-    for n in (1, 4, 9, 25):
-        assert expectation_coefficient_scaled(n, 2) == pytest.approx(-0.5)
-    assert expectation_coefficient_scaled(7, 1) == 0.0
+def test_moment_oracle_cap():
+    # C(10^6 + 2, 2) count vectors: refused, where enumerating them would
+    # not finish
+    f = canonical_project(random_kernel(uniform_space(3), 1, np.random.default_rng(32)))
+    with pytest.raises(EnumerationTooLarge):
+        moment_oracle(f, 10**6, 2)
 
 
 def test_expected_integral_oracle_methods_agree():
@@ -221,11 +220,9 @@ def test_profile_maximizer_identity():
 
 
 def test_moment_constant_table_shape():
-    t = moment_constant_table(3, 4)
-    assert t.k_max == 3 and t.m_max == 4
-    ks = {row[0] for row in t.rows}
-    assert ks == {1, 2, 3}
-    for k, m, d, cbar in t.rows:
+    rows = moment_constant_table(3, 4)
+    assert [(k, m) for k, m, _, _ in rows] == [(k, m) for k in (1, 2, 3) for m in range(5)]
+    for k, m, d, cbar in rows:
         assert d == damping_factor(m)
         assert cbar == cumulative_constant(k, m)
 

@@ -5,14 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from _oracle import diagram_count, substitute_axis
 from _strategies import PROPERTY, json_values
 from empint.diagrams import (ColoredDiagram, DiagramClass, contract,
-                             contract_class_average, diagram_count,
-                             enumerate_diagrams, format_diagram, is_gaussian,
-                             parse_diagram, product_formula_coefficient)
+                             contract_class_average, enumerate_diagrams,
+                             format_diagram, is_gaussian, parse_diagram,
+                             product_formula_coefficient)
 from empint.errors import EmpintError, InvalidClass, InvalidDiagram
-from empint.kernels import (indicator_kernel, integrate_axis, kernel_from_values,
-                            l2_norm_sq, random_kernel, substitute_axis,
+from empint.kernels import (integrate_axis, kernel_from_values, l2_norm_sq, random_kernel,
                             sup_norm, tensor_product)
 from empint.space import make_space, uniform_space
 

@@ -7,9 +7,7 @@ from hypothesis import given, settings, strategies as st
 import _oracle
 from empint.diagrams import ColoredDiagram, DiagramClass, contract, enumerate_diagrams
 from empint.dominance import (DominanceCertificate, collapse_certificate,
-                              contract_certificate, product_certificate,
-                              random_dominated_pair, relax_sigma,
-                              tensor_certificate, unit_certificate,
+                              contract_certificate, random_dominated_pair, relax_sigma,
                               verify_certificate)
 from empint.errors import BlockMismatch, RankTooSmall, SigmaMismatch
 from empint.kernels import (Kernel, compact_relabel, constant_kernel, kernel_from_values,
@@ -57,18 +55,23 @@ def test_certificate_structural_validation(sp):
         DominanceCertificate(F(1, 2), ())
 
 
+def _unit_cert(f):
+    """The rank-1 certificate with |f| as its factor and f's own squared L2
+    norm as the budget; valid whenever sup|f| <= 1."""
+    return DominanceCertificate(l2_norm_sq(f), (f.abs(),))
+
+
 def test_unit_certificate_round_trip(sp):
     rng = np.random.default_rng(41)
     f = random_kernel(sp, 2, rng)
-    cert = unit_certificate(f)
+    cert = _unit_cert(f)
     assert cert.rank == 1
-    assert cert.sigma_sq == l2_norm_sq(f)
     assert verify_certificate(f, cert)
 
 
 def test_verify_rejects_wrong_partition(sp):
     f = kernel_from_values(sp, ["1", "0", "0"])
-    cert = unit_certificate(f)
+    cert = _unit_cert(f)
     g = tensor_product(f, f)
     with pytest.raises(BlockMismatch):
         verify_certificate(g, cert)
@@ -76,7 +79,7 @@ def test_verify_rejects_wrong_partition(sp):
 
 def test_verify_numeric_clauses(sp):
     f = kernel_from_values(sp, ["1/2", "0", "0"])
-    good = unit_certificate(f)
+    good = _unit_cert(f)
     assert verify_certificate(f, good)
     # budget larger than 1 fails the sigma clause
     assert not verify_certificate(f, DominanceCertificate(F(3, 2), good.factors))
@@ -95,17 +98,9 @@ def test_verify_numeric_clauses(sp):
     assert not verify_certificate(f, DominanceCertificate(F(1, 2), (wide,)))
 
 
-def test_product_certificate_multi_block(sp):
-    rng = np.random.default_rng(42)
-    f, cert = _random_cert(sp, ((1, 2), (3,)), 42)
-    assert cert.rank == 2
-    assert verify_certificate(f, cert)
-    assert rng is not None
-
-
 def test_random_dominated_pair_various_shapes(sp):
     for seed, blocks in enumerate([((1,),), ((1,), (2,)), ((1, 2),),
-                                   ((1, 3), (2,)), ((1,), (2,), (3,))]):
+                                   ((1, 3), (2,)), ((1,), (2,), (3,)), ((1, 2), (3,))]):
         f, cert = _random_cert(sp, blocks, 100 + seed)
         assert verify_certificate(f, cert)
         assert cert.rank == len(blocks)
@@ -117,19 +112,6 @@ def test_relax_sigma(sp):
     assert verify_certificate(f, relaxed)
     with pytest.raises(SigmaMismatch):
         relax_sigma(cert, cert.sigma_sq / 2)
-
-
-def test_tensor_certificate(sp):
-    f, cf = _random_cert(sp, ((1,), (2,)), 44)
-    g, cg = _random_cert(sp, ((1,),), 45)
-    sig = max(cf.sigma_sq, cg.sigma_sq)
-    cf, cg = relax_sigma(cf, sig), relax_sigma(cg, sig)
-    both = tensor_certificate(cf, cg, shift=2)
-    fg = tensor_product(f, g)
-    assert both.rank == 3
-    assert verify_certificate(fg, both)
-    with pytest.raises(SigmaMismatch):
-        tensor_certificate(cf, relax_sigma(cg, F(1)), shift=2)
 
 
 def test_collapse_budget_hand_value(sp):

@@ -125,6 +125,15 @@ def test_enumerate_samples_cap():
         list(enumerate_samples(uniform_space(10), 7))
 
 
+def test_enumerate_counts_cap():
+    # C(n + 2, 2) count vectors on three atoms: 496 at n = 30, about
+    # 5 * 10^11 at n = 10^6, which the cap refuses before the first one
+    sp = uniform_space(3)
+    assert sum(1 for _ in enumerate_counts(sp, 30)) == math.comb(32, 2)
+    with pytest.raises(EnumerationTooLarge):
+        next(enumerate_counts(sp, 10**6))
+
+
 def test_enumerate_counts_matches_sample_grouping():
     sp = make_space(["1/6", "1/3", "1/2"])
     n = 4
