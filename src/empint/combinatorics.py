@@ -20,10 +20,10 @@ from functools import lru_cache
 from typing import Iterator
 
 from .errors import EnumerationTooLarge
-from .integrals import _count_fraction, eval_integral
+from .integrals import _count_fraction
 from .kernels import Kernel
 from .scalars import mode_of
-from .space import count_vectors, enumerate_samples
+from .space import count_vectors
 
 __all__ = [
     "set_partitions", "stirling2", "partition_count_bound",
@@ -125,17 +125,10 @@ def _counts_moment(f: Kernel, n: int, order: int, ustat: bool) -> Fraction:
     return mode.ratio(total, d_w**n * den**order)
 
 
-def expected_integral_oracle(f: Kernel, n: int, method: str = "counts") -> Fraction:
+def expected_integral_oracle(f: Kernel, n: int) -> Fraction:
     """E[q] for a size-n sample, by exhaustive enumeration of occupation
-    counts, or with method="samples" of every ordered sample."""
-    if method == "counts":
-        return moment_oracle(f, n, 1)
-    if method != "samples":
-        raise ValueError(f"unknown method {method!r}")
-    total = Fraction(0)
-    for sample, w in enumerate_samples(f.space, n):
-        total += w * eval_integral(f, sample).coeff
-    return total
+    counts."""
+    return moment_oracle(f, n, 1)
 
 
 def moment_oracle(f: Kernel, n: int, order: int) -> Fraction:

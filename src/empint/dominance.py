@@ -37,7 +37,7 @@ from fractions import Fraction
 import numpy as np
 
 from .diagrams import ColoredDiagram
-from .errors import BlockMismatch, RankTooSmall, SigmaMismatch
+from .errors import BlockMismatch, RankTooSmall, SigmaMismatch, SpaceMismatch
 from .kernels import Kernel, constant_kernel, l2_norm_sq, labeled_product, random_kernel
 from .scalars import FLOAT, Scalar, is_exact, mode_of
 
@@ -74,12 +74,14 @@ class DominanceCertificate:
         return is_exact(self.sigma_sq) and all(h.exact for h in self.factors)
 
 
-def verify_certificate(f: Kernel, cert: DominanceCertificate,
-                       tol: float = POINTWISE_TOL) -> bool:
-    """Check every clause of the dominance definition against f.
+def verify_certificate(f: Kernel, cert: DominanceCertificate) -> bool:
+    """Check every clause of the dominance definition against f, up to
+    POINTWISE_TOL in float mode.
 
-    Structural violations (blocks not partitioning f's labels) raise
-    BlockMismatch; numeric clauses return False.  Every clause reads the
+    Structural violations raise: BlockMismatch for blocks not partitioning
+    f's labels, SpaceMismatch for a factor on another measure than f's (an
+    exact space and its float form are one measure).  Numeric clauses
+    return False.  Every clause reads the
     mode's numerators (Python ints over one denominator in exact mode) and
     compares by cross-multiplying, so exact certificates are checked
     exactly: a factor N / d is nonnegative when N >= 0 and has sup norm at
@@ -89,8 +91,11 @@ def verify_certificate(f: Kernel, cert: DominanceCertificate,
     flat = [j for block in cert.blocks for j in block]
     if sorted(flat) != sorted(f.axis_labels) or len(flat) != len(set(flat)):
         raise BlockMismatch(f"blocks {cert.blocks} do not partition labels {f.axis_labels}")
+    if any(h.space != f.space and h.space.as_float() != f.space.as_float()
+           for h in cert.factors):
+        raise SpaceMismatch("a certificate factor lives on another space than the kernel")
     mode = mode_of(cert, f)
-    slack = mode.slack(tol)
+    slack = mode.slack(POINTWISE_TOL)
     if not 0 < cert.sigma_sq <= 1 + slack:
         return False
     operands, den = [], 1
@@ -188,20 +193,20 @@ def collapse_certificate(h: Kernel, cf: DominanceCertificate,
 
 
 def random_dominated_pair(space, blocks: tuple[tuple[int, ...], ...],
-                          rng: np.random.Generator, max_den: int = 6):
+                          rng: np.random.Generator):
     """A random exact kernel together with a valid certificate on the given
     blocks: factors are random nonnegative kernels with sup <= 1, and the
     kernel is their product damped by a random sign pattern in [-1, 1]."""
     labels = tuple(sorted(j for b in blocks for j in b))
-    drawn = {b: Kernel(space, random_kernel(space, len(b), rng, max_den=max_den).abs().values,
+    drawn = {b: Kernel(space, random_kernel(space, len(b), rng).abs().values,
                        tuple(sorted(b))) for b in blocks if b}
     sigma_sq = max((l2_norm_sq(h) for h in drawn.values()), default=Fraction(0))
     if sigma_sq == 0:
-        sigma_sq = Fraction(1, max_den)
+        sigma_sq = Fraction(1, 6)  # random_kernel's bound on denominators
     # an empty block's factor is the constant sigma^2 <= sigma
     factors = tuple(drawn[b] if b else constant_kernel(space, sigma_sq) for b in blocks)
     cert = DominanceCertificate(sigma_sq, factors)
-    damp = random_kernel(space, len(labels), rng, max_den=max_den)
+    damp = random_kernel(space, len(labels), rng)
     f_vals = labeled_product(space, [(h.values, h.axis_labels) for h in factors],
                              labels).values * damp.values
     f = Kernel(space, f_vals, labels)

@@ -237,7 +237,7 @@ def product_formula_terms(f: Kernel, g: Kernel) -> dict[tuple[int, int], Kernel]
 
 
 def check_product_formula(f: Kernel, g: Kernel, sample: Sample,
-                          terms: dict[tuple[int, int], Kernel] | None = None) -> CheckResult:
+                          terms: dict[tuple[int, int], Kernel]) -> CheckResult:
     """The product of two centered integrals expands over contraction
     classes:
 
@@ -245,10 +245,9 @@ def check_product_formula(f: Kernel, g: Kernel, sample: Sample,
             coeff(k1, k2, l, p) * n^{-l} * q of the class-averaged kernel.
 
     Exact equality in exact mode; the kernels need not be symmetric or
-    canonical.
+    canonical.  ``terms`` is ``product_formula_terms(f, g)``, computed once
+    for every sample checked.
     """
-    if terms is None:
-        terms = product_formula_terms(f, g)
     mode = mode_of(f, g)
     lhs = eval_integral(f, sample).coeff * eval_integral(g, sample).coeff
     rhs = mode.zero

@@ -2,9 +2,9 @@
 
 A kernel of arity k on a space with A atoms is stored as an (A, ..., A)
 tensor, one axis per argument.  Axes carry integer *labels* (strictly
-increasing, by convention 1..k for standalone kernels); labels, not
-positions, identify arguments across contraction steps, so an operation
-that drops an argument leaves the remaining labels untouched.
+increasing, 1..k from every constructor below); labels, not positions,
+identify arguments across contraction steps, so an operation that drops
+an argument leaves the remaining labels untouched.
 
 Diagram contractions and certificate factor products are single calls to
 ``labeled_product``, which hands the integer labels to ``np.einsum`` as
@@ -82,7 +82,7 @@ class Kernel:
     def value_at(self, atoms: tuple[int, ...]) -> Scalar:
         if len(atoms) != self.arity:
             raise ArityMismatch(f"{len(atoms)} arguments for arity {self.arity}")
-        return self.values[atoms] if atoms else self.values[()]
+        return self.values[tuple(self.space.check_atom(a) for a in atoms)]
 
     def scale(self, c: Scalar) -> "Kernel":
         return Kernel(self.space, self.values * c, self.axis_labels)
@@ -119,20 +119,19 @@ def constant_kernel(space: AtomSpace, value) -> Kernel:
     return _from_flat(space, [parse_scalar(value)], (), ())
 
 
-def indicator_kernel(space: AtomSpace, atom: int, label: int = 1) -> Kernel:
-    """The arity-1 kernel 1{x = atom}."""
+def indicator_kernel(space: AtomSpace, atom: int) -> Kernel:
+    """The arity-1 kernel 1{x = atom}, labeled 1."""
     mode = mode_of(space)
     v = mode.zeros((space.n_atoms,))
-    v[atom] = mode.one
-    return Kernel(space, v, (label,))
+    v[space.check_atom(atom)] = mode.one
+    return Kernel(space, v, (1,))
 
 
-def kernel_from_values(space: AtomSpace, values, labels: tuple[int, ...] | None = None) -> Kernel:
-    """Build a kernel from a nested list / array of scalars ("p/q" ok)."""
+def kernel_from_values(space: AtomSpace, values) -> Kernel:
+    """Build a kernel, labeled 1..k, from nested lists of scalars ("p/q" ok)."""
     arr = np.asarray(values, dtype=object)
-    if labels is None:
-        labels = tuple(range(1, arr.ndim + 1))
-    return _from_flat(space, [parse_scalar(x) for x in arr.flat], arr.shape, labels)
+    return _from_flat(space, [parse_scalar(x) for x in arr.flat], arr.shape,
+                      tuple(range(1, arr.ndim + 1)))
 
 
 # -- norms ------------------------------------------------------------------
@@ -242,20 +241,20 @@ def canonical_project(f: Kernel) -> Kernel:
     return out
 
 
-def is_canonical(f: Kernel, tol: float = FLOAT_TOL) -> bool:
+def is_canonical(f: Kernel) -> bool:
     """True when integrating out any single argument yields the zero kernel:
     every marginal of the numerators N against the weight numerators W is
     compared with the slack scaled by the denominator d d_w."""
     mode = mode_of(f)
     nums, d = mode.numerators(f.values)
     w, d_w = mode.numerators(f.space.weight_vector)
-    bound = mode.slack(tol) * d * d_w
+    bound = mode.slack(FLOAT_TOL) * d * d_w
     return all(abs(x) <= bound for pos in range(f.arity)
                for x in np.tensordot(nums, w, axes=([pos], [0])).flat)
 
 
-def require_canonical(f: Kernel, tol: float = FLOAT_TOL):
-    if not is_canonical(f, tol):
+def require_canonical(f: Kernel):
+    if not is_canonical(f):
         raise NotCanonical("kernel has a nonvanishing single-argument marginal")
 
 
@@ -269,15 +268,14 @@ def compact_relabel(f: Kernel) -> Kernel:
 # -- generation and serialization ------------------------------------------
 
 def random_kernel(space: AtomSpace, arity: int, rng: np.random.Generator,
-                  max_den: int = 6, bound: Scalar = Fraction(1)) -> Kernel:
-    """A random exact kernel with |values| <= bound and denominators <= max_den."""
+                  max_den: int = 6) -> Kernel:
+    """A random exact kernel with |values| <= 1 and denominators <= max_den."""
     shape = (space.n_atoms,) * arity
     out = np.empty(shape, dtype=object)
-    b = Fraction(bound)
     for idx in np.ndindex(*shape) if arity else [()]:
         den = int(rng.integers(1, max_den + 1))
         num = int(rng.integers(-den, den + 1))
-        out[idx] = b * Fraction(num, den)
+        out[idx] = Fraction(num, den)
     return Kernel(space, out, tuple(range(1, arity + 1)))
 
 

@@ -64,11 +64,9 @@ class TailEstimate:
     x_grid: tuple[float, ...]
     p_hat: tuple[float, ...]
     stderr: tuple[float, ...]
-    replicates: int
     k: int
     n: int
     sigma: float
-    target: str
 
 
 def replicate_counts(space: AtomSpace, cfg: McConfig, base_offset: int = 0) -> np.ndarray:
@@ -108,8 +106,7 @@ def estimate_tail(f: Kernel, cfg: McConfig, counts: np.ndarray | None = None) ->
         raise ValueError(f"counts must be {cfg.replicates} rows of {f.space.n_atoms} atoms "
                          f"summing to n={cfg.n}, got shape {counts.shape}")
     p_hat, stderr = exceedance(eval_batch(f, counts, ustat=cfg.target == "ustat"), xs)
-    return TailEstimate(xs, p_hat, stderr, cfg.replicates, f.arity, cfg.n,
-                        l2_norm(f), cfg.target)
+    return TailEstimate(xs, p_hat, stderr, f.arity, cfg.n, l2_norm(f))
 
 
 def binomial_tail_oracle(weight, n: int, x_grid) -> list[float]:
@@ -198,8 +195,8 @@ def _off_pilot(x: float, attained: np.ndarray) -> float:
     return float((x + other) / 2)
 
 
-def auto_grid(f: Kernel, cfg: McConfig, points: int = 12) -> tuple[float, ...]:
-    """A geometric level grid spanning the pilot run's |statistic|
+def auto_grid(f: Kernel, cfg: McConfig, points: int) -> tuple[float, ...]:
+    """A geometric level grid of ``points`` levels spanning the pilot run's |statistic|
     quantiles, with each end moved off the values the pilot attained.
     Pilot streams are offset so they never reuse run streams."""
     pilot_cfg = McConfig(PILOT_REPLICATES, cfg.seed, cfg.n, (), cfg.target)

@@ -83,6 +83,14 @@ class AtomSpace:
             return self
         return AtomSpace(tuple(float(w) for w in self.weights))
 
+    def check_atom(self, atom) -> int:
+        """atom, when it is an integer from 0 to n_atoms - 1 and not a bool;
+        ValueError otherwise."""
+        if isinstance(atom, bool) or not isinstance(atom, (int, np.integer)) or not (
+                0 <= atom < self.n_atoms):
+            raise ValueError(f"atom index {atom!r} out of range")
+        return atom
+
 
 def make_space(weights) -> AtomSpace:
     """Validate and build a space.  Weights may be Fractions, "p/q" strings,
@@ -111,7 +119,8 @@ def make_space(weights) -> AtomSpace:
 
 
 def uniform_space(n_atoms: int) -> AtomSpace:
-    return make_space([Fraction(1, n_atoms)] * n_atoms)
+    """n_atoms atoms of weight 1/n_atoms; EmptySpace when n_atoms < 1."""
+    return make_space([Fraction(1, n_atoms) for _ in range(n_atoms)])
 
 
 @dataclass(frozen=True)
@@ -127,12 +136,7 @@ class Sample:
     def __post_init__(self):
         counts = [0] * self.space.n_atoms
         for p in self.points:
-            try:
-                counts[p] += 1  # TypeError for a non-integer, IndexError past the last atom
-            except (IndexError, TypeError):
-                raise ValueError(f"atom index {p!r} out of range") from None
-            if p < 0:
-                raise ValueError(f"atom index {p!r} out of range")
+            counts[self.space.check_atom(p)] += 1
         object.__setattr__(self, "counts", tuple(counts))
 
     @property

@@ -13,8 +13,9 @@ Six suites, each with its own exit code for the command line driver:
 All randomness is drawn from the configured seed; there is no wall-clock
 entropy anywhere.  Identity suites refuse float mode.  Each suite draws from
 its own ``default_rng(seed)`` and shares nothing else, so ``run_all`` may
-run them side by side with the same results: the calling process and forked
-children claim the suites, longest first, one byte at a time from a pipe.
+run them side by side with the same results: the calling process, alone or
+with forked children, claims the suites, longest first, one byte at a time
+from a pipe.
 """
 from __future__ import annotations
 
@@ -273,11 +274,6 @@ SUITES = {
 _LONGEST_FIRST = ("dominance", "diagram", "expectation", "norms", "moments", "constants")
 
 
-def _run_suite(name: str, seed: int) -> SuiteResult:
-    # looked up at run time, also in a fork of the caller: patches included
-    return SUITES[name](seed)
-
-
 class _ChildTraceback(Exception):
     """The cause attached to an error a forked child sent back: the
     traceback, as text, that the error had in the child."""
@@ -295,8 +291,8 @@ def _claim(claims: int, order: list[str], seed: int) -> dict:
     done = {}
     while byte := os.read(claims, 1):
         name = order[byte[0]]
-        try:
-            done[name] = (_run_suite(name, seed), None, None)
+        try:  # looked up at run time, also in a fork of the caller: patches included
+            done[name] = (SUITES[name](seed), None, None)
         except Exception as e:  # raised by run_all, the first in requested order
             import traceback
 
@@ -304,10 +300,10 @@ def _claim(claims: int, order: list[str], seed: int) -> dict:
     return done
 
 
-def _run_forked(order: list[str], seed: int, workers: int) -> dict:
+def _claim_all(order: list[str], seed: int, workers: int) -> dict:
     """``_claim``'s dict for every suite in ``order``, claimed by this
-    process and ``workers`` - 1 forked children.  Each child pickles its
-    claims back over its own pipe; every child is reaped before this
+    process and ``workers`` - 1 forked children, if any.  Each child pickles
+    its claims back over its own pipe; every child is reaped before this
     returns or raises."""
     import pickle
 
@@ -370,22 +366,19 @@ def _run_forked(order: list[str], seed: int, workers: int) -> dict:
 
 def run_all(seed: int, suites: list[str] | None = None, workers: int = 1) -> list[SuiteResult]:
     """The results of ``suites`` (default: all, in ``SUITES`` order), in the
-    order asked for.  With ``workers`` > 1 and where ``os.fork`` exists, this
-    process and ``workers`` - 1 forked children (at most one process per
-    distinct suite) claim the suites longest first from one pipe;
-    otherwise they run in this process.  An error raised by a suite is
-    raised here, the first in the requested order, with the child's
-    traceback as its cause if a child raised it; a child that cannot be
-    forked or ends without sending its results raises ``WorkerFailed``."""
+    order asked for.  This process and ``workers`` - 1 forked children (at
+    most one process per distinct suite; no child without ``os.fork``)
+    claim the suites longest first from one pipe, and every claimed suite
+    runs.  An error raised by a suite is then raised here, the first in the
+    requested order, with the child's traceback as its cause if a child
+    raised it; a child that cannot be forked or ends without sending its
+    results raises ``WorkerFailed``."""
     names = suites if suites is not None else list(SUITES)
     unknown = [s for s in names if s not in SUITES]
     if unknown:
         raise ValueError(f"unknown suites: {unknown}")
     order = sorted(set(names), key=_LONGEST_FIRST.index)
-    workers = min(len(order), workers)
-    if workers < 2 or not hasattr(os, "fork"):
-        return [_run_suite(name, seed) for name in names]
-    done = _run_forked(order, seed, workers)
+    done = _claim_all(order, seed, min(len(order), workers) if hasattr(os, "fork") else 1)
     for name in names:
         if done[name][1] is not None:
             raise done[name][1]

@@ -9,7 +9,7 @@ from empint.diagrams import ColoredDiagram, DiagramClass, contract, enumerate_di
 from empint.dominance import (DominanceCertificate, collapse_certificate,
                               contract_certificate, random_dominated_pair, relax_sigma,
                               verify_certificate)
-from empint.errors import BlockMismatch, RankTooSmall, SigmaMismatch
+from empint.errors import BlockMismatch, RankTooSmall, SigmaMismatch, SpaceMismatch
 from empint.kernels import (Kernel, compact_relabel, constant_kernel, kernel_from_values,
                             l2_norm_sq, random_kernel, tensor_product)
 from empint.space import make_space, uniform_space
@@ -49,7 +49,7 @@ def _check_transport(f, cf, g, cg, d):
 
 def test_certificate_structural_validation(sp):
     # blocks are read off the factors' labels, so they cannot disagree
-    h = kernel_from_values(sp, ["1/2", "1/2", "0"], labels=(2,))
+    h = Kernel(sp, kernel_from_values(sp, ["1/2", "1/2", "0"]).values, (2,))
     assert DominanceCertificate(F(1, 2), (h,)).blocks == ((2,),)
     with pytest.raises(RankTooSmall):
         DominanceCertificate(F(1, 2), ())
@@ -244,12 +244,23 @@ def test_collapse_certificate_float_budget_odd_rank(sp):
     assert verify_certificate(h, out)
 
 
+def test_a_factor_on_another_space_is_refused():
+    # the L2 clause is measured against f's weights, not the factor's own
+    f = kernel_from_values(make_space(["1/2", "1/2"]), ["1", "1/2"])
+    assert not verify_certificate(f, DominanceCertificate(F(13, 40), (f,)))
+    skewed = kernel_from_values(make_space(["1/10", "9/10"]), ["1", "1/2"])
+    with pytest.raises(SpaceMismatch):
+        verify_certificate(f, DominanceCertificate(F(13, 40), (skewed,)))
+    # the float form of f's space is the same measure
+    assert verify_certificate(f, DominanceCertificate(F(5, 8), (f.as_float(),)))
+
+
 def test_a_certificate_failing_each_clause_is_refused_in_both_modes():
     # a zero-weight atom, a two-block certificate and an empty block's constant
     sp = make_space(["1/3", "2/3", "0"])
     f = kernel_from_values(sp, [["1/2", "0", "0"], ["0", "-1/4", "0"], ["0", "0", "1"]])
-    row = kernel_from_values(sp, ["1", "1/2", "1"], labels=(1,))
-    col = kernel_from_values(sp, ["1/2", "1/2", "1"], labels=(2,))
+    row = Kernel(sp, kernel_from_values(sp, ["1", "1/2", "1"]).values, (1,))
+    col = Kernel(sp, kernel_from_values(sp, ["1/2", "1/2", "1"]).values, (2,))
     good = DominanceCertificate(F(1, 2), (row, col))
     failing = {
         "sigma above 1": DominanceCertificate(F(3, 2), (row, col)),
@@ -258,7 +269,7 @@ def test_a_certificate_failing_each_clause_is_refused_in_both_modes():
         "negative entry": DominanceCertificate(F(1, 2), (row.scale(-1), col.scale(-1))),
         # 3/2 sits on the zero-weight atom: only the sup clause sees it
         "sup above 1": DominanceCertificate(
-            F(1, 2), (kernel_from_values(sp, ["1", "1/2", "3/2"], labels=(1,)), col)),
+            F(1, 2), (Kernel(sp, kernel_from_values(sp, ["1", "1/2", "3/2"]).values, (1,)), col)),
         "L2 above budget": DominanceCertificate(F(1, 5), (row, col)),
         "product below |f|": DominanceCertificate(
             F(1, 2), (row, col.scale(F(1, 2)), constant_kernel(sp, "1/2"))),

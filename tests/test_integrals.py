@@ -169,7 +169,7 @@ def test_product_formula_asymmetric_kernels():
     f = random_kernel(sp, 2, rng)
     g = random_kernel(sp, 2, rng)
     for s, _ in enumerate_samples(sp, 3):
-        res = check_product_formula(f, g, s)
+        res = check_product_formula(f, g, s, product_formula_terms(f, g))
         assert res.ok and res.lhs == res.rhs
 
 
@@ -181,7 +181,7 @@ def test_product_formula_mixed_arities():
         g = random_kernel(sp, k2, rng)
         n = max(k1, k2) + 1
         for s, _ in enumerate_samples(sp, n):
-            assert check_product_formula(f, g, s).ok
+            assert check_product_formula(f, g, s, product_formula_terms(f, g)).ok
 
 
 def test_check_result_reports_discrepancy():
@@ -362,7 +362,7 @@ def test_batch_eval_matches_recursive_oracle_property(data, sp, k, n):
        n=st.integers(1, 9))
 def test_product_identity_property(data, sp, k1, k2, n):
     f, g = data.draw(exact_kernels(sp, k1)), data.draw(exact_kernels(sp, k2))
-    res = check_product_formula(f, g, data.draw(samples_of(sp, n)))
+    res = check_product_formula(f, g, data.draw(samples_of(sp, n)), product_formula_terms(f, g))
     assert type(res.lhs) is F and res.lhs == res.rhs
 
 

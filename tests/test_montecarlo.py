@@ -151,29 +151,25 @@ def test_fit_constants_dominates():
 
 def test_fit_constants_needs_data():
     est = TailEstimate(x_grid=(1.0, 2.0, 3.0), p_hat=(0.1, 0.0, 0.0),
-                       stderr=(0.01, 0.0, 0.0), replicates=100, k=1, n=10,
-                       sigma=0.5, target="integral")
+                       stderr=(0.01, 0.0, 0.0), k=1, n=10, sigma=0.5)
     with pytest.raises(InsufficientTailData):
         fit_constants(est)
     with pytest.raises(ValueError):
         fit_constants(TailEstimate(x_grid=(1.0, 2.0, 3.0),
                                    p_hat=(0.5, 0.4, 0.3),
-                                   stderr=(0.1, 0.1, 0.1), replicates=100,
-                                   k=1, n=10, sigma=0.5, target="integral"),
+                                   stderr=(0.1, 0.1, 0.1), k=1, n=10, sigma=0.5),
                       form="cauchy")
     for k, sigma in ((0, 0.5), (1, 2.5)):  # outside the bound shapes' regime
         with pytest.raises(RegimeViolation):
             fit_constants(TailEstimate(x_grid=(1.0, 2.0, 3.0), p_hat=(0.5, 0.4, 0.3),
-                                       stderr=(0.1, 0.1, 0.1), replicates=100, k=k, n=10,
-                                       sigma=sigma, target="integral"))
+                                       stderr=(0.1, 0.1, 0.1), k=k, n=10, sigma=sigma))
 
 
 def test_fit_constants_rejects_a_rising_tail():
     # a least-squares fit to this tail has a negative exponent: a "bound"
     # growing with x
     est = TailEstimate(x_grid=(0.5, 1.0, 1.5, 2.0), p_hat=(0.01, 0.05, 0.2, 0.4),
-                       stderr=(0.01, 0.01, 0.01, 0.01), replicates=1000, k=1, n=10,
-                       sigma=0.5, target="integral")
+                       stderr=(0.01, 0.01, 0.01, 0.01), k=1, n=10, sigma=0.5)
     for form in ("two_regime", "bernstein"):
         with pytest.raises(InsufficientTailData, match="does not decay"):
             fit_constants(est, form=form)
@@ -220,7 +216,7 @@ def test_auto_grid_levels_avoid_pilot_values(kernel, target, n):
     f = canonical_project(kernel_from_values(sp, values))
     for seed in (1, 2, 3):
         cfg = McConfig(replicates=100, seed=seed, n=n, x_grid=(), target=target)
-        grid = auto_grid(f, cfg)
+        grid = auto_grid(f, cfg, points=12)
         pilot = np.abs(replicate_values(f, McConfig(1000, seed, n, (), target),
                                         base_offset=montecarlo._PILOT_OFFSET))
         assert not set(grid) & set(pilot.tolist())

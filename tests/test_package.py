@@ -71,3 +71,57 @@ def test_public_surface_matches_the_modules():
     assert not unused, unused
     assert not foreign, foreign
     assert not surface, surface
+
+
+# Defaulted public parameters that no call in the package or the benchmark
+# sets, each with the reason it stays.
+UNSET_DEFAULTS_KEPT = {
+    # acceptance tests 1, 2, 5 and 6 draw kernels with denominators 4 and 5
+    ("random_kernel", "max_den"),
+}
+
+
+def _defaulted_params(fn: ast.FunctionDef) -> list[tuple[int | None, str]]:
+    """(position, name) of every parameter with a default; keyword-only
+    parameters have no position."""
+    positional = fn.args.posonlyargs + fn.args.args
+    first = len(positional) - len(fn.args.defaults)
+    return ([(i, a.arg) for i, a in enumerate(positional) if i >= first]
+            + [(None, a.arg) for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+               if d is not None])
+
+
+def _passes(call: ast.Call, position: int | None, name: str) -> bool:
+    """Whether the call sets this parameter, by keyword or by position; a
+    ``*args`` or ``**kwargs`` in the call counts as setting it."""
+    if any(kw.arg in (name, None) for kw in call.keywords):
+        return True
+    if position is None:
+        return False
+    return any(isinstance(a, ast.Starred) for a in call.args[:position + 1]) or (
+        position < len(call.args))
+
+
+def test_every_public_default_is_set_by_some_caller():
+    """A defaulted parameter of a public function that no call in
+    ``src/empint`` or ``bench/`` sets is an option with one value: make it
+    a constant, or list it in UNSET_DEFAULTS_KEPT with its reason."""
+    modules = _parse_modules()
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    callers = list(modules.values()) + [ast.parse(p.read_text())
+                                        for p in sorted(bench.glob("*.py"))]
+    calls: dict[str, list[ast.Call]] = {}
+    for tree in callers:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    unset = set()
+    for tree in modules.values():
+        public = set(_declared_all(tree) or ())
+        for fn in tree.body:
+            if isinstance(fn, ast.FunctionDef) and fn.name in public:
+                unset |= {(fn.name, name) for position, name in _defaulted_params(fn)
+                          if not any(_passes(c, position, name) for c in calls.get(fn.name, []))}
+    assert unset == UNSET_DEFAULTS_KEPT, sorted(unset ^ UNSET_DEFAULTS_KEPT)

@@ -31,8 +31,9 @@ def test_make_space_float_mode():
 
 
 def test_make_space_errors():
-    with pytest.raises(EmptySpace):
-        make_space([])
+    for empty in (lambda: make_space([]), lambda: uniform_space(0), lambda: uniform_space(-1)):
+        with pytest.raises(EmptySpace):
+            empty()
     with pytest.raises(NegativeWeight):
         make_space(["-1/2", "3/2"])
     with pytest.raises(WeightsNotNormalized):
@@ -86,9 +87,10 @@ def test_sample_validation():
     assert s.counts == (2, 3)
 
 
-@pytest.mark.parametrize("points", [(0, 1.5), (0, "1"), (0, -1)])
+@pytest.mark.parametrize("points", [(0, 1.5), (0, "1"), (0, -1), (True, False),
+                                    (0, np.True_)])
 def test_sample_rejects_non_atoms(points):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="out of range"):
         Sample(uniform_space(2), points)
 
 

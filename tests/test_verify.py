@@ -55,6 +55,27 @@ def test_run_all_independent_of_workers(seed, suites):
     assert [r.as_dict() for r in serial] == [r.as_dict() for r in pooled]
 
 
+def test_run_all_without_fork(monkeypatch):
+    monkeypatch.delattr(os, "fork")
+    one = run_all(2024, None, 1)
+    assert [r.as_dict() for r in run_all(2024, None, 6)] == [r.as_dict() for r in one]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)  # no child was left behind
+
+
+def test_one_worker_runs_every_suite_then_raises_the_first_error_in_requested_order(
+        monkeypatch):
+    ran = []
+    for name in ("norms", "dominance"):  # dominance is claimed first, norms asked for first
+        def suite(seed, name=name):
+            ran.append(name)
+            raise RuntimeError(f"{name} failed")
+        monkeypatch.setitem(SUITES, name, suite)
+    with pytest.raises(RuntimeError, match="norms failed"):
+        run_all(2024, ["constants", "norms", "dominance"], workers=1)
+    assert ran == ["dominance", "norms"]
+
+
 def test_suites_deterministic_in_seed():
     a = run_suite_norms(seed=11)
     b = run_suite_norms(seed=11)
