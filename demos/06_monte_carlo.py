@@ -11,13 +11,14 @@ import numpy as np
 
 from empint import (McConfig, binomial_tail_oracle, canonical_project,
                     estimate_tail, fit_constants, indicator_kernel, l2_norm_sq,
-                    replicate_values, two_regime_tail_bound, uniform_space)
+                    replicate_counts, replicate_values, two_regime_tail_bound,
+                    uniform_space)
 
 space = uniform_space(2)
 f = canonical_project(indicator_kernel(space, 0))
 
-cfg = McConfig(replicates=20000, seed=424242, n=30,
-               x_grid=(0.2, 0.45, 0.7, 1.0, 1.35), target="integral")
+cfg = McConfig(replicates=20000, seed=424242, n=30, target="integral")
+grid = (0.2, 0.45, 0.7, 1.0, 1.35)
 
 # determinism: the same seed gives the same replicates on every run
 a = replicate_values(f, cfg)
@@ -25,8 +26,8 @@ b = replicate_values(f, cfg)
 print("byte-identical across runs:", a.tobytes() == b.tobytes())
 
 # estimated exceedance vs the exact binomial tail
-est = estimate_tail(f, cfg)
-exact = binomial_tail_oracle("1/2", cfg.n, cfg.x_grid)
+est = estimate_tail(f, cfg, replicate_counts(space, cfg), grid)
+exact = binomial_tail_oracle("1/2", cfg.n, grid)
 print(" x      p_hat     p_exact   z")
 for x, p_hat, se, p in zip(est.x_grid, est.p_hat, est.stderr, exact):
     z = abs(p_hat - p) / se if se else 0.0

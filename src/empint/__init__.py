@@ -11,8 +11,8 @@ shapes those constants feed.  A seeded Monte Carlo layer estimates tails
 reproducibly and checks them against the exact oracles.
 """
 
-from .space import (AtomSpace, Sample, RandomSource, make_space, uniform_space,
-                    draw_sample, draw_counts, enumerate_samples, enumerate_counts)
+from .space import (AtomSpace, Sample, make_space, uniform_space, draw_sample, draw_counts,
+                    enumerate_samples, enumerate_counts)
 from .kernels import (Kernel, constant_kernel, indicator_kernel, kernel_from_values,
                       sup_norm, l1_norm, l2_norm_sq, l2_norm, labeled_product, tensor_product,
                       integrate_axis, center_axis, symmetrize, canonical_project, is_canonical,
@@ -31,8 +31,9 @@ from .combinatorics import (set_partitions, stirling2, partition_count_bound,
                             moment_constant_table)
 from .dominance import (DominanceCertificate, verify_certificate, relax_sigma,
                         contract_certificate, collapse_certificate, random_dominated_pair)
-from .bounds import (BoundParams, two_regime_exponent, bernstein_exponent, two_regime_tail_bound,
-                     bernstein_tail_bound, crossover_level, moment_growth_bound, regime_report)
+from .bounds import (BoundParams, levels, two_regime_exponent, bernstein_exponent,
+                     two_regime_tail_bound, bernstein_tail_bound, crossover_level,
+                     moment_growth_bound, regime_report)
 from .montecarlo import (McConfig, TailEstimate, replicate_counts, replicate_values, exceedance,
                          estimate_tail, binomial_tail_oracle, fit_constants, auto_grid)
 

@@ -14,10 +14,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import BadM, EmptyGrid, NonpositiveX, RegimeViolation
+from .errors import BadM, MalformedInput, NonpositiveX, RegimeViolation
 
 __all__ = [
-    "BoundParams", "two_regime_exponent", "bernstein_exponent", "two_regime_tail_bound",
+    "BoundParams", "levels", "two_regime_exponent", "bernstein_exponent", "two_regime_tail_bound",
     "bernstein_tail_bound", "crossover_level", "moment_growth_bound", "regime_report",
 ]
 
@@ -31,6 +31,14 @@ class BoundParams:
     alpha: float = 1.0
     c1: float = 1.0
     c2: float = 1.0
+
+
+def levels(values) -> tuple[float, ...]:
+    """The levels as floats; MalformedInput unless finite, positive and strictly ascending."""
+    xs = tuple(float(x) for x in values)
+    if not xs or not all(0 < x < math.inf for x in xs) or any(b <= a for a, b in zip(xs, xs[1:])):
+        raise MalformedInput(f"grid levels must be positive and strictly ascending, got {xs}")
+    return xs
 
 
 def _validate(x: float, k: int, sigma: float, n: int):
@@ -150,13 +158,9 @@ def _log_bound(bound: float, lead: float, rate: float, exponent: float) -> float
 
 def regime_report(k: int, sigma: float, n: int, x_grid, params: BoundParams = BoundParams()):
     """Rows (x, two-regime bound, Bernstein bound, active branch, log ratio)
-    over an ascending grid.  The active branch flips from 'gaussian' to
+    over ``levels(x_grid)``.  The active branch flips from 'gaussian' to
     'empirical' exactly once, at the crossover level."""
-    xs = list(x_grid)
-    if not xs:
-        raise EmptyGrid("regime report needs at least one level")
-    if any(b <= a for a, b in zip(xs, xs[1:])):
-        raise ValueError("x_grid must be strictly ascending")
+    xs = levels(x_grid)
     xc = crossover_level(k, sigma, n)
     rows = []
     for x in xs:

@@ -147,14 +147,6 @@ def _read_config(path: str | None, schema: dict) -> dict:
     return _check("config", doc, schema)
 
 
-def _levels(values) -> tuple[float, ...]:
-    """A level grid: finite positive numbers in strictly ascending order."""
-    xs = tuple(float(x) for x in values)
-    if not xs or not all(0 < x < math.inf for x in xs) or any(b <= a for a, b in zip(xs, xs[1:])):
-        raise MalformedInput(f"grid levels must be positive and strictly ascending, got {xs}")
-    return xs
-
-
 def _write(files: dict, out_dir: str = "") -> None:
     """Write each of ``files``, a path under ``out_dir`` (created if absent)
     -> its text or CSV rows.  A path that cannot be written is a
@@ -202,9 +194,9 @@ def cmd_tails(args) -> int:
         raise MalformedInput(f"bad space or kernel: {e}") from e
     if cfg["canonicalize"]:
         f = canonical_project(f)
-    mc = montecarlo.McConfig(cfg["replicates"], cfg["seed"], cfg["n"], (), cfg["target"])
-    if "x_grid" in cfg:
-        grid, provenance = _levels(cfg["x_grid"]), {"grid": "config"}
+    mc = montecarlo.McConfig(cfg["replicates"], cfg["seed"], cfg["n"], cfg["target"])
+    if "x_grid" in cfg:  # checked here, before any replicate is drawn
+        grid, provenance = bounds_mod.levels(cfg["x_grid"]), {"grid": "config"}
     else:
         provenance = {"grid": "auto", "pilot_replicates": montecarlo.PILOT_REPLICATES}
         try:
@@ -212,9 +204,8 @@ def cmd_tails(args) -> int:
         except InsufficientTailData as e:
             # a kernel zero on the support, or one whose statistic vanishes
             raise MalformedInput(f"{e}: no auto grid; give an x_grid") from e
-    mc = montecarlo.McConfig(mc.replicates, mc.seed, mc.n, grid, mc.target)
     counts = montecarlo.replicate_counts(space, mc)
-    est = montecarlo.estimate_tail(f, mc, counts)
+    est = montecarlo.estimate_tail(f, mc, counts, grid)
     if est.sigma == 0.0:
         # zero kernel: the statistic vanishes identically, so the exact
         # tail is zero and there is nothing to fit
@@ -285,10 +276,11 @@ def cmd_constants(args) -> int:
 
 # -- bounds -----------------------------------------------------------------
 
-def _parse_grid(text: str) -> tuple[float, ...]:
+def _parse_grid(text: str) -> list[float]:
+    """The levels of ``--x-grid``, unchecked: ``regime_report`` checks them."""
     try:
         if ":" not in text:
-            return _levels([float(x) for x in text.split(",")])
+            return [float(x) for x in text.split(",")]
         lo, hi, num = text.split(":")
         lo, hi, num = float(lo), float(hi), int(num)
     except ValueError:
@@ -296,7 +288,7 @@ def _parse_grid(text: str) -> tuple[float, ...]:
     if num < 1 or not 0 < lo < hi:
         raise MalformedInput(f"bad grid spec {text!r}")
     step = (hi / lo) ** (1.0 / max(num - 1, 1))
-    return _levels(lo * step**i for i in range(num))
+    return [lo * step**i for i in range(num)]
 
 
 def cmd_bounds(args) -> int:

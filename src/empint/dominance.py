@@ -74,6 +74,12 @@ class DominanceCertificate:
         return is_exact(self.sigma_sq) and all(h.exact for h in self.factors)
 
 
+def _one_measure(spaces) -> None:
+    """SpaceMismatch unless the spaces, exact or float, are one measure."""
+    if len({sp.as_float() for sp in spaces}) > 1:
+        raise SpaceMismatch("certificate factors and kernels live on different spaces")
+
+
 def verify_certificate(f: Kernel, cert: DominanceCertificate) -> bool:
     """Check every clause of the dominance definition against f, up to
     POINTWISE_TOL in float mode.
@@ -81,19 +87,17 @@ def verify_certificate(f: Kernel, cert: DominanceCertificate) -> bool:
     Structural violations raise: BlockMismatch for blocks not partitioning
     f's labels, SpaceMismatch for a factor on another measure than f's (an
     exact space and its float form are one measure).  Numeric clauses
-    return False.  Every clause reads the
-    mode's numerators (Python ints over one denominator in exact mode) and
-    compares by cross-multiplying, so exact certificates are checked
-    exactly: a factor N / d is nonnegative when N >= 0 and has sup norm at
-    most 1 when max |N| <= d, and |F| / d_f <= P / D, with P / D the
-    product of the factors' numerators, is |F| D <= P d_f.
+    return False.  Every clause reads the mode's numerators (Python ints
+    over one denominator in exact mode) and compares by cross-multiplying,
+    so exact certificates are checked exactly: a factor N / d is
+    nonnegative when N >= 0 and has sup norm at most 1 when max |N| <= d,
+    and |F| / d_f <= P / D, with P / D the product of the factors'
+    numerators, is |F| D <= P d_f.
     """
     flat = [j for block in cert.blocks for j in block]
     if sorted(flat) != sorted(f.axis_labels) or len(flat) != len(set(flat)):
         raise BlockMismatch(f"blocks {cert.blocks} do not partition labels {f.axis_labels}")
-    if any(h.space != f.space and h.space.as_float() != f.space.as_float()
-           for h in cert.factors):
-        raise SpaceMismatch("a certificate factor lives on another space than the kernel")
+    _one_measure([f.space, *(h.space for h in cert.factors)])
     mode = mode_of(cert, f)
     slack = mode.slack(POINTWISE_TOL)
     if not 0 < cert.sigma_sq <= 1 + slack:
@@ -126,11 +130,13 @@ def contract_certificate(cf: DominanceCertificate, cg: DominanceCertificate,
                          d: ColoredDiagram) -> DominanceCertificate:
     """Certificate for the compact-relabeled contraction of two dominated
     kernels along ``d``, at rank exactly r1 + r2 - (l - p) with the shared
-    variance budget.  Raises SigmaMismatch when the budgets differ, and
+    variance budget.  Raises SigmaMismatch when the budgets differ,
+    SpaceMismatch when the factors live on different measures, and
     RankTooSmall when that target is below one.
     """
     if cf.sigma_sq != cg.sigma_sq:
         raise SigmaMismatch(f"budgets differ: {cf.sigma_sq} vs {cg.sigma_sq}")
+    _one_measure(h.space for h in cf.factors + cg.factors)
     target = cf.rank + cg.rank - (d.l - d.p)
     if target < 1:
         raise RankTooSmall(f"rank {cf.rank}+{cg.rank} cannot absorb {d.l - d.p} merges")
@@ -182,10 +188,12 @@ def collapse_certificate(h: Kernel, cf: DominanceCertificate,
     |h| itself is the factor, with the enlarged budget sigma^{r1+r2}.
 
     (The Schwarz bound gives L2(h)^2 <= L2(f) L2(g) <= sigma^{r1+r2}; the
-    budget uses that exponent, so the certificate stays checkable.)
+    budget uses that exponent, so the certificate stays checkable.)  Raises
+    SigmaMismatch and SpaceMismatch as contract_certificate does, h included.
     """
     if cf.sigma_sq != cg.sigma_sq:
         raise SigmaMismatch(f"budgets differ: {cf.sigma_sq} vs {cg.sigma_sq}")
+    _one_measure([h.space, *(k.space for k in cf.factors + cg.factors)])
     r_total = cf.rank + cg.rank
     # an odd total makes the budget a square root, so a float
     mode = mode_of(cf.sigma_sq, h) if r_total % 2 == 0 else FLOAT

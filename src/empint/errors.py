@@ -106,16 +106,11 @@ class RegimeViolation(EmpintError):
 # -- Monte Carlo ------------------------------------------------------------
 
 class NegativeSeed(EmpintError):
-    """A seed or spawn key is negative; streams are keyed by non-negative
-    integers only."""
+    """A seed or replicate key is negative."""
 
 
 class InsufficientTailData(EmpintError):
     """Too few grid points with nonzero exceedance to fit constants."""
-
-
-class EmptyGrid(EmpintError):
-    """A level grid must contain at least one point."""
 
 
 # -- verify -----------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Seeded Monte Carlo for the tails of the empirical integrals.
 
-Estimates are reproducible down to the byte: replicate r draws from the
-child stream of (seed, r), replicates run serially in index order, and
-every reduction runs over the replicate-indexed array.
+Estimates are reproducible down to the byte: replicate r draws from
+``SeedSequence(seed, spawn_key=(r,))`` for a plain integer seed, replicates
+run serially in index order, and every reduction runs over the array.
 
 A replicate is drawn as its occupation counts alone (``replicate_counts``,
 over ``space.draw_counts``), and the statistic of all replicates is
@@ -17,16 +17,16 @@ draws them once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
 
-from .bounds import BoundParams, bernstein_exponent, two_regime_exponent
-from .errors import EmptyGrid, InsufficientTailData, NegativeSeed, RegimeViolation
+from .bounds import BoundParams, bernstein_exponent, levels, two_regime_exponent
+from .errors import InsufficientTailData, NegativeSeed, RegimeViolation
 from .integrals import eval_batch
 from .kernels import Kernel, l2_norm
-from .space import AtomSpace, RandomSource, draw_counts
+from .space import AtomSpace, draw_counts
 
 __all__ = [
     "McConfig", "TailEstimate", "replicate_counts", "replicate_values", "exceedance",
@@ -43,7 +43,6 @@ class McConfig:
     replicates: int
     seed: int
     n: int
-    x_grid: tuple[float, ...] = ()
     target: str = "integral"
 
     def __post_init__(self):
@@ -73,7 +72,7 @@ def replicate_counts(space: AtomSpace, cfg: McConfig, base_offset: int = 0) -> n
     """The (replicates, n_atoms) occupation counts of every replicate,
     indexed by replicate number: row r is drawn from the stream of
     (cfg.seed, base_offset + r)."""
-    return draw_counts(space, cfg.n, RandomSource(cfg.seed), cfg.replicates, base_offset)
+    return draw_counts(space, cfg.n, cfg.seed, cfg.replicates, base_offset)
 
 
 def replicate_values(f: Kernel, cfg: McConfig, base_offset: int = 0) -> np.ndarray:
@@ -90,19 +89,12 @@ def exceedance(values: np.ndarray, x_grid) -> tuple[tuple[float, ...], tuple[flo
     return p_hat, tuple(math.sqrt(p * (1.0 - p) / R) for p in p_hat)
 
 
-def estimate_tail(f: Kernel, cfg: McConfig, counts: np.ndarray | None = None) -> TailEstimate:
-    """P(|statistic| > x) over cfg.x_grid with binomial standard errors.
-
-    ``counts`` are the run's occupation counts, ``replicate_counts(f.space,
-    cfg)``, for a caller that reads them too; they are drawn when None."""
-    xs = tuple(float(x) for x in cfg.x_grid)
-    if not xs:
-        raise EmptyGrid("estimate_tail needs a nonempty x_grid")
-    if any(b <= a for a, b in zip(xs, xs[1:])):
-        raise ValueError("x_grid must be strictly ascending")
-    if counts is None:
-        counts = replicate_counts(f.space, cfg)
-    elif counts.shape != (cfg.replicates, f.space.n_atoms) or np.any(counts.sum(axis=1) != cfg.n):
+def estimate_tail(f: Kernel, cfg: McConfig, counts: np.ndarray, x_grid) -> TailEstimate:
+    """P(|statistic| > x) over the levels ``x_grid`` (checked by
+    ``bounds.levels``) with binomial standard errors, read from the run's
+    occupation counts ``replicate_counts(f.space, cfg)``."""
+    xs = levels(x_grid)
+    if counts.shape != (cfg.replicates, f.space.n_atoms) or np.any(counts.sum(axis=1) != cfg.n):
         raise ValueError(f"counts must be {cfg.replicates} rows of {f.space.n_atoms} atoms "
                          f"summing to n={cfg.n}, got shape {counts.shape}")
     p_hat, stderr = exceedance(eval_batch(f, counts, ustat=cfg.target == "ustat"), xs)
@@ -199,7 +191,7 @@ def auto_grid(f: Kernel, cfg: McConfig, points: int) -> tuple[float, ...]:
     """A geometric level grid of ``points`` levels spanning the pilot run's |statistic|
     quantiles, with each end moved off the values the pilot attained.
     Pilot streams are offset so they never reuse run streams."""
-    pilot_cfg = McConfig(PILOT_REPLICATES, cfg.seed, cfg.n, (), cfg.target)
+    pilot_cfg = replace(cfg, replicates=PILOT_REPLICATES)
     values = np.abs(replicate_values(f, pilot_cfg, base_offset=_PILOT_OFFSET))
     attained = np.unique(values)
     lo = float(np.quantile(values, _PILOT_LO_Q))

@@ -23,8 +23,8 @@ Two conventions are fixed here once and used everywhere:
   once with numpy's seeding arithmetic ported to whole arrays (O'Neill's
   ``seed_seq_fe`` hash, then PCG64's two LCG steps) and sets it on one
   reused generator: the same streams, bit for bit, without building a
-  ``SeedSequence`` and a ``PCG64`` per replicate.  ``RandomSource.generator``
-  keeps numpy's own path, which the tests hold the port to.
+  ``SeedSequence`` and a ``PCG64`` per replicate.  The tests hold the port
+  to numpy's own ``Generator(PCG64(SeedSequence(seed, spawn_key=(r,))))``.
 """
 from __future__ import annotations
 
@@ -43,7 +43,7 @@ from .errors import (EmptySpace, EnumerationTooLarge, MalformedInput, NegativeSe
 from .scalars import FLOAT_TOL, Scalar, format_scalar, is_exact, mode_of, parse_scalar
 
 __all__ = [
-    "AtomSpace", "Sample", "RandomSource", "make_space", "uniform_space",
+    "AtomSpace", "Sample", "make_space", "uniform_space",
     "draw_sample", "draw_counts", "enumerate_samples", "enumerate_counts",
 ]
 
@@ -144,27 +144,6 @@ class Sample:
         return len(self.points)
 
 
-@dataclass(frozen=True)
-class RandomSource:
-    """Seeded randomness with a deterministic, order-independent split rule."""
-
-    seed: int
-    spawn_key: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        for v in (self.seed, *self.spawn_key):
-            if operator.index(v) < 0:
-                raise NegativeSeed(f"seeds and spawn keys must be non-negative, got {v}")
-
-    def child(self, r: int) -> "RandomSource":
-        """The stream for replicate r; depends only on (seed, spawn_key, r)."""
-        return RandomSource(self.seed, self.spawn_key + (r,))
-
-    def generator(self) -> np.random.Generator:
-        ss = np.random.SeedSequence(entropy=self.seed, spawn_key=self.spawn_key)
-        return np.random.Generator(np.random.PCG64(ss))
-
-
 def _cuts(space: AtomSpace) -> np.ndarray:
     """The inverse CDF as cut points: a uniform u in [0, 1) draws the atom
     numbered by how many cuts are <= u.  The cuts are the cumulative float
@@ -174,10 +153,8 @@ def _cuts(space: AtomSpace) -> np.ndarray:
     return np.cumsum([float(w) for w in space.weights[:last]])
 
 
-def draw_sample(space: AtomSpace, n: int, rng: RandomSource | np.random.Generator) -> Sample:
+def draw_sample(space: AtomSpace, n: int, rng: np.random.Generator) -> Sample:
     """Draw n i.i.d. atoms by inverse CDF over the cumulative weights."""
-    if isinstance(rng, RandomSource):
-        rng = rng.generator()
     idx = np.searchsorted(_cuts(space), rng.random(n), side="right")
     return Sample(space, tuple(idx.tolist()))
 
@@ -223,17 +200,18 @@ def _mix(x, y):
     return r ^ r >> 16
 
 
-def replicate_seeds(source: RandomSource, keys: Sequence[int]) -> np.ndarray:
-    """``SeedSequence(source.seed, spawn_key=source.spawn_key + (k,))
-    .generate_state(4, np.uint64)`` for every k in ``keys``, as one
-    (len(keys), 4) uint64 array.
+def replicate_seeds(seed: int, keys: Sequence[int]) -> np.ndarray:
+    """``SeedSequence(seed, spawn_key=(k,)).generate_state(4, np.uint64)``
+    for every k in ``keys``, as one (len(keys), 4) uint64 array; NegativeSeed
+    for a negative seed.
 
-    The entropy is the seed's words padded to four, the spawn key's words,
-    then k's words.  All but k's words are the same on every row, so they
-    are mixed once in Python ints; k's words and the output hash run on
-    whole columns."""
-    run = _words(source.seed)
-    entropy = run + [0] * (4 - len(run)) + [w for key in source.spawn_key for w in _words(key)]
+    The entropy is the seed's words padded to four, then k's words.  The
+    seed's words are the same on every row, so they are mixed once in
+    Python ints; k's words and the output hash run on whole columns."""
+    if seed < 0:
+        raise NegativeSeed(f"seed must be non-negative, got {seed}")
+    entropy = _words(seed)
+    entropy += [0] * (4 - len(entropy))
     hash_ = _Hash(_INIT_A, _MULT_A)
     pool = [hash_(w) for w in entropy[:4]]
     for s in range(4):
@@ -270,11 +248,12 @@ def pcg64_state(words: list[int]) -> dict:
 _CHUNK_UNIFORMS = 2**15  # uniforms buffered at once by draw_counts (256 KiB)
 
 
-def draw_counts(space: AtomSpace, n: int, source: RandomSource, replicates: int,
+def draw_counts(space: AtomSpace, n: int, seed: int, replicates: int,
                 base_offset: int = 0) -> np.ndarray:
-    """The (replicates, n_atoms) occupation counts of size-n samples, row r
-    drawn from the stream ``source.child(base_offset + r)``: row r equals
-    ``draw_sample(space, n, source.child(base_offset + r)).counts``.
+    """The (replicates, n_atoms) occupation counts of size-n samples: row r
+    equals ``draw_sample(space, n, rng).counts`` for the generator ``rng``
+    on ``SeedSequence(seed, spawn_key=(base_offset + r,))``.  NegativeSeed
+    for a negative seed or base_offset.
 
     Every row's PCG64 state comes from one ``replicate_seeds`` pass and is
     set on one reused generator.  Rather than locating every uniform, it
@@ -283,7 +262,7 @@ def draw_counts(space: AtomSpace, n: int, source: RandomSource, replicates: int,
     if base_offset < 0:
         raise NegativeSeed(f"base_offset must be non-negative, got {base_offset}")
     cuts = _cuts(space)
-    seeds = replicate_seeds(source, range(base_offset, base_offset + replicates))
+    seeds = replicate_seeds(seed, range(base_offset, base_offset + replicates))
     bitgen = np.random.PCG64(0)
     gen = np.random.Generator(bitgen)
     out = np.zeros((replicates, space.n_atoms), dtype=np.int64)

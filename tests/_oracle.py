@@ -16,7 +16,8 @@ runs on integer numerators and divides once.
 
 ``substitute_axis`` and ``diagram_count`` are the step-by-step and
 closed-form references for ``diagrams.contract`` and
-``diagrams.enumerate_diagrams``.
+``diagrams.enumerate_diagrams``, and ``replicate_generator`` is numpy's own
+stream for a replicate, which ``space.draw_counts`` ports to whole arrays.
 """
 import itertools
 import math
@@ -188,3 +189,8 @@ def diagram_count(cls):
     return (math.factorial(cls.k1) * math.factorial(cls.k2)
             // (math.factorial(cls.k1 - cls.l) * math.factorial(cls.k2 - cls.l)
                 * math.factorial(cls.l - cls.p) * math.factorial(cls.p)))
+
+
+def replicate_generator(seed, r):
+    """numpy's generator for replicate r of a run seeded with ``seed``."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(r,))))

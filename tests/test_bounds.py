@@ -5,7 +5,7 @@ import pytest
 from empint.bounds import (BoundParams, bernstein_exponent, bernstein_tail_bound,
                            crossover_level, moment_growth_bound, regime_report,
                            two_regime_exponent, two_regime_tail_bound)
-from empint.errors import BadM, EmptyGrid, NonpositiveX, RegimeViolation
+from empint.errors import BadM, NonpositiveX, RegimeViolation
 
 
 def test_crossover_hand_value():
@@ -108,10 +108,7 @@ def test_regime_report_structure():
 
 
 def test_regime_report_errors():
-    with pytest.raises(EmptyGrid):
-        regime_report(2, 0.4, 25, [])
-    with pytest.raises(ValueError):
-        regime_report(2, 0.4, 25, [1.0, 0.5])
+    # bad grids: test_cli's test_bad_level_grids_are_refused_alike
     for k, sigma, n in ((100000, 0.4, 10), (2, 0.4, 10**400), (1000, 0.01, 10)):
         with pytest.raises(RegimeViolation):
             crossover_level(k, sigma, n)

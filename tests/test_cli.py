@@ -22,10 +22,10 @@ import empint.montecarlo
 import empint.verify
 from _strategies import PROPERTY, json_values
 from empint.cli import SCHEMAS, main
-from empint.errors import EmpintError
+from empint.errors import EmpintError, MalformedInput
 from empint.integrals import eval_batch
 from empint.kernels import canonical_project, kernel_from_json
-from empint.space import RandomSource, draw_counts, make_space
+from empint.space import draw_counts, make_space
 
 
 def run(argv):
@@ -288,7 +288,7 @@ def test_tails_and_self_check_read_the_same_counts(tmp_path, doc):
                 "--out-dir", str(out)]) == 0
     space = make_space(doc["space"]["weights"])
     n, R = doc["n"], doc["replicates"]
-    counts = draw_counts(space, n, RandomSource(doc["seed"]), R)
+    counts = draw_counts(space, n, doc["seed"], R)
 
     def exceedances(values, name):
         with open(out / name) as fh:
@@ -580,6 +580,28 @@ def test_bounds_bad_grid(tmp_path, capsys):
     assert run(["bounds", "--k", "2", "--sigma", "0.4", "--n", "25",
                 "--x-grid", "5:1:4", "--out", str(tmp_path / "b.csv")]) == 2
     capsys.readouterr()
+
+
+BAD_GRIDS = {"empty": [], "zero": [0.0, 1.0], "negative": [-1.0, 2.0], "nan": [0.5, math.nan],
+             "infinite": [0.5, math.inf], "descending": [2.0, 1.0], "repeated": [1.0, 1.0]}
+
+
+@pytest.mark.parametrize("grid", BAD_GRIDS.values(), ids=BAD_GRIDS)
+def test_bad_level_grids_are_refused_alike(tmp_path, capsys, grid):
+    f = canonical_project(kernel_from_json(make_space(["1/2", "1/2"]), TAILS_CFG["kernel"]))
+    cfg = empint.McConfig(20, 1, 5)
+    counts = empint.replicate_counts(f.space, cfg)
+    for refuse in (lambda: empint.levels(grid),
+                   lambda: empint.estimate_tail(f, cfg, counts, grid),
+                   lambda: empint.regime_report(2, 0.4, 25, grid)):
+        with pytest.raises(MalformedInput):
+            refuse()
+    tails = write_json(tmp_path / "t.json", {**TAILS_CFG, "x_grid": grid})
+    assert run(["tails", "--config", tails, "--out-dir", str(tmp_path / "t")]) == 2
+    assert run(["bounds", "--k", "2", "--sigma", "0.4", "--n", "25",
+                "--x-grid=" + ",".join(map(repr, grid)), "--out", str(tmp_path / "b.csv")]) == 2
+    assert capsys.readouterr().err.count("configuration error:") == 2
+    assert list(tmp_path.iterdir()) == [tmp_path / "t.json"]
 
 
 @pytest.mark.parametrize("command", ["verify", "tails", "constants", "bounds"])

@@ -255,6 +255,36 @@ def test_a_factor_on_another_space_is_refused():
     assert verify_certificate(f, DominanceCertificate(F(5, 8), (f.as_float(),)))
 
 
+def _certificates_on_two_measures():
+    # f's factor on (1/2, 1/2), g's on (1/10, 9/10), one shared budget
+    f = kernel_from_values(make_space(["1/2", "1/2"]), ["1", "1/2"])
+    g = kernel_from_values(make_space(["1/10", "9/10"]), ["1", "1/2"])
+    return f, DominanceCertificate(F(5, 8), (f,)), DominanceCertificate(F(5, 8), (g,))
+
+
+def test_contract_certificate_refuses_factors_on_two_measures():
+    # with the colored edge, g's factor would become its Schwarz marginal
+    # taken against (1/10, 9/10), sqrt(13/40), in a certificate on (1/2, 1/2)
+    f, cf, cg = _certificates_on_two_measures()
+    d = ColoredDiagram(1, 1, ((1, 2),), {1})
+    with pytest.raises(SpaceMismatch):
+        contract_certificate(cf, cg, d)
+    # the float form of f's space is the same measure
+    cf_float = DominanceCertificate(F(5, 8), (f.as_float(),))
+    h = compact_relabel(contract(f, f, d))
+    assert verify_certificate(h, contract_certificate(cf, cf_float, d))
+
+
+def test_collapse_certificate_refuses_factors_on_two_measures():
+    f, cf, cg = _certificates_on_two_measures()
+    h = contract(f, f, ColoredDiagram(1, 1, ((1, 2),), {1}))
+    with pytest.raises(SpaceMismatch):
+        collapse_certificate(h, cf, cg)
+    with pytest.raises(SpaceMismatch):
+        collapse_certificate(h.as_float(), cg, cg)
+    assert verify_certificate(h, collapse_certificate(h.as_float(), cf, cf))
+
+
 def test_a_certificate_failing_each_clause_is_refused_in_both_modes():
     # a zero-weight atom, a two-block certificate and an empty block's constant
     sp = make_space(["1/3", "2/3", "0"])

@@ -23,7 +23,7 @@ from empint.combinatorics import expected_integral_oracle
 from empint.errors import EmptySample, NotCanonical
 from empint.kernels import (canonical_project, constant_kernel, indicator_kernel,
                             kernel_from_values, random_kernel, tensor_product)
-from empint.space import (RandomSource, Sample, draw_counts, enumerate_samples, make_space,
+from empint.space import (Sample, draw_counts, enumerate_samples, make_space,
                           sample_from_counts, uniform_space)
 
 
@@ -216,7 +216,7 @@ def test_batch_evaluator_matches_recursive(weights):
     for k in range(4):
         f = random_kernel(sp, k, rng).as_float()
         for n in (1, 2, 5, 17):  # n < k covers the vanishing U-statistic
-            counts = draw_counts(sp, n, RandomSource(k), 40)
+            counts = draw_counts(sp, n, k, 40)
             samples = [sample_from_counts(f.space, tuple(row.tolist())) for row in counts]
             want = [_oracle.integral_coeff(f, s) * float(n) ** (k / 2) for s in samples]
             want_u = [_oracle.ustat(f, s) / float(n) ** (k / 2) for s in samples]
@@ -239,7 +239,7 @@ def test_batch_matches_exact_at_the_benchmark_sizes(weights, k):
     # the largest Monte Carlo shapes: n = 300, canonical kernels on 3 or 4 atoms
     sp = make_space(weights)
     f = canonical_project(random_kernel(sp, k, np.random.default_rng(k)))
-    counts = draw_counts(sp, 300, RandomSource(k), 40)
+    counts = draw_counts(sp, 300, k, 40)
     want, want_u = _exact_rows(f, counts)
     np.testing.assert_allclose(eval_batch(f, counts), want, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(eval_batch(f, counts, ustat=True), want_u, rtol=1e-12, atol=1e-12)
@@ -259,7 +259,7 @@ def test_batch_reads_each_rows_size_from_its_counts():
 def test_batch_of_the_zero_kernel_is_zero_per_row():
     sp = uniform_space(3)
     f = kernel_from_values(sp, np.zeros((3, 3), dtype=int))
-    counts = draw_counts(sp, 7, RandomSource(1), 5)
+    counts = draw_counts(sp, 7, 1, 5)
     for ustat in (False, True):
         out = eval_batch(f, counts, ustat=ustat)
         assert out.shape == (5,) and not out.any()

@@ -9,7 +9,7 @@ from empint.errors import InsufficientTailData, NegativeSeed, RegimeViolation
 from empint.kernels import (canonical_project, indicator_kernel, kernel_from_values, l2_norm,
                             l2_norm_sq, random_kernel)
 from empint.montecarlo import (McConfig, TailEstimate, auto_grid, binomial_levels,
-                               binomial_tail_oracle, estimate_tail, fit_constants,
+                               binomial_tail_oracle, estimate_tail, exceedance, fit_constants,
                                replicate_counts, replicate_values)
 from empint.space import make_space, uniform_space
 
@@ -20,26 +20,25 @@ def centered_indicator(space, atom=0):
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        McConfig(replicates=0, seed=1, n=4, x_grid=(0.5,), target="integral")
+        McConfig(replicates=0, seed=1, n=4, target="integral")
     with pytest.raises(ValueError):
-        McConfig(replicates=10, seed=1, n=4, x_grid=(0.5,), target="median")
+        McConfig(replicates=10, seed=1, n=4, target="median")
     for n in (0, -3):
         with pytest.raises(ValueError):
-            McConfig(replicates=10, seed=1, n=n, x_grid=(0.5,), target="integral")
+            McConfig(replicates=10, seed=1, n=n, target="integral")
     with pytest.raises(NegativeSeed):
-        McConfig(replicates=10, seed=-1, n=4, x_grid=(0.5,), target="integral")
-    McConfig(replicates=10, seed=1, n=4, x_grid=(0.5,), target="ustat")
+        McConfig(replicates=10, seed=-1, n=4, target="integral")
+    McConfig(replicates=10, seed=1, n=4, target="ustat")
 
 
 def test_replicates_deterministic_across_workers():
     sp = uniform_space(2)
     f = centered_indicator(sp)
-    cfg = McConfig(replicates=500, seed=99, n=12, x_grid=(0.5,), target="integral")
+    cfg = McConfig(replicates=500, seed=99, n=12, target="integral")
     a = replicate_values(f, cfg)
     b = replicate_values(f, cfg)
     assert a.tobytes() == b.tobytes()
-    c = replicate_values(f, McConfig(replicates=500, seed=100, n=12,
-                                     x_grid=(0.5,), target="integral"))
+    c = replicate_values(f, McConfig(replicates=500, seed=100, n=12, target="integral"))
     assert a.tobytes() != c.tobytes()
 
 
@@ -47,10 +46,8 @@ def test_replicates_prefix_stable():
     # growing the replicate count extends the sequence without reshuffling
     sp = uniform_space(2)
     f = centered_indicator(sp)
-    short = replicate_values(f, McConfig(replicates=100, seed=7, n=6,
-                                         x_grid=(0.5,), target="integral"))
-    long = replicate_values(f, McConfig(replicates=300, seed=7, n=6,
-                                        x_grid=(0.5,), target="integral"))
+    short = replicate_values(f, McConfig(replicates=100, seed=7, n=6, target="integral"))
+    long = replicate_values(f, McConfig(replicates=300, seed=7, n=6, target="integral"))
     assert short.tobytes() == long[:100].tobytes()
 
 
@@ -72,7 +69,7 @@ def test_ustat_target_matches_integral_for_canonical():
     # at most one ulp
     sp = make_space(["1/3", "2/3"])
     f = centered_indicator(sp)
-    kw = dict(replicates=200, seed=5, n=8, x_grid=(0.5,))
+    kw = dict(replicates=200, seed=5, n=8)
     a = replicate_values(f, McConfig(target="integral", **kw))
     b = replicate_values(f, McConfig(target="ustat", **kw))
     assert np.allclose(a, b, rtol=0, atol=1e-14)
@@ -106,8 +103,8 @@ def test_estimate_tail_matches_binomial_oracle():
     f = centered_indicator(sp)
     n = 10
     grid = (0.3, 0.6, 0.95)
-    cfg = McConfig(replicates=4000, seed=12, n=n, x_grid=grid, target="integral")
-    est = estimate_tail(f, cfg)
+    cfg = McConfig(replicates=4000, seed=12, n=n, target="integral")
+    est = estimate_tail(f, cfg, replicate_counts(sp, cfg), grid)
     exact = binomial_tail_oracle(F(1, 2), n, grid)
     for p_hat, p, se in zip(est.p_hat, exact, est.stderr):
         band = max(se, math.sqrt(p * (1 - p) / cfg.replicates))
@@ -117,19 +114,21 @@ def test_estimate_tail_matches_binomial_oracle():
 def test_estimate_tail_reads_given_counts():
     sp = make_space(["1/4", "3/4"])
     f = centered_indicator(sp)
-    cfg = McConfig(replicates=300, seed=12, n=10, x_grid=(0.3, 0.6, 0.95), target="ustat")
+    cfg = McConfig(replicates=300, seed=12, n=10, target="ustat")
+    grid = (0.3, 0.6, 0.95)
     counts = replicate_counts(sp, cfg)
-    assert estimate_tail(f, cfg, counts) == estimate_tail(f, cfg)
+    est = estimate_tail(f, cfg, counts, grid)
+    assert (est.p_hat, est.stderr) == exceedance(replicate_values(f, cfg), grid)
     for bad in (counts[:-1], counts[:, :1], counts * 2):
         with pytest.raises(ValueError):
-            estimate_tail(f, cfg, bad)
+            estimate_tail(f, cfg, bad, grid)
 
 
 def test_estimate_moments_second_moment():
     # E J^2 = ||f||_2^2 for a canonical arity-1 kernel, independent of n
     sp = make_space(["1/4", "3/4"])
     f = centered_indicator(sp)
-    cfg = McConfig(replicates=4000, seed=77, n=9, x_grid=(0.5,), target="integral")
+    cfg = McConfig(replicates=4000, seed=77, n=9, target="integral")
     squares = replicate_values(f, cfg) ** 2
     se = np.std(squares, ddof=1) / math.sqrt(cfg.replicates)
     assert abs(np.mean(squares) - float(l2_norm_sq(f))) <= 4 * se
@@ -138,9 +137,8 @@ def test_estimate_moments_second_moment():
 def test_fit_constants_dominates():
     sp = uniform_space(2)
     f = centered_indicator(sp)
-    cfg = McConfig(replicates=3000, seed=21, n=25,
-                   x_grid=(0.1, 0.25, 0.4, 0.6, 0.8), target="integral")
-    est = estimate_tail(f, cfg)
+    cfg = McConfig(replicates=3000, seed=21, n=25, target="integral")
+    est = estimate_tail(f, cfg, replicate_counts(sp, cfg), (0.1, 0.25, 0.4, 0.6, 0.8))
     for form in ("two_regime", "bernstein"):
         params = fit_constants(est, form=form)
         from empint.bounds import bernstein_tail_bound, two_regime_tail_bound
@@ -198,7 +196,7 @@ def test_binomial_levels_leave_the_lattice():
 def test_auto_grid_shape():
     sp = uniform_space(2)
     f = centered_indicator(sp)
-    cfg = McConfig(replicates=100, seed=3, n=20, x_grid=(), target="integral")
+    cfg = McConfig(replicates=100, seed=3, n=20, target="integral")
     grid = auto_grid(f, cfg, points=8)
     assert len(grid) == 8
     assert all(b > a for a, b in zip(grid, grid[1:]))
@@ -215,18 +213,10 @@ def test_auto_grid_levels_avoid_pilot_values(kernel, target, n):
     values = ["1", "0"] if kernel == "indicator" else [["1", "0"], ["0", "0"]]
     f = canonical_project(kernel_from_values(sp, values))
     for seed in (1, 2, 3):
-        cfg = McConfig(replicates=100, seed=seed, n=n, x_grid=(), target=target)
+        cfg = McConfig(replicates=100, seed=seed, n=n, target=target)
         grid = auto_grid(f, cfg, points=12)
-        pilot = np.abs(replicate_values(f, McConfig(1000, seed, n, (), target),
+        pilot = np.abs(replicate_values(f, McConfig(1000, seed, n, target),
                                         base_offset=montecarlo._PILOT_OFFSET))
         assert not set(grid) & set(pilot.tolist())
         assert 0 < grid[0] < grid[-1]
 
-
-def test_estimate_tail_requires_ascending_grid():
-    sp = uniform_space(2)
-    f = centered_indicator(sp)
-    cfg = McConfig(replicates=50, seed=3, n=5, x_grid=(0.9, 0.1),
-                   target="integral")
-    with pytest.raises(ValueError):
-        estimate_tail(f, cfg)

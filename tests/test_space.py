@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import math
 from fractions import Fraction as F
 from pathlib import Path
@@ -8,11 +9,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import empint
+from _oracle import replicate_generator
 from _strategies import PROPERTY, json_values
 from empint.errors import (EmpintError, EmptySpace, EnumerationTooLarge, MalformedInput,
                            NegativeSeed, NegativeWeight, NonfiniteWeight, WeightsNotNormalized)
 from empint import space as space_mod
-from empint.space import (RandomSource, Sample, draw_counts, draw_sample,
+from empint.space import (Sample, draw_counts, draw_sample,
                           enumerate_counts, enumerate_samples, make_space, pcg64_state,
                           replicate_seeds, sample_from_counts, uniform_space)
 
@@ -156,26 +158,25 @@ def test_sample_from_counts():
 
 def test_draw_sample_deterministic():
     sp = make_space(["1/4", "3/4"])
-    a = draw_sample(sp, 50, RandomSource(99))
-    b = draw_sample(sp, 50, RandomSource(99))
+    a = draw_sample(sp, 50, np.random.default_rng(99))
+    b = draw_sample(sp, 50, np.random.default_rng(99))
     assert a.points == b.points
-    c = draw_sample(sp, 50, RandomSource(100))
+    c = draw_sample(sp, 50, np.random.default_rng(100))
     assert c.points != a.points
 
 
 def test_child_streams_are_order_independent():
-    root = RandomSource(7)
-    direct = root.child(5).generator().random(3)
-    again = RandomSource(7).child(5).generator().random(3)
-    assert np.array_equal(direct, again)
+    # replicate 5 draws the same counts alone or as row 5 of a run
+    sp = make_space(["1/4", "3/4"])
+    run = draw_counts(sp, 40, 7, 8)
+    assert np.array_equal(draw_counts(sp, 40, 7, 1, base_offset=5)[0], run[5])
     # sibling streams differ
-    other = root.child(6).generator().random(3)
-    assert not np.array_equal(direct, other)
+    assert not np.array_equal(run[5], run[6])
 
 
 def test_law_of_large_numbers_fixed_seed():
     sp = make_space(["1/4", "3/4"])
-    s = draw_sample(sp, 100_000, RandomSource(2718))
+    s = draw_sample(sp, 100_000, np.random.default_rng(2718))
     freq = s.counts[0] / s.n
     # 4 sigma band around 1/4
     band = 4 * math.sqrt(0.25 * 0.75 / s.n)
@@ -213,23 +214,22 @@ def test_draw_sample_never_draws_trailing_zero_weight_atom():
 ])
 def test_draw_counts_rows_are_draw_sample_counts(weights):
     sp = make_space(weights)
-    root = RandomSource(31)
     for n in (1, 7, 40):
-        counts = draw_counts(sp, n, root, 60, base_offset=5)
+        counts = draw_counts(sp, n, 31, 60, base_offset=5)
         assert counts.shape == (60, sp.n_atoms)
         for r, row in enumerate(counts):
-            assert tuple(row.tolist()) == draw_sample(sp, n, root.child(5 + r)).counts
+            assert tuple(row.tolist()) == draw_sample(sp, n, replicate_generator(31, 5 + r)).counts
 
 
 def test_draw_counts_do_not_depend_on_the_chunk_size(monkeypatch):
     sp = make_space(["1/10", "2/5", "0", "1/2"])
-    whole = draw_counts(sp, 20, RandomSource(4), 50)
+    whole = draw_counts(sp, 20, 4, 50)
     monkeypatch.setattr(space_mod, "_CHUNK_UNIFORMS", 3 * 20)  # three rows a chunk
-    assert np.array_equal(draw_counts(sp, 20, RandomSource(4), 50), whole)
+    assert np.array_equal(draw_counts(sp, 20, 4, 50), whole)
 
 
-def _numpy_seed(source, key):
-    ss = np.random.SeedSequence(source.seed, spawn_key=source.spawn_key + (key,))
+def _numpy_seed(seed, key):
+    ss = np.random.SeedSequence(seed, spawn_key=(key,))
     return ss.generate_state(4, np.uint64), np.random.PCG64(ss).state
 
 
@@ -248,46 +248,58 @@ PIN_KEYS = (*range(300), 10**9 + 5, 2 * 10**9 + 7, 2**32 - 1, 2**32, 2**40)
 def test_replicate_seeds_match_numpy(seed):
     """The batch port against numpy's own SeedSequence, PCG64 and uniforms;
     a numpy release that changed any of them fails here."""
-    source = RandomSource(seed)
-    words = replicate_seeds(source, PIN_KEYS)
+    words = replicate_seeds(seed, PIN_KEYS)
     assert words.shape == (len(PIN_KEYS), 4) and words.dtype == np.uint64
     for key, row in zip(PIN_KEYS, words):
-        want_words, want_state = _numpy_seed(source, key)
+        want_words, want_state = _numpy_seed(seed, key)
         assert np.array_equal(row, want_words)
         assert pcg64_state(row.tolist()) == want_state
     for key, row in list(zip(PIN_KEYS, words))[::25]:
-        want = source.child(key).generator().random(17)
+        want = replicate_generator(seed, key).random(17)
         assert np.array_equal(_port_uniforms(row.tolist(), 17), want)
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
-@given(seed=st.integers(0, 2**160),
-       prefix=st.lists(st.integers(0, 2**70), max_size=2),
-       keys=st.lists(st.integers(0, 2**70), min_size=1, max_size=8))
-def test_replicate_seeds_property(seed, prefix, keys):
-    source = RandomSource(seed, tuple(prefix))
-    for key, row in zip(keys, replicate_seeds(source, keys)):
-        want_words, want_state = _numpy_seed(source, key)
+@given(seed=st.integers(0, 2**160), keys=st.lists(st.integers(0, 2**70), min_size=1, max_size=8))
+def test_replicate_seeds_property(seed, keys):
+    for key, row in zip(keys, replicate_seeds(seed, keys)):
+        want_words, want_state = _numpy_seed(seed, key)
         assert np.array_equal(row, want_words)
         assert pcg64_state(row.tolist()) == want_state
 
 
 def test_draw_counts_across_the_two_word_key_boundary():
+    # a three-word seed, and keys from one uint32 word to two
+    seed = 2**64 + 7
     sp = make_space(["1/4", "0", "3/4"])
-    root = RandomSource(2**40 + 7, (3,))
-    counts = draw_counts(sp, 9, root, 6, base_offset=2**32 - 3)
+    counts = draw_counts(sp, 9, seed, 6, base_offset=2**32 - 3)
     for r, row in enumerate(counts):
-        assert tuple(row.tolist()) == draw_sample(sp, 9, root.child(2**32 - 3 + r)).counts
+        want = draw_sample(sp, 9, replicate_generator(seed, 2**32 - 3 + r)).counts
+        assert tuple(row.tolist()) == want
+
+
+# sha256 of the int64 counts, recorded before seeds became plain integers;
+# numpy's SeedSequence, PCG64 and random() must give these bytes on every
+# numpy the package supports
+@pytest.mark.parametrize("weights, n, seed, replicates, base_offset, digest", [
+    (["1/6", "1/3", "1/2"], 40, 12345, 200, 0,
+     "4724c38f373f3bea536f575f9c77c1b6562f03cede6e7a701f9b5e3b89ef2581"),
+    ([0.1] * 10 + [0.0], 300, 2**70 + 3, 50, 10**9,
+     "15e271250b7e9f195384c514b15e685b5c47296f8938a4e9dce80d1f4b1136a7"),
+    (["1/4", "0", "3/4"], 9, 2**64 + 7, 6, 2**32 - 3,
+     "e3c8d94150dc744d3e398772d27288a5591b6e2fc2dc5b4d1a5af56f8844dab7"),
+], ids=["small-seed", "float-weights", "key-boundary"])
+def test_draw_counts_bytes_are_pinned(weights, n, seed, replicates, base_offset, digest):
+    counts = draw_counts(make_space(weights), n, seed, replicates, base_offset)
+    assert hashlib.sha256(counts.astype("<i8").tobytes()).hexdigest() == digest
 
 
 def test_negative_seed_is_a_typed_error():
-    for seed, key in ((-1, ()), (3, (-2,)), (3, (1, -1))):
+    with pytest.raises(NegativeSeed):
+        replicate_seeds(-1, [0])
+    for seed, base_offset in ((-1, 0), (3, -1)):
         with pytest.raises(NegativeSeed):
-            RandomSource(seed, key)
-    with pytest.raises(NegativeSeed):
-        RandomSource(3).child(-1)
-    with pytest.raises(NegativeSeed):
-        draw_counts(uniform_space(2), 4, RandomSource(3), 5, base_offset=-1)
+            draw_counts(uniform_space(2), 4, seed, 5, base_offset)
 
 
 def test_weight_vector_is_cached_and_read_only():
