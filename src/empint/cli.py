@@ -3,12 +3,13 @@
 Subcommands:
 
     verify     run the self-verification suites; exit 0 iff all pass,
-               else the code of the first failing suite
-               (10 diagram, 11 expectation, 12 norms, 13 moments,
-                14 dominance, 15 constants); --workers N (default: the
-               usable CPUs) runs them on up to N processes, this one and
-               forked children, which claim the suites longest first from
-               a pipe; the report and stdout are the same for every N
+               else the code of the first failing suite, as listed in
+               ``verify.SUITES``, the one table of suites and codes that
+               the --help epilog and the config schema also read;
+               --workers N (default: the usable CPUs) runs them on up to
+               N processes, this one and forked children, which claim the
+               suites longest first from a pipe; the report and stdout are
+               the same for every N
     tails      Monte Carlo tail estimation for a configured kernel;
                writes tails.csv, self_check.csv and a run manifest.  The
                run's replicates are drawn once: the self check evaluates
@@ -35,6 +36,8 @@ import os
 import sys
 from fractions import Fraction
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from . import bounds as bounds_mod
@@ -277,7 +280,9 @@ def cmd_constants(args) -> int:
 # -- bounds -----------------------------------------------------------------
 
 def _parse_grid(text: str) -> list[float]:
-    """The levels of ``--x-grid``, unchecked: ``regime_report`` checks them."""
+    """The levels of ``--x-grid``, unchecked: ``regime_report`` checks them.
+    ``lo:hi:num`` is ``np.geomspace(lo, hi, num)``, as ``auto_grid`` spaces
+    its levels, so both ends are exactly ``lo`` and ``hi``."""
     try:
         if ":" not in text:
             return [float(x) for x in text.split(",")]
@@ -285,10 +290,9 @@ def _parse_grid(text: str) -> list[float]:
         lo, hi, num = float(lo), float(hi), int(num)
     except ValueError:
         raise MalformedInput(f"bad grid spec {text!r}") from None
-    if num < 1 or not 0 < lo < hi:
+    if num < 1 or not 0 < lo < hi < math.inf:
         raise MalformedInput(f"bad grid spec {text!r}")
-    step = (hi / lo) ** (1.0 / max(num - 1, 1))
-    return [lo * step**i for i in range(num)]
+    return np.geomspace(lo, hi, num).tolist()
 
 
 def cmd_bounds(args) -> int:
@@ -304,7 +308,7 @@ def cmd_bounds(args) -> int:
 # -- entry point ------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
-    codes = ", ".join(f"{code} {suite}" for suite, code in verify.SUITE_CODES.items())
+    codes = ", ".join(f"{code} {name}" for name, (code, _) in verify.SUITES.items())
     ap = argparse.ArgumentParser(
         prog="empint",
         description="Exact and Monte Carlo analysis of empirical-measure multiple integrals.",

@@ -41,7 +41,7 @@ import numpy as np
 from . import diagrams
 from .errors import EmptySample, SpaceMismatch
 from .kernels import Kernel, require_canonical
-from .scalars import FLOAT_TOL, Arithmetic, Scalar, mode_of
+from .scalars import FLOAT_TOL, Scalar, mode_of
 from .space import Sample
 
 __all__ = [
@@ -77,7 +77,6 @@ class _CountPolynomial:
 
     blocks: tuple[tuple[tuple[Scalar, tuple[tuple[int, int], ...]], ...], ...]
     den: int
-    mode: Arithmetic
 
 
 _polynomials: "WeakKeyDictionary[Kernel, _CountPolynomial]" = WeakKeyDictionary()
@@ -121,7 +120,7 @@ def _count_polynomial(f: Kernel) -> _CountPolynomial:
         integrated = [np.tensordot(t, w, axes=([s], [0])) for s, t in enumerate(sums)]
         sums = [integrated[0], *(a + b for a, b in zip(integrated[1:], sums)), sums[-1]]
     blocks = tuple(_monomials(t, (-1) ** (k - s) * d_w**s, len(w)) for s, t in enumerate(sums))
-    _polynomials[f] = poly = _CountPolynomial(blocks, math.factorial(k) * d_f * d_w**k, mode)
+    _polynomials[f] = poly = _CountPolynomial(blocks, math.factorial(k) * d_f * d_w**k)
     return poly
 
 

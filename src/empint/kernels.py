@@ -11,14 +11,16 @@ Diagram contractions and certificate factor products are single calls to
 subscripts; ``tensor_product`` and ``integrate_axis`` remain as the
 step-by-step operators.
 
-Exact-mode kernels hold Fractions in an object-dtype array and every
-operation below is closed over the rationals.  The operators that return
-a kernel work on those Fractions.  The norms and ``is_canonical``, which
-end in a scalar or a verdict, read the values as Python-int numerators
-over one common denominator (``Arithmetic.numerators``) and divide or
-compare once at the end.  Float-mode kernels use IEEE doubles with the
-same code paths, over a denominator of 1.  A kernel's values are
-read-only, so results memoized on a kernel can never go stale.
+Exact-mode kernels hold Python rationals in an object-dtype array on an
+exact space (a kernel turns any other object values into floats when it is
+built) and every operation below is closed over the rationals.  The
+operators that return a kernel work on those Fractions.  The norms and
+``is_canonical``, which end in a scalar or a verdict, read the values as
+Python-int numerators over one common denominator
+(``Arithmetic.numerators``) and divide or compare once at the end.
+Float-mode kernels use IEEE doubles with the same code paths, over a
+denominator of 1.  A kernel's values are read-only, so results memoized
+on a kernel can never go stale.
 """
 from __future__ import annotations
 
@@ -31,8 +33,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ArityMismatch, MalformedInput, NoSuchAxis, NotCanonical, SpaceMismatch
-from .scalars import (FLOAT_TOL, Arithmetic, Scalar, format_scalar, in_float_range, mode_of,
-                      parse_scalar)
+from .scalars import (FLOAT_TOL, Arithmetic, Scalar, format_scalar, in_float_range,
+                      kernel_values, mode_of, parse_scalar)
 from .space import AtomSpace
 
 __all__ = [
@@ -55,7 +57,7 @@ class Kernel:
     axis_labels: tuple[int, ...]
 
     def __post_init__(self):
-        v = np.asarray(self.values).view()
+        v = kernel_values(np.asarray(self.values), self.space.exact).view()
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
         if v.ndim != len(self.axis_labels):
@@ -71,7 +73,7 @@ class Kernel:
 
     @property
     def exact(self) -> bool:
-        return self.values.dtype == object and self.space.exact
+        return self.values.dtype == object
 
     def axis_position(self, label: int) -> int:
         try:
@@ -97,7 +99,7 @@ class Kernel:
     def as_float(self) -> "Kernel":
         if not self.exact:
             return self
-        return Kernel(self.space.as_float(), self.values.astype(float), self.axis_labels)
+        return Kernel(self.space.as_float(), self.values, self.axis_labels)
 
 
 def _check_same_frame(f: Kernel, g: Kernel):
@@ -107,16 +109,8 @@ def _check_same_frame(f: Kernel, g: Kernel):
         raise ArityMismatch(f"axis labels differ: {f.axis_labels} vs {g.axis_labels}")
 
 
-def _from_flat(space: AtomSpace, flat: list, shape, labels: tuple[int, ...]) -> Kernel:
-    """A kernel from row-major parsed scalars: exact only when the space and
-    every value are."""
-    mode = mode_of(space, *flat)
-    vals = np.array([mode.cast(x) for x in flat], dtype=mode.dtype).reshape(shape)
-    return Kernel(space, vals, labels)
-
-
 def constant_kernel(space: AtomSpace, value) -> Kernel:
-    return _from_flat(space, [parse_scalar(value)], (), ())
+    return Kernel(space, np.array(parse_scalar(value), dtype=object), ())
 
 
 def indicator_kernel(space: AtomSpace, atom: int) -> Kernel:
@@ -130,8 +124,7 @@ def indicator_kernel(space: AtomSpace, atom: int) -> Kernel:
 def kernel_from_values(space: AtomSpace, values) -> Kernel:
     """Build a kernel, labeled 1..k, from nested lists of scalars ("p/q" ok)."""
     arr = np.asarray(values, dtype=object)
-    return _from_flat(space, [parse_scalar(x) for x in arr.flat], arr.shape,
-                      tuple(range(1, arr.ndim + 1)))
+    return Kernel(space, np.frompyfunc(parse_scalar, 1, 1)(arr), tuple(range(1, arr.ndim + 1)))
 
 
 # -- norms ------------------------------------------------------------------
@@ -158,7 +151,9 @@ def l2_norm_sq(f: Kernel) -> Scalar:
 
 
 def l2_norm(f: Kernel) -> float:
-    return math.sqrt(float(l2_norm_sq(f)))
+    """The square root of l2_norm_sq, inf past float range."""
+    sq = l2_norm_sq(f)
+    return math.sqrt(float(sq)) if in_float_range(sq) else math.inf
 
 
 def _full_contraction(mode: Arithmetic, flat: np.ndarray, d: int, f: Kernel) -> Scalar:
@@ -303,4 +298,5 @@ def kernel_from_json(space: AtomSpace, doc: dict) -> Kernel:
     want = space.n_atoms**arity
     if len(vals) != want:
         raise ArityMismatch(f"expected {want} values for arity {arity}, got {len(vals)}")
-    return _from_flat(space, vals, (space.n_atoms,) * arity, tuple(range(1, arity + 1)))
+    return Kernel(space, np.array(vals, dtype=object).reshape((space.n_atoms,) * arity),
+                  tuple(range(1, arity + 1)))

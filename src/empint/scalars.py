@@ -105,6 +105,16 @@ FLOAT = Arithmetic(False, float, float, 0.0, 1.0, operator.truediv,
                    lambda values: (np.asarray(values, dtype=float), 1))
 
 
+def kernel_values(values: np.ndarray, exact_space: bool) -> np.ndarray:
+    """A kernel's values in one mode, told by the dtype alone: an object array
+    stays exact on an exact space with every entry a Python rational, and
+    is float64 otherwise.  Other arrays are kept as they are."""
+    if values.dtype == object and not (
+            exact_space and all(issubclass(t, Rational) for t in set(map(type, values.flat)))):
+        return values.astype(float)
+    return values
+
+
 def mode_of(*items) -> Arithmetic:
     """Exact mode when every item (a space, kernel, certificate or scalar)
     is exact, float mode otherwise."""

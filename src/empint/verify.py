@@ -1,14 +1,10 @@
 """Self-verification suites: desk-scale, deterministic, exact where the
 identity being checked is exact.
 
-Six suites, each with its own exit code for the command line driver:
-
-    10 diagram      product formula and the canonical U-statistic identity
-    11 expectation  enumeration oracle against the closed-form coefficient
-    12 norms        contraction norm inequalities, exactly
-    13 moments      exact moments against the growth bounds (frozen C)
-    14 dominance    certificate transport through contractions
-    15 constants    recursion constants, coefficients, partition bounds
+``SUITES`` is the one table of the six suites: each name maps to the exit
+code the command line driver reports it under and to the suite, in report
+order.  A suite ``run_suite_<name>(res, rng)`` only records its checks in
+``res``; ``_claim`` builds that ``SuiteResult`` and the suite's generator.
 
 All randomness is drawn from the configured seed; there is no wall-clock
 entropy anywhere.  Identity suites refuse float mode.  Each suite draws from
@@ -28,15 +24,6 @@ from fractions import Fraction
 import numpy as np
 
 from . import bounds, combinatorics, diagrams, dominance, integrals, kernels, space
-
-SUITE_CODES = {
-    "diagram": 10,
-    "expectation": 11,
-    "norms": 12,
-    "moments": 13,
-    "dominance": 14,
-    "constants": 15,
-}
 
 # Frozen empirical constants for the moment suite.  Measured over exact
 # sweeps (k <= 2, M <= 2, n <= 6, random kernels with sup <= 1) the
@@ -75,11 +62,9 @@ class SuiteResult:
                 "notes": self.notes}
 
 
-def run_suite_diagram(seed: int) -> SuiteResult:
+def run_suite_diagram(res: SuiteResult, rng: np.random.Generator) -> None:
     """Exact pathwise identities: the product expansion over contraction
     classes, and U-statistic equality for canonical kernels."""
-    res = SuiteResult("diagram", SUITE_CODES["diagram"])
-    rng = np.random.default_rng(seed)
     for k1, k2 in [(1, 1), (1, 2), (2, 2)]:
         for A in (2, 3):
             sp = space.uniform_space(A)
@@ -100,14 +85,11 @@ def run_suite_diagram(seed: int) -> SuiteResult:
                 s = space.draw_sample(sp, n, rng)
                 r = integrals.check_canonical_ustat_identity(f, s)
                 res.record(r.ok, r.discrepancy, f"canonical identity k={k} n={n}")
-    return res
 
 
-def run_suite_expectation(seed: int) -> SuiteResult:
+def run_suite_expectation(res: SuiteResult, rng: np.random.Generator) -> None:
     """E[q] from exhaustive enumeration equals the closed-form coefficient
     times the plain k-fold integral, exactly."""
-    res = SuiteResult("expectation", SUITE_CODES["expectation"])
-    rng = np.random.default_rng(seed)
     for k in (1, 2, 3):
         for A in (2, 3):
             sp = space.uniform_space(A)
@@ -121,13 +103,10 @@ def run_suite_expectation(seed: int) -> SuiteResult:
                     want = combinatorics.expectation_coefficient(n, k) * plain.values[()]
                     res.record(got == want, float(got - want),
                                f"expectation k={k} n={n} A={A}")
-    return res
 
 
-def run_suite_norms(seed: int) -> SuiteResult:
+def run_suite_norms(res: SuiteResult, rng: np.random.Generator) -> None:
     """Contraction norm inequalities, in squared (rational) form."""
-    res = SuiteResult("norms", SUITE_CODES["norms"])
-    rng = np.random.default_rng(seed)
     for k1, k2 in [(1, 1), (1, 2), (2, 2)]:
         for _ in range(4):
             sp = space.uniform_space(int(rng.integers(2, 4)))
@@ -144,22 +123,14 @@ def run_suite_norms(seed: int) -> SuiteResult:
                         if diagrams.is_gaussian(d):
                             res.record(nh <= nf * ng, 0.0,
                                        f"colored contraction bound {diagrams.format_diagram(d)}")
-            ff = diagrams.contract(f, f, _full_pairing(k1, colored=False))
+            pairing = tuple((j, k1 + j) for j in range(1, k1 + 1))
+            ff = diagrams.contract(f, f, diagrams.ColoredDiagram(k1, k1, pairing))
             res.record(kernels.l1_norm(ff) <= nf, 0.0, "self-pairing L1 bound")
-    return res
 
 
-def _full_pairing(k: int, colored: bool) -> diagrams.ColoredDiagram:
-    edges = tuple((j, k + j) for j in range(1, k + 1))
-    cset = frozenset(range(1, k + 1)) if colored else frozenset()
-    return diagrams.ColoredDiagram(k, k, edges, cset)
-
-
-def run_suite_moments(seed: int) -> SuiteResult:
+def run_suite_moments(res: SuiteResult, rng: np.random.Generator) -> None:
     """Exact even moments stay under the growth-bound shapes with the
     frozen constants."""
-    res = SuiteResult("moments", SUITE_CODES["moments"])
-    rng = np.random.default_rng(seed)
     for k in (1, 2):
         for M in (1, 2):
             for n in (max(2, k * M), 6):
@@ -187,14 +158,11 @@ def run_suite_moments(seed: int) -> SuiteResult:
                 ej2 = float(combinatorics.moment_oracle(f, n, 2) * Fraction(n) ** k)
                 cap = SECOND_MOMENT_C**k / float(k) ** k * float(s2)
                 res.record(ej2 <= cap, max(0.0, ej2 - cap), f"second moment k={k} n={n}")
-    return res
 
 
-def run_suite_dominance(seed: int) -> SuiteResult:
+def run_suite_dominance(res: SuiteResult, rng: np.random.Generator) -> None:
     """Transformed certificates really dominate the contraction, at the
     exact rank target; the rank-1 fallback also verifies."""
-    res = SuiteResult("dominance", SUITE_CODES["dominance"])
-    rng = np.random.default_rng(seed)
     sp = space.uniform_space(3)
     shapes = [(1, ((1,),)), (2, ((1,), (2,))), (2, ((1, 2),))]
     for (k1, b1), (k2, b2) in itertools.product(shapes, repeat=2):
@@ -219,12 +187,10 @@ def run_suite_dominance(seed: int) -> SuiteResult:
                     cc = dominance.collapse_certificate(h, cf, cg)
                     res.record(dominance.verify_certificate(h, cc), 0.0,
                                f"fallback {diagrams.format_diagram(d)}")
-    return res
 
 
-def run_suite_constants(seed: int) -> SuiteResult:
+def run_suite_constants(res: SuiteResult, rng: np.random.Generator) -> None:
     """Frozen values and exact inequalities for the constant tables."""
-    res = SuiteResult("constants", SUITE_CODES["constants"])
     res.record(combinatorics.damping_factor(0) == 17, note="damping(0)")
     res.record(combinatorics.damping_factor(4) == 2, note="damping(4)")
     res.record(combinatorics.damping_factor(10) == Fraction(65, 64), note="damping(10)")
@@ -255,16 +221,16 @@ def run_suite_constants(seed: int) -> SuiteResult:
         for s in range(1, k + 1):
             res.record(combinatorics.stirling2(k, s) <= combinatorics.partition_count_bound(k, s),
                        note=f"partition bound k={k} s={s}")
-    return res
 
 
+# name -> (exit code, suite), in report order
 SUITES = {
-    "diagram": run_suite_diagram,
-    "expectation": run_suite_expectation,
-    "norms": run_suite_norms,
-    "moments": run_suite_moments,
-    "dominance": run_suite_dominance,
-    "constants": run_suite_constants,
+    "diagram": (10, run_suite_diagram),
+    "expectation": (11, run_suite_expectation),
+    "norms": (12, run_suite_norms),
+    "moments": (13, run_suite_moments),
+    "dominance": (14, run_suite_dominance),
+    "constants": (15, run_suite_constants),
 }
 
 
@@ -291,8 +257,11 @@ def _claim(claims: int, order: list[str], seed: int) -> dict:
     done = {}
     while byte := os.read(claims, 1):
         name = order[byte[0]]
-        try:  # looked up at run time, also in a fork of the caller: patches included
-            done[name] = (SUITES[name](seed), None, None)
+        code, suite = SUITES[name]  # looked up at run time, also in a fork: patches included
+        res = SuiteResult(name, code)
+        try:
+            suite(res, np.random.default_rng(seed))
+            done[name] = (res, None, None)
         except Exception as e:  # raised by run_all, the first in requested order
             import traceback
 

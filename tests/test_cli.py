@@ -135,10 +135,9 @@ def _verify_split(tmp_path, monkeypatch, meet, then):
     process, then call ``then(in_caller, name)`` and pass; with two suites
     and two processes, the caller runs one and the child the other."""
     for name in ("norms", "moments"):
-        def suite(seed, name=name):
+        def suite(res, rng, name=name):
             then(meet(), name)
-            return empint.verify.SuiteResult(name, empint.verify.SUITE_CODES[name])
-        monkeypatch.setitem(empint.verify.SUITES, name, suite)
+        monkeypatch.setitem(empint.verify.SUITES, name, (empint.verify.SUITES[name][0], suite))
     cfg = write_json(tmp_path / "cfg.json", {"suites": ["norms", "moments"]})
     code = run(["verify", "--config", cfg, "--workers", "2"])
     with pytest.raises(ChildProcessError):
@@ -486,6 +485,25 @@ def test_bounds_geometric_grid(tmp_path):
     assert set(branches[flip:]) == {"empirical"}
 
 
+@pytest.mark.parametrize("spec, levels", [
+    ("0.1:1:3", ["0.1", "0.31622776601683794", "1.0"]),
+    ("0.1:10:9", ["0.1", "0.1778279410038923", "0.31622776601683794", "0.5623413251903491",
+                  "1.0", "1.7782794100389228", "3.1622776601683795", "5.62341325190349", "10.0"]),
+    ("1e-300:1e300:5", ["1e-300", "1e-150", "1.0", "1e+150", "1e+300"]),
+])
+def test_bounds_geometric_grid_is_geomspace(tmp_path, spec, levels):
+    # both ends exact, and a ratio past float range is no error: the grid
+    # tabulates as the same levels given as a comma list do
+    tables = []
+    for grid in (spec, ",".join(levels)):
+        out = tmp_path / "b.csv"
+        assert run(["bounds", "--k", "2", "--sigma", "0.4", "--n", "25",
+                    "--x-grid", grid, "--out", str(out)]) == 0
+        tables.append(out.read_bytes())
+    assert tables[0] == tables[1]
+    assert [row[0] for row in csv.reader(io.StringIO(tables[0].decode()))][1:] == levels
+
+
 def test_bounds_comma_grid_and_constants_file(tmp_path):
     cfile = write_json(tmp_path / "const.json", {"C": 2.0, "alpha": 0.5})
     out = tmp_path / "b.csv"
@@ -541,6 +559,8 @@ def test_bounds_comma_grid_and_constants_file(tmp_path):
     # in the schema, but each asks numpy for petabytes; None drops the key
     ("tails", {"grid_points": 10**17, "x_grid": None}),
     ("tails", {"replicates": 10**15}), ("tails", {"n": 10**15}),
+    # an L2 norm past float range: the fit refuses sigma > 1
+    ("tails", {"kernel": {"arity": 1, "values": ["1e200", "0"]}}),
 ])
 def test_bad_input_is_config_error(tmp_path, capsys, command, arg):
     if command == "bounds":
@@ -568,6 +588,21 @@ def test_bad_input_is_config_error(tmp_path, capsys, command, arg):
     assert err.startswith("configuration error:")
     assert "Traceback" not in err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("values", [[0.5, -0.25], [1.0, -0.5, 0.25, 0.75]],
+                         ids=["arity1", "arity2"])
+def test_tails_float_kernel_on_exact_weights(tmp_path, values):
+    # canonicalize centers float values against Fraction weights; the run
+    # reads the same dyadic values as when they are given as fractions
+    tables = []
+    for kernel in (values, [str(F(v)) for v in values]):
+        cfg = {**TAILS_CFG, "kernel": {"arity": len(values) // 2, "values": kernel}}
+        out = tmp_path / str(len(tables))
+        assert run(["tails", "--config", write_json(tmp_path / "cfg.json", cfg),
+                    "--out-dir", str(out)]) == 0
+        tables.append((out / "tails.csv").read_bytes())
+    assert tables[0] == tables[1]
 
 
 def test_tails_size_beyond_memory_names_memory(tmp_path, capsys):

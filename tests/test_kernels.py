@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as F
 
 import numpy as np
@@ -6,15 +7,17 @@ from hypothesis import given, settings, strategies as st
 
 import _oracle
 from _strategies import PROPERTY, exact_kernels, exact_spaces, json_values
+from empint.diagrams import ColoredDiagram, contract
 from empint.errors import (ArityMismatch, EmpintError, MalformedInput, NoSuchAxis, NotCanonical,
                            SpaceMismatch)
 from empint.kernels import (Kernel, canonical_project, center_axis, compact_relabel,
                             constant_kernel, indicator_kernel, integrate_axis,
                             is_canonical, kernel_from_json, kernel_from_values,
-                            kernel_to_json, l1_norm, l2_norm_sq, labeled_product,
+                            kernel_to_json, l1_norm, l2_norm, l2_norm_sq, labeled_product,
                             random_kernel, require_canonical, sup_norm, symmetrize,
                             tensor_product)
-from empint.space import make_space, uniform_space
+from empint.integrals import eval_integral
+from empint.space import Sample, make_space, uniform_space
 
 
 @pytest.fixture
@@ -242,6 +245,28 @@ def test_float_mode_paths(sp2):
     assert sup_norm(f) == pytest.approx(0.5)
     assert l2_norm_sq(f) == pytest.approx(13 / 72)
     assert is_canonical(canonical_project(f))
+
+
+@pytest.mark.parametrize("combine", [
+    lambda f, g: f.add(g), lambda f, g: f.scale(g.values[0] * 2),
+    lambda f, g: contract(f, g, ColoredDiagram(1, 1, ())),
+], ids=["add", "scale", "contract"])
+def test_floats_meeting_fractions_give_a_float_kernel(combine):
+    # numpy keeps the floats of a Fraction-float operation in an object
+    # array; the kernel reads them as a float kernel, not an exact one
+    sp = make_space(["1/3", "2/3"])
+    f = kernel_from_values(sp, ["1/2", "-1/3"])
+    h = combine(f, kernel_from_values(sp, [0.25, 0.5]))
+    want = combine(f, kernel_from_values(sp, ["1/4", "1/2"]))
+    assert not h.exact and h.values.dtype == float and want.exact
+    assert l2_norm_sq(h) == pytest.approx(float(l2_norm_sq(want)))
+    sample = Sample(sp, (0, 1, 1))
+    assert eval_integral(h, sample).value == pytest.approx(eval_integral(want, sample).value)
+
+
+def test_l2_norm_past_float_range_is_inf(sp2):
+    f = kernel_from_values(sp2, ["1e200", "0"])
+    assert f.exact and l2_norm(f) == math.inf
 
 
 def test_values_are_read_only(sp2):

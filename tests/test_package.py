@@ -1,4 +1,5 @@
 import ast
+import re
 from pathlib import Path
 
 import empint
@@ -125,3 +126,11 @@ def test_every_public_default_is_set_by_some_caller():
                 unset |= {(fn.name, name) for position, name in _defaulted_params(fn)
                           if not any(_passes(c, position, name) for c in calls.get(fn.name, []))}
     assert unset == UNSET_DEFAULTS_KEPT, sorted(unset ^ UNSET_DEFAULTS_KEPT)
+
+
+def test_readme_quick_start_runs():
+    """README's python quick start runs as written, its asserts included, so
+    a public API change that leaves it stale fails here."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    [block] = re.findall(r"```python\n(.*?)```", readme.read_text(), re.S)
+    exec(compile(block, str(readme), "exec"), {})

@@ -2,7 +2,7 @@ import os
 
 import pytest
 
-from empint.verify import (SUITE_CODES, SUITES, SuiteResult, run_all, run_suite_constants,
+from empint.verify import (SUITES, SuiteResult, run_all, run_suite_constants,
                            run_suite_diagram, run_suite_dominance,
                            run_suite_expectation, run_suite_moments,
                            run_suite_norms)
@@ -29,9 +29,9 @@ def test_suite_result_bookkeeping():
     (run_suite_constants, "constants"),
 ])
 def test_each_suite_passes(runner, name):
-    res = runner(seed=2024)
+    [res] = run_all(2024, [name], workers=1)
     assert res.name == name
-    assert res.exit_code == SUITE_CODES[name]
+    assert SUITES[name] == (res.exit_code, runner)
     assert res.failures == 0, res.notes[:5]
     assert res.checks > 0
 
@@ -67,16 +67,15 @@ def test_one_worker_runs_every_suite_then_raises_the_first_error_in_requested_or
         monkeypatch):
     ran = []
     for name in ("norms", "dominance"):  # dominance is claimed first, norms asked for first
-        def suite(seed, name=name):
+        def suite(res, rng, name=name):
             ran.append(name)
             raise RuntimeError(f"{name} failed")
-        monkeypatch.setitem(SUITES, name, suite)
+        monkeypatch.setitem(SUITES, name, (SUITES[name][0], suite))
     with pytest.raises(RuntimeError, match="norms failed"):
         run_all(2024, ["constants", "norms", "dominance"], workers=1)
     assert ran == ["dominance", "norms"]
 
 
 def test_suites_deterministic_in_seed():
-    a = run_suite_norms(seed=11)
-    b = run_suite_norms(seed=11)
+    a, b = (run_all(11, ["norms"], workers=1)[0] for _ in range(2))
     assert a.checks == b.checks and a.worst == b.worst
