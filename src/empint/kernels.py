@@ -13,14 +13,16 @@ step-by-step operators.
 
 Exact-mode kernels hold Python rationals in an object-dtype array on an
 exact space (a kernel turns any other object values into floats when it is
-built) and every operation below is closed over the rationals.  The
-operators that return a kernel work on those Fractions.  The norms and
-``is_canonical``, which end in a scalar or a verdict, read the values as
-Python-int numerators over one common denominator
-(``Arithmetic.numerators``) and divide or compare once at the end.
-Float-mode kernels use IEEE doubles with the same code paths, over a
-denominator of 1.  A kernel's values are read-only, so results memoized
-on a kernel can never go stale.
+built) and every operation below is closed over the rationals.
+``labeled_product``, and so every contraction that integrates a label,
+reads each operand as Python-int numerators over one denominator
+(``Arithmetic.numerators``), runs its ``einsum`` on the integers and
+divides once per entry; pure products and the step-by-step operators work
+on the Fractions themselves.  The norms and ``is_canonical``, which end in
+a scalar or a verdict, read the values as numerators too and divide or
+compare once at the end.  Float-mode kernels use IEEE doubles with the
+same code paths, over a denominator of 1.  A kernel's values are
+read-only, so results memoized on a kernel can never go stale.
 """
 from __future__ import annotations
 
@@ -34,7 +36,7 @@ import numpy as np
 
 from .errors import ArityMismatch, MalformedInput, NoSuchAxis, NotCanonical, SpaceMismatch
 from .scalars import (FLOAT_TOL, Arithmetic, Scalar, format_scalar, in_float_range,
-                      kernel_values, mode_of, parse_scalar)
+                      kernel_values, mode_of, operand_numerators, parse_scalar)
 from .space import AtomSpace
 
 __all__ = [
@@ -57,7 +59,7 @@ class Kernel:
     axis_labels: tuple[int, ...]
 
     def __post_init__(self):
-        v = kernel_values(np.asarray(self.values), self.space.exact).view()
+        v = kernel_values(self.values, self.space.exact).view()
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
         if v.ndim != len(self.axis_labels):
@@ -179,15 +181,21 @@ def labeled_product(space: AtomSpace, factors: Iterable[tuple[np.ndarray, Sequen
     follow ``out`` (strictly increasing).  Every label must be kept or
     integrated.
     """
-    factors = [(values, list(labels)) for values, labels in factors]
+    factors = [(np.asarray(values), list(labels)) for values, labels in factors]
     integrate = list(integrate)
     if set().union(*(labels for _, labels in factors)) != set(out) | set(integrate):
         raise ArityMismatch(f"every label must be kept {tuple(out)} or integrated {integrate}")
-    args = [x for pair in factors + [(space.weight_vector, [j]) for j in integrate] for x in pair]
-    # a full contraction comes back as a bare scalar; keep the operands' dtype
-    # so a Python int does not turn into an int64
-    dtype = np.result_type(*args[::2])
-    return Kernel(space, np.asarray(np.einsum(*args, list(out)), dtype=dtype), tuple(out))
+    factors += [(space.weight_vector, [j]) for j in integrate]
+    # Numerators pay where the einsum sums.  A pure product (nothing
+    # integrated) stays on the operands: integers saved only about 10% of
+    # its time, and while bench/run.py keeps every pass's results, a faster
+    # exact_product reads as more peak memory.
+    read = operand_numerators([values for values, _ in factors], space.exact and bool(integrate))
+    nums = np.einsum(*[x for (n, _), (_, labels) in zip(read, factors) for x in (n, labels)],
+                     list(out))
+    den = math.prod(d for _, d in read)
+    values = nums if den == 1 else np.frompyfunc(Fraction, 2, 1)(nums, den)
+    return Kernel(space, values, tuple(out))
 
 
 def tensor_product(f: Kernel, g: Kernel) -> Kernel:

@@ -105,14 +105,34 @@ FLOAT = Arithmetic(False, float, float, 0.0, 1.0, operator.truediv,
                    lambda values: (np.asarray(values, dtype=float), 1))
 
 
-def kernel_values(values: np.ndarray, exact_space: bool) -> np.ndarray:
+def _holds_rationals(values: np.ndarray) -> bool:
+    return values.dtype == object and all(issubclass(t, Rational)
+                                          for t in set(map(type, values.flat)))
+
+
+def kernel_values(values, exact_space: bool) -> np.ndarray:
     """A kernel's values in one mode, told by the dtype alone: an object array
     stays exact on an exact space with every entry a Python rational, and
-    is float64 otherwise.  Other arrays are kept as they are."""
-    if values.dtype == object and not (
-            exact_space and all(issubclass(t, Rational) for t in set(map(type, values.flat)))):
+    is float64 otherwise.  A bare Python rational, which object arithmetic
+    on a 0-d array returns, becomes a 0-d object array; other values are
+    kept as numpy reads them."""
+    if is_exact(values) and not isinstance(values, np.generic):
+        return np.array(values, dtype=object)
+    values = np.asarray(values)
+    if values.dtype == object and not (exact_space and _holds_rationals(values)):
         return values.astype(float)
     return values
+
+
+def operand_numerators(arrays: list[np.ndarray], exact: bool) -> list[tuple]:
+    """Each array as ``(numerators, d)`` in one mode for all: Python-int
+    numerators over the array's least common denominator when ``exact`` is
+    asked for and every array holds Python rationals only, and otherwise
+    the array as it is over 1, so floats that meet rationals are left for
+    numpy to combine."""
+    if exact and all(map(_holds_rationals, arrays)):
+        return [EXACT.numerators(a) for a in arrays]
+    return [(a, 1) for a in arrays]
 
 
 def mode_of(*items) -> Arithmetic:

@@ -234,9 +234,10 @@ SUITES = {
 }
 
 
-# Longest first (medians of about 40, 20, 16, 13, 7.5 and 3 ms over the 16
-# verify seeds of bench seeds 5 and 11; 2 cores, Python 3.11), so that the
-# processes claiming them finish close together: Graham's LPT list scheduling.
+# Longest first (medians of about 50, 21, 16, 14, 8 and 2 ms over the 16
+# verify seeds of each of bench seeds 5 and 11; 2 cores, Python 3.11), so
+# that the processes claiming them finish close together: Graham's LPT list
+# scheduling.
 _LONGEST_FIRST = ("dominance", "diagram", "expectation", "norms", "moments", "constants")
 
 

@@ -9,10 +9,10 @@ match the library's with ``==``, and in float mode bit for bit.
 The recursive evaluator of the statistic follows the definition directly:
 for every subset S of coordinates, the kernel with the other coordinates
 integrated out is summed over injective assignments of sample positions to
-the slots of S, one slot at a time.  The norms, the canonical test and the
-certificate clauses below apply their definitions entry by entry to the
-kernels' own values (``Fraction`` objects in exact mode), where the library
-runs on integer numerators and divides once.
+the slots of S, one slot at a time.  The labeled product, the norms, the
+canonical test and the certificate clauses below apply their definitions
+entry by entry to the kernels' own values (``Fraction`` objects in exact
+mode), where the library runs on integer numerators and divides once.
 
 ``substitute_axis`` and ``diagram_count`` are the step-by-step and
 closed-form references for ``diagrams.contract`` and
@@ -27,7 +27,7 @@ from itertools import groupby
 import numpy as np
 
 from empint.errors import BlockMismatch
-from empint.kernels import Kernel, integrate_axis, labeled_product
+from empint.kernels import Kernel, integrate_axis
 from empint.scalars import mode_of
 
 
@@ -145,6 +145,15 @@ def is_canonical(f, tol=1e-12):
     return all(abs(x) <= slack for j in f.axis_labels for x in integrate_axis(f, j).values.flat)
 
 
+def labeled_product(space, factors, out, integrate=()):
+    """The labeled product's values as one ``np.einsum`` over the operands
+    themselves, ``Fraction`` objects in exact mode, with the weight vector
+    for every integrated label."""
+    operands = [*factors, *((space.weight_vector, [j]) for j in integrate)]
+    args = [x for values, labels in operands for x in (values, list(labels))]
+    return np.asarray(np.einsum(*args, list(out)), dtype=np.result_type(*args[::2]))
+
+
 def verify_certificate(f, cert, tol=1e-10):
     """Every clause of the dominance definition, entry by entry."""
     flat = [j for block in cert.blocks for j in block]
@@ -161,7 +170,7 @@ def verify_certificate(f, cert, tol=1e-10):
         if l2_norm_sq(h) > cert.sigma_sq + slack:
             return False
     prod = labeled_product(f.space, [(h.values, h.axis_labels) for h in cert.factors],
-                           f.axis_labels).values
+                           f.axis_labels)
     gap = np.asarray(np.abs(f.values) - prod)
     return all(x <= slack for x in gap.flat)
 

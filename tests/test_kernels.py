@@ -239,6 +239,17 @@ def test_kernel_scale_add_abs(sp2):
     assert sup_norm(f.abs().add(f)) == 1
 
 
+@pytest.mark.parametrize("value", [7, 2**70])
+def test_arity_zero_python_int_stays_exact(value):
+    # object arithmetic on a 0-d array returns a bare int, which must not
+    # turn into an int64 when the result kernel is built
+    sp = make_space(["1/3", "2/3"])
+    c = Kernel(sp, np.array(value, dtype=object), ())
+    for h, want in ((c.add(c), 2 * value), (c.scale(2), 2 * value), (c.scale(-1).abs(), value)):
+        assert h.exact and h.values.dtype == object
+        assert type(h.values[()]) is int and h.values[()] == want
+
+
 def test_float_mode_paths(sp2):
     f = kernel_from_values(sp2, ["1/2", "-1/3"]).as_float()
     assert not f.exact
@@ -323,3 +334,35 @@ def test_norms_keep_python_ints_at_arity_zero():
     assert l2_norm_sq(c) == F(3**100, 49)
     full = labeled_product(sp, [(np.array(7, dtype=object), ())], ())
     assert full.values.dtype == object and type(full.values[()]) is int
+
+
+def _operand(data, sp, labels):
+    shape = (sp.n_atoms,) * len(labels)
+    ints, fractions = st.integers(-6, 6), st.builds(F, st.integers(-6, 6), st.integers(1, 6))
+    entries = data.draw(st.sampled_from([ints, fractions, ints | fractions]))
+    values = data.draw(st.lists(entries, min_size=math.prod(shape), max_size=math.prod(shape)))
+    return np.array(values, dtype=object).reshape(shape), labels
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(data=st.data(), sp=exact_spaces())
+def test_exact_labeled_product_matches_fraction_einsum_property(data, sp):
+    arities = data.draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
+    factors = [_operand(data, sp, data.draw(st.lists(st.integers(1, 4), min_size=k, max_size=k,
+                                                     unique=True)))
+               for k in arities]
+    used = sorted(set().union(*(labels for _, labels in factors)))
+    integrate = data.draw(st.lists(st.sampled_from(used), unique=True)) if used else []
+    out = [j for j in used if j not in integrate]
+    got = labeled_product(sp, factors, out, integrate)
+    want = _oracle.labeled_product(sp, factors, out, integrate)
+    assert got.exact and got.values.shape == want.shape and (got.values == want).all()
+    assert all(type(x) is int or _is_exact_rational(x) for x in got.values.flat)
+    # integer operands with nothing integrated give integers, at arity 0 too
+    if not integrate and all(type(x) is int for values, _ in factors for x in values.flat):
+        assert all(type(x) is int for x in got.values.flat)
+    # a float operand meeting exact ones gives a float kernel
+    (values, labels), *rest = factors
+    h = labeled_product(sp, [(values.astype(float), labels), *rest], out, integrate)
+    assert not h.exact and h.values.dtype == float
+    assert np.allclose(h.values, want.astype(float), rtol=1e-12, atol=1e-12)
