@@ -142,8 +142,7 @@ def contract(f: Kernel, g: Kernel, d: ColoredDiagram) -> Kernel:
     g_labels = [rename.get(j, j) for j in range(d.k1 + 1, d.k1 + d.k2 + 1)]
     colored = [j for j, _ in d.colored_edges()]
     out = [j for j in range(1, d.k1 + d.k2 + 1) if j not in rename and j not in colored]
-    return labeled_product(f.space, [(f.values, range(1, d.k1 + 1)), (g.values, g_labels)],
-                           out, colored)
+    return labeled_product(f.space, [(f, range(1, d.k1 + 1)), (g, g_labels)], out, colored)
 
 
 def contract_class_average(f: Kernel, g: Kernel, cls: DiagramClass) -> Kernel:

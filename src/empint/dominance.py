@@ -91,8 +91,8 @@ def verify_certificate(f: Kernel, cert: DominanceCertificate) -> bool:
     over one denominator in exact mode) and compares by cross-multiplying,
     so exact certificates are checked exactly: a factor N / d is
     nonnegative when N >= 0 and has sup norm at most 1 when max |N| <= d,
-    and |F| / d_f <= P / D, with P / D the product of the factors'
-    numerators, is |F| D <= P d_f.
+    and |F| / d_f <= P / D, with P / D the product of the factors, is
+    |F| D <= P d_f.
     """
     flat = [j for block in cert.blocks for j in block]
     if sorted(flat) != sorted(f.axis_labels) or len(flat) != len(set(flat)):
@@ -102,7 +102,6 @@ def verify_certificate(f: Kernel, cert: DominanceCertificate) -> bool:
     slack = mode.slack(POINTWISE_TOL)
     if not 0 < cert.sigma_sq <= 1 + slack:
         return False
-    operands, den = [], 1
     for h in cert.factors:
         nums, d = mode.numerators(h.values)
         # 0 <= h <= 1, so the sup norm is at most 1
@@ -111,9 +110,8 @@ def verify_certificate(f: Kernel, cert: DominanceCertificate) -> bool:
             return False
         if l2_norm_sq(h) > cert.sigma_sq + slack:
             return False
-        operands.append((nums, h.axis_labels))
-        den *= d
-    prod = labeled_product(f.space, operands, f.axis_labels).values
+    prod = labeled_product(f.space, [(h, h.axis_labels) for h in cert.factors], f.axis_labels)
+    prod, den = mode.numerators(prod.values)
     nums, d_f = mode.numerators(f.values)
     # flat arrays: arithmetic on 0-d object arrays returns bare scalars
     gap = np.abs(nums.reshape(-1)) * den - prod.reshape(-1) * d_f
@@ -153,7 +151,7 @@ def contract_certificate(cf: DominanceCertificate, cg: DominanceCertificate,
         drop = [j for j in h.axis_labels if j in colored]
         if drop:
             keep = [j for j in h.axis_labels if j not in colored]
-            sq = labeled_product(h.space, [(h.values, h.axis_labels)] * 2, keep, drop)
+            sq = labeled_product(h.space, [(h, h.axis_labels)] * 2, keep, drop)
             h = Kernel(sq.space, np.sqrt(np.maximum(sq.values, 0.0)), sq.axis_labels)
         factors.append(h)
 
@@ -166,7 +164,7 @@ def contract_certificate(cf: DominanceCertificate, cg: DominanceCertificate,
         joined = [g for g in groups if g[0].intersection(labels)]
         groups = [g for g in groups if not g[0].intersection(labels)]
         groups.append((set(labels).union(*(g[0] for g in joined)),
-                       [(h.values, labels)] + [op for g in joined for op in g[1]]))
+                       [(h, labels)] + [op for g in joined for op in g[1]]))
 
     # Spare merges down to the exact rank target (sound since sigma <= 1).
     while len(groups) > target:
@@ -177,7 +175,7 @@ def contract_certificate(cf: DominanceCertificate, cg: DominanceCertificate,
     # One product per group, relabeled to the compact 1..arity frame.
     frame = {j: i + 1 for i, j in enumerate(sorted(set().union(*(g[0] for g in groups))))}
     return DominanceCertificate(float(cf.sigma_sq), tuple(
-        labeled_product(factors[0].space, [(v, [frame[j] for j in ls]) for v, ls in ops],
+        labeled_product(factors[0].space, [(h, [frame[j] for j in ls]) for h, ls in ops],
                         sorted(frame[j] for j in labels))
         for labels, ops in groups))
 
@@ -215,7 +213,5 @@ def random_dominated_pair(space, blocks: tuple[tuple[int, ...], ...],
     factors = tuple(drawn[b] if b else constant_kernel(space, sigma_sq) for b in blocks)
     cert = DominanceCertificate(sigma_sq, factors)
     damp = random_kernel(space, len(labels), rng)
-    f_vals = labeled_product(space, [(h.values, h.axis_labels) for h in factors],
-                             labels).values * damp.values
-    f = Kernel(space, f_vals, labels)
-    return f, cert
+    prod = labeled_product(space, [(h, h.axis_labels) for h in factors], labels)
+    return Kernel(space, prod.values * damp.values, labels), cert

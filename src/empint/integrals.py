@@ -113,7 +113,7 @@ def _count_polynomial(f: Kernel) -> _CountPolynomial:
         return _polynomials[f]
     mode = mode_of(f)
     k = f.arity
-    values, d_f = mode.numerators(f.values)
+    values, d_f = f.numerators
     w, d_w = mode.numerators(f.space.weight_vector)
     sums = [values]  # sums[s]: s of the axes seen so far kept, in order, the rest integrated
     for _ in range(k):

@@ -7,22 +7,21 @@ identify arguments across contraction steps, so an operation that drops
 an argument leaves the remaining labels untouched.
 
 Diagram contractions and certificate factor products are single calls to
-``labeled_product``, which hands the integer labels to ``np.einsum`` as
-subscripts; ``tensor_product`` and ``integrate_axis`` remain as the
-step-by-step operators.
+``labeled_product``, which takes kernels with a label per axis and hands
+the labels to ``np.einsum`` as subscripts; ``tensor_product`` and
+``integrate_axis`` remain as the step-by-step operators.
 
 Exact-mode kernels hold Python rationals in an object-dtype array on an
 exact space (a kernel turns any other object values into floats when it is
-built) and every operation below is closed over the rationals.
-``labeled_product``, and so every contraction that integrates a label,
-reads each operand as Python-int numerators over one denominator
-(``Arithmetic.numerators``), runs its ``einsum`` on the integers and
-divides once per entry; pure products and the step-by-step operators work
-on the Fractions themselves.  The norms and ``is_canonical``, which end in
-a scalar or a verdict, read the values as numerators too and divide or
-compare once at the end.  Float-mode kernels use IEEE doubles with the
-same code paths, over a denominator of 1.  A kernel's values are
-read-only, so results memoized on a kernel can never go stale.
+built) and every operation below is closed over the rationals.  Kernels and
+spaces cache their Python-int numerators over one denominator
+(``numerators``).  Every exact ``labeled_product``, a pure product
+included, runs its ``einsum`` on them and divides once per entry; the
+step-by-step operators stay on the Fractions, as the reference.  The norms
+and ``is_canonical`` read the numerators too and divide or compare once at
+the end.  Float-mode kernels use IEEE doubles with the same code paths,
+over a denominator of 1.  A kernel's values are read-only, so results
+memoized on a kernel can never go stale.
 """
 from __future__ import annotations
 
@@ -30,13 +29,14 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import ArityMismatch, MalformedInput, NoSuchAxis, NotCanonical, SpaceMismatch
 from .scalars import (FLOAT_TOL, Arithmetic, Scalar, format_scalar, in_float_range,
-                      kernel_values, mode_of, operand_numerators, parse_scalar)
+                      kernel_values, mode_of, parse_scalar, read_only)
 from .space import AtomSpace
 
 __all__ = [
@@ -59,8 +59,7 @@ class Kernel:
     axis_labels: tuple[int, ...]
 
     def __post_init__(self):
-        v = kernel_values(self.values, self.space.exact).view()
-        v.flags.writeable = False
+        v = read_only(kernel_values(self.values, self.space.exact))
         object.__setattr__(self, "values", v)
         if v.ndim != len(self.axis_labels):
             raise ArityMismatch(f"{v.ndim} tensor axes for {len(self.axis_labels)} labels")
@@ -76,6 +75,11 @@ class Kernel:
     @property
     def exact(self) -> bool:
         return self.values.dtype == object
+
+    @cached_property
+    def numerators(self) -> tuple[np.ndarray, int]:
+        """The values as read-only (numerators, d) in the kernel's mode, computed once."""
+        return mode_of(self).numerators(self.values)
 
     def axis_position(self, label: int) -> int:
         try:
@@ -132,24 +136,20 @@ def kernel_from_values(space: AtomSpace, values) -> Kernel:
 # -- norms ------------------------------------------------------------------
 
 def sup_norm(f: Kernel) -> Scalar:
-    mode = mode_of(f)
-    nums, d = mode.numerators(f.values)
-    return mode.ratio(max(abs(x) for x in nums.flat), d)
+    nums, d = f.numerators
+    return mode_of(f).ratio(max(abs(x) for x in nums.flat), d)
 
 
 def l1_norm(f: Kernel) -> Scalar:
     """Integral of |f| against the product measure."""
-    mode = mode_of(f)
-    nums, d = mode.numerators(f.values)
-    return _full_contraction(mode, np.abs(nums.reshape(-1)), d, f)
+    nums, d = f.numerators
+    return _full_contraction(mode_of(f), np.abs(nums.reshape(-1)), d, f)
 
 
 def l2_norm_sq(f: Kernel) -> Scalar:
     """Integral of f^2 against the product measure; rational in exact mode."""
-    mode = mode_of(f)
-    nums, d = mode.numerators(f.values)
-    flat = nums.reshape(-1)
-    return _full_contraction(mode, flat * flat, d * d, f)
+    nums, d = f.numerators
+    return _full_contraction(mode_of(f), np.square(nums.reshape(-1)), d * d, f)
 
 
 def l2_norm(f: Kernel) -> float:
@@ -171,29 +171,27 @@ def _full_contraction(mode: Arithmetic, flat: np.ndarray, d: int, f: Kernel) -> 
 
 # -- operators --------------------------------------------------------------
 
-def labeled_product(space: AtomSpace, factors: Iterable[tuple[np.ndarray, Sequence[int]]],
+def labeled_product(space: AtomSpace, factors: Iterable[tuple[Kernel, Sequence[int]]],
                     out: Sequence[int], integrate: Iterable[int] = ()) -> Kernel:
-    """Multiply labeled tensors and contract them in one ``np.einsum``.
+    """Multiply labeled kernels and contract them in one ``np.einsum``.
 
-    Each factor is (values, labels), one integer label per axis.  Axes that
+    Each factor is (kernel, labels), one integer label per axis.  Axes that
     share a label are the same argument; every label in ``integrate`` is
     integrated against the base measure; the result is a kernel whose axes
     follow ``out`` (strictly increasing).  Every label must be kept or
-    integrated.
+    integrated, once.  In exact mode the einsum runs on the cached
+    numerators and each entry is divided once by their denominators.
     """
-    factors = [(np.asarray(values), list(labels)) for values, labels in factors]
+    factors = [(f, list(labels)) for f, labels in factors]
     integrate = list(integrate)
-    if set().union(*(labels for _, labels in factors)) != set(out) | set(integrate):
-        raise ArityMismatch(f"every label must be kept {tuple(out)} or integrated {integrate}")
-    factors += [(space.weight_vector, [j]) for j in integrate]
-    # Numerators pay where the einsum sums.  A pure product (nothing
-    # integrated) stays on the operands: integers saved only about 10% of
-    # its time, and while bench/run.py keeps every pass's results, a faster
-    # exact_product reads as more peak memory.
-    read = operand_numerators([values for values, _ in factors], space.exact and bool(integrate))
-    nums = np.einsum(*[x for (n, _), (_, labels) in zip(read, factors) for x in (n, labels)],
-                     list(out))
-    den = math.prod(d for _, d in read)
+    if any(len(labels) != f.arity for f, labels in factors) or sorted(
+            [*out, *integrate]) != sorted(set().union(*(labels for _, labels in factors))):
+        raise ArityMismatch(f"one label per axis, kept {tuple(out)} or integrated {integrate} once")
+    mode = mode_of(space, *(f for f, _ in factors))
+    read = [(mode.operand(f, f.values), labels) for f, labels in factors]
+    read += [(mode.operand(space, space.weight_vector), [j]) for j in integrate]
+    nums = np.einsum(*[x for (n, _), labels in read for x in (n, labels)], list(out))
+    den = math.prod(d for (_, d), _ in read)
     values = nums if den == 1 else np.frompyfunc(Fraction, 2, 1)(nums, den)
     return Kernel(space, values, tuple(out))
 
@@ -249,7 +247,7 @@ def is_canonical(f: Kernel) -> bool:
     every marginal of the numerators N against the weight numerators W is
     compared with the slack scaled by the denominator d d_w."""
     mode = mode_of(f)
-    nums, d = mode.numerators(f.values)
+    nums, d = f.numerators
     w, d_w = mode.numerators(f.space.weight_vector)
     bound = mode.slack(FLOAT_TOL) * d * d_w
     return all(abs(x) <= bound for pos in range(f.arity)

@@ -7,9 +7,11 @@ decides the mode once, and all downstream arithmetic preserves it.
 
 The decision lives here alone: other modules ask ``mode_of`` once and use
 the returned ``Arithmetic`` object instead of branching on exactness.  A
-computation that ends in a scalar reads its inputs with ``numerators``
-(Python-int numerators over one common denominator in exact mode, the
-values over 1 in float mode) and builds its result with one ``ratio``.
+computation reads its inputs with ``numerators``, which kernels and
+spaces cache (Python-int numerators over one denominator in exact mode,
+the values over 1 in float mode), and builds its result with one
+``ratio``: every exact kernel product divides once, and only the
+step-by-step kernel operators stay on ``Fraction``s, as the reference.
 Two scalars are compared by one rule, ``abs(a - b) <= mode.slack(tol)``:
 equality in exact mode, within tol in float mode.
 """
@@ -91,48 +93,49 @@ class Arithmetic:
         """The comparison tolerance: none in exact mode, tol in float mode."""
         return 0 if self.exact else tol
 
+    def operand(self, x, values: np.ndarray) -> tuple[np.ndarray, int]:
+        """A kernel's or space's values as a product's operand: x's cached
+        numerators in exact mode, the values as they are over 1 otherwise."""
+        return x.numerators if self.exact else (values, 1)
+
+
+def read_only(values: np.ndarray) -> np.ndarray:
+    values = values.view()
+    values.flags.writeable = False
+    return values
+
 
 def _integer_numerators(values: np.ndarray) -> tuple[np.ndarray, int]:
     """Rationals as Python-int numerators over their least common denominator d."""
     d = math.lcm(*(x.denominator for x in values.flat))
     nums = [x.numerator * (d // x.denominator) for x in values.flat]
-    return np.array(nums, dtype=object).reshape(values.shape), d
+    return read_only(np.array(nums, dtype=object).reshape(values.shape)), d
 
 
 EXACT = Arithmetic(True, Fraction, object, Fraction(0), Fraction(1), Fraction,
                    _integer_numerators)
 FLOAT = Arithmetic(False, float, float, 0.0, 1.0, operator.truediv,
-                   lambda values: (np.asarray(values, dtype=float), 1))
-
-
-def _holds_rationals(values: np.ndarray) -> bool:
-    return values.dtype == object and all(issubclass(t, Rational)
-                                          for t in set(map(type, values.flat)))
+                   lambda values: (read_only(np.asarray(values, dtype=float)), 1))
 
 
 def kernel_values(values, exact_space: bool) -> np.ndarray:
     """A kernel's values in one mode, told by the dtype alone: an object array
-    stays exact on an exact space with every entry a Python rational, and
-    is float64 otherwise.  A bare Python rational, which object arithmetic
-    on a 0-d array returns, becomes a 0-d object array; other values are
-    kept as numpy reads them."""
+    stays exact on an exact space with every entry a rational, numpy
+    integers turned into Python ints, and is float64 otherwise.  A bare
+    Python rational, which object arithmetic on a 0-d array returns,
+    becomes a 0-d object array; other values are kept as numpy reads them."""
     if is_exact(values) and not isinstance(values, np.generic):
         return np.array(values, dtype=object)
     values = np.asarray(values)
-    if values.dtype == object and not (exact_space and _holds_rationals(values)):
+    if values.dtype != object:
+        return values
+    types = set(map(type, values.flat))
+    if not (exact_space and all(issubclass(t, Rational) for t in types)):
         return values.astype(float)
+    if any(issubclass(t, np.integer) for t in types):
+        values = np.array([int(x) if isinstance(x, np.integer) else x for x in values.flat],
+                          dtype=object).reshape(values.shape)
     return values
-
-
-def operand_numerators(arrays: list[np.ndarray], exact: bool) -> list[tuple]:
-    """Each array as ``(numerators, d)`` in one mode for all: Python-int
-    numerators over the array's least common denominator when ``exact`` is
-    asked for and every array holds Python rationals only, and otherwise
-    the array as it is over 1, so floats that meet rationals are left for
-    numpy to combine."""
-    if exact and all(map(_holds_rationals, arrays)):
-        return [EXACT.numerators(a) for a in arrays]
-    return [(a, 1) for a in arrays]
 
 
 def mode_of(*items) -> Arithmetic:

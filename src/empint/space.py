@@ -40,7 +40,8 @@ import numpy as np
 
 from .errors import (EmptySpace, EnumerationTooLarge, MalformedInput, NegativeSeed,
                      NegativeWeight, NonfiniteWeight, WeightsNotNormalized)
-from .scalars import FLOAT_TOL, Scalar, format_scalar, is_exact, mode_of, parse_scalar
+from .scalars import (FLOAT_TOL, Scalar, format_scalar, is_exact, mode_of, parse_scalar,
+                      read_only)
 
 __all__ = [
     "AtomSpace", "Sample", "make_space", "uniform_space",
@@ -55,8 +56,8 @@ class AtomSpace:
     """A finite measure space: atoms 0..len(weights)-1 with the given weights.
 
     ``exact`` is True when every weight is a rational; in that mode all
-    integrals computed against the space stay in exact arithmetic.  Both it
-    and ``weight_vector`` are computed once, on first use.
+    integrals computed against the space stay in exact arithmetic.  It,
+    ``weight_vector`` and ``numerators`` are computed once, on first use.
     """
 
     weights: tuple[Scalar, ...]
@@ -74,9 +75,12 @@ class AtomSpace:
         """Weights as a read-only numpy vector: object dtype of Fractions
         when exact."""
         mode = mode_of(self)
-        v = np.array([mode.cast(w) for w in self.weights], dtype=mode.dtype)
-        v.flags.writeable = False
-        return v
+        return read_only(np.array([mode.cast(w) for w in self.weights], dtype=mode.dtype))
+
+    @cached_property
+    def numerators(self) -> tuple[np.ndarray, int]:
+        """The weight vector as read-only (numerators, d) in the space's mode."""
+        return mode_of(self).numerators(self.weight_vector)
 
     def as_float(self) -> "AtomSpace":
         if not self.exact:
@@ -327,7 +331,7 @@ def enumerate_counts(space: AtomSpace, n: int) -> Iterator[tuple[tuple[int, ...]
     EnumerationTooLarge as count_vectors does.
     """
     mode = mode_of(space)
-    w, d = mode.numerators(space.weight_vector)
+    w, d = space.numerators
     for counts, p in count_vectors(w, n):
         yield counts, mode.ratio(p, d**n)
 

@@ -18,6 +18,8 @@ mode), where the library runs on integer numerators and divides once.
 closed-form references for ``diagrams.contract`` and
 ``diagrams.enumerate_diagrams``, and ``replicate_generator`` is numpy's own
 stream for a replicate, which ``space.draw_counts`` ports to whole arrays.
+``pull_back`` and ``refine`` move a kernel to a relabeled or refined atom
+space on which every integral of it is the same.
 """
 import itertools
 import math
@@ -29,6 +31,7 @@ import numpy as np
 from empint.errors import BlockMismatch
 from empint.kernels import Kernel, integrate_axis
 from empint.scalars import mode_of
+from empint.space import make_space
 
 
 def subset_tables(f) -> dict:
@@ -203,3 +206,17 @@ def diagram_count(cls):
 def replicate_generator(seed, r):
     """numpy's generator for replicate r of a run seeded with ``seed``."""
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(r,))))
+
+
+def pull_back(f, space, atoms):
+    """f read on ``space``, whose atom a stands for f's atom ``atoms[a]``."""
+    return Kernel(space, f.values[np.ix_(*[atoms] * f.arity)], f.axis_labels)
+
+
+def refine(space, f, atom, t):
+    """f, a kernel on ``space``, on the space with ``atom`` split into two
+    atoms of weights t w and (1 - t) w, the second one appended last; both
+    read f's values at ``atom``."""
+    weights = list(space.weights)
+    weights[atom], split = t * weights[atom], (1 - t) * weights[atom]
+    return pull_back(f, make_space([*weights, split]), [*range(space.n_atoms), atom])

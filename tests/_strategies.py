@@ -10,9 +10,10 @@ from empint.space import Sample, make_space
 
 
 @st.composite
-def exact_spaces(draw):
-    """Exact spaces of 1-4 atoms; with two or more atoms, one may weigh zero."""
-    parts = draw(st.lists(st.integers(1, 5), min_size=1, max_size=4))
+def exact_spaces(draw, max_atoms=4):
+    """Exact spaces of 1 to max_atoms atoms; with two or more atoms, one may
+    weigh zero."""
+    parts = draw(st.lists(st.integers(1, 5), min_size=1, max_size=max_atoms))
     if len(parts) > 1 and draw(st.booleans()):
         parts[draw(st.integers(0, len(parts) - 1))] = 0
     return make_space([F(p, sum(parts)) for p in parts])

@@ -3,17 +3,17 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from _oracle import diagram_count, substitute_axis
-from _strategies import PROPERTY, json_values
+from _oracle import diagram_count, pull_back, refine, substitute_axis
+from _strategies import PROPERTY, exact_kernels, exact_spaces, json_values
 from empint.diagrams import (ColoredDiagram, DiagramClass, contract,
                              contract_class_average, enumerate_diagrams,
                              format_diagram, is_gaussian, parse_diagram,
                              product_formula_coefficient)
 from empint.errors import EmpintError, InvalidClass, InvalidDiagram
-from empint.kernels import (integrate_axis, kernel_from_values, l2_norm_sq, random_kernel,
-                            sup_norm, tensor_product)
+from empint.kernels import (integrate_axis, kernel_from_values, l1_norm, l2_norm_sq,
+                            labeled_product, random_kernel, sup_norm, tensor_product)
 from empint.space import make_space, uniform_space
 
 
@@ -247,3 +247,43 @@ def test_contract_matches_operator_chain():
                     assert type(a) is F and a == b
                 checked += 1
     assert checked == 2 * sum(diagram_count(DiagramClass(*s)) for s in shapes)
+
+
+def _all_diagrams(k1, k2):
+    return [d for l in range(min(k1, k2) + 1) for p in range(l + 1)
+            for d in enumerate_diagrams(DiagramClass(k1, k2, l, p))]
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(data=st.data(), sp=exact_spaces(max_atoms=3), k1=st.integers(1, 2), k2=st.integers(1, 2),
+       t=st.integers(0, 5).map(lambda i: F(i, 5)))
+def test_contraction_norms_are_invariant_under_refinement_property(data, sp, k1, k2, t):
+    # splitting an atom and reading f, g on both halves changes no integral
+    f, g = data.draw(exact_kernels(sp, k1)), data.draw(exact_kernels(sp, k2))
+    atom = data.draw(st.integers(0, sp.n_atoms - 1))
+    f_ref, g_ref = refine(sp, f, atom, t), refine(sp, g, atom, t)
+    for d in _all_diagrams(k1, k2):
+        h, h_ref = contract(f, g, d), contract(f_ref, g_ref, d)
+        assert l1_norm(h_ref) == l1_norm(h) and l2_norm_sq(h_ref) == l2_norm_sq(h)
+        assert (h_ref.values == refine(sp, h, atom, t).values).all()
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(data=st.data(), sp=exact_spaces(max_atoms=3), k1=st.integers(1, 2), k2=st.integers(1, 2))
+def test_atom_permutation_commutes_with_contraction_property(data, sp, k1, k2):
+    f, g = data.draw(exact_kernels(sp, k1)), data.draw(exact_kernels(sp, k2))
+    perm = data.draw(st.permutations(range(sp.n_atoms)))
+    sp_perm = make_space([sp.weights[a] for a in perm])
+    f_perm, g_perm = pull_back(f, sp_perm, perm), pull_back(g, sp_perm, perm)
+    for d in _all_diagrams(k1, k2):
+        h, h_perm = contract(f, g, d), contract(f_perm, g_perm, d)
+        assert (h_perm.values == pull_back(h, sp_perm, perm).values).all()
+    # and with any labeled product of the two, shared labels included
+    g_labels = data.draw(st.lists(st.integers(1, 3), min_size=k2, max_size=k2, unique=True))
+    used = sorted({*range(1, k1 + 1), *g_labels})
+    integrate = data.draw(st.lists(st.sampled_from(used), unique=True))
+    out = [j for j in used if j not in integrate]
+    h = labeled_product(sp, [(f, range(1, k1 + 1)), (g, g_labels)], out, integrate)
+    h_perm = labeled_product(sp_perm, [(f_perm, range(1, k1 + 1)), (g_perm, g_labels)], out,
+                             integrate)
+    assert (h_perm.values == pull_back(h, sp_perm, perm).values).all()

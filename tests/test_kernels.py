@@ -291,18 +291,55 @@ def test_labeled_product_identifies_and_integrates():
     f = kernel_from_values(sp, [["1", "2"], ["3", "4"]])
     g = kernel_from_values(sp, ["5", "7"])
     # the shared label 2 glues g onto f's second argument, which is integrated
-    h = labeled_product(sp, [(f.values, (1, 2)), (g.values, (2,))], (1,), [2])
+    h = labeled_product(sp, [(f, (1, 2)), (g, (2,))], (1,), [2])
     assert h.axis_labels == (1,)
     assert list(h.values) == [F(1, 4) * 5 + F(3, 4) * 14, F(1, 4) * 15 + F(3, 4) * 28]
     # output axes follow the requested labels
-    t = labeled_product(sp, [(f.values, (2, 1))], (1, 2))
+    t = labeled_product(sp, [(f, (2, 1))], (1, 2))
     assert t.values[0, 1] == f.values[1, 0]
     # a full contraction is a 0-d kernel holding a Fraction
-    full = labeled_product(sp, [(f.values, (1, 2))], (), [1, 2])
+    full = labeled_product(sp, [(f, (1, 2))], (), [1, 2])
     assert full.values.shape == () and type(full.values[()]) is F
     assert full.values[()] == l1_norm(f)
+
+
+@pytest.mark.parametrize("labels, out, integrate", [
+    ((1, 2), (1,), []),  # label 2 neither kept nor integrated
+    ((1, 2), (1, 2), [2]),  # kept and integrated: read as f times w, [[1/4, 3/2], [3/4, 3]]
+    ((1, 2), (1,), [2, 2]),  # integrated twice: read 19/16 where 7/4 is right
+    ((1,), (1,), []),  # fewer labels than axes: numpy's bare ValueError
+    ((1, 2, 3), (1, 2, 3), []),
+])
+def test_labeled_product_refuses_bad_label_sets(labels, out, integrate):
+    sp = make_space(["1/4", "3/4"])
+    f = kernel_from_values(sp, [["1", "2"], ["3", "4"]])
+    assert list(labeled_product(sp, [(f, (1, 2))], (1,), [2]).values) == [F(7, 4), F(15, 4)]
     with pytest.raises(ArityMismatch):
-        labeled_product(sp, [(f.values, (1, 2))], (1,))  # label 2 neither kept nor integrated
+        labeled_product(sp, [(f, labels)], out, integrate)
+
+
+def test_numerators_are_cached_and_read_only():
+    sp = make_space(["1/4", "3/4"])
+    for g in (kernel_from_values(sp, [["1/2", "2"], ["3", "-1/3"]]),
+              kernel_from_values(sp, [[0.5, 2.0], [3.0, -1.0]])):
+        nums, d = g.numerators
+        assert g.numerators is g.numerators and nums.shape == (2, 2)
+        with pytest.raises(ValueError):
+            nums[0, 0] = 0
+    assert sp.numerators is sp.numerators
+    assert sp.numerators[1] == 4 and list(sp.numerators[0]) == [1, 3]
+    with pytest.raises(ValueError):
+        sp.numerators[0][0] = 0
+
+
+def test_numpy_integers_in_an_exact_kernel_are_python_ints():
+    # numpy integers register as rationals; multiplied in int64 they wrapped
+    sp = make_space(["1/2", "1/2"])
+    f = Kernel(sp, np.array([np.int64(2**62), np.int64(3)], dtype=object), (1,))
+    assert f.exact and all(type(x) is int for x in f.values)
+    assert l2_norm_sq(f) == F(2**124 + 9, 2)
+    sq = labeled_product(sp, [(f, (1,)), (f, (1,))], (), [1])
+    assert sq.values[()] == F(2**124 + 9, 2)
 
 
 def _is_exact_rational(x):
@@ -332,7 +369,7 @@ def test_norms_keep_python_ints_at_arity_zero():
     for value in (sup_norm(c), l1_norm(c), l2_norm_sq(c)):
         assert _is_exact_rational(value)
     assert l2_norm_sq(c) == F(3**100, 49)
-    full = labeled_product(sp, [(np.array(7, dtype=object), ())], ())
+    full = labeled_product(sp, [(Kernel(sp, np.array(7, dtype=object), ()), ())], ())
     assert full.values.dtype == object and type(full.values[()]) is int
 
 
@@ -341,7 +378,8 @@ def _operand(data, sp, labels):
     ints, fractions = st.integers(-6, 6), st.builds(F, st.integers(-6, 6), st.integers(1, 6))
     entries = data.draw(st.sampled_from([ints, fractions, ints | fractions]))
     values = data.draw(st.lists(entries, min_size=math.prod(shape), max_size=math.prod(shape)))
-    return np.array(values, dtype=object).reshape(shape), labels
+    return Kernel(sp, np.array(values, dtype=object).reshape(shape),
+                  tuple(range(1, len(labels) + 1))), labels
 
 
 @settings(derandomize=True, max_examples=120, deadline=None)
@@ -352,17 +390,19 @@ def test_exact_labeled_product_matches_fraction_einsum_property(data, sp):
                                                      unique=True)))
                for k in arities]
     used = sorted(set().union(*(labels for _, labels in factors)))
-    integrate = data.draw(st.lists(st.sampled_from(used), unique=True)) if used else []
-    out = [j for j in used if j not in integrate]
-    got = labeled_product(sp, factors, out, integrate)
-    want = _oracle.labeled_product(sp, factors, out, integrate)
-    assert got.exact and got.values.shape == want.shape and (got.values == want).all()
-    assert all(type(x) is int or _is_exact_rational(x) for x in got.values.flat)
-    # integer operands with nothing integrated give integers, at arity 0 too
-    if not integrate and all(type(x) is int for values, _ in factors for x in values.flat):
-        assert all(type(x) is int for x in got.values.flat)
+    drawn = data.draw(st.lists(st.sampled_from(used), unique=True)) if used else []
+    for integrate in ([], drawn):  # a pure product every time
+        out = [j for j in used if j not in integrate]
+        got = labeled_product(sp, factors, out, integrate)
+        want = _oracle.labeled_product(sp, [(f.values, labels) for f, labels in factors],
+                                       out, integrate)
+        assert got.exact and got.values.shape == want.shape and (got.values == want).all()
+        assert all(type(x) is int or _is_exact_rational(x) for x in got.values.flat)
+        # integer operands with nothing integrated give integers, at arity 0 too
+        if not integrate and all(type(x) is int for f, _ in factors for x in f.values.flat):
+            assert all(type(x) is int for x in got.values.flat)
     # a float operand meeting exact ones gives a float kernel
-    (values, labels), *rest = factors
-    h = labeled_product(sp, [(values.astype(float), labels), *rest], out, integrate)
+    (f, labels), *rest = factors
+    h = labeled_product(sp, [(f.as_float(), labels), *rest], out, integrate)
     assert not h.exact and h.values.dtype == float
     assert np.allclose(h.values, want.astype(float), rtol=1e-12, atol=1e-12)
