@@ -117,7 +117,7 @@ def _counts_moment(f: Kernel, n: int, order: int, ustat: bool) -> Fraction:
     if order < 1:
         raise ValueError("order must be a positive integer")
     mode = mode_of(f)
-    w, d_w = mode.numerators(f.space.weight_vector)
+    w, d_w = mode.form(f.space).numerators
     total, den = 0, 1
     for counts, p in count_vectors(w, n):
         num, den = _count_fraction(f, counts, ustat)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .errors import InvalidClass, InvalidDiagram, SpaceMismatch
+from .errors import InvalidClass, InvalidDiagram
 from .kernels import Kernel, compact_relabel, labeled_product
 from .scalars import mode_of
 
@@ -130,11 +130,10 @@ def contract(f: Kernel, g: Kernel, d: ColoredDiagram) -> Kernel:
     f's arguments carry labels 1..k1 and g's carry k1+1..k1+k2; every edge
     renames its second-row label to its first-row label, and the first-row
     endpoint of every colored edge is integrated out.  All of it is one
-    labeled product.  The result keeps the surviving original labels;
-    apply compact_relabel for the 1..arity form.
+    labeled product (SpaceMismatch unless f and g share a measure).  The
+    result keeps the surviving original labels; apply compact_relabel for
+    the 1..arity form.
     """
-    if f.space != g.space:
-        raise SpaceMismatch("kernels live on different spaces")
     if f.arity != d.k1 or g.arity != d.k2:
         raise InvalidDiagram(f"diagram rows ({d.k1}, {d.k2}) do not match "
                              f"arities ({f.arity}, {g.arity})")

@@ -27,7 +27,9 @@ builds that certificate constructively:
   sigma <= 1).
 
 Colored steps need square roots, so transformed certificates are float
-mode; rank bookkeeping stays exact.
+mode; rank bookkeeping stays exact.  Factors and kernels must live on one
+measure (``scalars.require_one_measure``), and a check reads them in the
+joint mode (``Arithmetic.form``): a float certificate is checked in float.
 """
 from __future__ import annotations
 
@@ -37,9 +39,9 @@ from fractions import Fraction
 import numpy as np
 
 from .diagrams import ColoredDiagram
-from .errors import BlockMismatch, RankTooSmall, SigmaMismatch, SpaceMismatch
+from .errors import BlockMismatch, RankTooSmall, SigmaMismatch
 from .kernels import Kernel, constant_kernel, l2_norm_sq, labeled_product, random_kernel
-from .scalars import FLOAT, Scalar, is_exact, mode_of
+from .scalars import FLOAT, Scalar, is_exact, mode_of, require_one_measure
 
 __all__ = [
     "DominanceCertificate", "verify_certificate", "relax_sigma", "contract_certificate",
@@ -74,21 +76,14 @@ class DominanceCertificate:
         return is_exact(self.sigma_sq) and all(h.exact for h in self.factors)
 
 
-def _one_measure(spaces) -> None:
-    """SpaceMismatch unless the spaces, exact or float, are one measure."""
-    if len({sp.as_float() for sp in spaces}) > 1:
-        raise SpaceMismatch("certificate factors and kernels live on different spaces")
-
-
 def verify_certificate(f: Kernel, cert: DominanceCertificate) -> bool:
     """Check every clause of the dominance definition against f, up to
     POINTWISE_TOL in float mode.
 
     Structural violations raise: BlockMismatch for blocks not partitioning
-    f's labels, SpaceMismatch for a factor on another measure than f's (an
-    exact space and its float form are one measure).  Numeric clauses
-    return False.  Every clause reads the mode's numerators (Python ints
-    over one denominator in exact mode) and compares by cross-multiplying,
+    f's labels, SpaceMismatch for a factor on another measure than f's.
+    Numeric clauses return False.  Every clause reads the joint mode's numerators (Python
+    ints over one denominator in exact mode) and compares by cross-multiplying,
     so exact certificates are checked exactly: a factor N / d is
     nonnegative when N >= 0 and has sup norm at most 1 when max |N| <= d,
     and |F| / d_f <= P / D, with P / D the product of the factors, is
@@ -97,22 +92,23 @@ def verify_certificate(f: Kernel, cert: DominanceCertificate) -> bool:
     flat = [j for block in cert.blocks for j in block]
     if sorted(flat) != sorted(f.axis_labels) or len(flat) != len(set(flat)):
         raise BlockMismatch(f"blocks {cert.blocks} do not partition labels {f.axis_labels}")
-    _one_measure([f.space, *(h.space for h in cert.factors)])
+    require_one_measure(f.space, *(h.space for h in cert.factors))
     mode = mode_of(cert, f)
     slack = mode.slack(POINTWISE_TOL)
     if not 0 < cert.sigma_sq <= 1 + slack:
         return False
-    for h in cert.factors:
-        nums, d = mode.numerators(h.values)
+    factors = [mode.form(h) for h in cert.factors]
+    for h in factors:
+        nums, d = h.numerators
         # 0 <= h <= 1, so the sup norm is at most 1
         lo, hi = -slack * d, (1 + slack) * d
         if not all(lo <= x <= hi for x in nums.flat):
             return False
         if l2_norm_sq(h) > cert.sigma_sq + slack:
             return False
-    prod = labeled_product(f.space, [(h, h.axis_labels) for h in cert.factors], f.axis_labels)
-    prod, den = mode.numerators(prod.values)
-    nums, d_f = mode.numerators(f.values)
+    prod, den = labeled_product(f.space, [(h, h.axis_labels) for h in factors],
+                                f.axis_labels).numerators
+    nums, d_f = mode.form(f).numerators
     # flat arrays: arithmetic on 0-d object arrays returns bare scalars
     gap = np.abs(nums.reshape(-1)) * den - prod.reshape(-1) * d_f
     return all(x <= slack * d_f * den for x in gap)
@@ -134,7 +130,7 @@ def contract_certificate(cf: DominanceCertificate, cg: DominanceCertificate,
     """
     if cf.sigma_sq != cg.sigma_sq:
         raise SigmaMismatch(f"budgets differ: {cf.sigma_sq} vs {cg.sigma_sq}")
-    _one_measure(h.space for h in cf.factors + cg.factors)
+    require_one_measure(*(h.space for h in cf.factors + cg.factors))
     target = cf.rank + cg.rank - (d.l - d.p)
     if target < 1:
         raise RankTooSmall(f"rank {cf.rank}+{cg.rank} cannot absorb {d.l - d.p} merges")
@@ -191,7 +187,7 @@ def collapse_certificate(h: Kernel, cf: DominanceCertificate,
     """
     if cf.sigma_sq != cg.sigma_sq:
         raise SigmaMismatch(f"budgets differ: {cf.sigma_sq} vs {cg.sigma_sq}")
-    _one_measure([h.space, *(k.space for k in cf.factors + cg.factors)])
+    require_one_measure(h.space, *(k.space for k in cf.factors + cg.factors))
     r_total = cf.rank + cg.rank
     # an odd total makes the budget a square root, so a float
     mode = mode_of(cf.sigma_sq, h) if r_total % 2 == 0 else FLOAT

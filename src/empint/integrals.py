@@ -41,7 +41,7 @@ import numpy as np
 from . import diagrams
 from .errors import EmptySample, SpaceMismatch
 from .kernels import Kernel, require_canonical
-from .scalars import FLOAT_TOL, Scalar, mode_of
+from .scalars import FLOAT_TOL, Scalar, mode_of, require_one_measure
 from .space import Sample
 
 __all__ = [
@@ -114,7 +114,7 @@ def _count_polynomial(f: Kernel) -> _CountPolynomial:
     mode = mode_of(f)
     k = f.arity
     values, d_f = f.numerators
-    w, d_w = mode.numerators(f.space.weight_vector)
+    w, d_w = mode.form(f.space).numerators
     sums = [values]  # sums[s]: s of the axes seen so far kept, in order, the rest integrated
     for _ in range(k):
         integrated = [np.tensordot(t, w, axes=([s], [0])) for s, t in enumerate(sums)]
@@ -164,16 +164,14 @@ def eval_integral(f: Kernel, sample: Sample) -> ScaledValue:
     """The descaled k-fold integral of f against the centered empirical
     measure, off the diagonals.  Exact when f and the space are exact.
     Raises EmptySample for an empty sample and arity k >= 1."""
-    if f.space != sample.space:
-        raise SpaceMismatch("kernel and sample live on different spaces")
+    require_one_measure(f.space, sample.space)
     return ScaledValue(_eval_counts(f, sample.counts), f.arity, sample.n)
 
 
 def eval_ustat(f: Kernel, sample: Sample) -> Scalar:
     """The U-statistic: (1/k!) * sum of f over ordered tuples of distinct
     sample positions.  Zero when the sample is smaller than the arity."""
-    if f.space != sample.space:
-        raise SpaceMismatch("kernel and sample live on different spaces")
+    require_one_measure(f.space, sample.space)
     return _eval_counts(f, sample.counts, ustat=True)
 
 

@@ -20,7 +20,10 @@ included, runs its ``einsum`` on them and divides once per entry; the
 step-by-step operators stay on the Fractions, as the reference.  The norms
 and ``is_canonical`` read the numerators too and divide or compare once at
 the end.  Float-mode kernels use IEEE doubles with the same code paths,
-over a denominator of 1.  A kernel's values are read-only, so results
+over a denominator of 1, reading an exact operand as its float form
+(``Arithmetic.form``).  Operands combine on one measure only: an exact
+space and its float form are one, two different exact spaces never are
+(``require_one_measure``).  A kernel's values are read-only, so results
 memoized on a kernel can never go stale.
 """
 from __future__ import annotations
@@ -34,9 +37,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ArityMismatch, MalformedInput, NoSuchAxis, NotCanonical, SpaceMismatch
+from .errors import ArityMismatch, MalformedInput, NoSuchAxis, NotCanonical
 from .scalars import (FLOAT_TOL, Arithmetic, Scalar, format_scalar, in_float_range,
-                      kernel_values, mode_of, parse_scalar, read_only)
+                      kernel_values, mode_of, parse_scalar, read_only, require_one_measure)
 from .space import AtomSpace
 
 __all__ = [
@@ -96,7 +99,9 @@ class Kernel:
         return Kernel(self.space, self.values * c, self.axis_labels)
 
     def add(self, other: "Kernel") -> "Kernel":
-        _check_same_frame(self, other)
+        require_one_measure(self.space, other.space)
+        if self.axis_labels != other.axis_labels:
+            raise ArityMismatch(f"axis labels differ: {self.axis_labels} vs {other.axis_labels}")
         return Kernel(self.space, self.values + other.values, self.axis_labels)
 
     def abs(self) -> "Kernel":
@@ -106,13 +111,6 @@ class Kernel:
         if not self.exact:
             return self
         return Kernel(self.space.as_float(), self.values, self.axis_labels)
-
-
-def _check_same_frame(f: Kernel, g: Kernel):
-    if f.space != g.space:
-        raise SpaceMismatch("kernels live on different spaces")
-    if f.axis_labels != g.axis_labels:
-        raise ArityMismatch(f"axis labels differ: {f.axis_labels} vs {g.axis_labels}")
 
 
 def constant_kernel(space: AtomSpace, value) -> Kernel:
@@ -162,7 +160,7 @@ def _full_contraction(mode: Arithmetic, flat: np.ndarray, d: int, f: Kernel) -> 
     """The integral of flat / d, f's values flattened row-major, against
     the product measure: contract the last axis with the weight numerators
     W / d_w until one entry is left, then divide by d d_w^k."""
-    w, d_w = mode.numerators(f.space.weight_vector)
+    w, d_w = mode.form(f.space).numerators
     column = w.reshape(-1, 1)
     for _ in range(f.arity):
         flat = np.dot(flat.reshape(-1, len(w)), column).reshape(-1)
@@ -179,17 +177,19 @@ def labeled_product(space: AtomSpace, factors: Iterable[tuple[Kernel, Sequence[i
     share a label are the same argument; every label in ``integrate`` is
     integrated against the base measure; the result is a kernel whose axes
     follow ``out`` (strictly increasing).  Every label must be kept or
-    integrated, once.  In exact mode the einsum runs on the cached
-    numerators and each entry is divided once by their denominators.
+    integrated, once, and every factor must live on ``space``'s measure.
+    The einsum runs on the operands' numerators in the joint mode; in exact
+    mode each entry is divided once by their denominators.
     """
     factors = [(f, list(labels)) for f, labels in factors]
     integrate = list(integrate)
     if any(len(labels) != f.arity for f, labels in factors) or sorted(
             [*out, *integrate]) != sorted(set().union(*(labels for _, labels in factors))):
         raise ArityMismatch(f"one label per axis, kept {tuple(out)} or integrated {integrate} once")
+    require_one_measure(space, *(f.space for f, _ in factors))
     mode = mode_of(space, *(f for f, _ in factors))
-    read = [(mode.operand(f, f.values), labels) for f, labels in factors]
-    read += [(mode.operand(space, space.weight_vector), [j]) for j in integrate]
+    read = [(mode.form(f).numerators, labels) for f, labels in factors]
+    read += [(mode.form(space).numerators, [j]) for j in integrate]
     nums = np.einsum(*[x for (n, _), labels in read for x in (n, labels)], list(out))
     den = math.prod(d for (_, d), _ in read)
     values = nums if den == 1 else np.frompyfunc(Fraction, 2, 1)(nums, den)
@@ -199,8 +199,7 @@ def labeled_product(space: AtomSpace, factors: Iterable[tuple[Kernel, Sequence[i
 def tensor_product(f: Kernel, g: Kernel) -> Kernel:
     """f and g as functions of disjoint argument groups; g's labels are
     shifted past f's so the product carries f's labels then g's."""
-    if f.space != g.space:
-        raise SpaceMismatch("kernels live on different spaces")
+    require_one_measure(f.space, g.space)
     shift = max(f.axis_labels, default=0)
     new_labels = f.axis_labels + tuple(j + shift for j in g.axis_labels)
     vals = np.multiply.outer(f.values, g.values)
@@ -248,7 +247,7 @@ def is_canonical(f: Kernel) -> bool:
     compared with the slack scaled by the denominator d d_w."""
     mode = mode_of(f)
     nums, d = f.numerators
-    w, d_w = mode.numerators(f.space.weight_vector)
+    w, d_w = mode.form(f.space).numerators
     bound = mode.slack(FLOAT_TOL) * d * d_w
     return all(abs(x) <= bound for pos in range(f.arity)
                for x in np.tensordot(nums, w, axes=([pos], [0])).flat)

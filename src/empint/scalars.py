@@ -7,13 +7,14 @@ decides the mode once, and all downstream arithmetic preserves it.
 
 The decision lives here alone: other modules ask ``mode_of`` once and use
 the returned ``Arithmetic`` object instead of branching on exactness.  A
-computation reads its inputs with ``numerators``, which kernels and
-spaces cache (Python-int numerators over one denominator in exact mode,
-the values over 1 in float mode), and builds its result with one
+computation reads each kernel or space x as ``mode.form(x).numerators``:
+x's cached Python-int numerators over one denominator in exact mode, its
+float form's values over 1 otherwise.  It builds its result with one
 ``ratio``: every exact kernel product divides once, and only the
 step-by-step kernel operators stay on ``Fraction``s, as the reference.
-Two scalars are compared by one rule, ``abs(a - b) <= mode.slack(tol)``:
-equality in exact mode, within tol in float mode.
+Scalars compare by one rule, ``abs(a - b) <= mode.slack(tol)``, and spaces
+combine by one, ``require_one_measure``: equal spaces, or an exact space
+and its float form, are one measure; two different exact spaces never are.
 """
 from __future__ import annotations
 
@@ -26,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import MalformedInput
+from .errors import MalformedInput, SpaceMismatch
 
 FLOAT_TOL = 1e-12
 
@@ -93,10 +94,9 @@ class Arithmetic:
         """The comparison tolerance: none in exact mode, tol in float mode."""
         return 0 if self.exact else tol
 
-    def operand(self, x, values: np.ndarray) -> tuple[np.ndarray, int]:
-        """A kernel's or space's values as a product's operand: x's cached
-        numerators in exact mode, the values as they are over 1 otherwise."""
-        return x.numerators if self.exact else (values, 1)
+    def form(self, x):
+        """x, a kernel or a space, in this mode: x itself or its float form."""
+        return x if self.exact else x.as_float()
 
 
 def read_only(values: np.ndarray) -> np.ndarray:
@@ -143,3 +143,11 @@ def mode_of(*items) -> Arithmetic:
     is exact, float mode otherwise."""
     exact = all(x.exact if hasattr(type(x), "exact") else is_exact(x) for x in items)
     return EXACT if exact else FLOAT
+
+
+def require_one_measure(*spaces) -> None:
+    """SpaceMismatch unless each space equals the first exact one (or first) or its float form."""
+    ref = next((sp for sp in spaces if sp.exact), spaces[0])
+    for sp in spaces:
+        if sp is not ref and sp != ref and (sp.exact or sp != ref.as_float()):
+            raise SpaceMismatch("kernels, samples or factors live on different measures")

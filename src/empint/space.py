@@ -57,7 +57,9 @@ class AtomSpace:
 
     ``exact`` is True when every weight is a rational; in that mode all
     integrals computed against the space stay in exact arithmetic.  It,
-    ``weight_vector`` and ``numerators`` are computed once, on first use.
+    ``weight_vector``, ``numerators`` and ``as_float()`` are computed once.
+    An exact space and its float form are one measure, which float mode
+    reads; two different exact spaces never are (``require_one_measure``).
     """
 
     weights: tuple[Scalar, ...]
@@ -82,10 +84,14 @@ class AtomSpace:
         """The weight vector as read-only (numerators, d) in the space's mode."""
         return mode_of(self).numerators(self.weight_vector)
 
+    @cached_property
+    def _float_form(self) -> "AtomSpace":
+        return AtomSpace(tuple(float(w) for w in self.weights))
+
     def as_float(self) -> "AtomSpace":
         if not self.exact:
             return self
-        return AtomSpace(tuple(float(w) for w in self.weights))
+        return self._float_form
 
     def check_atom(self, atom) -> int:
         """atom, when it is an integer from 0 to n_atoms - 1 and not a bool;

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import _oracle
+from _oracle import pull_back, refine
 from _strategies import exact_kernels, exact_spaces
 
 from empint.combinatorics import (_counts_moment, check_moment_recursion,
@@ -252,3 +253,16 @@ def test_counts_moment_matches_fraction_sums_property(data, sp, k, n, order, ust
 def test_cumulative_constant_is_memoized():
     assert cumulative_constant(3, 7) is cumulative_constant(3, 7)
     assert cumulative_constant(2, 2) == (17 * 9) ** 2
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(data=st.data(), sp=exact_spaces(max_atoms=3), k=st.integers(1, 3), n=st.integers(1, 4),
+       t=st.integers(0, 5).map(lambda i: F(i, 5)))
+def test_second_moment_is_invariant_under_refinement_and_relabeling_property(data, sp, k, n, t):
+    f = data.draw(exact_kernels(sp, k))
+    atom = data.draw(st.integers(0, sp.n_atoms - 1))
+    perm = data.draw(st.permutations(range(sp.n_atoms)))
+    sp_perm = make_space([sp.weights[a] for a in perm])
+    want = moment_oracle(f, n, 2)
+    assert moment_oracle(refine(sp, f, atom, t), n, 2) == want
+    assert moment_oracle(pull_back(f, sp_perm, perm), n, 2) == want

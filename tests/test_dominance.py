@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import _oracle
+from _oracle import pull_back, refine
+from _strategies import exact_spaces
 from empint.diagrams import ColoredDiagram, DiagramClass, contract, enumerate_diagrams
 from empint.dominance import (DominanceCertificate, collapse_certificate,
                               contract_certificate, random_dominated_pair, relax_sigma,
@@ -340,3 +342,22 @@ def test_verify_arity_zero_certificate():
     g = constant_kernel(sp, F(2**39, 2**40 + 7))
     assert verify_certificate(g, DominanceCertificate(F(1), (h,)))
     assert not verify_certificate(h, DominanceCertificate(F(1), (g,)))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(data=st.data(), sp=exact_spaces(max_atoms=3), blocks=block_partitions(),
+       seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([F(1), F(3, 2)]),
+       t=st.integers(0, 5).map(lambda i: F(i, 5)))
+def test_verdict_is_invariant_under_refinement_and_relabeling_property(data, sp, blocks, seed,
+                                                                       scale, t):
+    # f and its factors refined at one atom, or read on permuted atoms
+    f, cert = _random_cert(sp, blocks, seed)
+    f = f.scale(scale)
+    atom = data.draw(st.integers(0, sp.n_atoms - 1))
+    perm = data.draw(st.permutations(range(sp.n_atoms)))
+    sp_perm = make_space([sp.weights[a] for a in perm])
+    for move in (lambda h: refine(sp, h, atom, t), lambda h: pull_back(h, sp_perm, perm)):
+        for budget in (cert.sigma_sq, cert.sigma_sq / 2):
+            moved = DominanceCertificate(budget, tuple(map(move, cert.factors)))
+            assert verify_certificate(move(f), moved) == verify_certificate(
+                f, DominanceCertificate(budget, cert.factors))

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import _oracle
+from _oracle import pull_back, refine
 from _strategies import PROPERTY, exact_kernels, exact_spaces, samples_of
 from empint import integrals
 
@@ -385,3 +386,21 @@ def test_count_polynomial_memo_dies_with_its_kernel():
     gc.collect()
     assert ref() is None
     assert len(integrals._polynomials) == before - 1
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(data=st.data(), sp=exact_spaces(max_atoms=3), k=st.integers(0, 3), n=st.integers(1, 5),
+       t=st.integers(0, 5).map(lambda i: F(i, 5)))
+def test_statistics_are_invariant_under_refinement_and_relabeling_property(data, sp, k, n, t):
+    # f refined at one atom, or read on permuted atoms: at any sample of the
+    # new space, both statistics are f's at the merged sample
+    f = data.draw(exact_kernels(sp, k))
+    atom = data.draw(st.integers(0, sp.n_atoms - 1))
+    perm = data.draw(st.permutations(range(sp.n_atoms)))
+    moved = [(refine(sp, f, atom, t), [*range(sp.n_atoms), atom]),
+             (pull_back(f, make_space([sp.weights[a] for a in perm]), perm), perm)]
+    for g, atoms in moved:
+        s = data.draw(samples_of(g.space, n))
+        merged = Sample(sp, tuple(atoms[p] for p in s.points))
+        assert eval_integral(g, s) == eval_integral(f, merged)
+        assert eval_ustat(g, s) == eval_ustat(f, merged)

@@ -1,7 +1,10 @@
 import os
+import sys
+from fractions import Fraction as F
 
 import pytest
 
+from empint import bounds, cli, combinatorics, diagrams, dominance, kernels
 from empint.verify import (SUITES, SuiteResult, run_all, run_suite_constants,
                            run_suite_diagram, run_suite_dominance,
                            run_suite_expectation, run_suite_moments,
@@ -79,3 +82,58 @@ def test_one_worker_runs_every_suite_then_raises_the_first_error_in_requested_or
 def test_suites_deterministic_in_seed():
     a, b = (run_all(11, ["norms"], workers=1)[0] for _ in range(2))
     assert a.checks == b.checks and a.worst == b.worst
+
+
+def _patch_everywhere(monkeypatch, module, name, new):
+    """Replace module.name by new(original) at every empint module that binds it."""
+    original = getattr(module, name)
+    patched = new(original)
+    for mod in list(sys.modules.values()):
+        if mod is not None and mod.__name__.split(".")[0] == "empint" \
+                and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, patched)
+
+
+def _times(c):
+    return lambda fn: lambda *args, **kwargs: fn(*args, **kwargs) * c
+
+
+_ROADMAP_ITEM_10 = ("ROADMAP item 10: the suite has no check that notices this defect; "
+                    "mending it changes the report's check counts")
+
+SEEDED_DEFECTS = [
+    pytest.param(diagrams, "product_formula_coefficient", _times(F(1001, 1000)), 10,
+                 id="product_formula_coefficient"),
+    pytest.param(combinatorics, "expectation_coefficient", _times(F(1001, 1000)), 11,
+                 id="expectation_coefficient"),
+    pytest.param(bounds, "moment_growth_bound", _times(F(1, 1000)), 13, id="moment_growth_bound"),
+    pytest.param(combinatorics, "damping_factor", _times(2), 15, id="damping_factor"),
+    pytest.param(kernels, "canonical_project", lambda fn: lambda f: f, 1, id="canonical_project"),
+    pytest.param(kernels, "l2_norm_sq", _times(F(1001, 1000)), 1, id="l2_norm_sq"),
+    pytest.param(combinatorics, "recursion_weight", _times(F(1001, 1000)), 15,
+                 id="recursion_weight", marks=pytest.mark.xfail(strict=True,
+                                                                reason=_ROADMAP_ITEM_10)),
+    pytest.param(dominance, "verify_certificate", lambda fn: lambda f, cert: True, 14,
+                 id="verify_certificate", marks=pytest.mark.xfail(strict=True,
+                                                                  reason=_ROADMAP_ITEM_10)),
+]
+
+
+@pytest.fixture
+def fresh_caches():
+    """cumulative_constant memoizes products of damping_factor: emptied
+    before the test, so a patch shows, and after, so it leaves no trace."""
+    combinatorics.cumulative_constant.cache_clear()
+    yield
+    combinatorics.cumulative_constant.cache_clear()
+
+
+@pytest.mark.parametrize("module, name, defect, code", SEEDED_DEFECTS)
+def test_verify_notices_a_seeded_defect(module, name, defect, code, monkeypatch, fresh_caches,
+                                        tmp_path, capsys):
+    """``empint verify`` exits with the code of the first suite that fails,
+    or 1 for a library error, when one function of the library is wrong."""
+    cfg = tmp_path / "verify.json"
+    cfg.write_text('{"seed": 2024}')
+    _patch_everywhere(monkeypatch, module, name, defect)
+    assert cli.main(["verify", "--config", str(cfg), "--workers", "1"]) == code
