@@ -364,7 +364,8 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return 2
     except EmpintError as e:
-        print(f"error: {e}", file=sys.stderr)
+        print(f"error: {e}", *(f"({note})" for note in getattr(e, "__notes__", ())),
+              file=sys.stderr)
         return 1
 
 

@@ -22,11 +22,16 @@ subset size.  Which monomial each table entry feeds depends only on the
 table's shape, so that plan is built once per (atoms, axes) and only an
 ``np.add.at`` runs per kernel.  Each polynomial is memoized on its kernel
 and evaluated by one loop (``_evaluate``, Horner in n) that only
-multiplies and adds.  In exact mode the coefficients are integers over one
-common denominator, so ``eval_integral`` and ``eval_ustat`` run the loop in
-Python ints and divide once; ``eval_batch`` runs it on float count arrays,
-one entry per sample, reading each sample's size n from its counts, to
-evaluate many samples at once for Monte Carlo.
+multiplies and adds, at a table of the falling factorials of the counts
+built by one function (``_falling_table``).  In exact mode the
+coefficients are integers over one common denominator, so ``eval_integral``
+and ``eval_ustat`` run the loop in Python ints and divide once;
+``eval_batch`` runs it on float count arrays, one entry per sample,
+reading each sample's size n from its counts, to evaluate many samples at
+once for Monte Carlo.  The identity checks build one table per sample, up
+to the largest arity, evaluate every kernel of the identity at it, combine
+each side as an integer numerator over an integer denominator and divide
+once per side.
 """
 from __future__ import annotations
 
@@ -109,8 +114,9 @@ def _count_polynomial(f: Kernel) -> _CountPolynomial:
     W/d_w, block s sums, over every set S of s axes, F integrated against W
     over the axes outside S; scaling it by d_w^s puts all blocks over
     den = k! d_f d_w^k.  Block s reuses the plan of shape (atoms, s)."""
-    if f in _polynomials:
-        return _polynomials[f]
+    poly = _polynomials.get(f)
+    if poly is not None:
+        return poly
     mode = mode_of(f)
     k = f.arity
     values, d_f = f.numerators
@@ -124,35 +130,67 @@ def _count_polynomial(f: Kernel) -> _CountPolynomial:
     return poly
 
 
-def _evaluate(blocks, n, falling, ustat: bool):
-    """sum_s n^{k-s} N_s, or with ``ustat`` N_k alone, by Horner in n, with
-    falling[m][a] = (c_a)_m.  Only ``*`` and ``+``, so Python ints stay
-    exact and numpy rows (one entry per sample) evaluate all at once."""
+def _falling_table(counts, k: int) -> list[list]:
+    """table[m][a] = (c_a)_m = c_a (c_a - 1) ... (c_a - m + 1) for m = 0..k,
+    from one count per atom: Python ints stay exact, and a float array of
+    counts, one entry per sample, gives an array per entry."""
+    table = [[c**0 for c in counts]]
+    for m in range(k):
+        table.append([t * (c - m) for t, c in zip(table[-1], counts)])
+    return table
+
+
+def _evaluate(poly: _CountPolynomial, n, table, ustat: bool = False, over_den: bool = False):
+    """sum_s n^{k-s} N_s, or with ``ustat`` N_k alone, by Horner in n, at a
+    falling-factorial table that reaches the polynomial's arity.  Only ``*``
+    and ``+``, so Python ints stay exact and numpy rows (one entry per
+    sample) evaluate all at once.  With ``over_den`` every coefficient is
+    divided by den first, which keeps it a float however large den grows,
+    and the sum comes out over den."""
+    blocks = poly.blocks[-1:] if ustat else poly.blocks
+    if over_den:
+        blocks = [[(coeff / poly.den, pairs) for coeff, pairs in block] for block in blocks]
     total = 0
-    for block in blocks[-1:] if ustat else blocks:
+    for block in blocks:
         acc = 0
         for term, pairs in block:
             for a, m in pairs:
-                term = term * falling[m][a]
+                term = term * table[m][a]
             acc = acc + term
         total = total * n + acc
     return total
 
 
-def _count_fraction(f: Kernel, counts, ustat: bool = False) -> tuple[Scalar, int]:
-    """(N, D) with N / D the descaled centered integral q of f, or with
-    ``ustat`` the U-statistic, at a sample with these occupation counts.
-    N is a Python int when f and the space are exact; D depends only on f,
-    the sample size and the target."""
-    if len(counts) != f.space.n_atoms:
-        raise SpaceMismatch(f"counts over {len(counts)} atoms for a kernel on {f.space.n_atoms}")
-    poly = _count_polynomial(f)
-    k = f.arity
+def _checked_table(kernels, counts, ustat: bool = False, space=None) -> list[list]:
+    """The falling-factorial table of the counts up to the kernels' largest
+    arity, after the checks each kernel's statistic makes, kernel by kernel:
+    that it lives on ``space``'s measure, if given, and on one atom per
+    count, and, unless ``ustat``, that a positive arity does not meet an
+    empty sample."""
     n = sum(counts)
-    if not n and k and not ustat:
-        raise EmptySample(f"the arity-{k} integral of an empty sample divides by zero")
-    falling = [[math.perm(c, m) for c in counts] for m in range(k + 1)]
-    return _evaluate(poly.blocks, n, falling, ustat), poly.den * n ** (0 if ustat else k)
+    for f in kernels:
+        if space is not None:
+            require_one_measure(f.space, space)
+        if len(counts) != f.space.n_atoms:
+            raise SpaceMismatch(f"counts over {len(counts)} atoms "
+                                f"for a kernel on {f.space.n_atoms}")
+        if f.arity and not (n or ustat):
+            raise EmptySample(f"the arity-{f.arity} integral of an empty sample divides by zero")
+    return _falling_table(counts, max(f.arity for f in kernels))
+
+
+def _at_table(f: Kernel, n: int, table, ustat: bool = False) -> tuple[Scalar, int]:
+    """(N, D) with N / D the descaled centered integral q of f, or with
+    ``ustat`` the U-statistic, at a size-n sample with this falling-factorial
+    table.  N is a Python int when f and the space are exact; D depends only
+    on f, n and the target."""
+    poly = _count_polynomial(f)
+    return _evaluate(poly, n, table, ustat), poly.den * n ** (0 if ustat else f.arity)
+
+
+def _count_fraction(f: Kernel, counts, ustat: bool = False) -> tuple[Scalar, int]:
+    """``_at_table``'s (N, D) at a sample with these occupation counts."""
+    return _at_table(f, sum(counts), _checked_table((f,), counts, ustat), ustat)
 
 
 def _eval_counts(f: Kernel, counts, ustat: bool = False) -> Scalar:
@@ -183,18 +221,13 @@ def eval_batch(f: Kernel, counts: np.ndarray, ustat: bool = False) -> np.ndarray
     that row alone, never on R or on how the rows were batched."""
     if f.space.n_atoms != counts.shape[1]:
         raise SpaceMismatch(f"counts over {counts.shape[1]} atoms for a kernel on {f.space.n_atoms}")
-    poly = _count_polynomial(f)
     k = f.arity
     c = counts.T.astype(float)
     n = c.sum(axis=0)
     if k and not n.all():
         raise EmptySample(f"the arity-{k} statistic of an empty sample divides by zero")
-    falling = [np.ones_like(c)]  # falling[m][a] = (c_a)_m
-    for m in range(k):
-        falling.append(falling[-1] * (c - m))
-    # dividing first keeps every coefficient a float however large den grows
-    blocks = [[(coeff / poly.den, pairs) for coeff, pairs in block] for block in poly.blocks]
-    return _evaluate(blocks, n, falling, ustat) * n ** (-k / 2)
+    table = _falling_table(c, k)
+    return _evaluate(_count_polynomial(f), n, table, ustat, over_den=True) * n ** (-k / 2)
 
 
 @dataclass(frozen=True, slots=True)
@@ -207,17 +240,26 @@ class CheckResult:
 
     @property
     def discrepancy(self) -> float:
-        return abs(float(self.lhs) - float(self.rhs))
+        """|lhs - rhs| as a float, taken after the subtraction, so exact
+        sides that agree read 0.0 however large they are; inf past float
+        range."""
+        try:
+            return float(abs(self.lhs - self.rhs))
+        except OverflowError:
+            return math.inf
 
 
 def check_canonical_ustat_identity(f: Kernel, sample: Sample) -> CheckResult:
     """For canonical f the U-statistic and the centered integral agree path
-    by path: q * n^k equals the U-statistic.  Raises NotCanonical otherwise."""
+    by path: q * n^k equals the U-statistic.  Raises NotCanonical otherwise.
+    Both sides are f's count polynomial at one falling-factorial table, over
+    its den: q n^k = sum_s n^{k-s} N_s / den and U = N_k / den."""
     require_canonical(f)
-    n = sample.n
     mode = mode_of(f)
-    lhs = eval_integral(f, sample).coeff * mode.cast(n) ** f.arity
-    rhs = eval_ustat(f, sample)
+    poly = _count_polynomial(f)
+    table = _checked_table((f,), sample.counts, space=sample.space)
+    lhs = mode.ratio(_evaluate(poly, sample.n, table), poly.den)
+    rhs = mode.ratio(_evaluate(poly, sample.n, table, ustat=True), poly.den)
     return CheckResult(lhs, rhs, abs(lhs - rhs) <= mode.slack(FLOAT_TOL))
 
 
@@ -243,13 +285,22 @@ def check_product_formula(f: Kernel, g: Kernel, sample: Sample,
 
     Exact equality in exact mode; the kernels need not be symmetric or
     canonical.  ``terms`` is ``product_formula_terms(f, g)``, computed once
-    for every sample checked.
+    for every sample checked.  Every kernel is evaluated at one
+    falling-factorial table of the sample, in the joint mode, as (N, D) with
+    q = N / D; each side is summed as one integer numerator over one
+    integer denominator and divided once.
     """
-    mode = mode_of(f, g)
-    lhs = eval_integral(f, sample).coeff * eval_integral(g, sample).coeff
-    rhs = mode.zero
-    inv_n = mode.inv(sample.n)
-    for (l, p), h in terms.items():
-        c = mode.cast(diagrams.product_formula_coefficient(f.arity, g.arity, l, p))
-        rhs = rhs + c * inv_n**l * eval_integral(h, sample).coeff
+    kernels = (f, g, *terms.values())
+    mode = mode_of(*kernels)
+    kernels = [mode.form(h) for h in kernels]
+    n = sample.n
+    table = _checked_table(kernels, sample.counts, space=sample.space)
+    (n_f, d_f), (n_g, d_g), *stats = (_at_table(h, n, table) for h in kernels)
+    lhs = mode.ratio(n_f * n_g, d_f * d_g)
+    num, den = 0, 1
+    for (l, p), (n_h, d_h) in zip(terms, stats):
+        c = diagrams.product_formula_coefficient(f.arity, g.arity, l, p)
+        d = c.denominator * n**l * d_h
+        num, den = num * d + c.numerator * n_h * den, den * d
+    rhs = mode.ratio(num, den)
     return CheckResult(lhs, rhs, abs(lhs - rhs) <= mode.slack(FLOAT_TOL))

@@ -181,6 +181,17 @@ def labeled_product(space: AtomSpace, factors: Iterable[tuple[Kernel, Sequence[i
     The einsum runs on the operands' numerators in the joint mode; in exact
     mode each entry is divided once by their denominators.
     """
+    nums, den = _labeled_numerators(space, factors, out, integrate)
+    values = nums if den == 1 else np.frompyfunc(Fraction, 2, 1)(nums, den)
+    return Kernel(space, values, tuple(out))
+
+
+def _labeled_numerators(space: AtomSpace, factors: Iterable[tuple[Kernel, Sequence[int]]],
+                        out: Sequence[int],
+                        integrate: Iterable[int] = ()) -> tuple[np.ndarray, int]:
+    """``labeled_product``'s checks and einsum, undivided: (N, d) with the
+    product N / d, N the einsum of the operands' numerators in the joint
+    mode and d the product of their denominators (1 in float mode)."""
     factors = [(f, list(labels)) for f, labels in factors]
     integrate = list(integrate)
     if any(len(labels) != f.arity for f, labels in factors) or sorted(
@@ -191,9 +202,7 @@ def labeled_product(space: AtomSpace, factors: Iterable[tuple[Kernel, Sequence[i
     read = [(mode.form(f).numerators, labels) for f, labels in factors]
     read += [(mode.form(space).numerators, [j]) for j in integrate]
     nums = np.einsum(*[x for (n, _), labels in read for x in (n, labels)], list(out))
-    den = math.prod(d for (_, d), _ in read)
-    values = nums if den == 1 else np.frompyfunc(Fraction, 2, 1)(nums, den)
-    return Kernel(space, values, tuple(out))
+    return np.asarray(nums, dtype=mode.dtype), math.prod(d for (_, d), _ in read)
 
 
 def tensor_product(f: Kernel, g: Kernel) -> Kernel:

@@ -341,8 +341,9 @@ def run_all(seed: int, suites: list[str] | None = None, workers: int = 1) -> lis
     claim the suites longest first from one pipe, and every claimed suite
     runs.  An error raised by a suite is then raised here, the first in the
     requested order, with the child's traceback as its cause if a child
-    raised it; a child that cannot be forked or ends without sending its
-    results raises ``WorkerFailed``."""
+    raised it and the suite's name as a note (PEP 678's ``__notes__``, which
+    tracebacks print); a child that cannot be forked or ends without
+    sending its results raises ``WorkerFailed``."""
     names = suites if suites is not None else list(SUITES)
     unknown = [s for s in names if s not in SUITES]
     if unknown:
@@ -350,6 +351,8 @@ def run_all(seed: int, suites: list[str] | None = None, workers: int = 1) -> lis
     order = sorted(set(names), key=_LONGEST_FIRST.index)
     done = _claim_all(order, seed, min(len(order), workers) if hasattr(os, "fork") else 1)
     for name in names:
-        if done[name][1] is not None:
-            raise done[name][1]
+        error = done[name][1]
+        if error is not None:  # the list add_note would append to, before Python 3.11 too
+            error.__notes__ = [*getattr(error, "__notes__", ()), f"raised by verify suite {name!r}"]
+            raise error
     return [done[name][0] for name in names]

@@ -156,12 +156,14 @@ def test_verify_error_in_worker_exits_1(tmp_path, monkeypatch, meet, capsys):
     assert _verify_split(tmp_path, monkeypatch, meet, _raise_where(in_caller=False)) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: raised in process ")
-    assert err.split()[-1] != str(os.getpid())  # the suite ran in a forked worker
+    assert err.split()[4] != str(os.getpid())  # the suite ran in a forked worker
+    assert re.search(r" \(raised by verify suite '(norms|moments)'\)\n$", err)
 
 
 def test_verify_error_in_callers_own_claim_exits_1(tmp_path, monkeypatch, meet, capsys):
     assert _verify_split(tmp_path, monkeypatch, meet, _raise_where(in_caller=True)) == 1
-    assert capsys.readouterr().err == f"error: raised in process {os.getpid()}\n"
+    assert re.fullmatch(f"error: raised in process {os.getpid()} "
+                        r"\(raised by verify suite '(norms|moments)'\)\n", capsys.readouterr().err)
 
 
 def test_verify_worker_dying_is_typed_error(tmp_path, monkeypatch, meet, capsys):
@@ -226,7 +228,7 @@ def test_verify_raises_first_error_in_requested_order(tmp_path, monkeypatch, mee
         raise EmpintError(f"{name} failed")
 
     assert _verify_split(tmp_path, monkeypatch, meet, fail) == 1
-    assert capsys.readouterr().err == "error: norms failed\n"
+    assert capsys.readouterr().err == "error: norms failed (raised by verify suite 'norms')\n"
 
 
 def test_tails_outputs(tmp_path):

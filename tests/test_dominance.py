@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 import _oracle
 from _oracle import pull_back, refine
 from _strategies import exact_spaces
+from empint import dominance, kernels
 from empint.diagrams import ColoredDiagram, DiagramClass, contract, enumerate_diagrams
 from empint.dominance import (DominanceCertificate, collapse_certificate,
                               contract_certificate, random_dominated_pair, relax_sigma,
@@ -330,6 +331,28 @@ def test_verify_matches_fraction_oracle_property(sp, blocks, seed, scale):
         assert verify_certificate(f, c) == _oracle.verify_certificate(f, c)
         fc = DominanceCertificate(float(budget), tuple(h.as_float() for h in c.factors))
         assert verify_certificate(f.as_float(), fc) == _oracle.verify_certificate(f.as_float(), fc)
+
+
+def test_verify_takes_the_factor_product_straight_from_the_einsum(monkeypatch):
+    """The product clause reads the einsum's numerators over their
+    denominator: it never builds the product kernel, and its verdicts are
+    the entry-by-entry oracle's."""
+    cases = []
+    for seed, blocks in enumerate([((1,),), ((1,), (2,)), ((1, 2),), ((1,), (2, 3), ()), ((),)]):
+        f, cert = _random_cert(uniform_space(3), blocks, seed)
+        for scale in (F(1), F(3, 2), F(-1, 2)):
+            g = f.scale(scale)
+            cases += [(g, cert), (g, relax_sigma(cert, 1)), (g.as_float(), DominanceCertificate(
+                float(cert.sigma_sq), tuple(h.as_float() for h in cert.factors)))]
+    want = [_oracle.verify_certificate(f, c) for f, c in cases]
+    assert True in want and False in want
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the factor product was built as a kernel")
+
+    monkeypatch.setattr(kernels, "labeled_product", refuse)
+    monkeypatch.setattr(dominance, "labeled_product", refuse)
+    assert [verify_certificate(f, c) for f, c in cases] == want
 
 
 def test_verify_arity_zero_certificate():

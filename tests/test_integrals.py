@@ -4,7 +4,10 @@ The k = 1 and k = 2 reference values below were derived by hand from the
 inclusion-exclusion form of the statistic and are frozen here as literals.
 """
 
+import ast
 import gc
+import inspect
+import math
 import weakref
 from fractions import Fraction as F
 
@@ -21,9 +24,11 @@ from empint.integrals import (CheckResult, ScaledValue, check_canonical_ustat_id
                               check_product_formula, eval_batch, eval_integral, eval_ustat,
                               product_formula_terms)
 from empint.combinatorics import expected_integral_oracle
-from empint.errors import EmptySample, NotCanonical
+from empint.diagrams import product_formula_coefficient
+from empint.errors import EmptySample, NotCanonical, SpaceMismatch
 from empint.kernels import (canonical_project, constant_kernel, indicator_kernel,
                             kernel_from_values, random_kernel, tensor_product)
+from empint.scalars import mode_of, require_one_measure
 from empint.space import (Sample, draw_counts, enumerate_samples, make_space,
                           sample_from_counts, uniform_space)
 
@@ -189,6 +194,12 @@ def test_check_result_reports_discrepancy():
     r = CheckResult(F(1, 2), F(1, 4), False)
     assert r.discrepancy == pytest.approx(0.25)
     assert not r.ok
+    # exact sides past float range: 0.0 when they agree, inf when they do not
+    sp = make_space(["1/2", "1/2"])
+    f = kernel_from_values(sp, [10**200, 0])
+    res = check_product_formula(f, f, Sample(sp, (0, 0)), product_formula_terms(f, f))
+    assert res.ok and res.discrepancy == 0.0
+    assert CheckResult(F(10**400), F(1), False).discrepancy == math.inf
 
 
 def test_check_result_is_small():
@@ -373,6 +384,148 @@ def test_canonical_ustat_identity_property(data, sp, k, n):
     f = canonical_project(data.draw(exact_kernels(sp, k)))
     res = check_canonical_ustat_identity(f, data.draw(samples_of(sp, n)))
     assert type(res.lhs) is F and res.lhs == res.rhs
+
+
+def _reference_q(h, sample):
+    """eval_integral's coefficient from the recursive oracle, after the
+    checks eval_integral makes, in its order."""
+    require_one_measure(h.space, sample.space)
+    if h.arity and not sample.n:
+        raise EmptySample("an empty sample")
+    return _oracle.integral_coeff(h, sample) if sample.n else h.values[()]
+
+
+def _reference_product(f, g, sample, terms):
+    """Both sides of the product identity, one Fraction operation at a time."""
+    mode = mode_of(f, g)
+    lhs = _reference_q(f, sample) * _reference_q(g, sample)
+    rhs = mode.zero
+    for (l, p), h in terms.items():
+        c = mode.cast(product_formula_coefficient(f.arity, g.arity, l, p))
+        rhs = rhs + c * _reference_q(h, sample) / mode.cast(sample.n) ** l
+    return lhs, rhs
+
+
+def _reference_canonical(f, sample):
+    """Both sides of the canonical identity: q n^k and the U-statistic."""
+    lhs = _reference_q(f, sample) * mode_of(f).cast(sample.n) ** f.arity
+    return lhs, _oracle.ustat(f, sample)
+
+
+def _outcome(check, *args):
+    """check(*args)'s (lhs, rhs) with its verdict, or the type of the
+    EmptySample or SpaceMismatch it raises."""
+    try:
+        res = check(*args)
+    except (EmptySample, SpaceMismatch) as e:
+        return type(e)
+    return (res.lhs, res.rhs, res.ok) if isinstance(res, CheckResult) else (*res, True)
+
+
+def _assert_same_outcome(got, want, exact):
+    if isinstance(want, type):
+        assert got is want
+    elif exact:
+        assert got == want and list(map(type, got)) == list(map(type, want)) == [F, F, bool]
+    else:
+        assert got[2]
+        for a, b in zip(got[:2], want[:2]):
+            assert math.isclose(a, b, rel_tol=1e-12, abs_tol=1e-12), (a, b)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(data=st.data(), sp=exact_spaces(), k1=st.integers(0, 3), k2=st.integers(0, 3),
+       n=st.integers(0, 5), exact=st.sampled_from([True, True, False]),
+       stray=st.sampled_from([False] * 3 + [True]))
+def test_product_identity_matches_step_by_step_reference_property(data, sp, k1, k2, n, exact,
+                                                                  stray):
+    # the parent's path, one statistic and one Fraction operation at a time;
+    # with ``stray`` one term lives on another measure
+    f, g = data.draw(exact_kernels(sp, k1)), data.draw(exact_kernels(sp, k2))
+    if not exact:
+        f, g = f.as_float(), g.as_float()
+    terms = product_formula_terms(f, g)
+    if stray:
+        other = uniform_space(sp.n_atoms + 1)
+        key = data.draw(st.sampled_from(sorted(terms)))
+        terms[key] = data.draw(exact_kernels(other, terms[key].arity))
+    sample = data.draw(samples_of(sp, n))
+    want = _outcome(_reference_product, f, g, sample, terms)
+    _assert_same_outcome(_outcome(check_product_formula, f, g, sample, terms), want, exact)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(data=st.data(), sp=exact_spaces(), k=st.integers(0, 3), n=st.integers(0, 5),
+       exact=st.sampled_from([True, True, False]),
+       stray=st.sampled_from([False] * 3 + [True]))
+def test_canonical_identity_matches_step_by_step_reference_property(data, sp, k, n, exact, stray):
+    f = canonical_project(data.draw(exact_kernels(sp, k)))
+    if not exact:
+        f = f.as_float()
+    sample = data.draw(samples_of(uniform_space(sp.n_atoms + 1) if stray else sp, n))
+    want = _outcome(_reference_canonical, f, sample)
+    _assert_same_outcome(_outcome(check_canonical_ustat_identity, f, sample), want, exact)
+
+
+def _second_evaluators(source: str) -> list[str]:
+    """Where ``integrals``' source evaluates a count polynomial outside the
+    one evaluator: a read of ``.blocks`` outside ``_evaluate``, a call of
+    ``math.perm``, a table bound to anything but ``_falling_table`` or
+    ``_checked_table``, or a table handed to ``_evaluate`` or ``_at_table``
+    under another name."""
+    builders = {"_falling_table", "_checked_table"}
+    found = []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        for node in ast.walk(fn):
+            where = f"{fn.name}:{getattr(node, 'lineno', '?')}"
+            if isinstance(node, ast.Attribute) and node.attr == "blocks" and fn.name != "_evaluate":
+                found.append(f"{where}: reads .blocks")
+            if not isinstance(node, (ast.Call, ast.Assign)):
+                continue
+            if isinstance(node, ast.Assign):
+                built = isinstance(node.value, ast.Call) and ast.unparse(node.value.func) in builders
+                if "table" in map(ast.unparse, node.targets) and not built \
+                        and fn.name != "_falling_table":
+                    found.append(f"{where}: builds a table: {ast.unparse(node)}")
+                continue
+            name = ast.unparse(node.func)
+            if name == "math.perm":
+                found.append(f"{where}: calls math.perm")
+            if name in ("_evaluate", "_at_table"):
+                table = node.args[2] if len(node.args) > 2 else next(
+                    (kw.value for kw in node.keywords if kw.arg == "table"), None)
+                if not (ast.unparse(table) == "table" or isinstance(table, ast.Call)
+                        and ast.unparse(table.func) in builders):
+                    found.append(f"{where}: evaluates at {ast.unparse(table)}")
+    return found
+
+
+_SECOND_EVALUATORS = [
+    # its own loop over the blocks
+    """
+def _eval_again(f, counts):
+    poly = _count_polynomial(f)
+    return sum(c * math.prod(math.perm(counts[a], m) for a, m in pairs)
+               for block in poly.blocks for c, pairs in block)
+""",
+    # the one loop at a table of its own
+    """
+def _eval_again(f, counts):
+    falling = [[math.perm(c, m) for c in counts] for m in range(f.arity + 1)]
+    return _evaluate(_count_polynomial(f), sum(counts), falling)
+""",
+]
+
+
+def test_one_evaluator_for_the_statistic():
+    """Only ``_evaluate`` walks a count polynomial, always at a table built
+    by ``_falling_table``; the guard notices a second evaluator."""
+    source = inspect.getsource(integrals)
+    assert _second_evaluators(source) == []
+    for second in _SECOND_EVALUATORS:
+        assert _second_evaluators(source + second)
 
 
 def test_count_polynomial_memo_dies_with_its_kernel():

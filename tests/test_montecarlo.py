@@ -3,7 +3,10 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from _oracle import refine
+from _strategies import exact_kernels
 from empint import montecarlo
 from empint.errors import InsufficientTailData, NegativeSeed, RegimeViolation
 from empint.kernels import (canonical_project, indicator_kernel, kernel_from_values, l2_norm,
@@ -11,7 +14,8 @@ from empint.kernels import (canonical_project, indicator_kernel, kernel_from_val
 from empint.montecarlo import (McConfig, TailEstimate, auto_grid, binomial_levels,
                                binomial_tail_oracle, estimate_tail, exceedance, fit_constants,
                                replicate_counts, replicate_values)
-from empint.space import make_space, uniform_space
+from empint.integrals import eval_integral, eval_ustat
+from empint.space import draw_counts, make_space, sample_from_counts, uniform_space
 
 
 def centered_indicator(space, atom=0):
@@ -220,3 +224,36 @@ def test_auto_grid_levels_avoid_pilot_values(kernel, target, n):
         assert not set(grid) & set(pilot.tolist())
         assert 0 < grid[0] < grid[-1]
 
+
+
+@st.composite
+def dyadic_spaces(draw):
+    """Spaces of 1 to 4 atoms whose positive weights have denominator 2^j,
+    2 <= j <= 4, so every cumulative sum of their floats is exact."""
+    j, atoms = draw(st.integers(2, 4)), draw(st.integers(1, 4))
+    cuts = sorted(draw(st.sets(st.integers(1, 2**j - 1), min_size=atoms - 1, max_size=atoms - 1)))
+    return make_space([F(b - a, 2**j) for a, b in zip([0, *cuts], [*cuts, 2**j])])
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(data=st.data(), sp=dyadic_spaces(), k=st.integers(0, 3), n=st.integers(1, 300),
+       replicates=st.integers(1, 200), seed=st.integers(0, 2**32 - 1),
+       t=st.sampled_from([F(1, 4), F(1, 2), F(3, 4)]))
+def test_draws_and_statistics_are_invariant_under_dyadic_refinement_property(
+        data, sp, k, n, replicates, seed, t):
+    # the last atom split in two: refine appends the second half right after
+    # it, so each coarse atom keeps its interval of the inverse CDF and the
+    # merged counts are the coarse ones, replicate by replicate
+    f = data.draw(exact_kernels(sp, k))
+    last = sp.n_atoms - 1
+    fine = refine(sp, f, last, t)
+    coarse = draw_counts(sp, n, seed, replicates)
+    counts = draw_counts(fine.space, n, seed, replicates)
+    merged = counts[:, :-1].copy()
+    merged[:, last] += counts[:, -1]
+    np.testing.assert_array_equal(merged, coarse)
+    for row in np.unique(counts, axis=0).tolist():
+        s, s_coarse = (sample_from_counts(fine.space, tuple(row)),
+                       sample_from_counts(sp, (*row[:last], row[last] + row[-1])))
+        assert eval_integral(fine, s) == eval_integral(f, s_coarse)
+        assert eval_ustat(fine, s) == eval_ustat(f, s_coarse)

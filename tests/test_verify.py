@@ -119,6 +119,10 @@ SEEDED_DEFECTS = [
 ]
 
 
+# the suite whose library error each exit-1 row reports
+_RAISED_BY = {"canonical_project": "diagram", "l2_norm_sq": "moments"}
+
+
 @pytest.fixture
 def fresh_caches():
     """cumulative_constant memoizes products of damping_factor: emptied
@@ -132,8 +136,13 @@ def fresh_caches():
 def test_verify_notices_a_seeded_defect(module, name, defect, code, monkeypatch, fresh_caches,
                                         tmp_path, capsys):
     """``empint verify`` exits with the code of the first suite that fails,
-    or 1 for a library error, when one function of the library is wrong."""
+    or 1 for a library error, when one function of the library is wrong;
+    the error line then names the suite that raised it."""
     cfg = tmp_path / "verify.json"
     cfg.write_text('{"seed": 2024}')
     _patch_everywhere(monkeypatch, module, name, defect)
     assert cli.main(["verify", "--config", str(cfg), "--workers", "1"]) == code
+    if code == 1:
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ")
+        assert line.endswith(f"(raised by verify suite {_RAISED_BY[name]!r})")
