@@ -27,9 +27,13 @@ builds that certificate constructively:
   sigma <= 1).
 
 Colored steps need square roots, so transformed certificates are float
-mode; rank bookkeeping stays exact.  Factors and kernels must live on one
-measure (``scalars.require_one_measure``), and a check reads them in the
-joint mode (``Arithmetic.form``): a float certificate is checked in float.
+mode; rank bookkeeping stays exact.  The transport runs on float operands:
+each factor's float form is read once, and every Schwarz step and group
+product is one ``np.einsum`` on (values, labels) pairs, in the order the
+factors come in, so only the returned factors are built as kernels.
+Factors and kernels must live on one measure
+(``scalars.require_one_measure``), and a check reads them in the joint
+mode (``Arithmetic.form``): a float certificate is checked in float.
 """
 from __future__ import annotations
 
@@ -135,32 +139,37 @@ def contract_certificate(cf: DominanceCertificate, cg: DominanceCertificate,
     if target < 1:
         raise RankTooSmall(f"rank {cf.rank}+{cg.rank} cannot absorb {d.l - d.p} merges")
 
-    # g's factors take g's labels in the pair, shifted past f's k1.
-    pair = cf.factors + tuple(Kernel(h.space, h.values, tuple(j + d.k1 for j in h.axis_labels))
-                              for h in cg.factors)
+    # Each factor as an einsum operand (float values, labels); g's factors
+    # take g's labels in the pair, shifted past f's k1.
+    pair = [(FLOAT.form(h).numerators[0], list(h.axis_labels)) for h in cf.factors]
+    pair += [(FLOAT.form(h).numerators[0], [j + d.k1 for j in h.axis_labels])
+             for h in cg.factors]
+    space = FLOAT.form(cf.factors[0].space)
+    weights = space.numerators[0]
 
     # Schwarz step: a factor holding colored endpoints becomes the square
     # root of its squared marginal over them.
     colored = {j for edge in d.colored_edges() for j in edge}
     factors = []
-    for h in (h.as_float() for h in pair):
-        drop = [j for j in h.axis_labels if j in colored]
+    for values, labels in pair:
+        drop = [j for j in labels if j in colored]
         if drop:
-            keep = [j for j in h.axis_labels if j not in colored]
-            sq = labeled_product(h.space, [(h, h.axis_labels)] * 2, keep, drop)
-            h = Kernel(sq.space, np.sqrt(np.maximum(sq.values, 0.0)), sq.axis_labels)
-        factors.append(h)
+            keep = [j for j in labels if j not in colored]
+            sq = np.einsum(values, labels, values, labels,
+                           *[x for j in drop for x in (weights, [j])], keep)
+            values, labels = np.sqrt(np.maximum(sq, 0.0)), keep
+        factors.append((values, labels))
 
     # Each uncolored edge's second endpoint is renamed to its first, so the
     # factors an edge joins share a label: group (labels, operands) by that.
     rename = {j2: j for j, j2 in d.uncolored_edges()}
     groups: list[tuple[set[int], list]] = []
-    for h in factors:
-        labels = [rename.get(j, j) for j in h.axis_labels]
+    for values, labels in factors:
+        labels = [rename.get(j, j) for j in labels]
         joined = [g for g in groups if g[0].intersection(labels)]
         groups = [g for g in groups if not g[0].intersection(labels)]
         groups.append((set(labels).union(*(g[0] for g in joined)),
-                       [(h, labels)] + [op for g in joined for op in g[1]]))
+                       [(values, labels)] + [op for g in joined for op in g[1]]))
 
     # Spare merges down to the exact rank target (sound since sigma <= 1).
     while len(groups) > target:
@@ -168,12 +177,15 @@ def contract_certificate(cf: DominanceCertificate, cg: DominanceCertificate,
         (l1, o1), (l2, o2) = groups[:2]
         groups[:2] = [(l1 | l2, o1 + o2)]
 
-    # One product per group, relabeled to the compact 1..arity frame.
+    # One product per group, relabeled to the compact 1..arity frame: the
+    # only kernels built.
     frame = {j: i + 1 for i, j in enumerate(sorted(set().union(*(g[0] for g in groups))))}
-    return DominanceCertificate(float(cf.sigma_sq), tuple(
-        labeled_product(factors[0].space, [(h, [frame[j] for j in ls]) for h, ls in ops],
-                        sorted(frame[j] for j in labels))
-        for labels, ops in groups))
+    products = []
+    for labels, ops in groups:
+        out = sorted(frame[j] for j in labels)
+        nums = np.einsum(*[x for v, ls in ops for x in (v, [frame[j] for j in ls])], out)
+        products.append(Kernel(space, nums, tuple(out)))
+    return DominanceCertificate(float(cf.sigma_sq), tuple(products))
 
 
 def collapse_certificate(h: Kernel, cf: DominanceCertificate,

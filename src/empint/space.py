@@ -57,7 +57,8 @@ class AtomSpace:
 
     ``exact`` is True when every weight is a rational; in that mode all
     integrals computed against the space stay in exact arithmetic.  It,
-    ``weight_vector``, ``numerators`` and ``as_float()`` are computed once.
+    ``weight_vector``, ``numerators``, the sampling cuts and ``as_float()``
+    are computed once.
     An exact space and its float form are one measure, which float mode
     reads; two different exact spaces never are (``require_one_measure``).
     """
@@ -83,6 +84,15 @@ class AtomSpace:
     def numerators(self) -> tuple[np.ndarray, int]:
         """The weight vector as read-only (numerators, d) in the space's mode."""
         return mode_of(self).numerators(self.weight_vector)
+
+    @cached_property
+    def _cuts(self) -> np.ndarray:
+        """The inverse CDF as cut points: a uniform u in [0, 1) draws the atom
+        numbered by how many cuts are <= u.  The cuts are the cumulative float
+        weights up to the last positive-weight atom, so a u past a cumsum
+        ending below one goes to that atom."""
+        last = max(a for a, w in enumerate(self.weights) if w > 0)
+        return read_only(np.cumsum([float(w) for w in self.weights[:last]]))
 
     @cached_property
     def _float_form(self) -> "AtomSpace":
@@ -154,18 +164,9 @@ class Sample:
         return len(self.points)
 
 
-def _cuts(space: AtomSpace) -> np.ndarray:
-    """The inverse CDF as cut points: a uniform u in [0, 1) draws the atom
-    numbered by how many cuts are <= u.  The cuts are the cumulative float
-    weights up to the last positive-weight atom, so a u past a cumsum ending
-    below one goes to that atom."""
-    last = max(a for a, w in enumerate(space.weights) if w > 0)
-    return np.cumsum([float(w) for w in space.weights[:last]])
-
-
 def draw_sample(space: AtomSpace, n: int, rng: np.random.Generator) -> Sample:
     """Draw n i.i.d. atoms by inverse CDF over the cumulative weights."""
-    idx = np.searchsorted(_cuts(space), rng.random(n), side="right")
+    idx = np.searchsorted(space._cuts, rng.random(n), side="right")
     return Sample(space, tuple(idx.tolist()))
 
 
@@ -271,7 +272,7 @@ def draw_counts(space: AtomSpace, n: int, seed: int, replicates: int,
     those tallies are the counts."""
     if base_offset < 0:
         raise NegativeSeed(f"base_offset must be non-negative, got {base_offset}")
-    cuts = _cuts(space)
+    cuts = space._cuts
     seeds = replicate_seeds(seed, range(base_offset, base_offset + replicates))
     bitgen = np.random.PCG64(0)
     gen = np.random.Generator(bitgen)

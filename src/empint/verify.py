@@ -97,9 +97,7 @@ def run_suite_expectation(res: SuiteResult, rng: np.random.Generator) -> None:
                 for _ in range(3):
                     f = kernels.random_kernel(sp, k, rng)
                     got = combinatorics.expected_integral_oracle(f, n)
-                    plain = f
-                    for j in plain.axis_labels:
-                        plain = kernels.integrate_axis(plain, j)
+                    plain = kernels.labeled_product(sp, [(f, f.axis_labels)], (), f.axis_labels)
                     want = combinatorics.expectation_coefficient(n, k) * plain.values[()]
                     res.record(got == want, float(got - want),
                                f"expectation k={k} n={n} A={A}")
@@ -178,15 +176,14 @@ def run_suite_dominance(res: SuiteResult, rng: np.random.Generator) -> None:
                     target = cf.rank + cg.rank - (l - p)
                     if target < 1:
                         continue
+                    name = diagrams.format_diagram(d)
                     h = kernels.compact_relabel(diagrams.contract(f, g, d))
                     ct = dominance.contract_certificate(cf, cg, d)
-                    res.record(ct.rank == target, 0.0,
-                               f"rank {ct.rank} != {target} for {diagrams.format_diagram(d)}")
+                    res.record(ct.rank == target, 0.0, f"rank {ct.rank} != {target} for {name}")
                     res.record(dominance.verify_certificate(h.as_float(), ct), 0.0,
-                               f"transport {diagrams.format_diagram(d)}")
+                               f"transport {name}")
                     cc = dominance.collapse_certificate(h, cf, cg)
-                    res.record(dominance.verify_certificate(h, cc), 0.0,
-                               f"fallback {diagrams.format_diagram(d)}")
+                    res.record(dominance.verify_certificate(h, cc), 0.0, f"fallback {name}")
 
 
 def run_suite_constants(res: SuiteResult, rng: np.random.Generator) -> None:
@@ -234,10 +231,10 @@ SUITES = {
 }
 
 
-# Longest first (medians of about 50, 21, 16, 14, 8 and 2 ms over the 16
-# verify seeds of each of bench seeds 5 and 11; 2 cores, Python 3.11), so
-# that the processes claiming them finish close together: Graham's LPT list
-# scheduling.
+# Longest first (medians of about 36, 15, 15, 11, 8 and 2 ms over the 16
+# verify seeds of each of bench seeds 5 and 11, each suite alone in one
+# process; 2 cores, Python 3.11), so that the processes claiming them
+# finish close together: Graham's LPT list scheduling.
 _LONGEST_FIRST = ("dominance", "diagram", "expectation", "norms", "moments", "constants")
 
 

@@ -12,7 +12,10 @@ integrated out is summed over injective assignments of sample positions to
 the slots of S, one slot at a time.  The labeled product, the norms, the
 canonical test and the certificate clauses below apply their definitions
 entry by entry to the kernels' own values (``Fraction`` objects in exact
-mode), where the library runs on integer numerators and divides once.
+mode), where the library runs on integer numerators and divides once.  The
+certificate transport below builds a kernel at every step, where the
+library carries the factors' float values as einsum operands: the same
+einsums on the same operands, so its factors must match bit for bit.
 
 ``substitute_axis`` and ``diagram_count`` are the step-by-step and
 closed-form references for ``diagrams.contract`` and
@@ -29,6 +32,8 @@ from itertools import groupby
 import numpy as np
 
 from empint.errors import BlockMismatch
+from empint import kernels
+from empint.dominance import DominanceCertificate
 from empint.kernels import Kernel, integrate_axis
 from empint.scalars import mode_of
 from empint.space import make_space
@@ -176,6 +181,42 @@ def verify_certificate(f, cert, tol=1e-10):
                            f.axis_labels)
     gap = np.asarray(np.abs(f.values) - prod)
     return all(x <= slack for x in gap.flat)
+
+
+def contract_certificate(cf, cg, d):
+    """The certificate transport built from kernels: every factor's float
+    form and every Schwarz step is a ``Kernel``, and each Schwarz step and
+    each group is one ``labeled_product``, on the operands in the order the
+    library keeps them."""
+    target = cf.rank + cg.rank - (d.l - d.p)
+    pair = cf.factors + tuple(Kernel(h.space, h.values, tuple(j + d.k1 for j in h.axis_labels))
+                              for h in cg.factors)
+    colored = {j for edge in d.colored_edges() for j in edge}
+    factors = []
+    for h in (h.as_float() for h in pair):
+        drop = [j for j in h.axis_labels if j in colored]
+        if drop:
+            keep = [j for j in h.axis_labels if j not in colored]
+            sq = kernels.labeled_product(h.space, [(h, h.axis_labels)] * 2, keep, drop)
+            h = Kernel(sq.space, np.sqrt(np.maximum(sq.values, 0.0)), sq.axis_labels)
+        factors.append(h)
+    rename = {j2: j for j, j2 in d.uncolored_edges()}
+    groups = []
+    for h in factors:
+        labels = [rename.get(j, j) for j in h.axis_labels]
+        joined = [g for g in groups if g[0].intersection(labels)]
+        groups = [g for g in groups if not g[0].intersection(labels)]
+        groups.append((set(labels).union(*(g[0] for g in joined)),
+                       [(h, labels)] + [op for g in joined for op in g[1]]))
+    while len(groups) > target:
+        groups.sort(key=lambda g: min(g[0], default=0))
+        (l1, o1), (l2, o2) = groups[:2]
+        groups[:2] = [(l1 | l2, o1 + o2)]
+    frame = {j: i + 1 for i, j in enumerate(sorted(set().union(*(g[0] for g in groups))))}
+    return DominanceCertificate(float(cf.sigma_sq), tuple(
+        kernels.labeled_product(factors[0].space, [(h, [frame[j] for j in ls]) for h, ls in ops],
+                                sorted(frame[j] for j in labels))
+        for labels, ops in groups))
 
 
 def recursion_weight(l, p, k, m):

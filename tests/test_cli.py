@@ -109,6 +109,22 @@ def test_verify_output_independent_of_workers(tmp_path, capsys, seed):
     assert reports[1:] == reports[:1] * 2 and outs[1:] == outs[:1] * 2
 
 
+# sha256 of the report and of stdout, recorded before certificate transport
+# moved to float operands; every optimization must keep these bytes
+@pytest.mark.parametrize("seed, report_digest, out_digest", [
+    (2024, "e95656dda6523af6af62c32079dde4a98e1ad84ff60f282efeff73fbebccb6de",
+     "5bfbeb224f1784ded7653c797c0d402efae430feb6cf7d4095b4242f693a3600"),
+    (77, "0e601078a8793ccb89c4b40897ad211196d4a3c3e86d3b08a0efd7b5b86e84eb",
+     "5bfbeb224f1784ded7653c797c0d402efae430feb6cf7d4095b4242f693a3600"),
+])
+def test_verify_bytes_are_pinned(tmp_path, capsys, seed, report_digest, out_digest):
+    report = tmp_path / "report.json"
+    cfg = write_json(tmp_path / "cfg.json", {"seed": seed})
+    assert run(["verify", "--config", cfg, "--report", str(report), "--workers", "1"]) == 0
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == report_digest
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == out_digest
+
+
 @pytest.fixture
 def meet():
     """A rendezvous for two processes, the caller and one forked child:

@@ -216,6 +216,35 @@ def test_certificate_transport_property(sp, bf, bg, seed):
         _check_transport(f, cf, g, cg, d)
 
 
+def _float_form(cert):
+    return DominanceCertificate(float(cert.sigma_sq), tuple(h.as_float() for h in cert.factors))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(weights=st.lists(st.integers(0, 4), min_size=2, max_size=3).filter(any),
+       bf=block_partitions(), bg=block_partitions(), seed=st.integers(0, 2**32 - 1),
+       float_inputs=st.booleans())
+def test_transport_matches_kernel_by_kernel_oracle_property(weights, bf, bg, seed,
+                                                             float_inputs):
+    """The transport on float operands gives the factors of the oracle,
+    which builds a kernel at every step, bit for bit."""
+    sp = make_space([F(x, sum(weights)) for x in weights])
+    _, cf = _random_cert(sp, bf, seed)
+    _, cg = _random_cert(sp, bg, seed + 1)
+    sig = max(cf.sigma_sq, cg.sigma_sq)
+    cf, cg = relax_sigma(cf, sig), relax_sigma(cg, sig)
+    if float_inputs:
+        cf, cg = _float_form(cf), _float_form(cg)
+    for d in _all_diagrams(sum(map(len, bf)), sum(map(len, bg))):
+        if cf.rank + cg.rank - (d.l - d.p) < 1:
+            continue
+        got, want = contract_certificate(cf, cg, d), _oracle.contract_certificate(cf, cg, d)
+        assert got.sigma_sq == want.sigma_sq and got.blocks == want.blocks
+        for h, w in zip(got.factors, want.factors):
+            assert h.space == w.space and h.values.dtype == w.values.dtype == float
+            assert np.array_equal(h.values, w.values)
+
+
 @pytest.mark.parametrize("sigma_sq, float_h, r1, budget", [
     (F(1, 4), False, 1, F(1, 4)),  # even total, exact: sigma^2 itself
     (F(1, 4), False, 2, 0.125),    # odd total: a square root, so a float

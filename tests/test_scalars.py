@@ -157,10 +157,12 @@ def test_one_measure_rule():
 
 def test_float_form_and_numerators_are_read_once():
     """The one read: a kernel or space in the computation's mode is the
-    object itself when exact and its float form otherwise, and a space's
-    float form is one cached object."""
+    object itself when exact and its float form otherwise, and a kernel's or
+    a space's float form is one cached object."""
     f = random_kernel(THIRDS, 2, np.random.default_rng(1))
     assert EXACT.form(f) is f and EXACT.form(THIRDS) is THIRDS
+    assert FLOAT.form(f) is f.as_float() is f.as_float()
+    assert FLOAT.form(f).numerators is f.as_float().numerators
     assert FLOAT.form(THIRDS) is THIRDS.as_float() is THIRDS.as_float()
     assert FLOAT.form(THIRDS).numerators is THIRDS.as_float().numerators
     assert FLOAT.form(f).space is THIRDS.as_float() and not FLOAT.form(f).exact

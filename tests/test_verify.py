@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from empint import bounds, cli, combinatorics, diagrams, dominance, kernels
-from empint.verify import (SUITES, SuiteResult, run_all, run_suite_constants,
+from empint.verify import (_LONGEST_FIRST, SUITES, SuiteResult, run_all, run_suite_constants,
                            run_suite_diagram, run_suite_dominance,
                            run_suite_expectation, run_suite_moments,
                            run_suite_norms)
@@ -79,6 +79,10 @@ def test_one_worker_runs_every_suite_then_raises_the_first_error_in_requested_or
     assert ran == ["dominance", "norms"]
 
 
+def test_claim_order_names_every_suite_once():
+    assert sorted(_LONGEST_FIRST) == sorted(SUITES)
+
+
 def test_suites_deterministic_in_seed():
     a, b = (run_all(11, ["norms"], workers=1)[0] for _ in range(2))
     assert a.checks == b.checks and a.worst == b.worst
@@ -98,6 +102,11 @@ def _times(c):
     return lambda fn: lambda *args, **kwargs: fn(*args, **kwargs) * c
 
 
+def _halved(cert):
+    """cert with every factor halved: too small to dominate what it did."""
+    return dominance.DominanceCertificate(cert.sigma_sq, tuple(h.scale(0.5) for h in cert.factors))
+
+
 _ROADMAP_ITEM_10 = ("ROADMAP item 10: the suite has no check that notices this defect; "
                     "mending it changes the report's check counts")
 
@@ -110,6 +119,8 @@ SEEDED_DEFECTS = [
     pytest.param(combinatorics, "damping_factor", _times(2), 15, id="damping_factor"),
     pytest.param(kernels, "canonical_project", lambda fn: lambda f: f, 1, id="canonical_project"),
     pytest.param(kernels, "l2_norm_sq", _times(F(1001, 1000)), 1, id="l2_norm_sq"),
+    pytest.param(dominance, "contract_certificate", lambda fn: lambda *args: _halved(fn(*args)),
+                 14, id="contract_certificate"),
     pytest.param(combinatorics, "recursion_weight", _times(F(1001, 1000)), 15,
                  id="recursion_weight", marks=pytest.mark.xfail(strict=True,
                                                                 reason=_ROADMAP_ITEM_10)),
