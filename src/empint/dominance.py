@@ -44,7 +44,7 @@ import numpy as np
 
 from .diagrams import ColoredDiagram
 from .errors import BlockMismatch, RankTooSmall, SigmaMismatch
-from .kernels import (Kernel, _labeled_numerators, constant_kernel, l2_norm_sq,
+from .kernels import (Kernel, _einsum_numerators, constant_kernel, l2_norm_sq,
                       labeled_product, random_kernel)
 from .scalars import FLOAT, Scalar, is_exact, mode_of, require_one_measure
 
@@ -110,8 +110,9 @@ def verify_certificate(f: Kernel, cert: DominanceCertificate) -> bool:
             return False
         if l2_norm_sq(h) > cert.sigma_sq + slack:
             return False
-    prod, den = _labeled_numerators(f.space, [(h, h.axis_labels) for h in factors],
-                                    f.axis_labels)
+    # the blocks partition f's labels and share its measure: checked above
+    prod, den = _einsum_numerators(mode, f.space, [(h, list(h.axis_labels)) for h in factors],
+                                   f.axis_labels)
     nums, d_f = mode.form(f).numerators
     # flat arrays: arithmetic on 0-d object arrays returns bare scalars
     gap = np.abs(nums.reshape(-1)) * den - prod.reshape(-1) * d_f

@@ -205,7 +205,14 @@ def labeled_product(space: AtomSpace, factors: Iterable[tuple[Kernel, Sequence[i
     The einsum runs on the operands' numerators in the joint mode; in exact
     mode each entry is divided once by their denominators.
     """
-    nums, den = _labeled_numerators(space, factors, out, integrate)
+    factors = [(f, list(labels)) for f, labels in factors]
+    integrate = list(integrate)
+    if any(len(labels) != f.arity for f, labels in factors) or sorted(
+            [*out, *integrate]) != sorted(set().union(*(labels for _, labels in factors))):
+        raise ArityMismatch(f"one label per axis, kept {tuple(out)} or integrated {integrate} once")
+    require_one_measure(space, *(f.space for f, _ in factors))
+    nums, den = _einsum_numerators(mode_of(space, *(f for f, _ in factors)), space, factors,
+                                   out, integrate)
     values = nums if den == 1 else np.frompyfunc(Fraction, 2, 1)(nums, den)
     return _carry(Kernel(space, values, tuple(out)), lambda: _lowest_terms(nums, den))
 
@@ -220,19 +227,14 @@ def _lowest_terms(nums: np.ndarray, den: int) -> tuple[np.ndarray, int]:
     return read_only(np.asarray(nums // g, dtype=nums.dtype)), den // g
 
 
-def _labeled_numerators(space: AtomSpace, factors: Iterable[tuple[Kernel, Sequence[int]]],
-                        out: Sequence[int],
-                        integrate: Iterable[int] = ()) -> tuple[np.ndarray, int]:
-    """``labeled_product``'s checks and einsum, undivided: (N, d) with the
-    product N / d, N the einsum of the operands' numerators in the joint
-    mode and d the product of their denominators (1 in float mode)."""
-    factors = [(f, list(labels)) for f, labels in factors]
-    integrate = list(integrate)
-    if any(len(labels) != f.arity for f, labels in factors) or sorted(
-            [*out, *integrate]) != sorted(set().union(*(labels for _, labels in factors))):
-        raise ArityMismatch(f"one label per axis, kept {tuple(out)} or integrated {integrate} once")
-    require_one_measure(space, *(f.space for f, _ in factors))
-    mode = mode_of(space, *(f for f, _ in factors))
+def _einsum_numerators(mode: Arithmetic, space: AtomSpace,
+                       factors: Sequence[tuple[Kernel, Sequence[int]]], out: Sequence[int],
+                       integrate: Sequence[int] = ()) -> tuple[np.ndarray, int]:
+    """``labeled_product``'s einsum, undivided and unchecked: (N, d) with the
+    product N / d, N the einsum of the operands' numerators in ``mode``, the
+    joint mode, and d the product of their denominators (1 in float mode).
+    The caller has checked the labels and that every operand lives on
+    ``space``'s measure."""
     read = [(mode.form(f).numerators, labels) for f, labels in factors]
     read += [(mode.form(space).numerators, [j]) for j in integrate]
     nums = np.einsum(*[x for (n, _), labels in read for x in (n, labels)], list(out))

@@ -21,20 +21,25 @@ Two conventions are fixed here once and used everywhere:
   ``(seed, r)`` and does not depend on scheduling or worker count.
   ``draw_counts`` computes the PCG64 starting state of every replicate at
   once with numpy's seeding arithmetic ported to whole arrays (O'Neill's
-  ``seed_seq_fe`` hash, then PCG64's two LCG steps) and sets it on one
-  reused generator: the same streams, bit for bit, without building a
-  ``SeedSequence`` and a ``PCG64`` per replicate.  The tests hold the port
-  to numpy's own ``Generator(PCG64(SeedSequence(seed, spawn_key=(r,))))``.
+  ``seed_seq_fe`` hash, then PCG64's two 128-bit LCG steps on 64-bit
+  halves) and writes each row, 32 bytes, straight into one reused
+  generator's C state: the same streams, bit for bit, without building a
+  ``SeedSequence``, a ``PCG64`` or a state dict per replicate.  That
+  layout is checked once per process by a round trip through the public
+  ``PCG64.state``; where it does not hold, every row goes through that
+  setter instead.  The tests hold the port, on both paths, to numpy's own
+  ``Generator(PCG64(SeedSequence(seed, spawn_key=(r,))))``.
 """
 from __future__ import annotations
 
+import ctypes
 import itertools
 import math
 import operator
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -177,7 +182,6 @@ _INIT_A, _MULT_A = 0x43B0_D7E5, 0x931E_8875
 _INIT_B, _MULT_B = 0x8B51_F9DD, 0x58F3_8DED
 _MIX_L, _MIX_R = 0xCA01_F9DD, 0x4973_F715
 _PCG_MULT = 0x2360_ED05_1FC6_5DA4_4385_DF64_9FCC_F645
-_M128 = (1 << 128) - 1
 
 
 def _words(value: int) -> list[int]:
@@ -246,14 +250,81 @@ def replicate_seeds(seed: int, keys: Sequence[int]) -> np.ndarray:
     return np.stack([h[i] | h[i + 1] << 32 for i in range(0, 8, 2)], axis=1)
 
 
-def pcg64_state(words: list[int]) -> dict:
-    """The state of ``PCG64`` seeded with the four generate_state words:
-    two steps of its 128-bit LCG, as numpy's ``PCG64.state`` dict."""
-    w0, w1, w2, w3 = words
-    inc = ((w2 << 64 | w3) << 1 | 1) & _M128
-    state = ((inc + (w0 << 64 | w1)) * _PCG_MULT + inc) & _M128
-    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+# uint64 scalars: the column arithmetic stays uint64 and wraps mod 2^64
+_U1, _U32, _U63, _LO32 = (np.uint64(x) for x in (1, 32, 63, _M32))
+_MULT_HI, _MULT_LO = (np.uint64(x) for x in divmod(_PCG_MULT, 2**64))
+
+
+def _mulhi(a: np.ndarray, b: np.uint64) -> np.ndarray:
+    """The high 64 bits of the 128-bit products a * b, from 32-bit limbs."""
+    a0, a1 = a & _LO32, a >> _U32
+    b0, b1 = b & _LO32, b >> _U32
+    p01, p10 = a0 * b1, a1 * b0
+    mid = (a0 * b0 >> _U32) + (p01 & _LO32) + (p10 & _LO32)
+    return a1 * b1 + (p01 >> _U32) + (p10 >> _U32) + (mid >> _U32)
+
+
+def _pcg_states(words: np.ndarray) -> np.ndarray:
+    """The state of ``PCG64`` seeded with each row of generate_state words,
+    as a C-contiguous (R, 4) uint64 array [state_lo, state_hi, inc_lo,
+    inc_hi].
+
+    numpy seeds PCG64 with w0 w1 as the 128-bit seed and w2 w3 as the
+    sequence: inc = sequence << 1 | 1 and, after two steps of the LCG,
+    state = (inc + seed) * MULT + inc, mod 2^128.  This runs on 64-bit
+    halves of whole columns, carrying by hand."""
+    w0, w1, w2, w3 = np.asarray(words, dtype=np.uint64).T
+    inc_lo, inc_hi = w3 << _U1 | _U1, w2 << _U1 | w3 >> _U63
+    s_lo = inc_lo + w1
+    s_hi = inc_hi + w0 + (s_lo < inc_lo)
+    lo = s_lo * _MULT_LO + inc_lo
+    hi = _mulhi(s_lo, _MULT_LO) + s_lo * _MULT_HI + s_hi * _MULT_LO + inc_hi + (lo < inc_lo)
+    return np.stack([lo, hi, inc_lo, inc_hi], axis=1)
+
+
+def _state_dict(row) -> dict:
+    """A row of ``_pcg_states`` as numpy's ``PCG64.state`` dict."""
+    lo, hi, inc_lo, inc_hi = (int(x) for x in row)
+    return {"bit_generator": "PCG64",
+            "state": {"state": hi << 64 | lo, "inc": inc_hi << 64 | inc_lo},
             "has_uint32": 0, "uinteger": 0}
+
+
+def _state_address(bitgen: np.random.PCG64) -> int:
+    """Where PCG64's 128-bit (state, inc) pair lives: numpy's C state struct,
+    at ``bitgen.ctypes.state_address``, starts with a pointer to it."""
+    return ctypes.c_void_p.from_address(bitgen.ctypes.state_address).value
+
+
+@cache
+def _direct_write() -> bool:
+    """Whether a row of ``_pcg_states`` is PCG64's (state, inc) pair byte
+    for byte: true where the C compiler has a native little-endian 128-bit
+    integer, false under an emulated {high, low} struct (MSVC).  Checked
+    once per process on a fresh generator: its bytes must read back as its
+    public state, and a row written there must too."""
+    bitgen = np.random.PCG64(0)
+    here = _state_address(bitgen)
+    if _state_dict(np.frombuffer(ctypes.string_at(here, 32), np.uint64)) != bitgen.state:
+        return False
+    probe = _pcg_states(np.array([[1, 2, 3, 4]], dtype=np.uint64))
+    ctypes.memmove(here, probe.ctypes.data, 32)
+    return bitgen.state == _state_dict(probe[0])
+
+
+def _row_setter(bitgen: np.random.PCG64, states: np.ndarray) -> Callable[[int], None]:
+    """A function that starts ``bitgen`` at row r of ``states``: one 32-byte
+    copy into its C state when ``_direct_write`` holds, numpy's public
+    ``state`` setter otherwise.  A fresh PCG64 holds no buffered 32-bit
+    value, and ``random()`` never buffers one, so nothing else needs a
+    write.  Memory safety rests on ``states`` being C-contiguous (R, 4)
+    uint64 and on r in range(R)."""
+    if states.dtype != np.uint64 or states.shape[1:] != (4,) or not states.flags.c_contiguous:
+        raise ValueError("PCG64 states must be a C-contiguous (R, 4) uint64 array")
+    if not _direct_write():
+        return lambda r: setattr(bitgen, "state", _state_dict(states[r]))
+    here, rows, memmove = _state_address(bitgen), states.ctypes.data, ctypes.memmove
+    return lambda r: memmove(here, rows + 32 * r, 32)
 
 
 _CHUNK_UNIFORMS = 2**15  # uniforms buffered at once by draw_counts (256 KiB)
@@ -266,22 +337,25 @@ def draw_counts(space: AtomSpace, n: int, seed: int, replicates: int,
     on ``SeedSequence(seed, spawn_key=(base_offset + r,))``.  NegativeSeed
     for a negative seed or base_offset.
 
-    Every row's PCG64 state comes from one ``replicate_seeds`` pass and is
-    set on one reused generator.  Rather than locating every uniform, it
-    counts the uniforms at or above each cut; consecutive differences of
-    those tallies are the counts."""
+    Every row's PCG64 state comes from one ``replicate_seeds`` pass and
+    one ``_pcg_states`` pass, and starts one reused generator
+    (``_row_setter``): a 32-byte copy into its C state where
+    ``_direct_write`` holds, the public ``state`` setter elsewhere.
+    Rather than locating every uniform, it counts the uniforms at or above
+    each cut; consecutive differences of those tallies are the counts."""
     if base_offset < 0:
         raise NegativeSeed(f"base_offset must be non-negative, got {base_offset}")
     cuts = space._cuts
-    seeds = replicate_seeds(seed, range(base_offset, base_offset + replicates))
+    states = _pcg_states(replicate_seeds(seed, range(base_offset, base_offset + replicates)))
     bitgen = np.random.PCG64(0)
     gen = np.random.Generator(bitgen)
+    start_at = _row_setter(bitgen, states)
     out = np.zeros((replicates, space.n_atoms), dtype=np.int64)
     buf = np.empty((max(1, min(replicates, _CHUNK_UNIFORMS // max(n, 1))), n))
     for start in range(0, replicates, len(buf)):
         rows = min(len(buf), replicates - start)
-        for j, seed in enumerate(seeds[start:start + rows].tolist()):
-            bitgen.state = pcg64_state(seed)
+        for j in range(rows):
+            start_at(start + j)
             gen.random(out=buf[j])
         at_or_above = np.zeros((rows, len(cuts) + 2), dtype=np.int64)
         at_or_above[:, 0] = n

@@ -21,6 +21,8 @@ einsums on the same operands, so its factors must match bit for bit.
 closed-form references for ``diagrams.contract`` and
 ``diagrams.enumerate_diagrams``, and ``replicate_generator`` is numpy's own
 stream for a replicate, which ``space.draw_counts`` ports to whole arrays.
+``pcg64_state`` is PCG64's seeding in Python ints, one LCG step at a time,
+the scalar reference for ``space._pcg_states``.
 ``pull_back`` and ``refine`` move a kernel to a relabeled or refined atom
 space on which every integral of it is the same.
 """
@@ -37,6 +39,9 @@ from empint.dominance import DominanceCertificate
 from empint.kernels import Kernel, integrate_axis
 from empint.scalars import mode_of
 from empint.space import make_space
+
+# PCG64's 128-bit LCG multiplier (O'Neill's default for 128-bit state)
+PCG_MULT = 0x2360_ED05_1FC6_5DA4_4385_DF64_9FCC_F645
 
 
 def subset_tables(f) -> dict:
@@ -247,6 +252,20 @@ def diagram_count(cls):
 def replicate_generator(seed, r):
     """numpy's generator for replicate r of a run seeded with ``seed``."""
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(r,))))
+
+
+def pcg64_state(words):
+    """The state of ``PCG64`` seeded with the four generate_state words, one
+    128-bit LCG step at a time in Python ints, as numpy's ``PCG64.state``
+    dict: ``pcg64_set_seed`` sets state 0 and inc = sequence << 1 | 1, steps,
+    adds the seed and steps again."""
+    w0, w1, w2, w3 = (int(w) for w in words)
+    mask = (1 << 128) - 1
+    inc = ((w2 << 64 | w3) << 1 | 1) & mask
+    state = (0 * PCG_MULT + inc) & mask
+    state = ((state + (w0 << 64 | w1)) * PCG_MULT + inc) & mask
+    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+            "has_uint32": 0, "uinteger": 0}
 
 
 def pull_back(f, space, atoms):

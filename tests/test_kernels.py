@@ -438,3 +438,25 @@ def test_derived_kernels_carry_the_numerators_of_a_fresh_read_property(data, sp)
             assert (nums == fresh).all() and not nums.flags.writeable
             if h.exact:
                 assert all(type(x) is int for x in nums.flat)
+
+
+def _same_kernel(g, h):
+    return (g.space == h.space and g.axis_labels == h.axis_labels
+            and g.values.shape == h.values.shape
+            and all(a == b for a, b in zip(g.values.flat, h.values.flat)))
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(data=st.data(), sp=exact_spaces(max_atoms=3), k=st.integers(0, 3),
+       t=st.integers(0, 5).map(lambda i: F(i, 5)))
+def test_projections_commute_with_refinement_and_relabeling_property(data, sp, k, t):
+    # refining f at one atom, or reading it on permuted atoms, then
+    # projecting, equals projecting f, then moving the result
+    f = data.draw(exact_kernels(sp, k))
+    atom = data.draw(st.integers(0, sp.n_atoms - 1))
+    perm = data.draw(st.permutations(range(sp.n_atoms)))
+    sp_perm = make_space([sp.weights[a] for a in perm])
+    for move in (lambda h: _oracle.refine(sp, h, atom, t),
+                 lambda h: _oracle.pull_back(h, sp_perm, perm)):
+        for project in (canonical_project, symmetrize):
+            assert _same_kernel(project(move(f)), move(project(f)))

@@ -1,6 +1,9 @@
 import ast
 import hashlib
+import itertools
 import math
+import platform
+import sys
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -9,13 +12,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import empint
-from _oracle import replicate_generator
+from _oracle import pcg64_state, replicate_generator
 from _strategies import PROPERTY, json_values
 from empint.errors import (EmpintError, EmptySpace, EnumerationTooLarge, MalformedInput,
                            NegativeSeed, NegativeWeight, NonfiniteWeight, WeightsNotNormalized)
 from empint import space as space_mod
 from empint.space import (Sample, draw_counts, draw_sample,
-                          enumerate_counts, enumerate_samples, make_space, pcg64_state,
+                          enumerate_counts, enumerate_samples, make_space,
                           replicate_seeds, sample_from_counts, uniform_space)
 
 
@@ -268,6 +271,50 @@ def test_replicate_seeds_property(seed, keys):
         assert pcg64_state(row.tolist()) == want_state
 
 
+@pytest.mark.parametrize("seed", PIN_SEEDS)
+def test_pcg_states_match_numpy(seed):
+    states = space_mod._pcg_states(replicate_seeds(seed, PIN_KEYS))
+    assert states.shape == (len(PIN_KEYS), 4) and states.dtype == np.uint64
+    assert states.flags.c_contiguous
+    for key, row in zip(PIN_KEYS, states):
+        assert space_mod._state_dict(row) == _numpy_seed(seed, key)[1]
+
+
+class _Words(np.random.bit_generator.ISeedSequence):
+    """A seed sequence whose generate_state returns the given words, so that
+    numpy's PCG64 seeds itself from raw words."""
+
+    def __init__(self, words):
+        self.words = np.array(words, dtype=np.uint64)
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        assert (n_words, dtype) == (4, np.uint64)
+        return self.words.copy()
+
+
+_EDGE_WORDS = (0, 1, 2**63, 2**64 - 1)
+
+
+def _check_raw_words(rows):
+    states = space_mod._pcg_states(np.array(rows, dtype=np.uint64))
+    for words, row in zip(rows, states):
+        got = space_mod._state_dict(row)
+        assert got == pcg64_state(words) == np.random.PCG64(_Words(words)).state
+
+
+def test_pcg_states_on_edge_words():
+    # 0, 1, 2^63 and 2^64 - 1 in every position: every carry out of a
+    # 64-bit half, and none
+    _check_raw_words(list(itertools.product(_EDGE_WORDS, repeat=4)))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(rows=st.lists(st.lists(st.sampled_from(_EDGE_WORDS) | st.integers(0, 2**64 - 1),
+                              min_size=4, max_size=4), min_size=1, max_size=6))
+def test_pcg_states_on_raw_words_property(rows):
+    _check_raw_words(rows)
+
+
 def test_draw_counts_across_the_two_word_key_boundary():
     # a three-word seed, and keys from one uint32 word to two
     seed = 2**64 + 7
@@ -281,7 +328,7 @@ def test_draw_counts_across_the_two_word_key_boundary():
 # sha256 of the int64 counts, recorded before seeds became plain integers;
 # numpy's SeedSequence, PCG64 and random() must give these bytes on every
 # numpy the package supports
-@pytest.mark.parametrize("weights, n, seed, replicates, base_offset, digest", [
+PINNED_DRAWS = pytest.mark.parametrize("weights, n, seed, replicates, base_offset, digest", [
     (["1/6", "1/3", "1/2"], 40, 12345, 200, 0,
      "4724c38f373f3bea536f575f9c77c1b6562f03cede6e7a701f9b5e3b89ef2581"),
     ([0.1] * 10 + [0.0], 300, 2**70 + 3, 50, 10**9,
@@ -289,9 +336,35 @@ def test_draw_counts_across_the_two_word_key_boundary():
     (["1/4", "0", "3/4"], 9, 2**64 + 7, 6, 2**32 - 3,
      "e3c8d94150dc744d3e398772d27288a5591b6e2fc2dc5b4d1a5af56f8844dab7"),
 ], ids=["small-seed", "float-weights", "key-boundary"])
+
+
+@PINNED_DRAWS
 def test_draw_counts_bytes_are_pinned(weights, n, seed, replicates, base_offset, digest):
     counts = draw_counts(make_space(weights), n, seed, replicates, base_offset)
     assert hashlib.sha256(counts.astype("<i8").tobytes()).hexdigest() == digest
+
+
+@PINNED_DRAWS
+def test_draw_counts_bytes_through_the_public_state_setter(monkeypatch, weights, n, seed,
+                                                           replicates, base_offset, digest):
+    # the path taken where PCG64's C state is not laid out as _pcg_states' rows
+    monkeypatch.setattr(space_mod, "_direct_write", lambda: False)
+    counts = draw_counts(make_space(weights), n, seed, replicates, base_offset)
+    assert hashlib.sha256(counts.astype("<i8").tobytes()).hexdigest() == digest
+
+
+@pytest.mark.skipif(sys.platform != "linux" or platform.machine() not in ("x86_64", "aarch64"),
+                    reason="the direct write is known to apply on Linux x86_64 and aarch64")
+def test_seeding_writes_the_state_directly_where_the_layout_is_known():
+    # a numpy release that changed PCG64's C state would fall back in silence
+    assert space_mod._direct_write() is True
+
+
+def test_row_setter_takes_only_rows_it_can_copy():
+    good = space_mod._pcg_states(replicate_seeds(3, range(4)))
+    for bad in (good.astype(np.int64), good[:, :3].copy(), good[::2], np.asfortranarray(good)):
+        with pytest.raises(ValueError, match="C-contiguous"):
+            space_mod._row_setter(np.random.PCG64(0), bad)
 
 
 def test_negative_seed_is_a_typed_error():
