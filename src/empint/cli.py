@@ -5,7 +5,9 @@ Subcommands:
     verify     run the self-verification suites; exit 0 iff all pass,
                else the code of the first failing suite, as listed in
                ``verify.SUITES``, the one table of suites and codes that
-               the --help epilog and the config schema also read;
+               the --help epilog and the config schema also read; a suite
+               that raises fails in the report, and the first such suite
+               in requested order has its error written and exits 1;
                --workers N (default: the usable CPUs) runs them on up to
                N processes, this one and forked children, which claim the
                suites longest first from a pipe; the report and stdout are
@@ -182,6 +184,12 @@ def cmd_verify(args) -> int:
         status = "pass" if r.passed else "FAIL"
         print(f"{r.name:12s} {status}  checks={r.checks} failures={r.failures} "
               f"worst={r.worst:.3e}")
+    raised = [r for r in results if r.error is not None]
+    if raised:  # a library error, or a bug with its traceback
+        r = raised[0]
+        print(f"{r.traceback}error: {r.error} (raised by verify suite {r.name!r})",
+              file=sys.stderr)
+        return 1
     failing = [r for r in results if not r.passed]
     return failing[0].exit_code if failing else 0
 
@@ -364,8 +372,7 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return 2
     except EmpintError as e:
-        print(f"error: {e}", *(f"({note})" for note in getattr(e, "__notes__", ())),
-              file=sys.stderr)
+        print(f"error: {e}", file=sys.stderr)
         return 1
 
 

@@ -116,6 +116,7 @@ class InsufficientTailData(EmpintError):
 # -- verify -----------------------------------------------------------------
 
 class WorkerFailed(EmpintError):
-    """A verify worker could not be forked, or ended without handing back a
-    readable result: it died, exited early, or wrote bytes that do not
-    unpickle."""
+    """A verify worker could not be forked, or ended without handing back
+    readable results: it died, exited early, or wrote bytes that do not
+    unpickle.  A suite that raises is not one: its result records the raise
+    as a failed check."""

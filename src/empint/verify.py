@@ -4,14 +4,15 @@ identity being checked is exact.
 ``SUITES`` is the one table of the six suites: each name maps to the exit
 code the command line driver reports it under and to the suite, in report
 order.  A suite ``run_suite_<name>(res, rng)`` only records its checks in
-``res``; ``_claim`` builds that ``SuiteResult`` and the suite's generator.
+``res``; ``_claim`` builds that ``SuiteResult`` and the suite's generator,
+and records an exception the suite raises as one more failed check.
 
 All randomness is drawn from the configured seed; there is no wall-clock
 entropy anywhere.  Identity suites refuse float mode.  Each suite draws from
 its own ``default_rng(seed)`` and shares nothing else, so ``run_all`` may
 run them side by side with the same results: the calling process, alone or
 with forked children, claims the suites, longest first, one byte at a time
-from a pipe.
+from a pipe.  A child hands back its ``SuiteResult``s and nothing else.
 """
 from __future__ import annotations
 
@@ -24,6 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import bounds, combinatorics, diagrams, dominance, integrals, kernels, space
+from .errors import EmpintError, WorkerFailed
 
 # Frozen empirical constants for the moment suite.  Measured over exact
 # sweeps (k <= 2, M <= 2, n <= 6, random kernels with sup <= 1) the
@@ -42,6 +44,10 @@ class SuiteResult:
     failures: int = 0
     worst: float = 0.0
     notes: list[str] = field(default_factory=list)
+    # what the suite raised, if it did: the message and, for a bug (not an
+    # EmpintError), the traceback text; the report leaves both out
+    error: str | None = None
+    traceback: str = ""
 
     @property
     def passed(self) -> bool:
@@ -231,50 +237,45 @@ SUITES = {
 }
 
 
-# Longest first (medians of about 36, 15, 15, 11, 8 and 2 ms over the 16
-# verify seeds of each of bench seeds 5 and 11, each suite alone in one
-# process; 2 cores, Python 3.11), so that the processes claiming them
-# finish close together: Graham's LPT list scheduling.
+# Longest first (median CPU times of 40.3, 17.5, 17.1, 12.8, 8.8 and 2.7 ms
+# over verify seeds 1000-1015, three passes, all six suites in one process;
+# 2 cores, Python 3.11), so that the processes claiming them finish close
+# together: Graham's LPT list scheduling.
 _LONGEST_FIRST = ("dominance", "diagram", "expectation", "norms", "moments", "constants")
 
 
-class _ChildTraceback(Exception):
-    """The cause attached to an error a forked child sent back: the
-    traceback, as text, that the error had in the child."""
-
-    def __str__(self):
-        return f'\n"""\n{self.args[0]}"""'
-
-
-def _claim(claims: int, order: list[str], seed: int) -> dict:
-    """{name: (result, None, None)}, or (None, error, its traceback as text)
-    for a suite that raised, for each suite this process claims: the next
-    byte read from the pipe ``claims`` indexes ``order``, until the pipe is
+def _claim(claims: int, order: list[str], seed: int) -> dict[str, SuiteResult]:
+    """{name: result} for each suite this process claims: the next byte
+    read from the pipe ``claims`` indexes ``order``, until the pipe is
     empty.  A one-byte read from a pipe is atomic, so no two processes
-    claim the same suite."""
+    claim the same suite.  An exception a suite raises ends that suite as
+    one more failed check, noted ``raised <Type>: <message>`` even past the
+    cap on notes, with ``error`` and ``traceback`` set."""
     done = {}
     while byte := os.read(claims, 1):
         name = order[byte[0]]
         code, suite = SUITES[name]  # looked up at run time, also in a fork: patches included
-        res = SuiteResult(name, code)
+        res = done[name] = SuiteResult(name, code)
         try:
             suite(res, np.random.default_rng(seed))
-            done[name] = (res, None, None)
-        except Exception as e:  # raised by run_all, the first in requested order
+        except Exception as e:
             import traceback
 
-            done[name] = (None, e, traceback.format_exc())
+            res.record(False)
+            res.notes.append(f"raised {type(e).__name__}: {e}")
+            res.error = str(e)
+            if not isinstance(e, EmpintError):
+                res.traceback = traceback.format_exc()
     return done
 
 
-def _claim_all(order: list[str], seed: int, workers: int) -> dict:
+def _claim_all(order: list[str], seed: int, workers: int) -> dict[str, SuiteResult]:
     """``_claim``'s dict for every suite in ``order``, claimed by this
     process and ``workers`` - 1 forked children, if any.  Each child pickles
-    its claims back over its own pipe; every child is reaped before this
-    returns or raises."""
+    its results back over its own pipe; every child is reaped before this
+    returns or raises.  A child that cannot be forked, dies, or sends bytes
+    that do not unpickle raises ``WorkerFailed``."""
     import pickle
-
-    from .errors import WorkerFailed
 
     claims, end = os.pipe()
     os.write(end, bytes(range(len(order))))
@@ -321,13 +322,9 @@ def _claim_all(order: list[str], seed: int, workers: int) -> dict:
             raise WorkerFailed(f"verify worker {pid} ended with status {codes[pid]} "
                                "before sending its results")
         try:
-            sent_by_child = pickle.loads(data)
+            done.update(pickle.loads(data))
         except Exception as e:  # unpickling runs the classes' own code
             raise WorkerFailed(f"verify worker {pid} sent an unreadable result: {e!r}") from e
-        for _, error, tb in sent_by_child.values():
-            if error is not None:  # a pickled error loses its traceback
-                error.__cause__ = _ChildTraceback(tb)
-        done.update(sent_by_child)
     return done
 
 
@@ -336,10 +333,8 @@ def run_all(seed: int, suites: list[str] | None = None, workers: int = 1) -> lis
     order asked for.  This process and ``workers`` - 1 forked children (at
     most one process per distinct suite; no child without ``os.fork``)
     claim the suites longest first from one pipe, and every claimed suite
-    runs.  An error raised by a suite is then raised here, the first in the
-    requested order, with the child's traceback as its cause if a child
-    raised it and the suite's name as a note (PEP 678's ``__notes__``, which
-    tracebacks print); a child that cannot be forked or ends without
+    runs.  A suite that raises is returned failed, with what it raised
+    recorded (see ``_claim``); a child that cannot be forked or ends without
     sending its results raises ``WorkerFailed``."""
     names = suites if suites is not None else list(SUITES)
     unknown = [s for s in names if s not in SUITES]
@@ -347,9 +342,4 @@ def run_all(seed: int, suites: list[str] | None = None, workers: int = 1) -> lis
         raise ValueError(f"unknown suites: {unknown}")
     order = sorted(set(names), key=_LONGEST_FIRST.index)
     done = _claim_all(order, seed, min(len(order), workers) if hasattr(os, "fork") else 1)
-    for name in names:
-        error = done[name][1]
-        if error is not None:  # the list add_note would append to, before Python 3.11 too
-            error.__notes__ = [*getattr(error, "__notes__", ()), f"raised by verify suite {name!r}"]
-            raise error
-    return [done[name][0] for name in names]
+    return [done[name] for name in names]

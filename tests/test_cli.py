@@ -147,15 +147,17 @@ def meet():
 
 
 def _verify_split(tmp_path, monkeypatch, meet, then):
-    """``empint verify --workers 2`` on two suites that each meet the other
-    process, then call ``then(in_caller, name)`` and pass; with two suites
-    and two processes, the caller runs one and the child the other."""
+    """``empint verify --workers 2 --report tmp_path/report.json`` on two
+    suites that each meet the other process, then call
+    ``then(in_caller, name)`` and pass; with two suites and two processes,
+    the caller runs one and the child the other."""
     for name in ("norms", "moments"):
         def suite(res, rng, name=name):
             then(meet(), name)
         monkeypatch.setitem(empint.verify.SUITES, name, (empint.verify.SUITES[name][0], suite))
     cfg = write_json(tmp_path / "cfg.json", {"suites": ["norms", "moments"]})
-    code = run(["verify", "--config", cfg, "--workers", "2"])
+    code = run(["verify", "--config", cfg, "--workers", "2",
+                "--report", str(tmp_path / "report.json")])
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)  # every child was reaped
     return code
@@ -193,16 +195,26 @@ def test_verify_worker_dying_is_typed_error(tmp_path, monkeypatch, meet, capsys)
     assert "Traceback" not in err
 
 
-def test_verify_child_error_carries_its_traceback(tmp_path, monkeypatch, meet):
+def _raised_in_report(tmp_path):
+    """{suite: its last note} for each suite of the report that failed."""
+    results = json.loads((tmp_path / "report.json").read_text())["results"]
+    assert [r["suite"] for r in results] == ["norms", "moments"]
+    return {r["suite"]: r["notes"][-1] for r in results if r["status"] == "fail"}
+
+
+def test_verify_child_error_carries_its_traceback(tmp_path, monkeypatch, meet, capsys):
     def bug_in_child(in_caller, name):
         if not in_caller:
             raise ValueError("a bug in a suite")
 
-    with pytest.raises(ValueError, match="a bug in a suite") as info:
-        _verify_split(tmp_path, monkeypatch, meet, bug_in_child)
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-    assert "in bug_in_child" in str(info.value.__cause__)  # the child's frames
+    assert _verify_split(tmp_path, monkeypatch, meet, bug_in_child) == 1
+    out, err = capsys.readouterr()
+    assert err.startswith("Traceback") and "in bug_in_child" in err  # the child's frames
+    [(name, note)] = _raised_in_report(tmp_path).items()
+    assert note == "raised ValueError: a bug in a suite"
+    assert err.endswith(f"ValueError: a bug in a suite\n"
+                        f"error: a bug in a suite (raised by verify suite {name!r})\n")
+    assert re.search(f"^{name} +FAIL  checks=1 failures=1 ", out, re.M)
 
 
 def test_verify_unpicklable_child_error_is_reported(tmp_path, monkeypatch, meet, capfd):
@@ -214,10 +226,27 @@ def test_verify_unpicklable_child_error_is_reported(tmp_path, monkeypatch, meet,
             raise Local("not sendable")
 
     assert _verify_split(tmp_path, monkeypatch, meet, raise_local_in_child) == 1
-    err = capfd.readouterr().err
-    assert re.search(r"verify worker \d+ could not send its results:\nTraceback", err)
-    assert "Local" in err  # the pickling error, written by the child
-    assert re.search(r"^error: verify worker \d+ ended with status 1 ", err, re.M)
+    [(name, note)] = _raised_in_report(tmp_path).items()
+    assert note == "raised Local: not sendable"  # recorded like any other error
+    assert capfd.readouterr().err == f"error: not sendable (raised by verify suite {name!r})\n"
+
+
+def test_verify_keeps_the_raise_past_the_note_cap(tmp_path, monkeypatch, capsys):
+    def suite(res, rng):
+        for i in range(25):
+            res.record(False, note=f"check {i}")
+        raise EmpintError("raised after 25 failures")
+
+    monkeypatch.setitem(empint.verify.SUITES, "norms", (empint.verify.SUITES["norms"][0], suite))
+    cfg = write_json(tmp_path / "cfg.json", {"suites": ["norms"]})
+    report = tmp_path / "report.json"
+    assert run(["verify", "--config", cfg, "--workers", "1", "--report", str(report)]) == 1
+    [res] = json.loads(report.read_text())["results"]
+    assert (res["checks"], res["failures"], res["status"]) == (26, 26, "fail")
+    assert res["notes"] == [*(f"check {i}" for i in range(20)),
+                            "raised EmpintError: raised after 25 failures"]
+    assert capsys.readouterr().err == \
+        "error: raised after 25 failures (raised by verify suite 'norms')\n"
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists open fds from /proc")

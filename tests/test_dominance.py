@@ -413,3 +413,38 @@ def test_verdict_is_invariant_under_refinement_and_relabeling_property(data, sp,
             moved = DominanceCertificate(budget, tuple(map(move, cert.factors)))
             assert verify_certificate(move(f), moved) == verify_certificate(
                 f, DominanceCertificate(budget, cert.factors))
+
+
+def _transport_verdicts(h, cf, cg, d):
+    """Whether contract_certificate's output along d (None below rank 1)
+    and collapse_certificate's verify against h."""
+    transported = None
+    if cf.rank + cg.rank - (d.l - d.p) >= 1:
+        transported = verify_certificate(h, contract_certificate(cf, cg, d))
+    return transported, verify_certificate(h, collapse_certificate(h, cf, cg))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(data=st.data(), sp=exact_spaces(max_atoms=3), bf=block_partitions(),
+       bg=block_partitions(), seed=st.integers(0, 2**32 - 1),
+       t=st.integers(0, 5).map(lambda i: F(i, 5)))
+def test_transport_is_invariant_under_refinement_and_relabeling_property(data, sp, bf, bg,
+                                                                         seed, t):
+    # the certificates' factors refined at one atom, or read on permuted
+    # atoms, transport to certificates of the contraction moved alike
+    f, cf = _random_cert(sp, bf, seed)
+    g, cg = _random_cert(sp, bg, seed + 1)
+    sig = max(cf.sigma_sq, cg.sigma_sq)
+    cf, cg = relax_sigma(cf, sig), relax_sigma(cg, sig)
+    atom = data.draw(st.integers(0, sp.n_atoms - 1))
+    perm = data.draw(st.permutations(range(sp.n_atoms)))
+    sp_perm = make_space([sp.weights[a] for a in perm])
+    moves = (lambda h: refine(sp, h, atom, t), lambda h: pull_back(h, sp_perm, perm))
+    for d in _all_diagrams(f.arity, g.arity):
+        h = compact_relabel(contract(f, g, d))
+        verdicts = _transport_verdicts(h, cf, cg, d)
+        assert verdicts in ((True, True), (None, True))
+        for move in moves:
+            mcf, mcg = (DominanceCertificate(c.sigma_sq, tuple(map(move, c.factors)))
+                        for c in (cf, cg))
+            assert _transport_verdicts(move(h), mcf, mcg, d) == verdicts

@@ -1,4 +1,6 @@
+import json
 import os
+import re
 import sys
 from fractions import Fraction as F
 
@@ -67,16 +69,26 @@ def test_run_all_without_fork(monkeypatch):
 
 
 def test_one_worker_runs_every_suite_then_raises_the_first_error_in_requested_order(
-        monkeypatch):
+        monkeypatch, tmp_path, capsys):
     ran = []
     for name in ("norms", "dominance"):  # dominance is claimed first, norms asked for first
         def suite(res, rng, name=name):
             ran.append(name)
             raise RuntimeError(f"{name} failed")
         monkeypatch.setitem(SUITES, name, (SUITES[name][0], suite))
-    with pytest.raises(RuntimeError, match="norms failed"):
-        run_all(2024, ["constants", "norms", "dominance"], workers=1)
+    asked = ["constants", "norms", "dominance"]
+    constants, norms, dominance = run_all(2024, asked, workers=1)
     assert ran == ["dominance", "norms"]
+    assert constants.passed and constants.error is None
+    for res in (norms, dominance):
+        assert (res.checks, res.failures, res.error) == (1, 1, f"{res.name} failed")
+        assert res.notes == [f"raised RuntimeError: {res.name} failed"]
+        assert "in suite\n" in res.traceback
+    cfg = tmp_path / "verify.json"
+    cfg.write_text(json.dumps({"suites": asked}))
+    assert cli.main(["verify", "--config", str(cfg), "--workers", "1"]) == 1
+    assert capsys.readouterr().err.endswith(
+        "\nerror: norms failed (raised by verify suite 'norms')\n")
 
 
 def test_claim_order_names_every_suite_once():
@@ -148,12 +160,24 @@ def test_verify_notices_a_seeded_defect(module, name, defect, code, monkeypatch,
                                         tmp_path, capsys):
     """``empint verify`` exits with the code of the first suite that fails,
     or 1 for a library error, when one function of the library is wrong;
-    the error line then names the suite that raised it."""
+    the error line then names the suite that raised it, and the report,
+    the same at one and two workers, holds every suite, that one failed."""
     cfg = tmp_path / "verify.json"
     cfg.write_text('{"seed": 2024}')
     _patch_everywhere(monkeypatch, module, name, defect)
-    assert cli.main(["verify", "--config", str(cfg), "--workers", "1"]) == code
+    runs = []
+    for workers in ("1", "2") if code == 1 else ("1",):
+        report = tmp_path / f"report{workers}.json"
+        assert cli.main(["verify", "--config", str(cfg), "--workers", workers,
+                         "--report", str(report)]) == code
+        out, err = capsys.readouterr()
+        runs.append((report.read_bytes(), out))
     if code == 1:
-        [line] = capsys.readouterr().err.splitlines()
+        [line] = err.splitlines()
         assert line.startswith("error: ")
         assert line.endswith(f"(raised by verify suite {_RAISED_BY[name]!r})")
+        assert runs[1] == runs[0]
+        results = json.loads(runs[0][0])["results"]
+        assert [r["suite"] for r in results] == list(SUITES)
+        [raised] = [r for r in results if r["suite"] == _RAISED_BY[name]]
+        assert raised["status"] == "fail" and re.match(r"raised \w+: ", raised["notes"][-1])
