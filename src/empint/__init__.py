@@ -35,6 +35,7 @@ from .bounds import (BoundParams, levels, two_regime_exponent, bernstein_exponen
                      two_regime_tail_bound, bernstein_tail_bound, crossover_level,
                      moment_growth_bound, regime_report)
 from .montecarlo import (McConfig, TailEstimate, replicate_counts, replicate_values, exceedance,
-                         estimate_tail, binomial_tail_oracle, fit_constants, auto_grid)
+                         estimate_tail, binomial_band, binomial_tail_oracle, fit_constants,
+                         auto_grid)
 
 __version__ = "0.1.0"

@@ -14,9 +14,9 @@ Subcommands:
                the same for every N
     tails      Monte Carlo tail estimation for a configured kernel;
                writes tails.csv, self_check.csv and a run manifest.  The
-               run's replicates are drawn once: the self check evaluates
-               the centered atom-0 indicator on the very counts tails.csv
-               reads, against its exact binomial tail
+               run's replicates are drawn once: the self check reads the
+               centered atom-0 indicator off the counts tails.csv reads,
+               by the integer band that also gives its exact binomial tail
     constants  export the exact constant tables as CSV; a table with an
                integer past the interpreter's int-to-str digit limit
                exits 2 and writes no file
@@ -45,8 +45,7 @@ from . import __version__
 from . import bounds as bounds_mod
 from . import combinatorics, montecarlo, verify
 from .errors import EmpintError, InsufficientTailData, MalformedInput
-from .integrals import eval_batch
-from .kernels import MAX_ARITY, canonical_project, indicator_kernel, kernel_from_json, l2_norm
+from .kernels import MAX_ARITY, canonical_project, kernel_from_json
 from .scalars import format_scalar, in_float_range
 from .space import make_space
 
@@ -236,14 +235,15 @@ def cmd_tails(args) -> int:
             b16 = bounds_mod.bernstein_tail_bound(x, est.k, est.sigma, est.n, p16)
         tails.append([repr(x), repr(p), repr(se), repr(b13), repr(b16)])
 
-    # self check on the run's own replicates: the arity-1 centered indicator
-    # of atom 0 reads their counts of atom 0, whose tail is an exact binomial
-    w0 = space.weights[0]
-    ind = canonical_project(indicator_kernel(space, 0))
-    sc_values = eval_batch(ind, counts)
-    sc_grid = montecarlo.binomial_levels(w0, mc.n, l2_norm(ind), (0.5, 1.0, 1.5, 2.0, 3.0))
-    exact = montecarlo.binomial_tail_oracle(Fraction(w0), mc.n, sc_grid)
-    p_hat, _ = montecarlo.exceedance(sc_values, sc_grid)
+    # self check on the run's own replicates: the centered indicator of atom 0
+    # is sqrt(n) (B/n - w0), B a replicate's count of atom 0, and one integer
+    # band per level decides p_hat and the exact binomial tail alike
+    w0 = Fraction(space.weights[0])
+    sc_grid = [math.sqrt(w0 * (1 - w0)) * t for t in (0.5, 1.0, 1.5, 2.0, 3.0)]
+    exact = montecarlo.binomial_tail_oracle(w0, mc.n, sc_grid)
+    b0 = counts[:, 0]
+    bands = [montecarlo.binomial_band(w0, mc.n, x) for x in sc_grid]
+    p_hat = [int(np.count_nonzero((b0 < lo) | (b0 > hi))) / mc.replicates for lo, hi in bands]
     # the standard error of the exact tail, so a run that misses a rare level still scores
     stderr = [math.sqrt(pe * (1.0 - pe) / mc.replicates) for pe in exact]
     zs = [abs(p - pe) / se if se > 0 else (0.0 if p == pe else math.inf)

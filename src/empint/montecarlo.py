@@ -11,8 +11,11 @@ evaluated at once, in float, as a polynomial in those counts
 its counts); no resampling shortcuts.  The exact engine runs the same
 evaluation loop over the same polynomial in integers.  Counts drawn once
 can feed several statistics: ``estimate_tail`` takes them as an argument,
-so a caller that also evaluates a check statistic on the run's replicates
-draws them once.
+so a caller that also checks the run's replicates draws them once.
+
+The centered indicator of one atom has an exact law, sqrt(n) (B/n - w) with
+B binomial (n, w): ``binomial_band`` decides in integers which B exceed a
+level, for the exact tail and a run's counts alike, ties included.
 """
 from __future__ import annotations
 
@@ -30,7 +33,7 @@ from .space import AtomSpace, draw_counts
 
 __all__ = [
     "McConfig", "TailEstimate", "replicate_counts", "replicate_values", "exceedance",
-    "estimate_tail", "binomial_tail_oracle", "fit_constants", "auto_grid",
+    "estimate_tail", "binomial_band", "binomial_tail_oracle", "fit_constants", "auto_grid",
 ]
 
 _PILOT_OFFSET = 10**9  # pilot replicate streams never collide with the run's
@@ -101,10 +104,23 @@ def estimate_tail(f: Kernel, cfg: McConfig, counts: np.ndarray, x_grid) -> TailE
     return TailEstimate(xs, p_hat, stderr, f.arity, cfg.n, l2_norm(f))
 
 
+def binomial_band(weight, n: int, x) -> tuple[int, int]:
+    """The counts b whose statistic sqrt(n) (b/n - w) does not exceed x in
+    absolute value, as one integer interval [b_lo, b_hi] clipped to
+    -1..n+1.  Decided in integers: with w = p/q and x read exactly as a/c,
+    |sqrt(n)(b/n - w)| > x holds exactly when |b q - n p| > s, where
+    s = isqrt(a^2 n q^2 // c^2)."""
+    w, x = Fraction(weight), Fraction(x)
+    p, q = w.numerator, w.denominator
+    s = math.isqrt(x.numerator**2 * n * q * q // x.denominator**2)
+    return max(-((s - n * p) // q), -1), min((n * p + s) // q, n + 1)
+
+
 def binomial_tail_oracle(weight, n: int, x_grid) -> list[float]:
     """Closed form for the arity-1 centered indicator: with B binomial
-    (n, w), the statistic is sqrt(n) (B/n - w), so the tail is an explicit
-    binomial sum.  Exact in rationals, returned as floats.
+    (n, w), the statistic is sqrt(n) (B/n - w), so the tail is the pmf
+    outside ``binomial_band`` at each level.  Exact in rationals, returned
+    as floats.
 
     With w = p/q every pmf term is C(n, b) p^b (q - p)^(n - b) / q^n, so the
     sum runs over integer numerators and divides once."""
@@ -113,35 +129,9 @@ def binomial_tail_oracle(weight, n: int, x_grid) -> list[float]:
     numer = [math.comb(n, b) * p**b * (q - p) ** (n - b) for b in range(n + 1)]
     out = []
     for x in x_grid:
-        # |sqrt(n)(b/n - w)| > x  <=>  (b q - n p)^2 > x^2 n q^2; square to stay exact
-        x = Fraction(x)
-        den_sq, bound = x.denominator**2, x.numerator**2 * n * q * q
-        hits = sum(m for b, m in enumerate(numer) if (b * q - n * p) ** 2 * den_sq > bound)
-        out.append(float(Fraction(hits, q**n)))
+        lo, hi = binomial_band(w, n, x)
+        out.append(float(Fraction(sum(numer[:max(lo, 0)]) + sum(numer[hi + 1:]), q**n)))
     return out
-
-
-def binomial_levels(weight, n: int, sigma: float, ts) -> tuple[float, ...]:
-    """Levels ``sigma * t`` for the statistic of binomial_tail_oracle, kept
-    off the lattice it lives on.  With w = p/q the statistic only takes the
-    values m / (q sqrt(n)), m in {|b q - n p| : b = 0..n}.  A level whose
-    exact value sqrt(w (1 - w)) t is one of them (decided in integers:
-    m^2 = t^2 p (q - p) n) moves to the midpoint between it and the next
-    value up (m + 1 past the largest), so float rounding of the statistic
-    cannot decide a tie.  Every other level is ``sigma * t`` as given."""
-    w = Fraction(weight)
-    p, q = w.numerator, w.denominator
-    attained = sorted({abs(b * q - n * p) for b in range(n + 1)})
-    levels = []
-    for t in ts:
-        m_sq = Fraction(t) ** 2 * p * (q - p) * n
-        m = math.isqrt(int(m_sq))
-        if m * m != m_sq or m not in attained:
-            levels.append(sigma * t)
-            continue
-        up = next((v for v in attained if v > m), m + 1)
-        levels.append((m + up) / (2 * q * math.sqrt(n)))
-    return tuple(levels)
 
 
 def fit_constants(est: TailEstimate, form: str = "two_regime") -> BoundParams:

@@ -166,8 +166,9 @@ def run_suite_moments(res: SuiteResult, rng: np.random.Generator) -> None:
 
 def run_suite_dominance(res: SuiteResult, rng: np.random.Generator) -> None:
     """Transformed certificates really dominate the contraction, at the
-    exact rank target; the rank-1 fallback also verifies."""
-    sp = space.uniform_space(3)
+    exact rank target; the rank-1 fallback also verifies.  The atoms'
+    weights differ, so a step that reads them in the wrong order fails."""
+    sp = space.make_space(["1/6", "1/3", "1/2"])
     shapes = [(1, ((1,),)), (2, ((1,), (2,))), (2, ((1, 2),))]
     for (k1, b1), (k2, b2) in itertools.product(shapes, repeat=2):
         f, cf = dominance.random_dominated_pair(sp, b1, rng)

@@ -25,6 +25,7 @@ from empint.cli import SCHEMAS, main
 from empint.errors import EmpintError, MalformedInput
 from empint.integrals import eval_batch
 from empint.kernels import canonical_project, kernel_from_json
+from empint.montecarlo import binomial_band, binomial_tail_oracle
 from empint.space import draw_counts, make_space
 
 
@@ -304,7 +305,7 @@ def test_tails_outputs(tmp_path):
 
 
 # a 4-atom run on the auto grid; w0 = 1/10 and n = 100 put self-check
-# levels on the lattice of the indicator statistic
+# levels on the floats of values the indicator statistic takes
 AUTO_CFG = {**{k: v for k, v in TAILS_CFG.items() if k != "x_grid"},
             "space": {"weights": ["1/10", "1/10", "1/2", "3/10"]},
             "kernel": {"arity": 2, "values": [str(F(i % 5 - 2, 3)) for i in range(16)]},
@@ -327,6 +328,19 @@ def test_tails_draws_each_replicate_once(tmp_path, monkeypatch, doc, draws):
     assert len(calls) == draws and calls[-1] == doc["replicates"]
 
 
+def _band_counts(counts, w0, n, xs):
+    """The exceedances of the self-check statistic at each level, decided by
+    the integer band on the counts of atom 0."""
+    b0 = counts[:, 0]
+    return [np.count_nonzero((b0 < lo) | (b0 > hi)) / len(counts)
+            for lo, hi in (binomial_band(w0, n, x) for x in xs)]
+
+
+def _csv_columns(path):
+    with open(path) as fh:
+        return [list(map(float, col)) for col in zip(*list(csv.reader(fh))[1:])]
+
+
 @pytest.mark.parametrize("doc", [TAILS_CFG, AUTO_CFG], ids=["x_grid", "auto"])
 def test_tails_and_self_check_read_the_same_counts(tmp_path, doc):
     out = tmp_path / "out"
@@ -336,18 +350,12 @@ def test_tails_and_self_check_read_the_same_counts(tmp_path, doc):
     n, R = doc["n"], doc["replicates"]
     counts = draw_counts(space, n, doc["seed"], R)
 
-    def exceedances(values, name):
-        with open(out / name) as fh:
-            rows = list(csv.reader(fh))[1:]
-        return [float(r[1]) for r in rows], \
-            [np.count_nonzero(np.abs(values) > float(r[0])) / R for r in rows]
-
     f = canonical_project(kernel_from_json(space, doc["kernel"]))
-    written, expected = exceedances(eval_batch(f, counts), "tails.csv")
-    assert written == expected
-    w0 = float(space.weights[0])
-    written, expected = exceedances(math.sqrt(n) * (counts[:, 0] / n - w0), "self_check.csv")
-    assert written == expected
+    values = np.abs(eval_batch(f, counts))
+    xs, p_hat, *_ = _csv_columns(out / "tails.csv")
+    assert p_hat == [np.count_nonzero(values > x) / R for x in xs]
+    xs, p_hat, *_ = _csv_columns(out / "self_check.csv")
+    assert p_hat == _band_counts(counts, F(space.weights[0]), n, xs)
 
 
 @pytest.mark.parametrize("doc, grid", [(TAILS_CFG, {"grid": "config"}),
@@ -385,18 +393,19 @@ def test_tails_deterministic_across_workers(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
-def test_self_check_levels_avoid_the_lattice(tmp_path, capsys):
-    # sigma * t is an attained value of the self-check statistic for
-    # t = 1, 2, 3, and those levels move to half-step midpoints
+def test_self_check_decides_lattice_levels_by_the_integer_band(tmp_path, capsys):
+    # sigma = 3/10 and sigma * t for t = 1, 2, 3 are the floats of values
+    # the self-check statistic takes; the levels stay where they are, and
+    # p_hat is the count outside the integer band on the run's counts
     out = tmp_path / "out"
     assert run(["tails", "--config", write_json(tmp_path / "t.json", AUTO_CFG),
                 "--out-dir", str(out)]) == 0
-    with open(out / "self_check.csv") as fh:
-        rows = list(csv.reader(fh))[1:]
-    xs = [float(r[0]) for r in rows]
-    assert xs[1] == pytest.approx(0.35) and xs[3] == pytest.approx(0.65)
-    assert xs[4] == pytest.approx(0.95)
-    zs = [float(r[4]) for r in rows]
+    xs, p_hat, p_exact, _, zs = _csv_columns(out / "self_check.csv")
+    assert xs == [math.sqrt(F(1, 10) * F(9, 10)) * t for t in (0.5, 1.0, 1.5, 2.0, 3.0)]
+    n, R = AUTO_CFG["n"], AUTO_CFG["replicates"]
+    counts = draw_counts(make_space(AUTO_CFG["space"]["weights"]), n, AUTO_CFG["seed"], R)
+    assert p_hat == _band_counts(counts, F(1, 10), n, xs)
+    assert p_exact == binomial_tail_oracle(F(1, 10), n, xs)
     assert max(zs) <= 3.0
     assert f"worst self-check z {max(zs):.2f}" in capsys.readouterr().out
 

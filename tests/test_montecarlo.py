@@ -9,9 +9,9 @@ from _oracle import refine
 from _strategies import exact_kernels
 from empint import montecarlo
 from empint.errors import InsufficientTailData, NegativeSeed, RegimeViolation
-from empint.kernels import (canonical_project, indicator_kernel, kernel_from_values, l2_norm,
-                            l2_norm_sq, random_kernel)
-from empint.montecarlo import (McConfig, TailEstimate, auto_grid, binomial_levels,
+from empint.kernels import (canonical_project, indicator_kernel, kernel_from_values, l2_norm_sq,
+                            random_kernel)
+from empint.montecarlo import (McConfig, TailEstimate, auto_grid, binomial_band,
                                binomial_tail_oracle, estimate_tail, exceedance, fit_constants,
                                replicate_counts, replicate_values)
 from empint.integrals import eval_integral, eval_ustat
@@ -177,24 +177,42 @@ def test_fit_constants_rejects_a_rising_tail():
             fit_constants(est, form=form)
 
 
-def test_binomial_levels_leave_the_lattice():
-    # w = 1/10, n = 100: the statistic takes the values |b - 10| / 10, and
-    # sigma = 3/10, so levels sigma * t for t = 1, 2, 3 are attained values
-    sigma = l2_norm(centered_indicator(make_space(["1/10", "9/10"])))
-    ts = (0.5, 1.0, 1.5, 2.0, 3.0)
-    levels = binomial_levels(F(1, 10), 100, sigma, ts)
-    assert levels[0] == sigma * 0.5 and levels[2] == sigma * 1.5  # off the lattice: same bytes
-    assert levels[1] == pytest.approx(0.35) and levels[3] == pytest.approx(0.65)
-    assert levels[4] == pytest.approx(0.95)
-    # the moved levels sit a half step from either neighbour, so the exact
-    # tail is P(|B - 10| >= 4) etc. whatever the float rounding
+@pytest.mark.parametrize("x, steps", [(0.35, 4), (0.65, 7), (0.95, 10), (0.3, 3), (0.4, 5),
+                                      (0.6, 6), (0.3 * 3, 9)])
+def test_binomial_oracle_at_fixed_levels(x, steps):
+    # w = 1/10, n = 100: the statistic takes the values |b - 10| / 10.  A
+    # level between two of them counts the larger; the float of a value
+    # counts that value when it lies below it (0.3, 0.6, 0.3 * 3) and not
+    # when it lies above it (0.4)
     pmf = [math.comb(100, b) * F(1, 10) ** b * F(9, 10) ** (100 - b) for b in range(101)]
-    for x, steps in ((levels[1], 4), (levels[3], 7), (levels[4], 10)):
-        want = float(sum(m for b, m in enumerate(pmf) if abs(b - 10) >= steps))
-        assert binomial_tail_oracle(F(1, 10), 100, [x]) == [want]
-    # w = 1/2, n = 4: the values are |2b - 4| / 4; the largest, 1, has no
-    # value above it and moves to (4 + 1/2) / 4
-    assert binomial_levels(F(1, 2), 4, 0.5, (2.0,)) == (1.125,)
+    want = float(sum(m for b, m in enumerate(pmf) if abs(b - 10) >= steps))
+    assert binomial_tail_oracle(F(1, 10), 100, [x]) == [want]
+
+
+def test_binomial_oracle_on_attained_levels():
+    # w = 1/2, n = 4: the values |2b - 4| / 4 are 0, 1/2 and 1, exact
+    # floats; a level on one of them leaves it out of the tail
+    assert binomial_tail_oracle(F(1, 2), 4, [0.0, 0.5, 1.0]) == [10 / 16, 2 / 16, 0.0]
+
+
+_band_weights = st.one_of(
+    st.sampled_from([F(0), F(1)]),
+    st.integers(1, 60).flatmap(lambda q: st.builds(F, st.integers(0, q), st.just(q))),
+    st.floats(0, 1).map(F))  # every float is dyadic
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(data=st.data(), w=_band_weights, n=st.integers(1, 400))
+def test_binomial_band_is_the_exact_exceedance_property(data, w, n):
+    # levels on the float of an attained value |b q - n p| / (q sqrt(n)),
+    # one ulp either side of it, or anywhere
+    on = abs(data.draw(st.integers(0, n)) - n * w) / math.sqrt(n)
+    x = data.draw(st.one_of(st.sampled_from([on, math.nextafter(on, 0), math.nextafter(on, 2)]),
+                            st.floats(0, 2)))
+    lo, hi = binomial_band(w, n, x)
+    assert -1 <= lo and hi <= n + 1
+    for b in range(n + 1):
+        assert (not lo <= b <= hi) == ((b - n * w) ** 2 > F(x) ** 2 * n)
 
 
 def test_auto_grid_shape():

@@ -7,6 +7,7 @@ from fractions import Fraction as F
 import pytest
 
 from empint import bounds, cli, combinatorics, diagrams, dominance, kernels
+from empint.space import make_space
 from empint.verify import (_LONGEST_FIRST, SUITES, SuiteResult, run_all, run_suite_constants,
                            run_suite_diagram, run_suite_dominance,
                            run_suite_expectation, run_suite_moments,
@@ -119,6 +120,22 @@ def _halved(cert):
     return dominance.DominanceCertificate(cert.sigma_sq, tuple(h.scale(0.5) for h in cert.factors))
 
 
+def _weights_reversed(contract):
+    """contract_certificate with its Schwarz step reading the atom weights
+    in reverse order: the factors go in on the reversed space, and the
+    certificate comes back on the float form of the original one."""
+    def mutant(cf, cg, d):
+        sp = cf.factors[0].space
+        rev = make_space(sp.weights[::-1])
+
+        def move(cert, to):
+            return dominance.DominanceCertificate(cert.sigma_sq, tuple(
+                kernels.Kernel(to, h.values, h.axis_labels) for h in cert.factors))
+
+        return move(contract(move(cf, rev), move(cg, rev), d), sp.as_float())
+    return mutant
+
+
 _ROADMAP_ITEM_10 = ("ROADMAP item 10: the suite has no check that notices this defect; "
                     "mending it changes the report's check counts")
 
@@ -133,6 +150,8 @@ SEEDED_DEFECTS = [
     pytest.param(kernels, "l2_norm_sq", _times(F(1001, 1000)), 1, id="l2_norm_sq"),
     pytest.param(dominance, "contract_certificate", lambda fn: lambda *args: _halved(fn(*args)),
                  14, id="contract_certificate"),
+    pytest.param(dominance, "contract_certificate", _weights_reversed, 14,
+                 id="contract_certificate_weights_reversed"),
     pytest.param(combinatorics, "recursion_weight", _times(F(1001, 1000)), 15,
                  id="recursion_weight", marks=pytest.mark.xfail(strict=True,
                                                                 reason=_ROADMAP_ITEM_10)),
