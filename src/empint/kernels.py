@@ -23,12 +23,7 @@ and ``is_canonical`` read the numerators too and divide or compare once at
 the end.  Float-mode kernels use IEEE doubles with the same code paths,
 over a denominator of 1, reading an exact operand as its float form
 (``Arithmetic.form``), which a kernel builds once and caches, as a space
-does.  A kernel derived without new arithmetic carries its numerators
-instead of reading them again: ``compact_relabel`` and ``abs`` take them
-from their operand, and an exact ``labeled_product`` from its einsum,
-brought to lowest terms.  They are computed on first read, so a kernel
-whose numerators are never read pays nothing, and they equal what a fresh
-read of its values gives.  Operands combine on one measure only: an exact
+does.  Operands combine on one measure only: an exact
 space and its float form are one, two different exact spaces never are
 (``require_one_measure``).  A kernel's values are read-only, so results
 memoized on a kernel can never go stale.
@@ -40,7 +35,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -88,11 +83,9 @@ class Kernel:
 
     @cached_property
     def numerators(self) -> tuple[np.ndarray, int]:
-        """The values as read-only (numerators, d) in the kernel's mode, computed
-        once: carried over from the kernel this one was derived from (``_carry``),
-        or read from the values."""
-        carried = self.__dict__.pop("_carried", None)
-        return carried() if carried else mode_of(self).numerators(self.values)
+        """The values as read-only (numerators, d) in the kernel's mode, read
+        once."""
+        return mode_of(self).numerators(self.values)
 
     def axis_position(self, label: int) -> int:
         try:
@@ -115,10 +108,7 @@ class Kernel:
         return Kernel(self.space, self.values + other.values, self.axis_labels)
 
     def abs(self) -> "Kernel":
-        def numerators():
-            nums, d = self.numerators
-            return read_only(np.asarray(np.abs(nums), dtype=nums.dtype)), d
-        return _carry(Kernel(self.space, np.abs(self.values), self.axis_labels), numerators)
+        return Kernel(self.space, np.abs(self.values), self.axis_labels)
 
     @cached_property
     def _float_form(self) -> "Kernel":
@@ -128,13 +118,6 @@ class Kernel:
         if not self.exact:
             return self
         return self._float_form
-
-
-def _carry(h: Kernel, numerators: Callable[[], tuple[np.ndarray, int]]) -> Kernel:
-    """h, which was derived without new arithmetic: its ``numerators``, when
-    first read, are ``numerators()``, equal to a fresh read of its values."""
-    h.__dict__["_carried"] = numerators
-    return h
 
 
 def constant_kernel(space: AtomSpace, value) -> Kernel:
@@ -214,17 +197,7 @@ def labeled_product(space: AtomSpace, factors: Iterable[tuple[Kernel, Sequence[i
     nums, den = _einsum_numerators(mode_of(space, *(f for f, _ in factors)), space, factors,
                                    out, integrate)
     values = nums if den == 1 else np.frompyfunc(Fraction, 2, 1)(nums, den)
-    return _carry(Kernel(space, values, tuple(out)), lambda: _lowest_terms(nums, den))
-
-
-def _lowest_terms(nums: np.ndarray, den: int) -> tuple[np.ndarray, int]:
-    """N / den over the least common denominator of its entries, as a fresh
-    read finds it: that is den / g, with g = gcd(den, every N), and the
-    numerators are N / g."""
-    if den == 1:
-        return read_only(nums), 1
-    g = math.gcd(den, *nums.flat)
-    return read_only(np.asarray(nums // g, dtype=nums.dtype)), den // g
+    return Kernel(space, values, tuple(out))
 
 
 def _einsum_numerators(mode: Arithmetic, space: AtomSpace,
@@ -307,7 +280,7 @@ def require_canonical(f: Kernel):
 
 def compact_relabel(f: Kernel) -> Kernel:
     """Rename surviving labels to 1..arity, preserving their order."""
-    return _carry(Kernel(f.space, f.values, tuple(range(1, f.arity + 1))), lambda: f.numerators)
+    return Kernel(f.space, f.values, tuple(range(1, f.arity + 1)))
 
 
 # -- generation and serialization ------------------------------------------

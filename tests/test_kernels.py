@@ -17,7 +17,6 @@ from empint.kernels import (Kernel, canonical_project, center_axis, compact_rela
                             random_kernel, require_canonical, sup_norm, symmetrize,
                             tensor_product)
 from empint.integrals import eval_integral
-from empint.scalars import mode_of
 from empint.space import Sample, make_space, uniform_space
 
 
@@ -407,37 +406,6 @@ def test_exact_labeled_product_matches_fraction_einsum_property(data, sp):
     h = labeled_product(sp, [(f.as_float(), labels), *rest], out, integrate)
     assert not h.exact and h.values.dtype == float
     assert np.allclose(h.values, want.astype(float), rtol=1e-12, atol=1e-12)
-
-
-@settings(derandomize=True, max_examples=80, deadline=None)
-@given(data=st.data(), sp=exact_spaces())
-def test_derived_kernels_carry_the_numerators_of_a_fresh_read_property(data, sp):
-    """``compact_relabel``, ``abs`` and ``labeled_product`` hand their result
-    the numerators a fresh read of its values finds: the same array under
-    ``==``, the same dtype and the same denominator."""
-    arities = data.draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
-    factors = [_operand(data, sp, data.draw(st.lists(st.integers(1, 4), min_size=k, max_size=k,
-                                                     unique=True)))
-               for k in arities]
-    used = sorted(set().union(*(labels for _, labels in factors)))
-    integrate = data.draw(st.lists(st.sampled_from(used), unique=True)) if used else []
-    out = [j for j in used if j not in integrate]
-    (f, labels), *rest = factors
-    zero = Kernel(sp, f.values * 0, f.axis_labels)  # every numerator 0: d is 1
-    for first in (f, f.as_float(), zero):
-        def product():
-            return labeled_product(sp, [(first, labels), *rest], out, integrate)
-        spread = Kernel(sp, first.values, tuple(2 * j for j in first.axis_labels))
-        derived = [product(), compact_relabel(product()), product().abs(),
-                   compact_relabel(product()).abs(), first.abs(), compact_relabel(spread)]
-        for h in derived:  # none read before: each reads what it carries
-            nums, d = h.numerators
-            fresh, d_fresh = mode_of(h).numerators(h.values)
-            assert d == d_fresh and type(d) is int
-            assert nums.shape == fresh.shape and nums.dtype == fresh.dtype
-            assert (nums == fresh).all() and not nums.flags.writeable
-            if h.exact:
-                assert all(type(x) is int for x in nums.flat)
 
 
 def _same_kernel(g, h):
