@@ -58,7 +58,10 @@ REPORT_SCHEMA = 1
 
 _SCALARS = {"type": "array", "items": {"type": ["string", "number"]}}
 _SEED = {"type": "integer", "minimum": 0, "default": DEFAULT_SEED}
-_COUNT = {"type": "integer", "minimum": 1, "maximum": 2**63 - 1}  # int64 count arrays
+# A run holds an array of eight-byte items per replicate, per sample point and
+# per auto-grid level.  numpy refuses any array past 2^63 - 1 bytes, and
+# np.geomspace rounds its count to a float, so 2^59 keeps a margin.
+_COUNT = {"type": "integer", "minimum": 1, "maximum": 2**59}
 _CONSTANT = {"type": "number", "exclusiveMinimum": 0, "default": 1.0}
 SCHEMAS = {
     "verify": {"type": "object", "additionalProperties": False, "properties": {
@@ -77,7 +80,7 @@ SCHEMAS = {
         "n": _COUNT,
         "x_grid": {"type": "array", "minItems": 1,
                    "items": {"type": "number", "exclusiveMinimum": 0}},
-        "grid_points": {"type": "integer", "minimum": 2, "default": 12},
+        "grid_points": {**_COUNT, "minimum": 2, "default": 12},
         "seed": _SEED,
         "target": {"enum": ["integral", "ustat"], "default": "integral"}}},
     "bounds": {"type": "object", "additionalProperties": False, "properties": {

@@ -35,6 +35,11 @@ MOMENT_SHAPE_C = 2.0
 MOMENT_SHAPE_C_RANKED = 3.0
 SECOND_MOMENT_C = 100.0
 
+# Exact recursion weights A(l, p, k, m) from the closed form, at 0^0 = 1
+# (l = 0, and 2k - l - p = 0) and at negative powers of 2 (m > 4).
+RECURSION_WEIGHTS = {(0, 0, 1, 0): 1, (1, 1, 1, 0): 256, (1, 0, 2, 5): Fraction(4, 3),
+                     (2, 2, 3, 6): Fraction(729, 4096), (3, 1, 4, 8): Fraction(1, 2985984)}
+
 
 @dataclass
 class SuiteResult:
@@ -110,13 +115,18 @@ def run_suite_expectation(res: SuiteResult, rng: np.random.Generator) -> None:
 
 
 def run_suite_norms(res: SuiteResult, rng: np.random.Generator) -> None:
-    """Contraction norm inequalities, in squared (rational) form."""
+    """Squared L2 norms equal the integral of the square, exactly, and
+    contraction norm inequalities hold in squared (rational) form."""
     for k1, k2 in [(1, 1), (1, 2), (2, 2)]:
         for _ in range(4):
             sp = space.uniform_space(int(rng.integers(2, 4)))
             f = kernels.random_kernel(sp, k1, rng)
             g = kernels.random_kernel(sp, k2, rng)
             nf, ng = kernels.l2_norm_sq(f), kernels.l2_norm_sq(g)
+            for h, nh in ((f, nf), (g, ng)):
+                square = kernels.labeled_product(sp, [(h, h.axis_labels), (h, h.axis_labels)],
+                                                 (), h.axis_labels)
+                res.record(nh == square.values[()], 0.0, f"squared L2 norm k={h.arity}")
             for l in range(min(k1, k2) + 1):
                 for p in range(l + 1):
                     for d in diagrams.enumerate_diagrams(diagrams.DiagramClass(k1, k2, l, p)):
@@ -167,7 +177,8 @@ def run_suite_moments(res: SuiteResult, rng: np.random.Generator) -> None:
 def run_suite_dominance(res: SuiteResult, rng: np.random.Generator) -> None:
     """Transformed certificates really dominate the contraction, at the
     exact rank target; the rank-1 fallback also verifies.  The atoms'
-    weights differ, so a step that reads them in the wrong order fails."""
+    weights differ, so a step that reads them in the wrong order fails.
+    Certificates wrong by construction are refused."""
     sp = space.make_space(["1/6", "1/3", "1/2"])
     shapes = [(1, ((1,),)), (2, ((1,), (2,))), (2, ((1, 2),))]
     for (k1, b1), (k2, b2) in itertools.product(shapes, repeat=2):
@@ -177,6 +188,12 @@ def run_suite_dominance(res: SuiteResult, rng: np.random.Generator) -> None:
         cf, cg = dominance.relax_sigma(cf, s2), dominance.relax_sigma(cg, s2)
         res.record(dominance.verify_certificate(f, cf), 0.0, "input certificate f")
         res.record(dominance.verify_certificate(g, cg), 0.0, "input certificate g")
+        for name, h, ch in (("f", f, cf), ("g", g, cg)):
+            above_product, above_one = _wrong_certificates(h, ch)
+            res.record(not dominance.verify_certificate(*above_product), 0.0,
+                       f"kernel entry past the factor product accepted for {name}")
+            res.record(not dominance.verify_certificate(*above_one), 0.0,
+                       f"factor entry above 1 accepted for {name}")
         for l in range(min(k1, k2) + 1):
             for p in range(l + 1):
                 for d in diagrams.enumerate_diagrams(diagrams.DiagramClass(k1, k2, l, p)):
@@ -193,6 +210,24 @@ def run_suite_dominance(res: SuiteResult, rng: np.random.Generator) -> None:
                     res.record(dominance.verify_certificate(h, cc), 0.0, f"fallback {name}")
 
 
+def _wrong_certificates(f: kernels.Kernel, cert: dominance.DominanceCertificate):
+    """Two (kernel, certificate) pairs made from a valid exact one, each wrong
+    at the first cell: f's entry there is minus the factors' product less
+    1/1000, and the first factor's entry there is 1001/1000, with the budget
+    relaxed to 1 so that, as a rule, the factor's norm clause still holds."""
+    cell = (0,) * f.arity
+    product = kernels.labeled_product(f.space, [(h, h.axis_labels) for h in cert.factors],
+                                      f.axis_labels)
+    raised = f.values.copy()
+    raised[cell] = -product.values[cell] - Fraction(1, 1000)
+    first, *rest = cert.factors
+    over = first.values.copy()
+    over[(0,) * first.arity] = Fraction(1001, 1000)
+    over_one = dominance.DominanceCertificate(
+        1, (kernels.Kernel(first.space, over, first.axis_labels), *rest))
+    return ((kernels.Kernel(f.space, raised, f.axis_labels), cert), (f, over_one))
+
+
 def run_suite_constants(res: SuiteResult, rng: np.random.Generator) -> None:
     """Frozen values and exact inequalities for the constant tables."""
     res.record(combinatorics.damping_factor(0) == 17, note="damping(0)")
@@ -201,6 +236,9 @@ def run_suite_constants(res: SuiteResult, rng: np.random.Generator) -> None:
     for k in range(1, 5):
         res.record(combinatorics.cumulative_constant(k, 0) == 1, note=f"cumulative({k},0)")
     res.record(combinatorics.cumulative_constant(1, 1) == 17, note="cumulative(1,1)")
+    for (l, p, k, m), want in RECURSION_WEIGHTS.items():
+        res.record(combinatorics.recursion_weight(l, p, k, m) == want,
+                   note=f"recursion weight A({l},{p},{k},{m})")
     bad = combinatorics.check_moment_recursion(4, 8)
     res.record(not bad, float(len(bad)), f"recursion violations: {bad[:3]}")
     for k in range(1, 5):

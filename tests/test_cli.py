@@ -110,13 +110,14 @@ def test_verify_output_independent_of_workers(tmp_path, capsys, seed):
     assert reports[1:] == reports[:1] * 2 and outs[1:] == outs[:1] * 2
 
 
-# sha256 of the report and of stdout, recorded before certificate transport
-# moved to float operands; every optimization must keep these bytes
+# sha256 of the report and of stdout, recorded when the norms, dominance and
+# constants suites gained their exact-value checks and negative controls;
+# every optimization must keep these bytes
 @pytest.mark.parametrize("seed, report_digest, out_digest", [
-    (2024, "e95656dda6523af6af62c32079dde4a98e1ad84ff60f282efeff73fbebccb6de",
-     "5bfbeb224f1784ded7653c797c0d402efae430feb6cf7d4095b4242f693a3600"),
-    (77, "0e601078a8793ccb89c4b40897ad211196d4a3c3e86d3b08a0efd7b5b86e84eb",
-     "5bfbeb224f1784ded7653c797c0d402efae430feb6cf7d4095b4242f693a3600"),
+    pytest.param(2024, "bc56456529cf8f81e24ca589b329e4eaa0f66d498e15e446aec2238bd8c4bba9",
+                 "60296ed7d8429cea7fef28252f469b9a9516dd19a0c6cbffdc9eb393282ef6c5", id="2024"),
+    pytest.param(77, "e744535fe4aaa6d2be3a7dbffe8494cfa026af70b29e7539a95cb4a14ade9dc3",
+                 "60296ed7d8429cea7fef28252f469b9a9516dd19a0c6cbffdc9eb393282ef6c5", id="77"),
 ])
 def test_verify_bytes_are_pinned(tmp_path, capsys, seed, report_digest, out_digest):
     report = tmp_path / "report.json"
@@ -617,6 +618,12 @@ def test_bounds_comma_grid_and_constants_file(tmp_path):
     ("tails", {"replicates": 10**15}), ("tails", {"n": 10**15}),
     # an L2 norm past float range: the fit refuses sigma > 1
     ("tails", {"kernel": {"arity": 1, "values": ["1e200", "0"]}}),
+    # past the schema's 2^59, where numpy would refuse an array outright
+    ("tails", {"n": 2**60}), ("tails", {"n": 2**63 - 1}),
+    ("tails", {"replicates": 2**63 - 1}), ("tails", {"grid_points": 2**62, "x_grid": None}),
+    # the schema's maximum, too large to allocate
+    ("tails", {"n": 2**59}), ("tails", {"replicates": 2**59}),
+    ("tails", {"grid_points": 2**59, "x_grid": None}),
 ])
 def test_bad_input_is_config_error(tmp_path, capsys, command, arg):
     if command == "bounds":
@@ -764,8 +771,9 @@ IN_SCHEMA = {
         "kernel": lambda v: isinstance(v, dict) and "arity" in v
                             and isinstance(v.get("values"), list),
         "canonicalize": lambda v: isinstance(v, bool),
-        "replicates": _whole(1, 2**63 - 1), "n": _whole(1, 2**63 - 1), "x_grid": _levels,
-        "grid_points": _whole(2), "seed": _whole(0), "target": lambda v: v in ("integral", "ustat"),
+        "replicates": _whole(1, 2**59), "n": _whole(1, 2**59), "x_grid": _levels,
+        "grid_points": _whole(2, 2**59), "seed": _whole(0),
+        "target": lambda v: v in ("integral", "ustat"),
     },
     "bounds": {key: _positive_number for key in ("C", "alpha", "c1", "c2")},
 }

@@ -4,11 +4,14 @@ import re
 import sys
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
+import _oracle
 from empint import bounds, cli, combinatorics, diagrams, dominance, kernels
 from empint.space import make_space
-from empint.verify import (_LONGEST_FIRST, SUITES, SuiteResult, run_all, run_suite_constants,
+from empint.verify import (_LONGEST_FIRST, RECURSION_WEIGHTS, SUITES, SuiteResult,
+                           _wrong_certificates, run_all, run_suite_constants,
                            run_suite_diagram, run_suite_dominance,
                            run_suite_expectation, run_suite_moments,
                            run_suite_norms)
@@ -96,6 +99,26 @@ def test_claim_order_names_every_suite_once():
     assert sorted(_LONGEST_FIRST) == sorted(SUITES)
 
 
+def test_pinned_recursion_weights_are_the_closed_form():
+    assert all(want == _oracle.recursion_weight(*key) for key, want in RECURSION_WEIGHTS.items())
+
+
+def test_wrong_certificates_break_the_clause_they_name():
+    sp = make_space(["1/6", "1/3", "1/2"])
+    rng = np.random.default_rng(7)
+    for blocks in (((1,),), ((1,), (2,)), ((1, 2),)):
+        f, cert = dominance.random_dominated_pair(sp, blocks, rng)
+        assert dominance.verify_certificate(f, cert)
+        (g, same), (same_f, over) = _wrong_certificates(f, cert)
+        assert same is cert and same_f is f
+        # g leaves f at one cell only, where |g| passes the product
+        assert sum(a != b for a, b in zip(f.values.flat, g.values.flat)) == 1
+        assert not dominance.verify_certificate(g, cert)
+        assert over.sigma_sq == 1 and over.factors[1:] == cert.factors[1:]
+        assert max(over.factors[0].values.flat) == F(1001, 1000)
+        assert not dominance.verify_certificate(f, over)
+
+
 def test_suites_deterministic_in_seed():
     a, b = (run_all(11, ["norms"], workers=1)[0] for _ in range(2))
     assert a.checks == b.checks and a.worst == b.worst
@@ -136,9 +159,6 @@ def _weights_reversed(contract):
     return mutant
 
 
-_ROADMAP_ITEM_10 = ("ROADMAP item 10: the suite has no check that notices this defect; "
-                    "mending it changes the report's check counts")
-
 SEEDED_DEFECTS = [
     pytest.param(diagrams, "product_formula_coefficient", _times(F(1001, 1000)), 10,
                  id="product_formula_coefficient"),
@@ -153,16 +173,16 @@ SEEDED_DEFECTS = [
     pytest.param(dominance, "contract_certificate", _weights_reversed, 14,
                  id="contract_certificate_weights_reversed"),
     pytest.param(combinatorics, "recursion_weight", _times(F(1001, 1000)), 15,
-                 id="recursion_weight", marks=pytest.mark.xfail(strict=True,
-                                                                reason=_ROADMAP_ITEM_10)),
+                 id="recursion_weight"),
     pytest.param(dominance, "verify_certificate", lambda fn: lambda f, cert: True, 14,
-                 id="verify_certificate", marks=pytest.mark.xfail(strict=True,
-                                                                  reason=_ROADMAP_ITEM_10)),
+                 id="verify_certificate"),
 ]
 
 
 # the suite whose library error each exit-1 row reports
 _RAISED_BY = {"canonical_project": "diagram", "l2_norm_sq": "moments"}
+# the suites an exit-1 row also fails by their checks alone
+_ALSO_FAILS = {"canonical_project": [], "l2_norm_sq": ["norms"]}
 
 
 @pytest.fixture
@@ -200,3 +220,5 @@ def test_verify_notices_a_seeded_defect(module, name, defect, code, monkeypatch,
         assert [r["suite"] for r in results] == list(SUITES)
         [raised] = [r for r in results if r["suite"] == _RAISED_BY[name]]
         assert raised["status"] == "fail" and re.match(r"raised \w+: ", raised["notes"][-1])
+        assert [r["suite"] for r in results if r["status"] == "fail"
+                and r["suite"] != _RAISED_BY[name]] == _ALSO_FAILS[name]
