@@ -394,6 +394,46 @@ def test_tails_deterministic_across_workers(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+# sha256 of self_check.csv and manifest.json, recorded before the tails run
+# was split into library stages; every later change must keep these bytes.
+# The bound columns of tails.csv come from np.linalg.lstsq and the auto
+# grid's levels from np.quantile and np.geomspace, which may move across
+# numpy and LAPACK builds, so of tails.csv only the x_grid run's x, p_hat
+# and stderr columns are pinned
+TAILS_HEAD = [["0.2", "0.7625", "0.021277555663186502"],
+              ["0.5", "0.3575", "0.023963187913965036"],
+              ["0.9", "0.1125", "0.015799030824705674"]]
+
+
+@pytest.mark.parametrize("doc, target, self_check_digest, manifest_digest", [
+    pytest.param(TAILS_CFG, "integral",
+                 "ab4936fb510696955c994813bf38e0b91de19a4d70405b89c847143ca27ef2b7",
+                 "4b22b134800376f0022c0572358267470fb4c19a960b0cd6ba05cd795bdc7ea2",
+                 id="x_grid-integral"),
+    pytest.param(TAILS_CFG, "ustat",
+                 "ab4936fb510696955c994813bf38e0b91de19a4d70405b89c847143ca27ef2b7",
+                 "8f072e51ed1c24a92fa00a880d1ab4615576f60634653b8b0c8a025f9cab3058",
+                 id="x_grid-ustat"),
+    pytest.param(AUTO_CFG, "integral",
+                 "74fc70783a7b3c90e62f847ea24b3728228eaa9996d951c41c39ce0b926f00a7",
+                 "6ad2ec0136ffeb90d90559fca2335789593d6f09593d38f7d250fc550c4754fd",
+                 id="auto-integral"),
+    pytest.param(AUTO_CFG, "ustat",
+                 "74fc70783a7b3c90e62f847ea24b3728228eaa9996d951c41c39ce0b926f00a7",
+                 "52a7c9dc5df2bbb93159f323c42e1129818d896896c5491a7cf7ac13a4293ee5",
+                 id="auto-ustat"),
+])
+def test_tails_bytes_are_pinned(tmp_path, doc, target, self_check_digest, manifest_digest):
+    out = tmp_path / "out"
+    assert run(["tails", "--config", write_json(tmp_path / "t.json", {**doc, "target": target}),
+                "--out-dir", str(out)]) == 0
+    assert hashlib.sha256((out / "self_check.csv").read_bytes()).hexdigest() == self_check_digest
+    assert hashlib.sha256((out / "manifest.json").read_bytes()).hexdigest() == manifest_digest
+    if doc is TAILS_CFG:
+        with open(out / "tails.csv", newline="") as fh:
+            assert [row[:3] for row in list(csv.reader(fh))[1:]] == TAILS_HEAD
+
+
 def test_self_check_decides_lattice_levels_by_the_integer_band(tmp_path, capsys):
     # sigma = 3/10 and sigma * t for t = 1, 2, 3 are the floats of values
     # the self-check statistic takes; the levels stay where they are, and
