@@ -9,10 +9,9 @@ the exact tail is a binomial sum, which calibrates the whole pipeline.
 """
 import numpy as np
 
-from empint import (McConfig, binomial_tail_oracle, canonical_project,
-                    estimate_tail, fit_constants, indicator_kernel, l2_norm_sq,
-                    replicate_counts, replicate_values, two_regime_tail_bound,
-                    uniform_space)
+from empint import (McConfig, binomial_tail_oracle, canonical_project, draw_counts,
+                    estimate_tail, eval_batch, fit_constants, indicator_kernel, l2_norm_sq,
+                    two_regime_tail_bound, uniform_space)
 
 space = uniform_space(2)
 f = canonical_project(indicator_kernel(space, 0))
@@ -20,13 +19,16 @@ f = canonical_project(indicator_kernel(space, 0))
 cfg = McConfig(replicates=20000, seed=424242, n=30, target="integral")
 grid = (0.2, 0.45, 0.7, 1.0, 1.35)
 
-# determinism: the same seed gives the same replicates on every run
-a = replicate_values(f, cfg)
-b = replicate_values(f, cfg)
+# determinism: the same seed gives the same replicates on every run; each
+# replicate is drawn as its occupation counts, and the statistic of all of
+# them is one evaluation over those counts
+counts = draw_counts(space, cfg.n, cfg.seed, cfg.replicates)
+a = eval_batch(f, counts)
+b = eval_batch(f, draw_counts(space, cfg.n, cfg.seed, cfg.replicates))
 print("byte-identical across runs:", a.tobytes() == b.tobytes())
 
-# estimated exceedance vs the exact binomial tail
-est = estimate_tail(f, cfg, replicate_counts(space, cfg), grid)
+# estimated exceedance vs the exact binomial tail, on the same counts
+est = estimate_tail(f, cfg, counts, grid)
 exact = binomial_tail_oracle("1/2", cfg.n, grid)
 print(" x      p_hat     p_exact   z")
 for x, p_hat, se, p in zip(est.x_grid, est.p_hat, est.stderr, exact):

@@ -34,8 +34,7 @@ from .dominance import (DominanceCertificate, verify_certificate, relax_sigma,
 from .bounds import (BoundParams, levels, two_regime_exponent, bernstein_exponent,
                      two_regime_tail_bound, bernstein_tail_bound, crossover_level,
                      moment_growth_bound, regime_report)
-from .montecarlo import (McConfig, TailEstimate, replicate_counts, replicate_values, exceedance,
-                         estimate_tail, binomial_band, binomial_tail_oracle, fit_constants,
-                         auto_grid)
+from .montecarlo import (McConfig, TailEstimate, exceedance, estimate_tail, binomial_band,
+                         binomial_tail_oracle, fit_constants, tail_rows, self_check, auto_grid)
 
 __version__ = "0.1.0"

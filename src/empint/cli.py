@@ -14,9 +14,9 @@ Subcommands:
                the same for every N
     tails      Monte Carlo tail estimation for a configured kernel;
                writes tails.csv, self_check.csv and a run manifest.  The
-               run's replicates are drawn once: the self check reads the
-               centered atom-0 indicator off the counts tails.csv reads,
-               by the integer band that also gives its exact binomial tail
+               config and the level grid are checked before the run's
+               replicates are drawn, once; the ``montecarlo`` stages then
+               give the rows of both files from those counts
     constants  export the exact constant tables as CSV; a table with an
                integer past the interpreter's int-to-str digit limit
                exits 2 and writes no file
@@ -47,7 +47,7 @@ from . import combinatorics, montecarlo, verify
 from .errors import EmpintError, InsufficientTailData, MalformedInput
 from .kernels import MAX_ARITY, canonical_project, kernel_from_json
 from .scalars import format_scalar, in_float_range
-from .space import make_space
+from .space import draw_counts, make_space
 
 DEFAULT_SEED = 12345
 REPORT_SCHEMA = 1
@@ -217,42 +217,14 @@ def cmd_tails(args) -> int:
         except InsufficientTailData as e:
             # a kernel zero on the support, or one whose statistic vanishes
             raise MalformedInput(f"{e}: no auto grid; give an x_grid") from e
-    counts = montecarlo.replicate_counts(space, mc)
+    counts = draw_counts(space, mc.n, mc.seed, mc.replicates)
     est = montecarlo.estimate_tail(f, mc, counts, grid)
-    if est.sigma == 0.0:
-        # zero kernel: the statistic vanishes identically, so the exact
-        # tail is zero and there is nothing to fit
-        p13 = p16 = None
-    else:
-        try:
-            p13 = montecarlo.fit_constants(est, "two_regime")
-            p16 = montecarlo.fit_constants(est, "bernstein")
-        except EmpintError as e:
-            raise MalformedInput(f"cannot fit bound constants: {e}") from e
-    tails = [["x", "p_hat", "stderr", "bound13", "bound16"]]
-    for x, p, se in zip(est.x_grid, est.p_hat, est.stderr):
-        if p13 is None:
-            b13 = b16 = 0.0
-        else:
-            b13 = bounds_mod.two_regime_tail_bound(x, est.k, est.sigma, est.n, p13)
-            b16 = bounds_mod.bernstein_tail_bound(x, est.k, est.sigma, est.n, p16)
-        tails.append([repr(x), repr(p), repr(se), repr(b13), repr(b16)])
-
-    # self check on the run's own replicates: the centered indicator of atom 0
-    # is sqrt(n) (B/n - w0), B a replicate's count of atom 0, and one integer
-    # band per level decides p_hat and the exact binomial tail alike
-    w0 = Fraction(space.weights[0])
-    sc_grid = [math.sqrt(w0 * (1 - w0)) * t for t in (0.5, 1.0, 1.5, 2.0, 3.0)]
-    exact = montecarlo.binomial_tail_oracle(w0, mc.n, sc_grid)
-    b0 = counts[:, 0]
-    bands = [montecarlo.binomial_band(w0, mc.n, x) for x in sc_grid]
-    p_hat = [int(np.count_nonzero((b0 < lo) | (b0 > hi))) / mc.replicates for lo, hi in bands]
-    # the standard error of the exact tail, so a run that misses a rare level still scores
-    stderr = [math.sqrt(pe * (1.0 - pe) / mc.replicates) for pe in exact]
-    zs = [abs(p - pe) / se if se > 0 else (0.0 if p == pe else math.inf)
-          for pe, p, se in zip(exact, p_hat, stderr)]
-    self_check = [["x", "p_hat", "p_exact", "stderr", "z"],
-                  *([repr(v) for v in row] for row in zip(sc_grid, p_hat, exact, stderr, zs))]
+    try:
+        tails = montecarlo.tail_rows(est)
+    except EmpintError as e:
+        raise MalformedInput(f"cannot fit bound constants: {e}") from e
+    # the centered indicator of atom 0, decided on the same counts
+    checks = montecarlo.self_check(space.weights[0], mc.n, counts[:, 0])
 
     # the space, the kernel as written and canonicalize
     hashed = json.dumps({"space": {"weights": [format_scalar(w) for w in space.weights]},
@@ -261,10 +233,13 @@ def cmd_tails(args) -> int:
     manifest = {"seed": mc.seed, "replicates": mc.replicates, "n": mc.n, "target": mc.target,
                 **provenance, "version": __version__,
                 "kernel_hash": hashlib.sha256(hashed.encode()).hexdigest()[:16]}
-    _write({"tails.csv": tails, "self_check.csv": self_check,
+    _write({"tails.csv": [["x", "p_hat", "stderr", "bound13", "bound16"],
+                          *([repr(v) for v in row] for row in tails)],
+            "self_check.csv": [["x", "p_hat", "p_exact", "stderr", "z"],
+                               *([repr(v) for v in row] for row in checks)],
             "manifest.json": json.dumps(manifest, indent=2) + "\n"}, args.out_dir)
     print(f"wrote {Path(args.out_dir)}/tails.csv, self_check.csv, manifest.json; "
-          f"worst self-check z {max(zs):.2f}")
+          f"worst self-check z {max(row[4] for row in checks):.2f}")
     return 0
 
 

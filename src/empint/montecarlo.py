@@ -4,36 +4,37 @@ Estimates are reproducible down to the byte: replicate r draws from
 ``SeedSequence(seed, spawn_key=(r,))`` for a plain integer seed, replicates
 run serially in index order, and every reduction runs over the array.
 
-A replicate is drawn as its occupation counts alone (``replicate_counts``,
-over ``space.draw_counts``), and the statistic of all replicates is
-evaluated at once, in float, as a polynomial in those counts
-(``integrals.eval_batch(f, counts)``, which reads each replicate's n from
-its counts); no resampling shortcuts.  The exact engine runs the same
-evaluation loop over the same polynomial in integers.  Counts drawn once
-can feed several statistics: ``estimate_tail`` takes them as an argument,
-so a caller that also checks the run's replicates draws them once.
-
-The centered indicator of one atom has an exact law, sqrt(n) (B/n - w) with
-B binomial (n, w): ``binomial_band`` decides in integers which B exceed a
-level, for the exact tail and a run's counts alike, ties included.
+A tails run is five stages, each a pure function of those before it:
+draw (``space.draw_counts``: every replicate's occupation counts, drawn
+once), statistic (``integrals.eval_batch``: all replicates at once, in
+float, as a polynomial in the counts), decide (``exceedance``;
+``estimate_tail`` runs statistic and decide), fit (``tail_rows``: both
+bound shapes) and self-check (``self_check``: the centered indicator of
+one atom, sqrt(n) (B/n - w) with B binomial (n, w), decided on the same
+counts by the integer band ``binomial_band`` that also gives its exact
+tail, ties included).  Later work swaps one stage at a time: deciding
+each row exactly in integers replaces decide; a draw whose cost does not
+grow with n replaces draw and, past a size cap, the exact oracle; an
+exact tail for every kernel adds a stage; run statistics time each stage.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .bounds import BoundParams, bernstein_exponent, levels, two_regime_exponent
+from .bounds import (BoundParams, bernstein_exponent, bernstein_tail_bound, levels,
+                     two_regime_exponent, two_regime_tail_bound)
 from .errors import InsufficientTailData, NegativeSeed, RegimeViolation
 from .integrals import eval_batch
 from .kernels import Kernel, l2_norm
-from .space import AtomSpace, draw_counts
+from .space import draw_counts
 
 __all__ = [
-    "McConfig", "TailEstimate", "replicate_counts", "replicate_values", "exceedance",
-    "estimate_tail", "binomial_band", "binomial_tail_oracle", "fit_constants", "auto_grid",
+    "McConfig", "TailEstimate", "exceedance", "estimate_tail", "binomial_band",
+    "binomial_tail_oracle", "fit_constants", "tail_rows", "self_check", "auto_grid",
 ]
 
 _PILOT_OFFSET = 10**9  # pilot replicate streams never collide with the run's
@@ -71,19 +72,6 @@ class TailEstimate:
     sigma: float
 
 
-def replicate_counts(space: AtomSpace, cfg: McConfig, base_offset: int = 0) -> np.ndarray:
-    """The (replicates, n_atoms) occupation counts of every replicate,
-    indexed by replicate number: row r is drawn from the stream of
-    (cfg.seed, base_offset + r)."""
-    return draw_counts(space, cfg.n, cfg.seed, cfg.replicates, base_offset)
-
-
-def replicate_values(f: Kernel, cfg: McConfig, base_offset: int = 0) -> np.ndarray:
-    """The statistic for every replicate, indexed by replicate number; a
-    pure function of (kernel, cfg, base_offset)."""
-    return eval_batch(f, replicate_counts(f.space, cfg, base_offset), ustat=cfg.target == "ustat")
-
-
 def exceedance(values: np.ndarray, x_grid) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """Empirical P(|value| > x) at every level, with binomial standard errors."""
     absvals = np.abs(values)
@@ -95,7 +83,7 @@ def exceedance(values: np.ndarray, x_grid) -> tuple[tuple[float, ...], tuple[flo
 def estimate_tail(f: Kernel, cfg: McConfig, counts: np.ndarray, x_grid) -> TailEstimate:
     """P(|statistic| > x) over the levels ``x_grid`` (checked by
     ``bounds.levels``) with binomial standard errors, read from the run's
-    occupation counts ``replicate_counts(f.space, cfg)``."""
+    occupation counts ``draw_counts(f.space, cfg.n, cfg.seed, cfg.replicates)``."""
     xs = levels(x_grid)
     if counts.shape != (cfg.replicates, f.space.n_atoms) or np.any(counts.sum(axis=1) != cfg.n):
         raise ValueError(f"counts must be {cfg.replicates} rows of {f.space.n_atoms} atoms "
@@ -165,6 +153,38 @@ def fit_constants(est: TailEstimate, form: str = "two_regime") -> BoundParams:
     return BoundParams(c1=math.exp(log_c), c2=alpha)
 
 
+def tail_rows(est: TailEstimate) -> list[tuple[float, float, float, float, float]]:
+    """(x, p_hat, stderr, bound13, bound16) at each level of ``est``, with
+    both bound shapes fitted by ``fit_constants``, whose errors pass
+    through.  A statistic with sigma 0 vanishes identically: its exact tail
+    is zero, nothing is fitted and both bounds read 0.0."""
+    if est.sigma == 0.0:
+        bounds = [(0.0, 0.0)] * len(est.x_grid)
+    else:
+        p13, p16 = fit_constants(est, "two_regime"), fit_constants(est, "bernstein")
+        bounds = [(two_regime_tail_bound(x, est.k, est.sigma, est.n, p13),
+                   bernstein_tail_bound(x, est.k, est.sigma, est.n, p16)) for x in est.x_grid]
+    return [(x, p, se, b13, b16)
+            for x, p, se, (b13, b16) in zip(est.x_grid, est.p_hat, est.stderr, bounds)]
+
+
+def self_check(weight, n: int, b: np.ndarray) -> list[tuple[float, float, float, float, float]]:
+    """(x, p_hat, p_exact, stderr, z) for the centered indicator of an atom
+    of weight w, 0 < w < 1, whose count in each replicate is ``b``: at the
+    levels sqrt(w (1 - w)) t, t in 0.5, 1, 1.5, 2 and 3, ``binomial_band``
+    decides p_hat on ``b`` and the exact tail alike.  stderr is that of the
+    exact tail, so a run that misses a rare level still scores."""
+    w = Fraction(weight)
+    xs = [math.sqrt(w * (1 - w)) * t for t in (0.5, 1.0, 1.5, 2.0, 3.0)]
+    rows = []
+    for x, pe in zip(xs, binomial_tail_oracle(w, n, xs)):
+        lo, hi = binomial_band(w, n, x)
+        p = int(np.count_nonzero((b < lo) | (b > hi))) / len(b)
+        se = math.sqrt(pe * (1.0 - pe) / len(b))
+        rows.append((x, p, pe, se, abs(p - pe) / se if se > 0 else (0.0 if p == pe else math.inf)))
+    return rows
+
+
 def _off_pilot(x: float, attained: np.ndarray) -> float:
     """x, or when x is one of the sorted distinct pilot values, the
     midpoint between it and the nearest one above it (below it when there
@@ -181,8 +201,8 @@ def auto_grid(f: Kernel, cfg: McConfig, points: int) -> tuple[float, ...]:
     """A geometric level grid of ``points`` levels spanning the pilot run's |statistic|
     quantiles, with each end moved off the values the pilot attained.
     Pilot streams are offset so they never reuse run streams."""
-    pilot_cfg = replace(cfg, replicates=PILOT_REPLICATES)
-    values = np.abs(replicate_values(f, pilot_cfg, base_offset=_PILOT_OFFSET))
+    pilot = draw_counts(f.space, cfg.n, cfg.seed, PILOT_REPLICATES, _PILOT_OFFSET)
+    values = np.abs(eval_batch(f, pilot, ustat=cfg.target == "ustat"))
     attained = np.unique(values)
     lo = float(np.quantile(values, _PILOT_LO_Q))
     hi = float(np.quantile(values, _PILOT_HI_Q))

@@ -30,9 +30,8 @@ from empint.integrals import (check_canonical_ustat_identity,
                               check_product_formula, product_formula_terms)
 from empint.kernels import (canonical_project, compact_relabel, integrate_axis,
                             l1_norm, l2_norm_sq, random_kernel, sup_norm)
-from empint.montecarlo import (McConfig, binomial_tail_oracle, estimate_tail,
-                               fit_constants, replicate_counts)
-from empint.space import Sample, make_space, uniform_space
+from empint.montecarlo import McConfig, binomial_tail_oracle, estimate_tail, fit_constants
+from empint.space import Sample, draw_counts, make_space, uniform_space
 
 import _report
 
@@ -379,7 +378,7 @@ def test_11_tail_shape_fit_stable():
     dominated = True
     for seed in (20601, 20602):
         cfg = McConfig(replicates=100000, seed=seed, n=100, target="integral")
-        est = estimate_tail(f, cfg, replicate_counts(sp, cfg), grid)
+        est = estimate_tail(f, cfg, draw_counts(sp, cfg.n, seed, cfg.replicates), grid)
         params = fit_constants(est, "two_regime")
         fits.append(params)
         for x, p in zip(est.x_grid, est.p_hat):

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import empint
+import empint.cli
 import empint.diagrams
 import empint.montecarlo
 import empint.verify
@@ -316,14 +317,16 @@ AUTO_CFG = {**{k: v for k, v in TAILS_CFG.items() if k != "x_grid"},
 @pytest.mark.parametrize("doc, draws", [(TAILS_CFG, 1), (AUTO_CFG, 2)], ids=["x_grid", "auto"])
 def test_tails_draws_each_replicate_once(tmp_path, monkeypatch, doc, draws):
     # the run's counts feed tails.csv and self_check.csv; only the auto
-    # grid's pilot draws a second time
+    # grid's pilot draws a second time.  The run draws in cli, the pilot in
+    # montecarlo
     calls = []
 
     def counting(*args, **kwargs):
         calls.append(args[3])
         return draw_counts(*args, **kwargs)
 
-    monkeypatch.setattr(empint.montecarlo, "draw_counts", counting)
+    for module in (empint.cli, empint.montecarlo):
+        monkeypatch.setattr(module, "draw_counts", counting)
     assert run(["tails", "--config", write_json(tmp_path / "t.json", doc),
                 "--out-dir", str(tmp_path / "out")]) == 0
     assert len(calls) == draws and calls[-1] == doc["replicates"]
@@ -728,7 +731,7 @@ BAD_GRIDS = {"empty": [], "zero": [0.0, 1.0], "negative": [-1.0, 2.0], "nan": [0
 def test_bad_level_grids_are_refused_alike(tmp_path, capsys, grid):
     f = canonical_project(kernel_from_json(make_space(["1/2", "1/2"]), TAILS_CFG["kernel"]))
     cfg = empint.McConfig(20, 1, 5)
-    counts = empint.replicate_counts(f.space, cfg)
+    counts = draw_counts(f.space, cfg.n, cfg.seed, cfg.replicates)
     for refuse in (lambda: empint.levels(grid),
                    lambda: empint.estimate_tail(f, cfg, counts, grid),
                    lambda: empint.regime_report(2, 0.4, 25, grid)):

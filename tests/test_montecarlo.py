@@ -12,9 +12,8 @@ from empint.errors import InsufficientTailData, NegativeSeed, RegimeViolation
 from empint.kernels import (canonical_project, indicator_kernel, kernel_from_values, l2_norm_sq,
                             random_kernel)
 from empint.montecarlo import (McConfig, TailEstimate, auto_grid, binomial_band,
-                               binomial_tail_oracle, estimate_tail, exceedance, fit_constants,
-                               replicate_counts, replicate_values)
-from empint.integrals import eval_integral, eval_ustat
+                               binomial_tail_oracle, estimate_tail, exceedance, fit_constants)
+from empint.integrals import eval_batch, eval_integral, eval_ustat
 from empint.space import draw_counts, make_space, sample_from_counts, uniform_space
 
 
@@ -38,11 +37,10 @@ def test_config_validation():
 def test_replicates_deterministic_across_workers():
     sp = uniform_space(2)
     f = centered_indicator(sp)
-    cfg = McConfig(replicates=500, seed=99, n=12, target="integral")
-    a = replicate_values(f, cfg)
-    b = replicate_values(f, cfg)
+    a = eval_batch(f, draw_counts(sp, 12, 99, 500))
+    b = eval_batch(f, draw_counts(sp, 12, 99, 500))
     assert a.tobytes() == b.tobytes()
-    c = replicate_values(f, McConfig(replicates=500, seed=100, n=12, target="integral"))
+    c = eval_batch(f, draw_counts(sp, 12, 100, 500))
     assert a.tobytes() != c.tobytes()
 
 
@@ -50,8 +48,8 @@ def test_replicates_prefix_stable():
     # growing the replicate count extends the sequence without reshuffling
     sp = uniform_space(2)
     f = centered_indicator(sp)
-    short = replicate_values(f, McConfig(replicates=100, seed=7, n=6, target="integral"))
-    long = replicate_values(f, McConfig(replicates=300, seed=7, n=6, target="integral"))
+    short = eval_batch(f, draw_counts(sp, 6, 7, 100))
+    long = eval_batch(f, draw_counts(sp, 6, 7, 300))
     assert short.tobytes() == long[:100].tobytes()
 
 
@@ -61,8 +59,8 @@ def test_replicates_prefix_stable_across_chunks():
     # depend on which chunk it fell in
     sp = make_space(["1/6", "1/3", "1/2"])
     f = canonical_project(random_kernel(sp, 2, np.random.default_rng(3)))
-    runs = [replicate_values(f, McConfig(replicates=r, seed=8, n=256, target=target))
-            for r in (100, 129, 300) for target in ("integral", "ustat")]
+    runs = [eval_batch(f, draw_counts(sp, 256, 8, r), ustat=ustat)
+            for r in (100, 129, 300) for ustat in (False, True)]
     for short, long in zip(runs, runs[2:]):
         assert short.tobytes() == long[:len(short)].tobytes()
 
@@ -73,9 +71,9 @@ def test_ustat_target_matches_integral_for_canonical():
     # at most one ulp
     sp = make_space(["1/3", "2/3"])
     f = centered_indicator(sp)
-    kw = dict(replicates=200, seed=5, n=8)
-    a = replicate_values(f, McConfig(target="integral", **kw))
-    b = replicate_values(f, McConfig(target="ustat", **kw))
+    counts = draw_counts(sp, 8, 5, 200)
+    a = eval_batch(f, counts)
+    b = eval_batch(f, counts, ustat=True)
     assert np.allclose(a, b, rtol=0, atol=1e-14)
 
 
@@ -108,7 +106,7 @@ def test_estimate_tail_matches_binomial_oracle():
     n = 10
     grid = (0.3, 0.6, 0.95)
     cfg = McConfig(replicates=4000, seed=12, n=n, target="integral")
-    est = estimate_tail(f, cfg, replicate_counts(sp, cfg), grid)
+    est = estimate_tail(f, cfg, draw_counts(sp, n, 12, 4000), grid)
     exact = binomial_tail_oracle(F(1, 2), n, grid)
     for p_hat, p, se in zip(est.p_hat, exact, est.stderr):
         band = max(se, math.sqrt(p * (1 - p) / cfg.replicates))
@@ -120,9 +118,9 @@ def test_estimate_tail_reads_given_counts():
     f = centered_indicator(sp)
     cfg = McConfig(replicates=300, seed=12, n=10, target="ustat")
     grid = (0.3, 0.6, 0.95)
-    counts = replicate_counts(sp, cfg)
+    counts = draw_counts(sp, 10, 12, 300)
     est = estimate_tail(f, cfg, counts, grid)
-    assert (est.p_hat, est.stderr) == exceedance(replicate_values(f, cfg), grid)
+    assert (est.p_hat, est.stderr) == exceedance(eval_batch(f, counts, ustat=True), grid)
     for bad in (counts[:-1], counts[:, :1], counts * 2):
         with pytest.raises(ValueError):
             estimate_tail(f, cfg, bad, grid)
@@ -132,9 +130,8 @@ def test_estimate_moments_second_moment():
     # E J^2 = ||f||_2^2 for a canonical arity-1 kernel, independent of n
     sp = make_space(["1/4", "3/4"])
     f = centered_indicator(sp)
-    cfg = McConfig(replicates=4000, seed=77, n=9, target="integral")
-    squares = replicate_values(f, cfg) ** 2
-    se = np.std(squares, ddof=1) / math.sqrt(cfg.replicates)
+    squares = eval_batch(f, draw_counts(sp, 9, 77, 4000)) ** 2
+    se = np.std(squares, ddof=1) / math.sqrt(len(squares))
     assert abs(np.mean(squares) - float(l2_norm_sq(f))) <= 4 * se
 
 
@@ -142,7 +139,7 @@ def test_fit_constants_dominates():
     sp = uniform_space(2)
     f = centered_indicator(sp)
     cfg = McConfig(replicates=3000, seed=21, n=25, target="integral")
-    est = estimate_tail(f, cfg, replicate_counts(sp, cfg), (0.1, 0.25, 0.4, 0.6, 0.8))
+    est = estimate_tail(f, cfg, draw_counts(sp, 25, 21, 3000), (0.1, 0.25, 0.4, 0.6, 0.8))
     for form in ("two_regime", "bernstein"):
         params = fit_constants(est, form=form)
         from empint.bounds import bernstein_tail_bound, two_regime_tail_bound
@@ -175,6 +172,39 @@ def test_fit_constants_rejects_a_rising_tail():
     for form in ("two_regime", "bernstein"):
         with pytest.raises(InsufficientTailData, match="does not decay"):
             fit_constants(est, form=form)
+
+
+
+def test_tail_rows_without_a_statistic_fit_nothing():
+    # sigma 0: fitting these points would raise, as there is no tail at all
+    est = TailEstimate(x_grid=(0.5, 1.0), p_hat=(0.0, 0.0), stderr=(0.0, 0.0), k=1, n=10,
+                       sigma=0.0)
+    assert montecarlo.tail_rows(est) == [(0.5, 0.0, 0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0, 0.0)]
+
+
+def test_tail_rows_bounds_dominate_the_estimate():
+    sp = uniform_space(2)
+    cfg = McConfig(replicates=3000, seed=21, n=25, target="integral")
+    est = estimate_tail(centered_indicator(sp), cfg, draw_counts(sp, 25, 21, 3000),
+                        (0.1, 0.25, 0.4, 0.6, 0.8))
+    rows = montecarlo.tail_rows(est)
+    assert [row[:3] for row in rows] == list(zip(est.x_grid, est.p_hat, est.stderr))
+    for _, p_hat, _, b13, b16 in rows:
+        assert min(b13, b16) >= p_hat - 1e-12
+
+
+def test_self_check_hand_case():
+    # w = 1/2, n = 4, one replicate at each count b = 0..4: the statistic
+    # sqrt(4) (b/4 - 1/2) exceeds x exactly when (b - 2)^2 > 4 x^2
+    b = np.arange(5)
+    xs = [math.sqrt(0.25) * t for t in (0.5, 1.0, 1.5, 2.0, 3.0)]
+    want = []
+    for x, pe in zip(xs, _binomial_tail_by_fraction_pmf(F(1, 2), 4, xs)):
+        p = sum((c - 2) ** 2 > 4 * F(x) ** 2 for c in b) / 5
+        se = math.sqrt(pe * (1 - pe) / 5)
+        want.append((x, p, pe, se, abs(p - pe) / se if se else 0.0))
+    assert [row[1] for row in want] == [0.8, 0.4, 0.4, 0.0, 0.0]
+    assert montecarlo.self_check(F(1, 2), 4, b) == want
 
 
 @pytest.mark.parametrize("x, steps", [(0.35, 4), (0.65, 7), (0.95, 10), (0.3, 3), (0.4, 5),
@@ -237,8 +267,8 @@ def test_auto_grid_levels_avoid_pilot_values(kernel, target, n):
     for seed in (1, 2, 3):
         cfg = McConfig(replicates=100, seed=seed, n=n, target=target)
         grid = auto_grid(f, cfg, points=12)
-        pilot = np.abs(replicate_values(f, McConfig(1000, seed, n, target),
-                                        base_offset=montecarlo._PILOT_OFFSET))
+        pilot = np.abs(eval_batch(f, draw_counts(sp, n, seed, 1000, montecarlo._PILOT_OFFSET),
+                                  ustat=target == "ustat"))
         assert not set(grid) & set(pilot.tolist())
         assert 0 < grid[0] < grid[-1]
 
