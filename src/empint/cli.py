@@ -13,10 +13,10 @@ Subcommands:
                suites longest first from a pipe; the report and stdout are
                the same for every N
     tails      Monte Carlo tail estimation for a configured kernel;
-               writes tails.csv, self_check.csv and a run manifest.  The
-               config and the level grid are checked before the run's
-               replicates are drawn, once; the ``montecarlo`` stages then
-               give the rows of both files from those counts
+               writes tails.csv, self_check.csv and a run manifest: the
+               config and grid are checked, the replicates drawn once and
+               the ``montecarlo`` stages give both files' rows; the self
+               check reads the first atom of weight in (0, 1), if any
     constants  export the exact constant tables as CSV; a table with an
                integer past the interpreter's int-to-str digit limit
                exits 2 and writes no file
@@ -223,8 +223,10 @@ def cmd_tails(args) -> int:
         tails = montecarlo.tail_rows(est)
     except EmpintError as e:
         raise MalformedInput(f"cannot fit bound constants: {e}") from e
-    # the centered indicator of atom 0, decided on the same counts
-    checks = montecarlo.self_check(space.weights[0], mc.n, counts[:, 0])
+    # the first atom whose indicator varies; none when one atom holds all the weight
+    atom = next((a for a, w in enumerate(space.weights) if 0 < w < 1), None)
+    checks = [] if atom is None else montecarlo.self_check(space.weights[atom], mc.n,
+                                                           counts[:, atom])
 
     # the space, the kernel as written and canonicalize
     hashed = json.dumps({"space": {"weights": [format_scalar(w) for w in space.weights]},
@@ -238,8 +240,9 @@ def cmd_tails(args) -> int:
             "self_check.csv": [["x", "p_hat", "p_exact", "stderr", "z"],
                                *([repr(v) for v in row] for row in checks)],
             "manifest.json": json.dumps(manifest, indent=2) + "\n"}, args.out_dir)
-    print(f"wrote {Path(args.out_dir)}/tails.csv, self_check.csv, manifest.json; "
-          f"worst self-check z {max(row[4] for row in checks):.2f}")
+    print(f"wrote {Path(args.out_dir)}/tails.csv, self_check.csv, manifest.json; " + (
+        f"worst self-check z {max(row[4] for row in checks):.2f}" if checks
+        else "no self-check ran: one atom holds all the weight"))
     return 0
 
 

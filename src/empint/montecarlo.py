@@ -5,17 +5,16 @@ Estimates are reproducible down to the byte: replicate r draws from
 run serially in index order, and every reduction runs over the array.
 
 A tails run is five stages, each a pure function of those before it:
-draw (``space.draw_counts``: every replicate's occupation counts, drawn
-once), statistic (``integrals.eval_batch``: all replicates at once, in
-float, as a polynomial in the counts), decide (``exceedance``;
-``estimate_tail`` runs statistic and decide), fit (``tail_rows``: both
-bound shapes) and self-check (``self_check``: the centered indicator of
-one atom, sqrt(n) (B/n - w) with B binomial (n, w), decided on the same
-counts by the integer band ``binomial_band`` that also gives its exact
-tail, ties included).  Later work swaps one stage at a time: deciding
-each row exactly in integers replaces decide; a draw whose cost does not
-grow with n replaces draw and, past a size cap, the exact oracle; an
-exact tail for every kernel adds a stage; run statistics time each stage.
+draw (``space.draw_counts``, once), statistic (``integrals.eval_batch``:
+all replicates at once, in float, as a polynomial in the counts), decide
+(``exceedance``, inside ``estimate_tail``), fit (``tail_rows``) and
+self-check (``self_check``: the centered indicator of one atom,
+sqrt(n) (B/n - w) with B binomial (n, w), decided on the same counts by
+the integer band ``binomial_band`` that also gives its exact tail).
+Later work swaps one stage at a time: exact integer decisions replace
+decide; a draw whose cost does not grow with n replaces draw and, past a
+size cap, the exact oracle; an exact tail for every kernel adds a stage;
+run statistics time each stage.
 """
 from __future__ import annotations
 
@@ -158,23 +157,24 @@ def tail_rows(est: TailEstimate) -> list[tuple[float, float, float, float, float
     both bound shapes fitted by ``fit_constants``, whose errors pass
     through.  A statistic with sigma 0 vanishes identically: its exact tail
     is zero, nothing is fitted and both bounds read 0.0."""
+    rows = zip(est.x_grid, est.p_hat, est.stderr)
     if est.sigma == 0.0:
-        bounds = [(0.0, 0.0)] * len(est.x_grid)
-    else:
-        p13, p16 = fit_constants(est, "two_regime"), fit_constants(est, "bernstein")
-        bounds = [(two_regime_tail_bound(x, est.k, est.sigma, est.n, p13),
-                   bernstein_tail_bound(x, est.k, est.sigma, est.n, p16)) for x in est.x_grid]
-    return [(x, p, se, b13, b16)
-            for x, p, se, (b13, b16) in zip(est.x_grid, est.p_hat, est.stderr, bounds)]
+        return [(x, p, se, 0.0, 0.0) for x, p, se in rows]
+    p13, p16 = fit_constants(est, "two_regime"), fit_constants(est, "bernstein")
+    return [(x, p, se, two_regime_tail_bound(x, est.k, est.sigma, est.n, p13),
+             bernstein_tail_bound(x, est.k, est.sigma, est.n, p16)) for x, p, se in rows]
 
 
 def self_check(weight, n: int, b: np.ndarray) -> list[tuple[float, float, float, float, float]]:
     """(x, p_hat, p_exact, stderr, z) for the centered indicator of an atom
-    of weight w, 0 < w < 1, whose count in each replicate is ``b``: at the
-    levels sqrt(w (1 - w)) t, t in 0.5, 1, 1.5, 2 and 3, ``binomial_band``
-    decides p_hat on ``b`` and the exact tail alike.  stderr is that of the
-    exact tail, so a run that misses a rare level still scores."""
+    of weight w, 0 < w < 1 (else ValueError), with count ``b`` in each
+    replicate: at the levels sqrt(w (1 - w)) t, t in 0.5, 1, 1.5, 2 and 3,
+    ``binomial_band`` decides p_hat on ``b`` and the exact tail alike.
+    stderr is that of the exact tail, so a run that misses a rare level
+    still scores."""
     w = Fraction(weight)
+    if not 0 < w < 1:
+        raise ValueError(f"the indicator of an atom of weight {w} does not vary")
     xs = [math.sqrt(w * (1 - w)) * t for t in (0.5, 1.0, 1.5, 2.0, 3.0)]
     rows = []
     for x, pe in zip(xs, binomial_tail_oracle(w, n, xs)):

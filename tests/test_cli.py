@@ -469,6 +469,34 @@ def test_self_check_z_uses_the_exact_tail(tmp_path):
     assert z == pytest.approx(p_exact / stderr) and z > 0
 
 
+
+def test_self_check_reads_the_first_atom_that_varies(tmp_path, capsys):
+    # atom 0 has weight 0, so its indicator never varies; atom 1's does
+    doc = {**TAILS_CFG, "space": {"weights": ["0", "1/2", "1/2"]},
+           "kernel": {"arity": 1, "values": ["0", "1", "0"]}}
+    out = tmp_path / "out"
+    assert run(["tails", "--config", write_json(tmp_path / "t.json", doc),
+                "--out-dir", str(out)]) == 0
+    xs, p_hat, p_exact, _, zs = _csv_columns(out / "self_check.csv")
+    assert xs == [math.sqrt(F(1, 4)) * t for t in (0.5, 1.0, 1.5, 2.0, 3.0)]
+    n, R = doc["n"], doc["replicates"]
+    counts = draw_counts(make_space(doc["space"]["weights"]), n, doc["seed"], R)
+    assert p_hat == _band_counts(counts[:, 1:], F(1, 2), n, xs)
+    assert p_exact == binomial_tail_oracle(F(1, 2), n, xs)
+    assert 0 < max(zs) <= 4.0
+    assert f"worst self-check z {max(zs):.2f}" in capsys.readouterr().out
+
+
+def test_self_check_without_an_atom_that_varies_writes_its_header(tmp_path, capsys):
+    # one atom holds all the weight: no indicator varies and nothing is checked
+    doc = {**TAILS_CFG, "space": {"weights": ["1"]}, "kernel": {"arity": 1, "values": ["1"]}}
+    out = tmp_path / "out"
+    assert run(["tails", "--config", write_json(tmp_path / "t.json", doc),
+                "--out-dir", str(out)]) == 0
+    assert (out / "self_check.csv").read_text() == "x,p_hat,p_exact,stderr,z\n"
+    assert capsys.readouterr().out.endswith("; no self-check ran: one atom holds all the weight\n")
+
+
 def test_tails_rejects_nonpositive_workers(tmp_path, capsys):
     cfg = write_json(tmp_path / "cfg.json", TAILS_CFG)
     assert run(["tails", "--config", cfg, "--out-dir", str(tmp_path / "o"),

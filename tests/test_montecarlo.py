@@ -205,6 +205,9 @@ def test_self_check_hand_case():
         want.append((x, p, pe, se, abs(p - pe) / se if se else 0.0))
     assert [row[1] for row in want] == [0.8, 0.4, 0.4, 0.0, 0.0]
     assert montecarlo.self_check(F(1, 2), 4, b) == want
+    for w in (0, 1):  # the indicator of such an atom does not vary
+        with pytest.raises(ValueError):
+            montecarlo.self_check(w, 4, b)
 
 
 @pytest.mark.parametrize("x, steps", [(0.35, 4), (0.65, 7), (0.95, 10), (0.3, 3), (0.4, 5),
