@@ -235,10 +235,9 @@ def cmd_tails(args) -> int:
     manifest = {"seed": mc.seed, "replicates": mc.replicates, "n": mc.n, "target": mc.target,
                 **provenance, "version": __version__,
                 "kernel_hash": hashlib.sha256(hashed.encode()).hexdigest()[:16]}
-    _write({"tails.csv": [["x", "p_hat", "stderr", "bound13", "bound16"],
-                          *([repr(v) for v in row] for row in tails)],
-            "self_check.csv": [["x", "p_hat", "p_exact", "stderr", "z"],
-                               *([repr(v) for v in row] for row in checks)],
+    # csv writes a float as its repr, the shortest string that reads back as it
+    _write({"tails.csv": [["x", "p_hat", "stderr", "bound13", "bound16"], *tails],
+            "self_check.csv": [["x", "p_hat", "p_exact", "stderr", "z"], *checks],
             "manifest.json": json.dumps(manifest, indent=2) + "\n"}, args.out_dir)
     print(f"wrote {Path(args.out_dir)}/tails.csv, self_check.csv, manifest.json; " + (
         f"worst self-check z {max(row[4] for row in checks):.2f}" if checks

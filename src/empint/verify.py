@@ -178,7 +178,8 @@ def run_suite_dominance(res: SuiteResult, rng: np.random.Generator) -> None:
     """Transformed certificates really dominate the contraction, at the
     exact rank target; the rank-1 fallback also verifies.  The atoms'
     weights differ, so a step that reads them in the wrong order fails.
-    Certificates wrong by construction are refused."""
+    Certificates wrong by construction are refused; each input one also
+    verifies at its largest factor's squared norm as ``norms`` reads it."""
     sp = space.make_space(["1/6", "1/3", "1/2"])
     shapes = [(1, ((1,),)), (2, ((1,), (2,))), (2, ((1, 2),))]
     for (k1, b1), (k2, b2) in itertools.product(shapes, repeat=2):
@@ -186,9 +187,12 @@ def run_suite_dominance(res: SuiteResult, rng: np.random.Generator) -> None:
         g, cg = dominance.random_dominated_pair(sp, b2, rng)
         s2 = max(cf.sigma_sq, cg.sigma_sq)
         cf, cg = dominance.relax_sigma(cf, s2), dominance.relax_sigma(cg, s2)
-        res.record(dominance.verify_certificate(f, cf), 0.0, "input certificate f")
-        res.record(dominance.verify_certificate(g, cg), 0.0, "input certificate g")
         for name, h, ch in (("f", f, cf), ("g", g, cg)):
+            res.record(dominance.verify_certificate(h, ch), 0.0, f"input certificate {name}")
+            exact = max(kernels.labeled_product(sp, [(u, u.axis_labels)] * 2, (), u.axis_labels)
+                        .values[()] for u in ch.factors) or ch.sigma_sq  # vanishing factors
+            res.record(dominance.verify_certificate(h, dominance.DominanceCertificate(
+                exact, ch.factors)), 0.0, f"input certificate {name} at the exact norm")
             above_product, above_one = _wrong_certificates(h, ch)
             res.record(not dominance.verify_certificate(*above_product), 0.0,
                        f"kernel entry past the factor product accepted for {name}")

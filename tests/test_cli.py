@@ -111,14 +111,14 @@ def test_verify_output_independent_of_workers(tmp_path, capsys, seed):
     assert reports[1:] == reports[:1] * 2 and outs[1:] == outs[:1] * 2
 
 
-# sha256 of the report and of stdout, recorded when the norms, dominance and
-# constants suites gained their exact-value checks and negative controls;
+# sha256 of the report and of stdout, recorded when the dominance suite
+# gained its input certificates at their factors' exact norms (339 checks);
 # every optimization must keep these bytes
 @pytest.mark.parametrize("seed, report_digest, out_digest", [
-    pytest.param(2024, "bc56456529cf8f81e24ca589b329e4eaa0f66d498e15e446aec2238bd8c4bba9",
-                 "60296ed7d8429cea7fef28252f469b9a9516dd19a0c6cbffdc9eb393282ef6c5", id="2024"),
-    pytest.param(77, "e744535fe4aaa6d2be3a7dbffe8494cfa026af70b29e7539a95cb4a14ade9dc3",
-                 "60296ed7d8429cea7fef28252f469b9a9516dd19a0c6cbffdc9eb393282ef6c5", id="77"),
+    pytest.param(2024, "21847a4470c6a8b3c987c6fab2d44eddbf392e36634c5fe6095fa78a8c75a287",
+                 "ced422c2b5c06eceadacc70796498d57d15b1aae97b999a4e3bf5a3b3b279cb7", id="2024"),
+    pytest.param(77, "8443e1c646edead78ff25474834aa4c4dec2e8e3cec254db463cfcfe4e467dca",
+                 "ced422c2b5c06eceadacc70796498d57d15b1aae97b999a4e3bf5a3b3b279cb7", id="77"),
 ])
 def test_verify_bytes_are_pinned(tmp_path, capsys, seed, report_digest, out_digest):
     report = tmp_path / "report.json"
