@@ -190,7 +190,7 @@ def run_suite_dominance(res: SuiteResult, rng: np.random.Generator) -> None:
         for name, h, ch in (("f", f, cf), ("g", g, cg)):
             res.record(dominance.verify_certificate(h, ch), 0.0, f"input certificate {name}")
             exact = max(kernels.labeled_product(sp, [(u, u.axis_labels)] * 2, (), u.axis_labels)
-                        .values[()] for u in ch.factors) or ch.sigma_sq  # vanishing factors
+                        .values[()] for u in ch.factors) or ch.sigma_sq  # zero factors: any budget
             res.record(dominance.verify_certificate(h, dominance.DominanceCertificate(
                 exact, ch.factors)), 0.0, f"input certificate {name} at the exact norm")
             above_product, above_one = _wrong_certificates(h, ch)
