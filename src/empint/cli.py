@@ -37,6 +37,7 @@ import math
 import os
 import sys
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -177,7 +178,9 @@ def _write(files: dict, out_dir: str = "") -> None:
 
 def cmd_verify(args) -> int:
     cfg = _read_config(args.config, SCHEMAS["verify"])
-    results = verify.run_all(cfg["seed"], cfg["suites"], workers=args.workers)
+    workers = args.workers or (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                               else os.cpu_count() or 1)  # read per call: the parser is cached
+    results = verify.run_all(cfg["seed"], cfg["suites"], workers=workers)
     report = {"schema": REPORT_SCHEMA, "seed": cfg["seed"], "mode": cfg["mode"],
               "results": [r.as_dict() for r in results]}
     if args.report:
@@ -295,7 +298,9 @@ def cmd_bounds(args) -> int:
 
 # -- entry point ------------------------------------------------------------
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """Built once per process: ``cmd_verify`` and ``main`` read CPUs and command per call."""
     codes = ", ".join(f"{code} {name}" for name, (code, _) in verify.SUITES.items())
     ap = argparse.ArgumentParser(
         prog="empint",
@@ -307,24 +312,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="JSON config with seed/mode/suites")
     p.add_argument("--report", help="where to write the JSON report")
     p.add_argument("--workers", type=int, help="processes to run the suites on, this one "
-                   "included (default: the usable CPUs); 1 runs them in this process alone",
-                   default=len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                   else os.cpu_count() or 1)
-    p.set_defaults(func=cmd_verify)
+                   "included (default: the usable CPUs); 1 runs them in this process alone")
 
     p = sub.add_parser("tails", help="Monte Carlo tail estimation")
     p.add_argument("--config", required=True, help="JSON run configuration")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--workers", type=int, default=1,
                    help="accepted for compatibility; replicates always run serially")
-    p.set_defaults(func=cmd_tails)
 
     p = sub.add_parser("constants", help="export exact constant tables")
     p.add_argument("--k-max", type=int, default=6)
     p.add_argument("--m-max", type=int, default=12)
     p.add_argument("--n-max", type=int, default=12)
     p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=cmd_constants)
 
     p = sub.add_parser("bounds", help="tabulate tail bounds over a grid")
     p.add_argument("--k", type=int, required=True)
@@ -333,7 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x-grid", required=True, help="lo:hi:num (geometric) or x1,x2,...")
     p.add_argument("--constants-file", help="JSON with C/alpha/c1/c2")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_bounds)
     return ap
 
 
@@ -341,9 +340,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         for dest, spec in _FLAGS.items():
-            if dest in vars(args):
+            if vars(args).get(dest) is not None:
                 _check("--" + dest.replace("_", "-"), vars(args)[dest], spec)
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except MalformedInput as e:
         print(f"configuration error: {e}", file=sys.stderr)
         return 2

@@ -18,6 +18,7 @@ run statistics time each stage.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -109,16 +110,20 @@ def binomial_tail_oracle(weight, n: int, x_grid) -> list[float]:
     outside ``binomial_band`` at each level.  Exact in rationals, returned
     as floats.
 
-    With w = p/q every pmf term is C(n, b) p^b (q - p)^(n - b) / q^n, so the
-    sum runs over integer numerators and divides once."""
+    With w = p/q each pmf term is t(b) / q^n, where t(0) = (q - p)^n and
+    t(b + 1) = t(b) (n - b) p // ((b + 1) (q - p)) exactly (at w = 0 or 1
+    all mass is at b = n w): O(n) integer steps, not a power per term.  One
+    prefix sum gives each level's two tails; int / int rounds correctly."""
     w = Fraction(weight)
     p, q = w.numerator, w.denominator
-    numer = [math.comb(n, b) * p**b * (q - p) ** (n - b) for b in range(n + 1)]
-    out = []
-    for x in x_grid:
-        lo, hi = binomial_band(w, n, x)
-        out.append(float(Fraction(sum(numer[:max(lo, 0)]) + sum(numer[hi + 1:]), q**n)))
-    return out
+    if p in (0, q):
+        numer = [int(b == n * p) for b in range(n + 1)]
+    else:
+        numer = [t := (q - p) ** n]
+        numer += [t := t * (n - b) * p // ((b + 1) * (q - p)) for b in range(n)]
+    below = [0, *itertools.accumulate(numer)]  # below[b]: the mass at counts < b
+    return [(below[max(lo, 0)] + below[-1] - below[min(hi + 1, n + 1)]) / q**n
+            for lo, hi in (binomial_band(w, n, x) for x in x_grid)]
 
 
 def fit_constants(est: TailEstimate, form: str = "two_regime") -> BoundParams:

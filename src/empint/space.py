@@ -39,7 +39,7 @@ import operator
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -312,19 +312,29 @@ def _direct_write() -> bool:
     return bitgen.state == _state_dict(probe[0])
 
 
-def _row_setter(bitgen: np.random.PCG64, states: np.ndarray) -> Callable[[int], None]:
-    """A function that starts ``bitgen`` at row r of ``states``: one 32-byte
-    copy into its C state when ``_direct_write`` holds, numpy's public
-    ``state`` setter otherwise.  A fresh PCG64 holds no buffered 32-bit
-    value, and ``random()`` never buffers one, so nothing else needs a
-    write.  Memory safety rests on ``states`` being C-contiguous (R, 4)
-    uint64 and on r in range(R)."""
+class _PublicState:
+    """``self[:] = row``, a row's 32 bytes, through PCG64's public ``state`` setter."""
+
+    def __init__(self, bitgen: np.random.PCG64):
+        self.bitgen = bitgen
+
+    def __setitem__(self, _, row) -> None:
+        self.bitgen.state = _state_dict(np.frombuffer(row, np.uint64))
+
+
+def _row_setter(bitgen: np.random.PCG64, states: np.ndarray) -> tuple:
+    """``(here, rows)``: ``here[:] = rows[32 * r:32 * r + 32]`` starts ``bitgen``
+    at row r of ``states``.  ``rows`` views the bytes of ``states``; ``here``
+    those of its C state if ``_direct_write`` holds, else a ``_PublicState``.
+    A fresh PCG64 holds no buffered 32-bit value, and ``random()`` never
+    buffers one, so nothing else needs a write.  Memory safety rests on
+    ``states`` being C-contiguous (R, 4) uint64 and ``bitgen`` outliving ``here``."""
     if states.dtype != np.uint64 or states.shape[1:] != (4,) or not states.flags.c_contiguous:
         raise ValueError("PCG64 states must be a C-contiguous (R, 4) uint64 array")
+    rows = memoryview(states).cast("B")
     if not _direct_write():
-        return lambda r: setattr(bitgen, "state", _state_dict(states[r]))
-    here, rows, memmove = _state_address(bitgen), states.ctypes.data, ctypes.memmove
-    return lambda r: memmove(here, rows + 32 * r, 32)
+        return _PublicState(bitgen), rows
+    return memoryview((ctypes.c_char * 32).from_address(_state_address(bitgen))).cast("B"), rows
 
 
 _CHUNK_UNIFORMS = 2**15  # uniforms buffered at once by draw_counts (256 KiB)
@@ -339,7 +349,7 @@ def draw_counts(space: AtomSpace, n: int, seed: int, replicates: int,
 
     Every row's PCG64 state comes from one ``replicate_seeds`` pass and
     one ``_pcg_states`` pass, and starts one reused generator
-    (``_row_setter``): a 32-byte copy into its C state where
+    (``_row_setter``): a 32-byte memoryview copy into its C state where
     ``_direct_write`` holds, the public ``state`` setter elsewhere.
     Rather than locating every uniform, it counts the uniforms at or above
     each cut; consecutive differences of those tallies are the counts."""
@@ -349,19 +359,20 @@ def draw_counts(space: AtomSpace, n: int, seed: int, replicates: int,
     states = _pcg_states(replicate_seeds(seed, range(base_offset, base_offset + replicates)))
     bitgen = np.random.PCG64(0)
     gen = np.random.Generator(bitgen)
-    start_at = _row_setter(bitgen, states)
+    here, rows = _row_setter(bitgen, states)
     out = np.zeros((replicates, space.n_atoms), dtype=np.int64)
     buf = np.empty((max(1, min(replicates, _CHUNK_UNIFORMS // max(n, 1))), n))
+    views = list(buf)
     for start in range(0, replicates, len(buf)):
-        rows = min(len(buf), replicates - start)
-        for j in range(rows):
-            start_at(start + j)
-            gen.random(out=buf[j])
-        at_or_above = np.zeros((rows, len(cuts) + 2), dtype=np.int64)
+        size = min(len(buf), replicates - start)
+        for lo, view in zip(range(32 * start, 32 * (start + size), 32), views):
+            here[:] = rows[lo:lo + 32]
+            gen.random(out=view)
+        at_or_above = np.zeros((size, len(cuts) + 2), dtype=np.int64)
         at_or_above[:, 0] = n
         for a, cut in enumerate(cuts, start=1):
-            at_or_above[:, a] = np.count_nonzero(buf[:rows] >= cut, axis=1)
-        out[start:start + rows, :len(cuts) + 1] = -np.diff(at_or_above, axis=1)
+            at_or_above[:, a] = np.count_nonzero(buf[:size] >= cut, axis=1)
+        out[start:start + size, :len(cuts) + 1] = -np.diff(at_or_above, axis=1)
     return out
 
 

@@ -98,6 +98,42 @@ def test_verify_reports_failing_suite_code(tmp_path, monkeypatch, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_verify_reads_the_usable_cpus_per_call(tmp_path, monkeypatch):
+    # the parser is built once per process, so the default --workers is the
+    # CPU count at each call, not at the first
+    assert empint.cli.build_parser() is empint.cli.build_parser()
+    real, seen = empint.verify.run_all, []
+
+    def spy(seed, suites, workers):
+        seen.append(workers)
+        return real(seed, suites, workers=workers)
+
+    monkeypatch.setattr(empint.verify, "run_all", spy)
+    cfg = write_json(tmp_path / "cfg.json", {"suites": ["constants"]})
+    for cpus in ({0}, {0, 1, 2}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus, raising=False)
+        assert run(["verify", "--config", cfg]) == 0
+    assert seen == [1, 3]
+
+
+BOUNDS_ARGV = ["bounds", "--k", "2", "--sigma", "0.5", "--n", "10", "--x-grid", "1,2"]
+
+
+def test_main_runs_the_command_function_current_at_the_call(tmp_path, monkeypatch):
+    empint.cli.build_parser()
+    monkeypatch.setattr(empint.cli, "cmd_bounds", lambda args: 7 if args.k == 2 else 0)
+    assert run([*BOUNDS_ARGV, "--out", str(tmp_path / "b.csv")]) == 7
+    assert not (tmp_path / "b.csv").exists()
+
+
+def test_an_argparse_error_leaves_the_next_call_working(tmp_path, capsys):
+    with pytest.raises(SystemExit) as e:
+        run(["bounds", "--k", "two", "--out", str(tmp_path / "b.csv")])
+    assert e.value.code == 2 and "--k" in capsys.readouterr().err
+    assert run([*BOUNDS_ARGV, "--out", str(tmp_path / "b.csv")]) == 0
+    assert (tmp_path / "b.csv").read_text().startswith("x,bound13,bound16")
+
+
 @pytest.mark.parametrize("seed", [2024, 12345, None])
 def test_verify_output_independent_of_workers(tmp_path, capsys, seed):
     # None: no config, the default seed; 6 workers is one process per suite
@@ -530,6 +566,18 @@ def test_tails_zero_kernel_writes_zero_file(tmp_path):
     for _, p_hat, stderr, b13, b16 in rows[1:]:
         assert (float(p_hat), float(stderr), float(b13), float(b16)) \
             == (0.0, 0.0, 0.0, 0.0)
+
+
+def test_tails_constant_kernel_with_a_grid_is_config_error(tmp_path, capsys):
+    # a nonzero norm, yet the centered integral is 0 on every sample: the run
+    # cannot tell that from a tail below 1/R at every level, so it fits nothing
+    cfg_doc = {**TAILS_CFG, "kernel": {"arity": 1, "values": ["1", "1"]}, "canonicalize": False}
+    out = tmp_path / "out"
+    assert run(["tails", "--config", write_json(tmp_path / "t.json", cfg_doc),
+                "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == ("configuration error: cannot fit bound constants: "
+                                       "only 0 nonzero tail points, need 3\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("change", [

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from _oracle import refine
-from _strategies import exact_kernels
+from _strategies import PROPERTY, exact_kernels
 from empint import montecarlo
 from empint.errors import InsufficientTailData, NegativeSeed, RegimeViolation
 from empint.kernels import (canonical_project, indicator_kernel, kernel_from_values, l2_norm_sq,
@@ -98,6 +98,30 @@ def _binomial_tail_by_fraction_pmf(weight, n, x_grid):
 def test_binomial_oracle_matches_fraction_pmf(weight, n):
     grid = [0.05, 0.25, 0.5, math.sqrt(0.5), 1.0, 1.5, 3.0]
     assert binomial_tail_oracle(weight, n, grid) == _binomial_tail_by_fraction_pmf(weight, n, grid)
+
+
+@PROPERTY
+@given(st.integers(1, 12).flatmap(lambda q: st.tuples(st.integers(0, q), st.just(q))),
+       st.integers(0, 300))
+def test_binomial_oracle_matches_fraction_pmf_property(pq, n):
+    # every w = p/q with q <= 12, w = 0 and w = 1 included
+    grid = [0.05, 0.25, 0.5, math.sqrt(0.5), 1.0, 1.5, 3.0]
+    w = F(*pq)
+    assert binomial_tail_oracle(w, n, grid) == _binomial_tail_by_fraction_pmf(w, n, grid)
+
+
+@pytest.mark.parametrize("weight", [F(1, 6), F(5, 12)])
+def test_binomial_oracle_at_n_2000_matches_the_power_form(weight):
+    # the reference is the form the recurrence replaced: every numerator
+    # C(n, b) p^b (q - p)^(n - b) from its powers, each tail a slice sum
+    n, p, q = 2000, weight.numerator, weight.denominator
+    xs = [math.sqrt(weight * (1 - weight)) * t for t in (0.5, 1.0, 1.5, 2.0, 3.0)]
+    numer = [math.comb(n, b) * p**b * (q - p) ** (n - b) for b in range(n + 1)]
+    want = []
+    for x in xs:
+        lo, hi = binomial_band(weight, n, x)
+        want.append(float(F(sum(numer[:max(lo, 0)]) + sum(numer[hi + 1:]), q**n)))
+    assert binomial_tail_oracle(weight, n, xs) == want
 
 
 def test_estimate_tail_matches_binomial_oracle():
