@@ -99,7 +99,7 @@ def two_regime_tail_bound(x: float, k: int, sigma: float, n: int,
     a sample of size n can no longer mimic Gaussian behavior.
     """
     _validate(x, k, sigma, n)
-    return params.C * math.exp(-params.alpha * two_regime_exponent(x, k, sigma, n))
+    return _exp_bound(params.C, params.alpha, two_regime_exponent(x, k, sigma, n))[0]
 
 
 def bernstein_tail_bound(x: float, k: int, sigma: float, n: int,
@@ -111,7 +111,7 @@ def bernstein_tail_bound(x: float, k: int, sigma: float, n: int,
     whose denominator interpolates the same two regimes smoothly.
     """
     _validate(x, k, sigma, n)
-    return params.c1 * math.exp(-params.c2 * bernstein_exponent(x, k, sigma, n))
+    return _exp_bound(params.c1, params.c2, bernstein_exponent(x, k, sigma, n))[0]
 
 
 def _is_power_of_two(M: int) -> bool:
@@ -150,24 +150,24 @@ def moment_growth_bound(k: int, M: int, sigma: float, n: int, C: float,
     return main * deficit
 
 
-def _log_bound(bound: float, lead: float, rate: float, exponent: float) -> float:
-    """log(bound) for bound = lead * exp(-rate * exponent), from the factors
-    when the bound underflows to 0."""
-    return math.log(bound) if bound > 0 else math.log(lead) - rate * exponent
+def _exp_bound(lead: float, rate: float, exponent: float) -> tuple[float, float]:
+    """The bound lead * exp(-rate * exponent) and its log, the log from the
+    factors when the bound underflows to 0."""
+    bound = lead * math.exp(-rate * exponent)
+    return bound, math.log(bound) if bound > 0 else math.log(lead) - rate * exponent
 
 
 def regime_report(k: int, sigma: float, n: int, x_grid, params: BoundParams = BoundParams()):
     """Rows (x, two-regime bound, Bernstein bound, active branch, log ratio)
     over ``levels(x_grid)``.  The active branch flips from 'gaussian' to
-    'empirical' exactly once, at the crossover level."""
+    'empirical' exactly once, at the crossover level.  Each level's two
+    exponents are computed once, for its bound and its log alike."""
     xs = levels(x_grid)
     xc = crossover_level(k, sigma, n)
+    _validate(xs[0], k, sigma, n)  # the levels are positive; k, sigma and n are the same for all
     rows = []
     for x in xs:
-        b13 = two_regime_tail_bound(x, k, sigma, n, params)
-        b16 = bernstein_tail_bound(x, k, sigma, n, params)
-        branch = "gaussian" if x <= xc else "empirical"
-        log13 = _log_bound(b13, params.C, params.alpha, two_regime_exponent(x, k, sigma, n))
-        log16 = _log_bound(b16, params.c1, params.c2, bernstein_exponent(x, k, sigma, n))
-        rows.append((x, b13, b16, branch, log13 - log16))
+        b13, log13 = _exp_bound(params.C, params.alpha, two_regime_exponent(x, k, sigma, n))
+        b16, log16 = _exp_bound(params.c1, params.c2, bernstein_exponent(x, k, sigma, n))
+        rows.append((x, b13, b16, "gaussian" if x <= xc else "empirical", log13 - log16))
     return rows

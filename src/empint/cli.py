@@ -25,7 +25,9 @@ Subcommands:
 All seeds come from configuration; no reproducible artifact depends on the
 clock.  Config files and range-checked flags are read through one table in
 JSON Schema's keywords (``SCHEMAS``, ``_FLAGS``); a value outside it, an
-unreadable config or an output path that cannot be written exits 2.
+unreadable config or an output path that cannot be written exits 2, as
+argparse's own usage errors do.  ``main`` returns the exit code in every
+case, ``--help`` included (0), and raises no ``SystemExit``.
 """
 from __future__ import annotations
 
@@ -337,7 +339,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as e:  # argparse has printed the usage error (2) or --help (0)
+        return e.code
     try:
         for dest, spec in _FLAGS.items():
             if vars(args).get(dest) is not None:

@@ -109,6 +109,22 @@ def _monomials(table: np.ndarray, scale: int, atoms: int) -> tuple:
     return tuple((c * scale, key) for key, c in zip(pairs, coeffs.tolist()) if c)
 
 
+@functools.cache
+def _axis_last(ndim: int, axis: int) -> tuple[int, ...]:
+    """The transpose that moves ``axis`` of an ndim-axis table last."""
+    return (*range(axis), *range(axis + 1, ndim), axis)
+
+
+def _integrate(t: np.ndarray, axis: int, column: np.ndarray) -> np.ndarray:
+    """``np.tensordot(t, w, axes=([axis], [0]))`` for ``column`` = w as an
+    (atoms, 1) array, by the transpose, reshape and ``np.dot`` that
+    tensordot runs, without its per-call axis bookkeeping: float results
+    are tensordot's bit for bit."""
+    kept = t.shape[:axis] + t.shape[axis + 1:]
+    flat = t.transpose(_axis_last(t.ndim, axis)).reshape(math.prod(kept), len(column))
+    return np.dot(flat, column).reshape(kept)
+
+
 def _count_polynomial(f: Kernel) -> _CountPolynomial:
     """The count polynomial of f, built once.  With f = F/d_f and weights
     W/d_w, block s sums, over every set S of s axes, F integrated against W
@@ -121,9 +137,10 @@ def _count_polynomial(f: Kernel) -> _CountPolynomial:
     k = f.arity
     values, d_f = f.numerators
     w, d_w = mode.form(f.space).numerators
+    column = w.reshape(-1, 1)
     sums = [values]  # sums[s]: s of the axes seen so far kept, in order, the rest integrated
     for _ in range(k):
-        integrated = [np.tensordot(t, w, axes=([s], [0])) for s, t in enumerate(sums)]
+        integrated = [_integrate(t, s, column) for s, t in enumerate(sums)]
         sums = [integrated[0], *(a + b for a, b in zip(integrated[1:], sums)), sums[-1]]
     blocks = tuple(_monomials(t, (-1) ** (k - s) * d_w**s, len(w)) for s, t in enumerate(sums))
     _polynomials[f] = poly = _CountPolynomial(blocks, math.factorial(k) * d_f * d_w**k)

@@ -13,20 +13,23 @@ which takes kernels with a label per axis and hands the labels to
 ``integrate_axis`` remain as the step-by-step operators.
 
 Exact-mode kernels hold Python rationals in an object-dtype array on an
-exact space (a kernel turns any other object values into floats when it is
-built) and every operation below is closed over the rationals.  Kernels and
-spaces cache their Python-int numerators over one denominator
-(``numerators``).  Every exact ``labeled_product``, a pure product
-included, runs its ``einsum`` on them and divides once per entry; the
-step-by-step operators stay on the Fractions, as the reference.  The norms
-and ``is_canonical`` read the numerators too and divide or compare once at
-the end.  Float-mode kernels use IEEE doubles with the same code paths,
-over a denominator of 1, reading an exact operand as its float form
-(``Arithmetic.form``), which a kernel builds once and caches, as a space
-does.  Operands combine on one measure only: an exact
-space and its float form are one, two different exact spaces never are
-(``require_one_measure``).  A kernel's values are read-only, so results
-memoized on a kernel can never go stale.
+exact space (``Kernel`` reads the type of every value it is given and
+turns any other object values into floats) and every operation below is
+closed over the rationals.  So ``labeled_product``, ``Kernel.add``,
+``Kernel.scale``, ``Kernel.abs`` and ``compact_relabel`` build their
+result in the mode ``mode_of`` fixes for their operands (``_result``),
+without reading its entries again.  Kernels and spaces cache their
+Python-int numerators over one denominator (``numerators``).  Every exact
+``labeled_product``, a pure product included, runs its ``einsum`` on them
+and divides once per entry; the step-by-step operators stay on the
+Fractions, as the reference.  The norms and ``is_canonical`` read the
+numerators too and divide or compare once at the end.  Float-mode kernels
+use IEEE doubles with the same code paths, over a denominator of 1,
+reading an exact operand as its float form (``Arithmetic.form``), which a
+kernel builds once and caches, as a space does.  Operands combine on one
+measure only: an exact space and its float form are one, two different
+exact spaces never are (``require_one_measure``).  A kernel's values are
+read-only, so results memoized on a kernel can never go stale.
 """
 from __future__ import annotations
 
@@ -64,7 +67,11 @@ class Kernel:
     axis_labels: tuple[int, ...]
 
     def __post_init__(self):
-        v = read_only(kernel_values(self.values, self.space.exact))
+        self._settle(kernel_values(self.values, self.space.exact))
+
+    def _settle(self, values: np.ndarray) -> None:
+        """Store the values read-only and check their shape and the labels."""
+        v = read_only(values)
         object.__setattr__(self, "values", v)
         if v.ndim != len(self.axis_labels):
             raise ArityMismatch(f"{v.ndim} tensor axes for {len(self.axis_labels)} labels")
@@ -99,16 +106,17 @@ class Kernel:
         return self.values[tuple(self.space.check_atom(a) for a in atoms)]
 
     def scale(self, c: Scalar) -> "Kernel":
-        return Kernel(self.space, self.values * c, self.axis_labels)
+        return _result(mode_of(self, c), self.space, self.values * c, self.axis_labels)
 
     def add(self, other: "Kernel") -> "Kernel":
         require_one_measure(self.space, other.space)
         if self.axis_labels != other.axis_labels:
             raise ArityMismatch(f"axis labels differ: {self.axis_labels} vs {other.axis_labels}")
-        return Kernel(self.space, self.values + other.values, self.axis_labels)
+        return _result(mode_of(self, other), self.space, self.values + other.values,
+                       self.axis_labels)
 
     def abs(self) -> "Kernel":
-        return Kernel(self.space, np.abs(self.values), self.axis_labels)
+        return _result(mode_of(self), self.space, np.abs(self.values), self.axis_labels)
 
     @cached_property
     def _float_form(self) -> "Kernel":
@@ -118,6 +126,18 @@ class Kernel:
         if not self.exact:
             return self
         return self._float_form
+
+
+def _result(mode: Arithmetic, space: AtomSpace, values, labels: tuple[int, ...]) -> Kernel:
+    """An operator's result kernel: its values, computed from operands in
+    ``mode``, are taken in that mode by ``Arithmetic.array`` instead of
+    being read entry by entry; the shape and labels are checked as
+    ``Kernel`` checks them."""
+    f = object.__new__(Kernel)
+    object.__setattr__(f, "space", space)
+    object.__setattr__(f, "axis_labels", labels)
+    f._settle(mode.array(values))
+    return f
 
 
 def constant_kernel(space: AtomSpace, value) -> Kernel:
@@ -194,10 +214,10 @@ def labeled_product(space: AtomSpace, factors: Iterable[tuple[Kernel, Sequence[i
             [*out, *integrate]) != sorted(set().union(*(labels for _, labels in factors))):
         raise ArityMismatch(f"one label per axis, kept {tuple(out)} or integrated {integrate} once")
     require_one_measure(space, *(f.space for f, _ in factors))
-    nums, den = _einsum_numerators(mode_of(space, *(f for f, _ in factors)), space, factors,
-                                   out, integrate)
+    mode = mode_of(space, *(f for f, _ in factors))
+    nums, den = _einsum_numerators(mode, space, factors, out, integrate)
     values = nums if den == 1 else np.frompyfunc(Fraction, 2, 1)(nums, den)
-    return Kernel(space, values, tuple(out))
+    return _result(mode, space, values, tuple(out))
 
 
 def _einsum_numerators(mode: Arithmetic, space: AtomSpace,
@@ -280,7 +300,7 @@ def require_canonical(f: Kernel):
 
 def compact_relabel(f: Kernel) -> Kernel:
     """Rename surviving labels to 1..arity, preserving their order."""
-    return Kernel(f.space, f.values, tuple(range(1, f.arity + 1)))
+    return _result(mode_of(f), f.space, f.values, tuple(range(1, f.arity + 1)))
 
 
 # -- generation and serialization ------------------------------------------

@@ -12,6 +12,9 @@ x's cached Python-int numerators over one denominator in exact mode, its
 float form's values over 1 otherwise.  It builds its result with one
 ``ratio``: every exact kernel product divides once, and only the
 step-by-step kernel operators stay on ``Fraction``s, as the reference.
+An operator's result is already in its operands' mode, so ``array`` takes
+it as it is; only values from outside are read entry by entry
+(``kernel_values``).
 Scalars compare by one rule, ``abs(a - b) <= mode.slack(tol)``, and spaces
 combine by one, ``require_one_measure``: equal spaces, or an exact space
 and its float form, are one measure; two different exact spaces never are.
@@ -97,6 +100,13 @@ class Arithmetic:
     def form(self, x):
         """x, a kernel or a space, in this mode: x itself or its float form."""
         return x if self.exact else x.as_float()
+
+    def array(self, values) -> np.ndarray:
+        """An operator's result, computed from operands in this mode, as
+        this mode's array without reading its entries: object entries as
+        they are (a bare rational becomes 0-d) in exact mode, float64
+        otherwise.  Outside values go through ``kernel_values`` instead."""
+        return np.asarray(values, dtype=self.dtype)
 
 
 def read_only(values: np.ndarray) -> np.ndarray:

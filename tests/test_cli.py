@@ -127,11 +127,22 @@ def test_main_runs_the_command_function_current_at_the_call(tmp_path, monkeypatc
 
 
 def test_an_argparse_error_leaves_the_next_call_working(tmp_path, capsys):
-    with pytest.raises(SystemExit) as e:
-        run(["bounds", "--k", "two", "--out", str(tmp_path / "b.csv")])
-    assert e.value.code == 2 and "--k" in capsys.readouterr().err
+    assert run(["bounds", "--k", "two", "--out", str(tmp_path / "b.csv")]) == 2
+    assert "--k" in capsys.readouterr().err
     assert run([*BOUNDS_ARGV, "--out", str(tmp_path / "b.csv")]) == 0
     assert (tmp_path / "b.csv").read_text().startswith("x,bound13,bound16")
+
+
+@pytest.mark.parametrize("argv, code, stream, text", [
+    (["--help"], 0, "out", "usage: empint"),
+    (["bounds", "--help"], 0, "out", "--sigma"),
+    (["frobnicate"], 2, "err", "invalid choice: 'frobnicate'"),
+    ([], 2, "err", "the following arguments are required: command"),
+], ids=["help", "command-help", "unknown-command", "no-command"])
+def test_main_returns_argparse_exit_codes(capsys, argv, code, stream, text):
+    # an in-process caller gets the code argparse would exit with, not SystemExit
+    assert run(argv) == code
+    assert text in getattr(capsys.readouterr(), stream)
 
 
 @pytest.mark.parametrize("seed", [2024, 12345, None])

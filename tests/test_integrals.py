@@ -341,9 +341,13 @@ def _assert_plan_matches_per_kernel_build(f):
 
 
 @PROPERTY
-@given(data=st.data(), sp=exact_spaces(), k=st.integers(0, 3))
-def test_count_polynomial_plan_matches_per_kernel_build_property(data, sp, k):
+@given(data=st.data(), sp=exact_spaces(), k=st.integers(0, 3), wide=st.integers(4, 6),
+       parts=st.tuples(st.integers(0, 5), st.integers(0, 5)).filter(any))
+def test_count_polynomial_plan_matches_per_kernel_build_property(data, sp, k, wide, parts):
     _assert_plan_matches_per_kernel_build(data.draw(exact_kernels(sp, k)))
+    # arities 4 to 6 on two atoms, as the (3, 3) product terms are built
+    two = make_space([F(p, sum(parts)) for p in parts])
+    _assert_plan_matches_per_kernel_build(data.draw(exact_kernels(two, wide)))
 
 
 @PROPERTY

@@ -408,6 +408,49 @@ def test_exact_labeled_product_matches_fraction_einsum_property(data, sp):
     assert np.allclose(h.values, want.astype(float), rtol=1e-12, atol=1e-12)
 
 
+def _built_as_kernel_builds(h, values, same_entries=True):
+    """h, an operator's result, against ``Kernel`` built on the values it
+    computed: the same mode, dtype and shape, never an exact kernel holding
+    floats, and the same entries, their types and float bits included (with
+    ``same_entries`` off, equal values, floats to rounding)."""
+    want = Kernel(h.space, values, h.axis_labels)
+    assert h.exact == want.exact and h.values.dtype == want.values.dtype
+    assert h.values.shape == want.values.shape
+    assert not h.exact or all(type(x) in (int, F) for x in h.values.flat)
+    if same_entries:
+        assert repr(h.values.tolist()) == repr(want.values.tolist())
+    elif h.exact:
+        assert (h.values == want.values).all()
+    else:
+        assert np.allclose(h.values, want.values, rtol=1e-12, atol=1e-12)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(data=st.data(), sp=exact_spaces(max_atoms=3), k=st.integers(0, 3))
+def test_operators_build_what_kernel_builds_property(data, sp, k):
+    # the five operators take their result in the mode of their operands
+    # without reading its entries; Kernel reads every entry, and the two
+    # must agree on exact, float and mixed operands, at arity 0 too
+    forms = st.sampled_from([lambda f: f, Kernel.as_float,  # exact, its float form
+                             lambda f: Kernel(f.space, f.values.astype(float), f.axis_labels)])
+    f, g = (data.draw(forms)(_operand(data, sp, range(1, k + 1))[0]) for _ in range(2))
+    c = data.draw(st.sampled_from([F(-2, 3), 3, 2**70, 0.75, np.float64(-1.5), np.int64(3)]))
+    _built_as_kernel_builds(f.scale(c), f.values * c)
+    _built_as_kernel_builds(f.add(g), f.values + g.values)
+    _built_as_kernel_builds(f.add(f.as_float()), f.values + f.as_float().values)
+    _built_as_kernel_builds(f.abs(), np.abs(f.values))
+    labels = sorted(data.draw(st.lists(st.integers(1, 6), min_size=k, max_size=k, unique=True)))
+    _built_as_kernel_builds(compact_relabel(Kernel(f.space, f.values, tuple(labels))), f.values)
+    # f and g glued on shared labels; with every label integrated, 0-d
+    g_labels = data.draw(st.lists(st.integers(1, 6), min_size=k, max_size=k, unique=True))
+    used = sorted({*labels, *g_labels})
+    integrate = data.draw(st.lists(st.sampled_from(used), unique=True)) if used else []
+    out = [j for j in used if j not in integrate]
+    h = labeled_product(sp, [(f, labels), (g, g_labels)], out, integrate)
+    _built_as_kernel_builds(h, _oracle.labeled_product(
+        sp, [(f.values, labels), (g.values, g_labels)], out, integrate), same_entries=False)
+
+
 def _same_kernel(g, h):
     return (g.space == h.space and g.axis_labels == h.axis_labels
             and g.values.shape == h.values.shape
