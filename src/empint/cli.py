@@ -70,8 +70,8 @@ SCHEMAS = {
     "verify": {"type": "object", "additionalProperties": False, "properties": {
         "seed": _SEED,
         "mode": {"const": "exact", "default": "exact"},
-        "suites": {"type": "array", "minItems": 1, "items": {"enum": list(verify.SUITES)},
-                   "default": list(verify.SUITES)}}},
+        "suites": {"type": "array", "minItems": 1, "uniqueItems": True,
+                   "items": {"enum": list(verify.SUITES)}, "default": list(verify.SUITES)}}},
     "tails": {"type": "object", "additionalProperties": False,
               "required": ["space", "kernel", "replicates", "n"], "properties": {
         "space": {"type": "object", "required": ["weights"], "properties": {"weights": _SCALARS}},
@@ -130,6 +130,8 @@ def _check(name: str, value, spec: dict):
         refuse(f"hold at least {spec['minItems']} items")
     if "items" in spec:
         value = [_check(f"{name}[{i}]", v, spec["items"]) for i, v in enumerate(value)]
+    if spec.get("uniqueItems") and any(v in value[:i] for i, v in enumerate(value)):
+        refuse("hold no item twice")
     if "properties" in spec:
         props = spec["properties"]
         missing = [key for key in spec.get("required", []) if key not in value]

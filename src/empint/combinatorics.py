@@ -10,7 +10,8 @@ as its oracle, because it derives the same constant another way.
 The oracles enumerate occupation-count vectors with multinomial
 probabilities, which agrees with enumerating ordered samples because the
 statistics only read counts; tests cross-check the two enumerations on
-small cases.  The counts oracles sum integer numerators and divide once.
+small cases.  The counts oracles check the kernel once, sum integer
+numerators and divide once.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ from functools import lru_cache
 from typing import Iterator
 
 from .errors import EnumerationTooLarge
-from .integrals import _count_fraction
+from .integrals import _checked_table, _falling_table, _statistic
 from .kernels import Kernel
 from .scalars import mode_of
 from .space import count_vectors
@@ -118,9 +119,11 @@ def _counts_moment(f: Kernel, n: int, order: int, ustat: bool) -> Fraction:
         raise ValueError("order must be a positive integer")
     mode = mode_of(f)
     w, d_w = mode.form(f.space).numerators
+    # every vector below holds len(w) counts that sum to n, as this one does
+    _checked_table((f,), [n] + [0] * (len(w) - 1), ustat=ustat)
     total, den = 0, 1
     for counts, p in count_vectors(w, n):
-        num, den = _count_fraction(f, counts, ustat)
+        num, den = _statistic(f, n, _falling_table(counts, f.arity), ustat)
         total = total + p * num**order
     return mode.ratio(total, d_w**n * den**order)
 

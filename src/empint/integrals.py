@@ -23,15 +23,17 @@ table's shape, so that plan is built once per (atoms, axes) and only an
 ``np.add.at`` runs per kernel.  Each polynomial is memoized on its kernel
 and evaluated by one loop (``_evaluate``, Horner in n) that only
 multiplies and adds, at a table of the falling factorials of the counts
-built by one function (``_falling_table``).  In exact mode the
-coefficients are integers over one common denominator, so ``eval_integral``
-and ``eval_ustat`` run the loop in Python ints and divide once;
-``eval_batch`` runs it on float count arrays, one entry per sample,
-reading each sample's size n from its counts, to evaluate many samples at
-once for Monte Carlo.  The identity checks build one table per sample, up
-to the largest arity, evaluate every kernel of the identity at it, combine
-each side as an integer numerator over an integer denominator and divide
-once per side.
+built by one function (``_falling_table``).  Every statistic takes one
+checked path from a sample's counts: ``_checked_table`` makes the checks
+of a whole call once (one ``require_one_measure`` over all its kernels and
+the sample's space, one count per atom, no empty sample under a positive
+arity unless the target is the U-statistic) and builds the table up to
+the largest arity, and ``_statistic`` reads each kernel's statistic N / D
+at it.  In exact mode the coefficients are integers over one common
+denominator, so the loop runs in Python ints and each statistic, or each
+side of an identity, divides once; ``eval_batch`` runs it on float count
+arrays, one entry per sample, reading each sample's size n from its
+counts, to evaluate many samples at once for Monte Carlo.
 """
 from __future__ import annotations
 
@@ -178,25 +180,24 @@ def _evaluate(poly: _CountPolynomial, n, table, ustat: bool = False, over_den: b
     return total
 
 
-def _checked_table(kernels, counts, ustat: bool = False, space=None) -> list[list]:
+def _checked_table(kernels, counts, *spaces, ustat: bool = False) -> list[list]:
     """The falling-factorial table of the counts up to the kernels' largest
-    arity, after the checks each kernel's statistic makes, kernel by kernel:
-    that it lives on ``space``'s measure, if given, and on one atom per
-    count, and, unless ``ustat``, that a positive arity does not meet an
-    empty sample."""
+    arity k, after every check of the call's statistics, made once: the
+    kernels and ``spaces`` are one measure, with one count (or one array of
+    counts, an entry per sample) per atom, and, unless ``ustat``, k = 0 or
+    no sample is empty."""
+    require_one_measure(*[f.space for f in kernels], *spaces)
+    k = max([f.arity for f in kernels])
+    atoms = kernels[0].space.n_atoms
+    if len(counts) != atoms:
+        raise SpaceMismatch(f"counts over {len(counts)} atoms for a kernel on {atoms}")
     n = sum(counts)
-    for f in kernels:
-        if space is not None:
-            require_one_measure(f.space, space)
-        if len(counts) != f.space.n_atoms:
-            raise SpaceMismatch(f"counts over {len(counts)} atoms "
-                                f"for a kernel on {f.space.n_atoms}")
-        if f.arity and not (n or ustat):
-            raise EmptySample(f"the arity-{f.arity} integral of an empty sample divides by zero")
-    return _falling_table(counts, max(f.arity for f in kernels))
+    if k and not ustat and not (n.all() if isinstance(n, np.ndarray) else n):
+        raise EmptySample(f"the arity-{k} statistic of an empty sample divides by zero")
+    return _falling_table(counts, k)
 
 
-def _at_table(f: Kernel, n: int, table, ustat: bool = False) -> tuple[Scalar, int]:
+def _statistic(f: Kernel, n: int, table, ustat: bool = False) -> tuple[Scalar, int]:
     """(N, D) with N / D the descaled centered integral q of f, or with
     ``ustat`` the U-statistic, at a size-n sample with this falling-factorial
     table.  N is a Python int when f and the space are exact; D depends only
@@ -205,29 +206,19 @@ def _at_table(f: Kernel, n: int, table, ustat: bool = False) -> tuple[Scalar, in
     return _evaluate(poly, n, table, ustat), poly.den * n ** (0 if ustat else f.arity)
 
 
-def _count_fraction(f: Kernel, counts, ustat: bool = False) -> tuple[Scalar, int]:
-    """``_at_table``'s (N, D) at a sample with these occupation counts."""
-    return _at_table(f, sum(counts), _checked_table((f,), counts, ustat), ustat)
-
-
-def _eval_counts(f: Kernel, counts, ustat: bool = False) -> Scalar:
-    """The statistic of ``_count_fraction``, divided once."""
-    return mode_of(f).ratio(*_count_fraction(f, counts, ustat))
-
-
 def eval_integral(f: Kernel, sample: Sample) -> ScaledValue:
     """The descaled k-fold integral of f against the centered empirical
     measure, off the diagonals.  Exact when f and the space are exact.
     Raises EmptySample for an empty sample and arity k >= 1."""
-    require_one_measure(f.space, sample.space)
-    return ScaledValue(_eval_counts(f, sample.counts), f.arity, sample.n)
+    table = _checked_table((f,), sample.counts, sample.space)
+    return ScaledValue(mode_of(f).ratio(*_statistic(f, sample.n, table)), f.arity, sample.n)
 
 
 def eval_ustat(f: Kernel, sample: Sample) -> Scalar:
     """The U-statistic: (1/k!) * sum of f over ordered tuples of distinct
     sample positions.  Zero when the sample is smaller than the arity."""
-    require_one_measure(f.space, sample.space)
-    return _eval_counts(f, sample.counts, ustat=True)
+    table = _checked_table((f,), sample.counts, sample.space, ustat=True)
+    return mode_of(f).ratio(*_statistic(f, sample.n, table, ustat=True))
 
 
 def eval_batch(f: Kernel, counts: np.ndarray, ustat: bool = False) -> np.ndarray:
@@ -235,16 +226,12 @@ def eval_batch(f: Kernel, counts: np.ndarray, ustat: bool = False) -> np.ndarray
     occupation counts: ``eval_integral(...).value``, or with ``ustat`` the
     U-statistic over n^{k/2}, where each row's n is its own sum.  Rows are
     evaluated with elementwise operations only, so a row's value depends on
-    that row alone, never on R or on how the rows were batched."""
-    if f.space.n_atoms != counts.shape[1]:
-        raise SpaceMismatch(f"counts over {counts.shape[1]} atoms for a kernel on {f.space.n_atoms}")
-    k = f.arity
+    that row alone, never on R or on how the rows were batched.  An empty
+    row raises EmptySample for either target: both divide by n^{k/2}."""
     c = counts.T.astype(float)
+    table = _checked_table((f,), c)
     n = c.sum(axis=0)
-    if k and not n.all():
-        raise EmptySample(f"the arity-{k} statistic of an empty sample divides by zero")
-    table = _falling_table(c, k)
-    return _evaluate(_count_polynomial(f), n, table, ustat, over_den=True) * n ** (-k / 2)
+    return _evaluate(_count_polynomial(f), n, table, ustat, over_den=True) * n ** (-f.arity / 2)
 
 
 @dataclass(frozen=True, slots=True)
@@ -274,7 +261,7 @@ def check_canonical_ustat_identity(f: Kernel, sample: Sample) -> CheckResult:
     require_canonical(f)
     mode = mode_of(f)
     poly = _count_polynomial(f)
-    table = _checked_table((f,), sample.counts, space=sample.space)
+    table = _checked_table((f,), sample.counts, sample.space)
     lhs = mode.ratio(_evaluate(poly, sample.n, table), poly.den)
     rhs = mode.ratio(_evaluate(poly, sample.n, table, ustat=True), poly.den)
     return CheckResult(lhs, rhs, abs(lhs - rhs) <= mode.slack(FLOAT_TOL))
@@ -308,11 +295,10 @@ def check_product_formula(f: Kernel, g: Kernel, sample: Sample,
     integer denominator and divided once.
     """
     kernels = (f, g, *terms.values())
+    table = _checked_table(kernels, sample.counts, sample.space)
     mode = mode_of(*kernels)
-    kernels = [mode.form(h) for h in kernels]
     n = sample.n
-    table = _checked_table(kernels, sample.counts, space=sample.space)
-    (n_f, d_f), (n_g, d_g), *stats = (_at_table(h, n, table) for h in kernels)
+    (n_f, d_f), (n_g, d_g), *stats = (_statistic(mode.form(h), n, table) for h in kernels)
     lhs = mode.ratio(n_f * n_g, d_f * d_g)
     num, den = 0, 1
     for (l, p), (n_h, d_h) in zip(terms, stats):

@@ -114,6 +114,12 @@ def run_suite_expectation(res: SuiteResult, rng: np.random.Generator) -> None:
                                f"expectation k={k} n={n} A={A}")
 
 
+def _square_integral(h: kernels.Kernel):
+    """The integral of h * h over all of h's labels, by ``labeled_product``:
+    the squared L2 norm that ``norms`` and ``dominance`` check against."""
+    return kernels.labeled_product(h.space, [(h, h.axis_labels)] * 2, (), h.axis_labels).values[()]
+
+
 def run_suite_norms(res: SuiteResult, rng: np.random.Generator) -> None:
     """Squared L2 norms equal the integral of the square, exactly, and
     contraction norm inequalities hold in squared (rational) form."""
@@ -124,9 +130,7 @@ def run_suite_norms(res: SuiteResult, rng: np.random.Generator) -> None:
             g = kernels.random_kernel(sp, k2, rng)
             nf, ng = kernels.l2_norm_sq(f), kernels.l2_norm_sq(g)
             for h, nh in ((f, nf), (g, ng)):
-                square = kernels.labeled_product(sp, [(h, h.axis_labels), (h, h.axis_labels)],
-                                                 (), h.axis_labels)
-                res.record(nh == square.values[()], 0.0, f"squared L2 norm k={h.arity}")
+                res.record(nh == _square_integral(h), 0.0, f"squared L2 norm k={h.arity}")
             for l in range(min(k1, k2) + 1):
                 for p in range(l + 1):
                     for d in diagrams.enumerate_diagrams(diagrams.DiagramClass(k1, k2, l, p)):
@@ -189,8 +193,7 @@ def run_suite_dominance(res: SuiteResult, rng: np.random.Generator) -> None:
         cf, cg = dominance.relax_sigma(cf, s2), dominance.relax_sigma(cg, s2)
         for name, h, ch in (("f", f, cf), ("g", g, cg)):
             res.record(dominance.verify_certificate(h, ch), 0.0, f"input certificate {name}")
-            exact = max(kernels.labeled_product(sp, [(u, u.axis_labels)] * 2, (), u.axis_labels)
-                        .values[()] for u in ch.factors) or ch.sigma_sq  # zero factors: any budget
+            exact = max(map(_square_integral, ch.factors)) or ch.sigma_sq  # zero factors: any budget
             res.record(dominance.verify_certificate(h, dominance.DominanceCertificate(
                 exact, ch.factors)), 0.0, f"input certificate {name} at the exact norm")
             above_product, above_one = _wrong_certificates(h, ch)

@@ -754,6 +754,8 @@ def test_bounds_comma_grid_and_constants_file(tmp_path):
     # the schema's maximum, too large to allocate
     ("tails", {"n": 2**59}), ("tails", {"replicates": 2**59}),
     ("tails", {"grid_points": 2**59, "x_grid": None}),
+    # a suite named twice
+    ("verify", {"suites": ["constants", "constants"]}),
 ])
 def test_bad_input_is_config_error(tmp_path, capsys, command, arg):
     if command == "bounds":
@@ -894,7 +896,8 @@ IN_SCHEMA = {
     "verify": {
         "seed": _whole(0), "mode": lambda v: v == "exact",
         "suites": lambda v: isinstance(v, list) and len(v) > 0
-                            and all(s in tuple(empint.verify.SUITES) for s in v),
+                            and all(s in tuple(empint.verify.SUITES) for s in v)
+                            and len(set(v)) == len(v),
     },
     "tails": {
         "space": lambda v: isinstance(v, dict) and isinstance(v.get("weights"), list),

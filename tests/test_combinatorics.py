@@ -26,7 +26,7 @@ from empint.combinatorics import (_counts_moment, check_moment_recursion,
                                   recursion_weight, set_partitions, stirling2,
                                   ustat_moment_oracle)
 from empint.errors import EmptySample, EnumerationTooLarge
-from empint.integrals import _eval_counts, eval_integral, eval_ustat
+from empint.integrals import _falling_table, _statistic, eval_integral, eval_ustat
 from empint.kernels import canonical_project, random_kernel, tensor_product
 from empint.space import enumerate_counts, enumerate_samples, make_space, uniform_space
 
@@ -240,8 +240,8 @@ def test_counts_moment_matches_fraction_sums_property(data, sp, k, n, order, ust
             _counts_moment(f, n, order, ustat)
         return
     got = _counts_moment(f, n, order, ustat)
-    over_counts = sum((w * _eval_counts(f, c, ustat) ** order for c, w in enumerate_counts(sp, n)),
-                      F(0))
+    over_counts = sum((w * F(*_statistic(f, n, _falling_table(c, k), ustat)) ** order
+                       for c, w in enumerate_counts(sp, n)), F(0))
     stat = eval_ustat if ustat else (lambda g, s: eval_integral(g, s).coeff)
     over_samples = sum((w * stat(f, s) ** order for s, w in enumerate_samples(sp, n)), F(0))
     assert type(got) is F and type(got.numerator) is int and type(got.denominator) is int

@@ -306,6 +306,20 @@ def test_product_formula_with_arity_zero():
                 assert isinstance(res.lhs, F)
 
 
+def test_kernels_of_one_check_are_one_measure():
+    """Two exact spaces are two measures even when their float forms agree,
+    and a sample on that shared float form does not join them."""
+    sp = make_space(["1/3", "2/3"])
+    near = make_space([F(1, 3) + F(1, 10**30), F(2, 3) - F(1, 10**30)])
+    assert near.as_float() == sp.as_float()
+    f, g = kernel_from_values(sp, ["1", "0"]), kernel_from_values(near, ["1", "0"])
+    sample = Sample(sp.as_float(), (0, 1))
+    with pytest.raises(SpaceMismatch):
+        check_product_formula(f, g, sample, product_formula_terms(f, f))
+    with pytest.raises(SpaceMismatch):
+        check_product_formula(f, f, sample, product_formula_terms(g, g))
+
+
 # -- properties of the count-polynomial evaluator ------------------------------
 
 
@@ -400,7 +414,9 @@ def _reference_q(h, sample):
 
 
 def _reference_product(f, g, sample, terms):
-    """Both sides of the product identity, one Fraction operation at a time."""
+    """Both sides of the product identity, one Fraction operation at a time,
+    after one check that every kernel and the sample are one measure."""
+    require_one_measure(f.space, g.space, *(h.space for h in terms.values()), sample.space)
     mode = mode_of(f, g)
     lhs = _reference_q(f, sample) * _reference_q(g, sample)
     rhs = mode.zero
@@ -471,17 +487,27 @@ def test_canonical_identity_matches_step_by_step_reference_property(data, sp, k,
     _assert_same_outcome(_outcome(check_canonical_ustat_identity, f, sample), want, exact)
 
 
+def _table_readers(functions) -> set[str]:
+    """``_evaluate`` and every function that hands its own ``table``
+    parameter to it, whatever the function is named."""
+    return {"_evaluate"} | {
+        fn.name for fn in functions if "table" in [a.arg for a in fn.args.args]
+        and any(isinstance(node, ast.Call) and ast.unparse(node.func) == "_evaluate"
+                and "table" in map(ast.unparse, [*node.args, *(kw.value for kw in node.keywords)])
+                for node in ast.walk(fn))}
+
+
 def _second_evaluators(source: str) -> list[str]:
     """Where ``integrals``' source evaluates a count polynomial outside the
     one evaluator: a read of ``.blocks`` outside ``_evaluate``, a call of
     ``math.perm``, a table bound to anything but ``_falling_table`` or
-    ``_checked_table``, or a table handed to ``_evaluate`` or ``_at_table``
+    ``_checked_table``, or a table handed to a ``_table_readers`` function
     under another name."""
     builders = {"_falling_table", "_checked_table"}
+    functions = [fn for fn in ast.walk(ast.parse(source)) if isinstance(fn, ast.FunctionDef)]
+    readers = _table_readers(functions)
     found = []
-    for fn in ast.walk(ast.parse(source)):
-        if not isinstance(fn, ast.FunctionDef):
-            continue
+    for fn in functions:
         for node in ast.walk(fn):
             where = f"{fn.name}:{getattr(node, 'lineno', '?')}"
             if isinstance(node, ast.Attribute) and node.attr == "blocks" and fn.name != "_evaluate":
@@ -497,7 +523,7 @@ def _second_evaluators(source: str) -> list[str]:
             name = ast.unparse(node.func)
             if name == "math.perm":
                 found.append(f"{where}: calls math.perm")
-            if name in ("_evaluate", "_at_table"):
+            if name in readers:
                 table = node.args[2] if len(node.args) > 2 else next(
                     (kw.value for kw in node.keywords if kw.arg == "table"), None)
                 if not (ast.unparse(table) == "table" or isinstance(table, ast.Call)
@@ -520,13 +546,23 @@ def _eval_again(f, counts):
     falling = [[math.perm(c, m) for c in counts] for m in range(f.arity + 1)]
     return _evaluate(_count_polynomial(f), sum(counts), falling)
 """,
+    # the helper at an unchecked table under another name
+    """
+def _eval_again(f, counts):
+    falling = _falling_table(counts, f.arity)
+    return _statistic(f, sum(counts), falling)
+""",
 ]
 
 
 def test_one_evaluator_for_the_statistic():
     """Only ``_evaluate`` walks a count polynomial, always at a table built
-    by ``_falling_table``; the guard notices a second evaluator."""
+    by ``_falling_table``; the guard notices a second evaluator, and it
+    finds ``_statistic``, which hands a table to ``_evaluate``, by what it
+    does and not by its name."""
     source = inspect.getsource(integrals)
+    functions = [fn for fn in ast.walk(ast.parse(source)) if isinstance(fn, ast.FunctionDef)]
+    assert _table_readers(functions) == {"_evaluate", "_statistic"}
     assert _second_evaluators(source) == []
     for second in _SECOND_EVALUATORS:
         assert _second_evaluators(source + second)
