@@ -28,7 +28,7 @@ from .combinatorics import (set_partitions, stirling2, partition_count_bound,
                             expected_integral_oracle, moment_oracle, ustat_moment_oracle,
                             damping_factor, cumulative_constant, recursion_weight,
                             check_moment_recursion, profile_weight, profile_maximizer,
-                            moment_constant_table)
+                            moment_constant_table, canonical_second_moment)
 from .dominance import (DominanceCertificate, verify_certificate, relax_sigma,
                         contract_certificate, collapse_certificate, random_dominated_pair)
 from .bounds import (BoundParams, levels, two_regime_exponent, bernstein_exponent,

@@ -218,12 +218,11 @@ def cmd_tails(args) -> int:
     if "x_grid" in cfg:  # checked here, before any replicate is drawn
         grid, provenance = bounds_mod.levels(cfg["x_grid"]), {"grid": "config"}
     else:
-        provenance = {"grid": "auto", "pilot_replicates": montecarlo.PILOT_REPLICATES}
         try:
-            grid = montecarlo.auto_grid(f, mc, points=cfg["grid_points"])
-        except InsufficientTailData as e:
-            # a kernel zero on the support, or one whose statistic vanishes
+            grid, pilot = montecarlo.auto_grid(f, mc, points=cfg["grid_points"])
+        except InsufficientTailData as e:  # a statistic that vanishes: no scale
             raise MalformedInput(f"{e}: no auto grid; give an x_grid") from e
+        provenance = {"grid": "auto", "pilot_replicates": pilot}
     counts = draw_counts(space, mc.n, mc.seed, mc.replicates)
     est = montecarlo.estimate_tail(f, mc, counts, grid)
     try:

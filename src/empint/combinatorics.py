@@ -21,15 +21,15 @@ from functools import lru_cache
 from typing import Iterator
 
 from .errors import EnumerationTooLarge
-from .integrals import _checked_table, _falling_table, _statistic
+from .integrals import _checked_table, _falling_table, _monomials, _statistic
 from .kernels import Kernel
-from .scalars import mode_of
+from .scalars import Scalar, mode_of
 from .space import count_vectors
 
 __all__ = [
     "set_partitions", "stirling2", "partition_count_bound",
     "expectation_coefficient", "expectation_coefficient_bruteforce",
-    "expected_integral_oracle", "moment_oracle", "ustat_moment_oracle",
+    "expected_integral_oracle", "moment_oracle", "ustat_moment_oracle", "canonical_second_moment",
     "damping_factor", "cumulative_constant", "recursion_weight",
     "check_moment_recursion", "profile_weight", "profile_maximizer",
     "moment_constant_table",
@@ -142,6 +142,19 @@ def moment_oracle(f: Kernel, n: int, order: int) -> Fraction:
 def ustat_moment_oracle(f: Kernel, n: int, order: int) -> Fraction:
     """E[(U-statistic)^order] by exhaustive enumeration."""
     return _counts_moment(f, n, order, ustat=True)
+
+
+def canonical_second_moment(f: Kernel, n: int) -> Scalar:
+    """E[J^2] = (n)_k / (k! n^k) ||Sym f||^2 for canonical f, J either target's statistic
+    (Hoeffding 1948); exact for exact f.  With S_o the numerators' sum over the permutation
+    orbit with m_a of atom a, ||Sym f||^2 = sum_o S_o^2 prod_a m_a! W_a^{m_a} / (k! d^2 d_w^k)."""
+    mode, k = mode_of(f), f.arity
+    nums, d = f.numerators
+    w, d_w = mode.form(f.space).numerators
+    orbits = sum(s * s * math.prod(math.factorial(m) * w[a] ** m for a, m in pairs)
+                 for s, pairs in _monomials(nums, 1, len(w)))
+    return (mode.ratio(orbits, math.factorial(k) * d * d * d_w**k)
+            * mode.ratio(math.perm(n, k), math.factorial(k) * n**k))
 
 
 # -- constants of the moment recursion --------------------------------------

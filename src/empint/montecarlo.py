@@ -11,10 +11,8 @@ all replicates at once, in float, as a polynomial in the counts), decide
 self-check (``self_check``: the centered indicator of one atom,
 sqrt(n) (B/n - w) with B binomial (n, w), decided on the same counts by
 the integer band ``binomial_band`` that also gives its exact tail).
-Later work swaps one stage at a time: exact integer decisions replace
-decide; a draw whose cost does not grow with n replaces draw and, past a
-size cap, the exact oracle; an exact tail for every kernel adds a stage;
-run statistics time each stage.
+Without a configured grid, ``auto_grid`` sets the levels before the draw,
+from a canonical kernel's exact scale or else from a pilot run.
 """
 from __future__ import annotations
 
@@ -22,14 +20,17 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from statistics import NormalDist
 
 import numpy as np
 
 from .bounds import (BoundParams, bernstein_exponent, bernstein_tail_bound, levels,
                      two_regime_exponent, two_regime_tail_bound)
+from .combinatorics import canonical_second_moment
 from .errors import InsufficientTailData, NegativeSeed, RegimeViolation
 from .integrals import eval_batch
-from .kernels import Kernel, l2_norm
+from .kernels import Kernel, is_canonical, l2_norm
+from .scalars import in_float_range
 from .space import draw_counts
 
 __all__ = [
@@ -37,9 +38,9 @@ __all__ = [
     "binomial_tail_oracle", "fit_constants", "tail_rows", "self_check", "auto_grid",
 ]
 
-_PILOT_OFFSET = 10**9  # pilot replicate streams never collide with the run's
+_PILOT_OFFSET = 10**9  # the first pilot stream, past every run of up to 10^9 replicates
 PILOT_REPLICATES = 1000
-_PILOT_LO_Q, _PILOT_HI_Q = 0.5, 0.999  # the |statistic| quantiles the auto grid spans
+_Z_LO, _Z_HI = (NormalDist().inv_cdf((1 + q) / 2) for q in (0.5, 0.999))  # |Z| quantiles
 
 
 @dataclass(frozen=True)
@@ -202,15 +203,22 @@ def _off_pilot(x: float, attained: np.ndarray) -> float:
     return float((x + other) / 2)
 
 
-def auto_grid(f: Kernel, cfg: McConfig, points: int) -> tuple[float, ...]:
-    """A geometric level grid of ``points`` levels spanning the pilot run's |statistic|
-    quantiles, with each end moved off the values the pilot attained.
-    Pilot streams are offset so they never reuse run streams."""
-    pilot = draw_counts(f.space, cfg.n, cfg.seed, PILOT_REPLICATES, _PILOT_OFFSET)
+def auto_grid(f: Kernel, cfg: McConfig, points: int) -> tuple[tuple[float, ...], int]:
+    """``points`` geometric levels and the pilot replicates drawn for them: for
+    canonical f, sigma times the |Z| quantiles 0.5 to 0.999 with sigma^2 from
+    ``canonical_second_moment``; else a pilot run's |statistic| quantiles, ends
+    moved off its values, its streams from max(10^9, R) on, past the run's."""
+    if is_canonical(f):
+        m2 = canonical_second_moment(f, cfg.n)
+        sigma = math.sqrt(m2) if in_float_range(m2) else math.inf
+        if not 0 < sigma < math.inf:
+            raise InsufficientTailData(f"the statistic's scale sqrt(E[J^2]) is {sigma}")
+        return tuple(np.geomspace(sigma * _Z_LO, sigma * _Z_HI, points).tolist()), 0
+    pilot = draw_counts(f.space, cfg.n, cfg.seed, PILOT_REPLICATES,
+                        max(_PILOT_OFFSET, cfg.replicates))
     values = np.abs(eval_batch(f, pilot, ustat=cfg.target == "ustat"))
     attained = np.unique(values)
-    lo = float(np.quantile(values, _PILOT_LO_Q))
-    hi = float(np.quantile(values, _PILOT_HI_Q))
+    lo, hi = map(float, np.quantile(values, [0.5, 0.999]))  # the |statistic| quantiles spanned
     if lo <= 0:
         positive = values[values > 0]
         if positive.size == 0:
@@ -219,4 +227,4 @@ def auto_grid(f: Kernel, cfg: McConfig, points: int) -> tuple[float, ...]:
     lo, hi = _off_pilot(lo, attained), _off_pilot(hi, attained)
     if hi <= lo:  # at most two distinct values above the median
         hi = lo * 2.0
-    return tuple(float(x) for x in np.geomspace(lo, hi, points))
+    return tuple(float(x) for x in np.geomspace(lo, hi, points)), PILOT_REPLICATES

@@ -361,11 +361,13 @@ AUTO_CFG = {**{k: v for k, v in TAILS_CFG.items() if k != "x_grid"},
             "n": 100, "replicates": 1000, "seed": 11}
 
 
-@pytest.mark.parametrize("doc, draws", [(TAILS_CFG, 1), (AUTO_CFG, 2)], ids=["x_grid", "auto"])
+@pytest.mark.parametrize("doc, draws", [(TAILS_CFG, 1), (AUTO_CFG, 1),
+                                        ({**AUTO_CFG, "canonicalize": False}, 2)],
+                         ids=["x_grid", "auto", "auto-noncanonical"])
 def test_tails_draws_each_replicate_once(tmp_path, monkeypatch, doc, draws):
     # the run's counts feed tails.csv and self_check.csv; only the auto
-    # grid's pilot draws a second time.  The run draws in cli, the pilot in
-    # montecarlo
+    # grid of a kernel that is not canonical draws a pilot, a second time.
+    # The run draws in cli, the pilot in montecarlo
     calls = []
 
     def counting(*args, **kwargs):
@@ -410,8 +412,10 @@ def test_tails_and_self_check_read_the_same_counts(tmp_path, doc):
 
 
 @pytest.mark.parametrize("doc, grid", [(TAILS_CFG, {"grid": "config"}),
-                                       (AUTO_CFG, {"grid": "auto", "pilot_replicates": 1000})],
-                         ids=["x_grid", "auto"])
+                                       (AUTO_CFG, {"grid": "auto", "pilot_replicates": 0}),
+                                       ({**AUTO_CFG, "canonicalize": False},
+                                        {"grid": "auto", "pilot_replicates": 1000})],
+                         ids=["x_grid", "auto", "auto-noncanonical"])
 def test_manifest_records_the_run(tmp_path, doc, grid):
     out = tmp_path / "out"
     assert run(["tails", "--config", write_json(tmp_path / "t.json", {**doc, "target": "ustat"}),
@@ -445,7 +449,9 @@ def test_tails_deterministic_across_workers(tmp_path):
 
 
 # sha256 of self_check.csv and manifest.json, recorded before the tails run
-# was split into library stages; every later change must keep these bytes.
+# was split into library stages; every later change must keep these bytes,
+# except the canonical auto-grid manifests, re-recorded when that grid
+# stopped drawing a pilot ("pilot_replicates": 0).
 # The bound columns of tails.csv come from np.linalg.lstsq and the auto
 # grid's levels from np.quantile and np.geomspace, which may move across
 # numpy and LAPACK builds, so of tails.csv only the x_grid run's x, p_hat
@@ -466,12 +472,20 @@ TAILS_HEAD = [["0.2", "0.7625", "0.021277555663186502"],
                  id="x_grid-ustat"),
     pytest.param(AUTO_CFG, "integral",
                  "74fc70783a7b3c90e62f847ea24b3728228eaa9996d951c41c39ce0b926f00a7",
-                 "6ad2ec0136ffeb90d90559fca2335789593d6f09593d38f7d250fc550c4754fd",
+                 "ef5d011c45b6e603e2259be3e891bcdf5201cde583f5af5b92ad6f8fdd58e71e",
                  id="auto-integral"),
     pytest.param(AUTO_CFG, "ustat",
                  "74fc70783a7b3c90e62f847ea24b3728228eaa9996d951c41c39ce0b926f00a7",
-                 "52a7c9dc5df2bbb93159f323c42e1129818d896896c5491a7cf7ac13a4293ee5",
+                 "fd036b8cc78bf4d0a5db37765908a7f93dc3d269d64678fc9089a32fa11ad3d4",
                  id="auto-ustat"),
+    pytest.param({**AUTO_CFG, "canonicalize": False}, "integral",
+                 "74fc70783a7b3c90e62f847ea24b3728228eaa9996d951c41c39ce0b926f00a7",
+                 "2d3ba7387b78f78fef22404a9241933ffc9620efe595f24321afdf550d33cb8c",
+                 id="auto-noncanonical-integral"),
+    pytest.param({**AUTO_CFG, "canonicalize": False}, "ustat",
+                 "74fc70783a7b3c90e62f847ea24b3728228eaa9996d951c41c39ce0b926f00a7",
+                 "796ef0c302080dbdf2f062453808790df6d66c3d9371c66b18a48d7c00ab7bf5",
+                 id="auto-noncanonical-ustat"),
 ])
 def test_tails_bytes_are_pinned(tmp_path, doc, target, self_check_digest, manifest_digest):
     out = tmp_path / "out"
@@ -561,6 +575,25 @@ def test_tails_auto_grid(tmp_path):
     with open(out / "tails.csv") as fh:
         rows = list(csv.reader(fh))
     assert len(rows) == 7
+
+
+@pytest.mark.parametrize("target", ["integral", "ustat"])
+@pytest.mark.parametrize("n", [30, 100, 300])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_tails_auto_grid_fits_random_canonical_kernels(tmp_path, k, n, target):
+    # the exact-scale grid spans Gaussian quantiles, while at k = 3 the tail
+    # is heavier: the fit still sees at least three nonzero levels
+    rng = np.random.default_rng(100 + k)
+    parts = rng.integers(1, 6, 3)
+    doc = {"space": {"weights": [str(F(int(p), int(parts.sum()))) for p in parts]},
+           "kernel": {"arity": k, "values": [str(F(int(v), 8)) for v in rng.integers(-8, 9, 3**k)]},
+           "canonicalize": True, "replicates": 1000, "n": n, "target": target, "seed": 5}
+    out = tmp_path / "out"
+    assert run(["tails", "--config", write_json(tmp_path / "t.json", doc),
+                "--out-dir", str(out)]) == 0
+    assert json.loads((out / "manifest.json").read_text())["pilot_replicates"] == 0
+    _, p_hat, *_ = _csv_columns(out / "tails.csv")
+    assert sum(p > 0 for p in p_hat) >= 3
 
 
 def test_tails_zero_kernel_writes_zero_file(tmp_path):
@@ -756,6 +789,8 @@ def test_bounds_comma_grid_and_constants_file(tmp_path):
     ("tails", {"grid_points": 2**59, "x_grid": None}),
     # a suite named twice
     ("verify", {"suites": ["constants", "constants"]}),
+    # a canonical kernel on the auto grid whose E[J^2] is past float range
+    ("tails", {"kernel": {"arity": 1, "values": ["1e200", "0"]}, "x_grid": None}),
 ])
 def test_bad_input_is_config_error(tmp_path, capsys, command, arg):
     if command == "bounds":

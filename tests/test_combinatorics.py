@@ -6,6 +6,7 @@ coefficients from the brute-force sample average, and constant values
 from direct arithmetic on the closed forms.
 """
 
+import math
 from fractions import Fraction as F
 
 import numpy as np
@@ -16,8 +17,8 @@ import _oracle
 from _oracle import pull_back, refine
 from _strategies import exact_kernels, exact_spaces
 
-from empint.combinatorics import (_counts_moment, check_moment_recursion,
-                                  cumulative_constant, damping_factor,
+from empint.combinatorics import (_counts_moment, canonical_second_moment,
+                                  check_moment_recursion, cumulative_constant, damping_factor,
                                   expectation_coefficient,
                                   expectation_coefficient_bruteforce,
                                   expected_integral_oracle, moment_constant_table,
@@ -27,7 +28,8 @@ from empint.combinatorics import (_counts_moment, check_moment_recursion,
                                   ustat_moment_oracle)
 from empint.errors import EmptySample, EnumerationTooLarge
 from empint.integrals import _falling_table, _statistic, eval_integral, eval_ustat
-from empint.kernels import canonical_project, random_kernel, tensor_product
+from empint.kernels import (canonical_project, l2_norm_sq, random_kernel, symmetrize,
+                            tensor_product)
 from empint.space import enumerate_counts, enumerate_samples, make_space, uniform_space
 
 
@@ -132,7 +134,6 @@ def test_second_moment_k1_closed_form():
     # E q^2 = ||f||_2^2 / n for canonical k = 1 kernels
     sp = make_space(["1/6", "1/3", "1/2"])
     rng = np.random.default_rng(34)
-    from empint.kernels import l2_norm_sq
     for _ in range(5):
         f = canonical_project(random_kernel(sp, 1, rng))
         for n in (1, 2, 3, 4):
@@ -266,3 +267,17 @@ def test_second_moment_is_invariant_under_refinement_and_relabeling_property(dat
     want = moment_oracle(f, n, 2)
     assert moment_oracle(refine(sp, f, atom, t), n, 2) == want
     assert moment_oracle(pull_back(f, sp_perm, perm), n, 2) == want
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(data=st.data(), sp=exact_spaces().filter(lambda sp: sp.n_atoms >= 2),
+       k=st.integers(1, 3))
+def test_canonical_second_moment_is_the_exact_second_moment_property(data, sp, k):
+    # E[J^2] with J = q n^{k/2}, or the U-statistic over n^{k/2}: one value
+    # for both targets, the Hoeffding variance, with no k! or k!^2 slip
+    f = canonical_project(data.draw(exact_kernels(sp, k)))
+    n = data.draw(st.integers(k, 8))
+    got = canonical_second_moment(f, n)
+    assert type(got) is F
+    assert got == n**k * moment_oracle(f, n, 2) == ustat_moment_oracle(f, n, 2) / n**k
+    assert got == l2_norm_sq(symmetrize(f)) * F(math.perm(n, k), math.factorial(k) * n**k)

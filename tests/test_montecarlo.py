@@ -1,5 +1,7 @@
+import itertools
 import math
 from fractions import Fraction as F
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from _oracle import refine
 from _strategies import PROPERTY, exact_kernels
 from empint import montecarlo
+from empint.combinatorics import canonical_second_moment
 from empint.errors import InsufficientTailData, NegativeSeed, RegimeViolation
 from empint.kernels import (canonical_project, indicator_kernel, kernel_from_values, l2_norm_sq,
                             random_kernel)
@@ -274,31 +277,72 @@ def test_binomial_band_is_the_exact_exceedance_property(data, w, n):
 
 def test_auto_grid_shape():
     sp = uniform_space(2)
-    f = centered_indicator(sp)
-    cfg = McConfig(replicates=100, seed=3, n=20, target="integral")
-    grid = auto_grid(f, cfg, points=8)
-    assert len(grid) == 8
-    assert all(b > a for a, b in zip(grid, grid[1:]))
-    assert all(x > 0 for x in grid)
+    for f in (centered_indicator(sp), indicator_kernel(sp, 0)):  # exact scale, pilot
+        cfg = McConfig(replicates=100, seed=3, n=20, target="integral")
+        grid, _ = auto_grid(f, cfg, points=8)
+        assert len(grid) == 8
+        assert all(b > a for a, b in zip(grid, grid[1:]))
+        assert all(x > 0 for x in grid)
+
+
+def _lattice_kernel(sp, kernel):
+    return kernel_from_values(sp, ["1", "0"] if kernel == "indicator" else [["1", "0"], ["0", "0"]])
 
 
 @pytest.mark.parametrize("n", [30, 100, 300])
 @pytest.mark.parametrize("target", ["integral", "ustat"])
 @pytest.mark.parametrize("kernel", ["indicator", "rank_one"])
 def test_auto_grid_levels_avoid_pilot_values(kernel, target, n):
-    # both statistics live on a lattice, so the pilot median (and often the
-    # 0.999 quantile) is a value the statistic attains
+    # a kernel that is not canonical takes the pilot path; both statistics
+    # live on a lattice, so the pilot median (and often the 0.999 quantile)
+    # is a value the statistic attains
     sp = uniform_space(2)
-    values = ["1", "0"] if kernel == "indicator" else [["1", "0"], ["0", "0"]]
-    f = canonical_project(kernel_from_values(sp, values))
+    f = _lattice_kernel(sp, kernel)
     for seed in (1, 2, 3):
         cfg = McConfig(replicates=100, seed=seed, n=n, target=target)
-        grid = auto_grid(f, cfg, points=12)
+        grid, pilot_replicates = auto_grid(f, cfg, points=12)
         pilot = np.abs(eval_batch(f, draw_counts(sp, n, seed, 1000, montecarlo._PILOT_OFFSET),
                                   ustat=target == "ustat"))
+        assert pilot_replicates == 1000
         assert not set(grid) & set(pilot.tolist())
         assert 0 < grid[0] < grid[-1]
 
+
+@pytest.mark.parametrize("n", [2, 30, 300])
+@pytest.mark.parametrize("kernel", ["indicator", "rank_one"])
+def test_canonical_auto_grid_is_sigma_times_normal_quantiles(monkeypatch, kernel, n):
+    # a canonical kernel's grid is drawn from nothing: one grid for every
+    # seed and both targets, spanning sigma times the |Z| quantiles 0.5 and
+    # 0.999, with sigma^2 the exact E[J^2]
+    monkeypatch.setattr(montecarlo, "draw_counts", None)
+    sp = make_space(["1/3", "2/3"])
+    f = canonical_project(_lattice_kernel(sp, kernel))
+    sigma = math.sqrt(canonical_second_moment(f, n))
+    z = [NormalDist().inv_cdf((1 + q) / 2) for q in (0.5, 0.999)]
+    want = tuple(sigma * np.geomspace(*z, 12))
+    for seed, target in itertools.product((1, 2, 3), ("integral", "ustat")):
+        grid, pilot_replicates = auto_grid(f, McConfig(100, seed, n, target), points=12)
+        assert pilot_replicates == 0
+        assert (grid[0], grid[-1]) == (sigma * z[0], sigma * z[1])
+        assert grid == pytest.approx(want, rel=1e-14, abs=0)
+        assert grid == auto_grid(f, McConfig(100, 1, n), points=12)[0]
+
+
+@pytest.mark.parametrize("replicates, offset", [(1, 10**9), (10**9, 10**9),
+                                                (10**9 + 1, 10**9 + 1), (2**59, 2**59)])
+def test_pilot_streams_start_past_the_run(monkeypatch, replicates, offset):
+    # the run draws streams 0..R-1, so the pilot starts at max(10^9, R); the
+    # stand-in returns a small counts matrix, so nothing of size R is drawn
+    sp = uniform_space(2)
+    offsets = []
+
+    def capture(space, n, seed, reps, base_offset=0):
+        offsets.append(base_offset)
+        return draw_counts(space, n, seed, 50)
+
+    monkeypatch.setattr(montecarlo, "draw_counts", capture)
+    auto_grid(indicator_kernel(sp, 0), McConfig(replicates, 7, 30), points=4)
+    assert offsets == [offset] and offset >= replicates
 
 
 @st.composite
