@@ -4,10 +4,13 @@ Dominance certificates and how contractions preserve them
 
 A certificate bounds |f| pointwise by a product of nonnegative factors on
 disjoint blocks of coordinates, each factor with sup <= 1 and L2 mass at
-most sigma^2.  Contracting two dominated kernels along a colored diagram
-yields a kernel that is dominated again, at an exactly predictable rank;
-the constructive transform below produces the witness and we verify every
-clause of the definition against it.
+most sigma^2.  It holds each factor as its square, so every clause is
+rational: f^2 <= the product of the squares, each square in [0, 1] with
+integral at most sigma^2.  Contracting two dominated kernels along a
+colored diagram yields a kernel that is dominated again, at an exactly
+predictable rank; the constructive transform below produces the witness,
+exact for exact inputs, and we verify every clause of the definition
+against it with no tolerance.
 """
 import numpy as np
 
@@ -39,12 +42,14 @@ print("contracted arity:", h.arity,
       " target rank r1+r2-(l-p):", cf.rank + cg.rank - 1,
       " got:", cert.rank)
 assert cert.rank == cf.rank + cg.rank - 1
-assert verify_certificate(h, cert)
-print("transformed certificate verifies")
+assert cert.exact and verify_certificate(h, cert)
+print("transformed certificate is exact and verifies")
 
 # when the structured transform cannot reach the target rank there is a
-# rank-1 fallback with an enlarged budget sigma^{r1+r2}
+# rank-1 fallback, the square of the contraction itself, with the enlarged
+# budget (sigma^2)^floor((r1+r2)/2)
 back = collapse_certificate(contract(f, g, d), cf, cg)
-print("fallback rank:", back.rank, " budget:", float(back.sigma_sq))
+print("fallback rank:", back.rank, " budget:", back.sigma_sq)
+assert back.sigma_sq == sig ** ((cf.rank + cg.rank) // 2)
 assert verify_certificate(contract(f, g, d), back)
 print("fallback certificate verifies")

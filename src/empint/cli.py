@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import json
 import math
 import os
@@ -206,6 +205,8 @@ def cmd_verify(args) -> int:
 # -- tails ------------------------------------------------------------------
 
 def cmd_tails(args) -> int:
+    import hashlib  # OpenSSL, for the manifest's one digest: loaded by tails alone
+
     cfg = _read_config(args.config, SCHEMAS["tails"])
     try:
         space = make_space(cfg["space"]["weights"])

@@ -7,17 +7,20 @@ that |f| <= product of the factors pointwise, every factor is nonnegative
 with sup norm at most 1, and every factor has squared L2 norm at most
 sigma^2 <= 1.  An empty block's factor is a constant in [0, sigma].
 
-A certificate is just (sigma^2, factors): each factor's axis labels are its
-block, so an empty block is an arity-0 factor and the rank is the number
-of factors.
+A certificate is (sigma^2, factors), each factor held as its square
+S = phi^2, so that every clause is rational: 0 <= S <= 1, the integral of
+S is at most sigma^2, and f^2 <= the product of the S's pointwise.  Each
+factor's axis labels are its block, so an empty block is an arity-0 factor
+(a constant in [0, sigma^2]) and the rank is the number of factors.
 
 The point of the calculus: contracting two dominated kernels along a
 diagram with l edges, p colored, yields a kernel dominated at rank exactly
 r1 + r2 - (l - p) with the *same* variance budget.  The transform below
-builds that certificate constructively:
+builds that certificate constructively, each step one ``labeled_product``:
 
-* each colored edge replaces the two touched factors by the square roots
-  of their squared marginals (a Schwarz step; blocks lose the endpoint),
+* each colored edge replaces the two touched factors by their integrals
+  over the colored endpoints (a Schwarz step, in squares; blocks lose the
+  endpoint),
 * uncolored edges identify their second endpoint with their first, and the
   factors they join (directly or through other edges) merge into one
   edge-identified product; a group of m factors costs m - 1 ranks, at most
@@ -26,14 +29,10 @@ builds that certificate constructively:
   labels are merged outright until the rank target is met (sound because
   sigma <= 1).
 
-Colored steps need square roots, so transformed certificates are float
-mode; rank bookkeeping stays exact.  The transport runs on float operands:
-each factor's float form is read once, and every Schwarz step and group
-product is one ``np.einsum`` on (values, labels) pairs, in the order the
-factors come in, so only the returned factors are built as kernels.
-Factors and kernels must live on one measure
-(``scalars.require_one_measure``), and a check reads them in the joint
-mode (``Arithmetic.form``): a float certificate is checked in float.
+So an exact pair's certificate is exact, and is checked exactly.  Factors
+and kernels must live on one measure (``scalars.require_one_measure``),
+and a check reads them in the joint mode (``Arithmetic.form``): a float
+certificate is checked in float, up to POINTWISE_TOL.
 """
 from __future__ import annotations
 
@@ -44,9 +43,9 @@ import numpy as np
 
 from .diagrams import ColoredDiagram
 from .errors import BlockMismatch, RankTooSmall, SigmaMismatch
-from .kernels import (Kernel, _einsum_numerators, constant_kernel, l2_norm_sq,
-                      labeled_product, random_kernel)
-from .scalars import FLOAT, Scalar, is_exact, mode_of, require_one_measure
+from .kernels import (Kernel, _einsum_numerators, constant_kernel, l1_norm, labeled_product,
+                      random_kernel)
+from .scalars import Scalar, is_exact, mode_of, require_one_measure
 
 __all__ = [
     "DominanceCertificate", "verify_certificate", "relax_sigma", "contract_certificate",
@@ -58,8 +57,9 @@ POINTWISE_TOL = 1e-10
 
 @dataclass(frozen=True)
 class DominanceCertificate:
-    """factors[i] is the envelope factor on block i, and block i is the
-    labels that factor depends on (an empty block's factor has arity 0)."""
+    """factors[i] is the square of the envelope factor on block i, and
+    block i is the labels that factor depends on (an empty block's factor
+    has arity 0)."""
 
     sigma_sq: Scalar
     factors: tuple[Kernel, ...]
@@ -91,8 +91,8 @@ def verify_certificate(f: Kernel, cert: DominanceCertificate) -> bool:
     ints over one denominator in exact mode) and compares by cross-multiplying,
     so exact certificates are checked exactly: a factor N / d is
     nonnegative when N >= 0 and has sup norm at most 1 when max |N| <= d,
-    and |F| / d_f <= P / D, with P / D the product of the factors, is
-    |F| D <= P d_f.
+    and F^2 / d_f^2 <= P / D, with P / D the product of the factors, is
+    F^2 D <= P d_f^2.
     """
     flat = [j for block in cert.blocks for j in block]
     if sorted(flat) != sorted(f.axis_labels) or len(flat) != len(set(flat)):
@@ -105,18 +105,18 @@ def verify_certificate(f: Kernel, cert: DominanceCertificate) -> bool:
     factors = [mode.form(h) for h in cert.factors]
     for h in factors:
         nums, d = h.numerators
-        # 0 <= h <= 1, so the sup norm is at most 1
+        # 0 <= h <= 1, so the sup norm is at most 1, and h's integral is its L1 norm
         if not -slack * d <= nums.min() <= nums.max() <= (1 + slack) * d:
             return False
-        if l2_norm_sq(h) > cert.sigma_sq + slack:
+        if l1_norm(h) > cert.sigma_sq + slack:
             return False
     # the blocks partition f's labels and share its measure: checked above
     prod, den = _einsum_numerators(mode, f.space, [(h, list(h.axis_labels)) for h in factors],
                                    f.axis_labels)
     nums, d_f = mode.form(f).numerators
     # flat arrays: arithmetic on 0-d object arrays returns bare scalars
-    gap = np.abs(nums.reshape(-1)) * den - prod.reshape(-1) * d_f
-    return gap.max() <= slack * d_f * den
+    gap = np.square(nums.reshape(-1)) * den - prod.reshape(-1) * d_f**2
+    return gap.max() <= slack * d_f**2 * den
 
 
 def relax_sigma(cert: DominanceCertificate, sigma_sq: Scalar) -> DominanceCertificate:
@@ -129,9 +129,9 @@ def contract_certificate(cf: DominanceCertificate, cg: DominanceCertificate,
                          d: ColoredDiagram) -> DominanceCertificate:
     """Certificate for the compact-relabeled contraction of two dominated
     kernels along ``d``, at rank exactly r1 + r2 - (l - p) with the shared
-    variance budget.  Raises SigmaMismatch when the budgets differ,
-    SpaceMismatch when the factors live on different measures, and
-    RankTooSmall when that target is below one.
+    variance budget, in the pair's joint mode.  Raises SigmaMismatch when
+    the budgets differ, SpaceMismatch when the factors live on different
+    measures, and RankTooSmall when that target is below one.
     """
     if cf.sigma_sq != cg.sigma_sq:
         raise SigmaMismatch(f"budgets differ: {cf.sigma_sq} vs {cg.sigma_sq}")
@@ -139,38 +139,30 @@ def contract_certificate(cf: DominanceCertificate, cg: DominanceCertificate,
     target = cf.rank + cg.rank - (d.l - d.p)
     if target < 1:
         raise RankTooSmall(f"rank {cf.rank}+{cg.rank} cannot absorb {d.l - d.p} merges")
+    mode = mode_of(cf, cg)
+    space = mode.form(cf.factors[0].space)
 
-    # Each factor as an einsum operand (float values, labels); g's factors
-    # take g's labels in the pair, shifted past f's k1.
-    pair = [(FLOAT.form(h).numerators[0], list(h.axis_labels)) for h in cf.factors]
-    pair += [(FLOAT.form(h).numerators[0], [j + d.k1 for j in h.axis_labels])
-             for h in cg.factors]
-    space = FLOAT.form(cf.factors[0].space)
-    weights = space.numerators[0]
-
-    # Schwarz step: a factor holding colored endpoints becomes the square
-    # root of its squared marginal over them.
+    # Schwarz step: a factor holding colored endpoints is integrated over
+    # them.  g's factors take g's labels in the pair, shifted past f's k1.
     colored = {j for edge in d.colored_edges() for j in edge}
     factors = []
-    for values, labels in pair:
-        drop = [j for j in labels if j in colored]
-        if drop:
-            keep = [j for j in labels if j not in colored]
-            sq = np.einsum(values, labels, values, labels,
-                           *[x for j in drop for x in (weights, [j])], keep)
-            values, labels = np.sqrt(np.maximum(sq, 0.0)), keep
-        factors.append((values, labels))
+    for h, shift in [(h, 0) for h in cf.factors] + [(h, d.k1) for h in cg.factors]:
+        labels = [j + shift for j in h.axis_labels]
+        keep = [j for j in labels if j not in colored]
+        if keep != labels:
+            h = labeled_product(space, [(h, labels)], keep, [j for j in labels if j in colored])
+        factors.append((h, keep))
 
     # Each uncolored edge's second endpoint is renamed to its first, so the
-    # factors an edge joins share a label: group (labels, operands) by that.
+    # factors an edge joins share a label: group (labels, factors) by that.
     rename = {j2: j for j, j2 in d.uncolored_edges()}
     groups: list[tuple[set[int], list]] = []
-    for values, labels in factors:
+    for h, labels in factors:
         labels = [rename.get(j, j) for j in labels]
         joined = [g for g in groups if g[0].intersection(labels)]
         groups = [g for g in groups if not g[0].intersection(labels)]
         groups.append((set(labels).union(*(g[0] for g in joined)),
-                       [(values, labels)] + [op for g in joined for op in g[1]]))
+                       [(h, labels)] + [op for g in joined for op in g[1]]))
 
     # Spare merges down to the exact rank target (sound since sigma <= 1).
     while len(groups) > target:
@@ -178,49 +170,51 @@ def contract_certificate(cf: DominanceCertificate, cg: DominanceCertificate,
         (l1, o1), (l2, o2) = groups[:2]
         groups[:2] = [(l1 | l2, o1 + o2)]
 
-    # One product per group, relabeled to the compact 1..arity frame: the
-    # only kernels built.
+    # One product per group, relabeled to the compact 1..arity frame.
     frame = {j: i + 1 for i, j in enumerate(sorted(set().union(*(g[0] for g in groups))))}
-    products = []
-    for labels, ops in groups:
-        out = sorted(frame[j] for j in labels)
-        nums = np.einsum(*[x for v, ls in ops for x in (v, [frame[j] for j in ls])], out)
-        products.append(Kernel(space, nums, tuple(out)))
-    return DominanceCertificate(float(cf.sigma_sq), tuple(products))
+    return DominanceCertificate(mode.cast(cf.sigma_sq), tuple(
+        labeled_product(space, [(h, [frame[j] for j in ls]) for h, ls in ops],
+                        sorted(frame[j] for j in labels))
+        for labels, ops in groups))
+
+
+def _square(h: Kernel) -> Kernel:
+    return labeled_product(h.space, [(h, h.axis_labels)] * 2, h.axis_labels)
 
 
 def collapse_certificate(h: Kernel, cf: DominanceCertificate,
                          cg: DominanceCertificate) -> DominanceCertificate:
     """The rank-1 fallback for a contraction h of two dominated kernels:
-    |h| itself is the factor, with the enlarged budget sigma^{r1+r2}.
+    h^2 itself is the factor, with the budget sigma_sq^floor((r1+r2)/2).
 
-    (The Schwarz bound gives L2(h)^2 <= L2(f) L2(g) <= sigma^{r1+r2}; the
-    budget uses that exponent, so the certificate stays checkable.)  Raises
+    (The Schwarz bound gives L2(h)^2 <= L2(f) L2(g) <= sigma^{r1+r2}, and
+    sigma^{r1+r2} is at most that rational budget since sigma <= 1.)  Raises
     SigmaMismatch and SpaceMismatch as contract_certificate does, h included.
     """
     if cf.sigma_sq != cg.sigma_sq:
         raise SigmaMismatch(f"budgets differ: {cf.sigma_sq} vs {cg.sigma_sq}")
     require_one_measure(h.space, *(k.space for k in cf.factors + cg.factors))
-    r_total = cf.rank + cg.rank
-    # an odd total makes the budget a square root, so a float
-    mode = mode_of(cf.sigma_sq, h) if r_total % 2 == 0 else FLOAT
-    return DominanceCertificate(mode.cast(cf.sigma_sq) ** mode.ratio(r_total, 2), (h.abs(),))
+    sigma_sq = mode_of(cf.sigma_sq, h).cast(cf.sigma_sq)
+    return DominanceCertificate(sigma_sq ** ((cf.rank + cg.rank) // 2), (_square(h),))
 
 
 def random_dominated_pair(space, blocks: tuple[tuple[int, ...], ...],
                           rng: np.random.Generator):
     """A random exact kernel together with a valid certificate on the given
-    blocks: factors are random nonnegative kernels with sup <= 1, and the
-    kernel is their product damped by a random sign pattern in [-1, 1]."""
+    blocks: envelope factors are random nonnegative kernels with sup <= 1,
+    the certificate holds their squares, and the kernel is their product
+    damped by a random sign pattern in [-1, 1]."""
     labels = tuple(sorted(j for b in blocks for j in b))
-    drawn = {b: Kernel(space, random_kernel(space, len(b), rng).abs().values,
+    drawn = {b: Kernel(space, np.abs(random_kernel(space, len(b), rng).values),
                        tuple(sorted(b))) for b in blocks if b}
-    sigma_sq = max((l2_norm_sq(h) for h in drawn.values()), default=Fraction(0))
+    squares = {b: _square(h) for b, h in drawn.items()}
+    sigma_sq = max(map(l1_norm, squares.values()), default=Fraction(0))
     if sigma_sq == 0:
         sigma_sq = Fraction(1, 6)  # random_kernel's bound on denominators
-    # an empty block's factor is the constant sigma^2 <= sigma
-    factors = tuple(drawn[b] if b else constant_kernel(space, sigma_sq) for b in blocks)
-    cert = DominanceCertificate(sigma_sq, factors)
+    # an empty block's envelope factor is the constant sigma^2 <= sigma
+    drawn[()] = constant_kernel(space, sigma_sq)
+    squares[()] = _square(drawn[()])
     damp = random_kernel(space, len(labels), rng)
-    prod = labeled_product(space, [(h, h.axis_labels) for h in factors], labels)
-    return Kernel(space, prod.values * damp.values, labels), cert
+    prod = labeled_product(space, [(drawn[b], drawn[b].axis_labels) for b in blocks], labels)
+    return Kernel(space, prod.values * damp.values, labels), DominanceCertificate(
+        sigma_sq, tuple(squares[b] for b in blocks))

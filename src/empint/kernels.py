@@ -16,9 +16,9 @@ Exact-mode kernels hold Python rationals in an object-dtype array on an
 exact space (``Kernel`` reads the type of every value it is given and
 turns any other object values into floats) and every operation below is
 closed over the rationals.  So ``labeled_product``, ``Kernel.add``,
-``Kernel.scale``, ``Kernel.abs`` and ``compact_relabel`` build their
-result in the mode ``mode_of`` fixes for their operands (``_result``),
-without reading its entries again.  Kernels and spaces cache their
+``Kernel.scale`` and ``compact_relabel`` build their result in the mode
+``mode_of`` fixes for their operands (``_result``), without reading its
+entries again.  Kernels and spaces cache their
 Python-int numerators over one denominator (``numerators``).  Every exact
 ``labeled_product``, a pure product included, runs its ``einsum`` on them
 and divides once per entry; the step-by-step operators stay on the
@@ -114,9 +114,6 @@ class Kernel:
             raise ArityMismatch(f"axis labels differ: {self.axis_labels} vs {other.axis_labels}")
         return _result(mode_of(self, other), self.space, self.values + other.values,
                        self.axis_labels)
-
-    def abs(self) -> "Kernel":
-        return _result(mode_of(self), self.space, np.abs(self.values), self.axis_labels)
 
     @cached_property
     def _float_form(self) -> "Kernel":

@@ -63,7 +63,9 @@ class McConfig:
 
 @dataclass(frozen=True)
 class TailEstimate:
-    """Empirical exceedance of |statistic| over an ascending level grid."""
+    """Empirical exceedance of |statistic| over an ascending level grid;
+    ``vanishes`` when the kernel is 0 wherever a sample lands (sigma, its
+    float L2 norm, can also read 0.0 for a kernel that does not)."""
 
     x_grid: tuple[float, ...]
     p_hat: tuple[float, ...]
@@ -71,6 +73,7 @@ class TailEstimate:
     k: int
     n: int
     sigma: float
+    vanishes: bool = False
 
 
 def exceedance(values: np.ndarray, x_grid) -> tuple[tuple[float, ...], tuple[float, ...]]:
@@ -90,7 +93,8 @@ def estimate_tail(f: Kernel, cfg: McConfig, counts: np.ndarray, x_grid) -> TailE
         raise ValueError(f"counts must be {cfg.replicates} rows of {f.space.n_atoms} atoms "
                          f"summing to n={cfg.n}, got shape {counts.shape}")
     p_hat, stderr = exceedance(eval_batch(f, counts, ustat=cfg.target == "ustat"), xs)
-    return TailEstimate(xs, p_hat, stderr, f.arity, cfg.n, l2_norm(f))
+    landed = f.values[np.ix_(*[np.flatnonzero(f.space.weight_vector)] * f.arity)]  # exactly
+    return TailEstimate(xs, p_hat, stderr, f.arity, cfg.n, l2_norm(f), not np.any(landed))
 
 
 def binomial_band(weight, n: int, x) -> tuple[int, int]:
@@ -161,10 +165,11 @@ def fit_constants(est: TailEstimate, form: str = "two_regime") -> BoundParams:
 def tail_rows(est: TailEstimate) -> list[tuple[float, float, float, float, float]]:
     """(x, p_hat, stderr, bound13, bound16) at each level of ``est``, with
     both bound shapes fitted by ``fit_constants``, whose errors pass
-    through.  A statistic with sigma 0 vanishes identically: its exact tail
-    is zero, nothing is fitted and both bounds read 0.0."""
+    through.  A kernel that vanishes where samples land has a statistic
+    that vanishes: its exact tail is zero, nothing is fitted and both bounds
+    read 0.0.  Any other is fitted, so a sigma that underflows is refused."""
     rows = zip(est.x_grid, est.p_hat, est.stderr)
-    if est.sigma == 0.0:
+    if est.vanishes:
         return [(x, p, se, 0.0, 0.0) for x, p, se in rows]
     p13, p16 = fit_constants(est, "two_regime"), fit_constants(est, "bernstein")
     return [(x, p, se, two_regime_tail_bound(x, est.k, est.sigma, est.n, p13),

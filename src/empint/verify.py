@@ -114,10 +114,11 @@ def run_suite_expectation(res: SuiteResult, rng: np.random.Generator) -> None:
                                f"expectation k={k} n={n} A={A}")
 
 
-def _square_integral(h: kernels.Kernel):
-    """The integral of h * h over all of h's labels, by ``labeled_product``:
-    the squared L2 norm that ``norms`` and ``dominance`` check against."""
-    return kernels.labeled_product(h.space, [(h, h.axis_labels)] * 2, (), h.axis_labels).values[()]
+def _integral(h: kernels.Kernel, power: int = 1):
+    """The integral of h^power over all of h's labels, by ``labeled_product``,
+    that ``norms`` (power 2) and ``dominance`` (power 1) check against."""
+    return kernels.labeled_product(h.space, [(h, h.axis_labels)] * power, (),
+                                   h.axis_labels).values[()]
 
 
 def run_suite_norms(res: SuiteResult, rng: np.random.Generator) -> None:
@@ -130,7 +131,7 @@ def run_suite_norms(res: SuiteResult, rng: np.random.Generator) -> None:
             g = kernels.random_kernel(sp, k2, rng)
             nf, ng = kernels.l2_norm_sq(f), kernels.l2_norm_sq(g)
             for h, nh in ((f, nf), (g, ng)):
-                res.record(nh == _square_integral(h), 0.0, f"squared L2 norm k={h.arity}")
+                res.record(nh == _integral(h, 2), 0.0, f"squared L2 norm k={h.arity}")
             for l in range(min(k1, k2) + 1):
                 for p in range(l + 1):
                     for d in diagrams.enumerate_diagrams(diagrams.DiagramClass(k1, k2, l, p)):
@@ -183,7 +184,7 @@ def run_suite_dominance(res: SuiteResult, rng: np.random.Generator) -> None:
     exact rank target; the rank-1 fallback also verifies.  The atoms'
     weights differ, so a step that reads them in the wrong order fails.
     Certificates wrong by construction are refused; each input one also
-    verifies at its largest factor's squared norm as ``norms`` reads it."""
+    verifies at its largest factor's integral, read by ``labeled_product``."""
     sp = space.make_space(["1/6", "1/3", "1/2"])
     shapes = [(1, ((1,),)), (2, ((1,), (2,))), (2, ((1, 2),))]
     for (k1, b1), (k2, b2) in itertools.product(shapes, repeat=2):
@@ -193,7 +194,7 @@ def run_suite_dominance(res: SuiteResult, rng: np.random.Generator) -> None:
         cf, cg = dominance.relax_sigma(cf, s2), dominance.relax_sigma(cg, s2)
         for name, h, ch in (("f", f, cf), ("g", g, cg)):
             res.record(dominance.verify_certificate(h, ch), 0.0, f"input certificate {name}")
-            exact = max(map(_square_integral, ch.factors)) or ch.sigma_sq  # zero factors: any budget
+            exact = max(map(_integral, ch.factors)) or ch.sigma_sq  # zero factors: any budget
             res.record(dominance.verify_certificate(h, dominance.DominanceCertificate(
                 exact, ch.factors)), 0.0, f"input certificate {name} at the exact norm")
             above_product, above_one = _wrong_certificates(h, ch)
@@ -211,7 +212,7 @@ def run_suite_dominance(res: SuiteResult, rng: np.random.Generator) -> None:
                     h = kernels.compact_relabel(diagrams.contract(f, g, d))
                     ct = dominance.contract_certificate(cf, cg, d)
                     res.record(ct.rank == target, 0.0, f"rank {ct.rank} != {target} for {name}")
-                    res.record(dominance.verify_certificate(h.as_float(), ct), 0.0,
+                    res.record(dominance.verify_certificate(h, ct), 0.0,
                                f"transport {name}")
                     cc = dominance.collapse_certificate(h, cf, cg)
                     res.record(dominance.verify_certificate(h, cc), 0.0, f"fallback {name}")
@@ -219,14 +220,15 @@ def run_suite_dominance(res: SuiteResult, rng: np.random.Generator) -> None:
 
 def _wrong_certificates(f: kernels.Kernel, cert: dominance.DominanceCertificate):
     """Two (kernel, certificate) pairs made from a valid exact one, each wrong
-    at the first cell: f's entry there is minus the factors' product less
-    1/1000, and the first factor's entry there is 1001/1000, with the budget
-    relaxed to 1 so that, as a rule, the factor's norm clause still holds."""
+    at the first cell: f's entry there is -((P + 1)/2 + 1/1000), P the factors'
+    product there, whose square passes P, and the first factor's entry there
+    is 1001/1000, with the budget relaxed to 1 so that, as a rule, the
+    factor's integral clause still holds."""
     cell = (0,) * f.arity
     product = kernels.labeled_product(f.space, [(h, h.axis_labels) for h in cert.factors],
                                       f.axis_labels)
     raised = f.values.copy()
-    raised[cell] = -product.values[cell] - Fraction(1, 1000)
+    raised[cell] = -(product.values[cell] + 1) / 2 - Fraction(1, 1000)
     first, *rest = cert.factors
     over = first.values.copy()
     over[(0,) * first.arity] = Fraction(1001, 1000)

@@ -13,9 +13,9 @@ the slots of S, one slot at a time.  The labeled product, the norms, the
 canonical test and the certificate clauses below apply their definitions
 entry by entry to the kernels' own values (``Fraction`` objects in exact
 mode), where the library runs on integer numerators and divides once.  The
-certificate transport below builds a kernel at every step, where the
-library carries the factors' float values as einsum operands: the same
-einsums on the same operands, so its factors must match bit for bit.
+certificate transport below runs every step's einsum on the factors' own
+values too: its factors must equal the library's with ``==``, and in float
+mode bit for bit.
 
 ``substitute_axis`` and ``diagram_count`` are the step-by-step and
 closed-form references for ``diagrams.contract`` and
@@ -34,7 +34,6 @@ from itertools import groupby
 import numpy as np
 
 from empint.errors import BlockMismatch
-from empint import kernels
 from empint.dominance import DominanceCertificate
 from empint.kernels import Kernel, integrate_axis
 from empint.scalars import mode_of
@@ -168,7 +167,8 @@ def labeled_product(space, factors, out, integrate=()):
 
 
 def verify_certificate(f, cert, tol=1e-10):
-    """Every clause of the dominance definition, entry by entry."""
+    """Every clause of the dominance definition, on factors held as
+    squares, entry by entry."""
     flat = [j for block in cert.blocks for j in block]
     if sorted(flat) != sorted(f.axis_labels) or len(flat) != len(set(flat)):
         raise BlockMismatch(f"blocks {cert.blocks} do not partition labels {f.axis_labels}")
@@ -180,30 +180,31 @@ def verify_certificate(f, cert, tol=1e-10):
             return False
         if sup_norm(h) > 1 + slack:
             return False
-        if l2_norm_sq(h) > cert.sigma_sq + slack:
+        if _full_contraction(h.values, h.space) > cert.sigma_sq + slack:
             return False
     prod = labeled_product(f.space, [(h.values, h.axis_labels) for h in cert.factors],
                            f.axis_labels)
-    gap = np.asarray(np.abs(f.values) - prod)
+    gap = np.asarray(f.values * f.values - prod)
     return all(x <= slack for x in gap.flat)
 
 
 def contract_certificate(cf, cg, d):
-    """The certificate transport built from kernels: every factor's float
-    form and every Schwarz step is a ``Kernel``, and each Schwarz step and
-    each group is one ``labeled_product``, on the operands in the order the
-    library keeps them."""
+    """The certificate transport built from kernels in the pair's joint
+    mode: every Schwarz step and every group is one einsum on the factors'
+    own values, in the order the library keeps them."""
     target = cf.rank + cg.rank - (d.l - d.p)
+    mode = mode_of(cf, cg)
+    space = mode.form(cf.factors[0].space)
     pair = cf.factors + tuple(Kernel(h.space, h.values, tuple(j + d.k1 for j in h.axis_labels))
                               for h in cg.factors)
     colored = {j for edge in d.colored_edges() for j in edge}
     factors = []
-    for h in (h.as_float() for h in pair):
+    for h in (mode.form(h) for h in pair):
+        keep = [j for j in h.axis_labels if j not in colored]
         drop = [j for j in h.axis_labels if j in colored]
         if drop:
-            keep = [j for j in h.axis_labels if j not in colored]
-            sq = kernels.labeled_product(h.space, [(h, h.axis_labels)] * 2, keep, drop)
-            h = Kernel(sq.space, np.sqrt(np.maximum(sq.values, 0.0)), sq.axis_labels)
+            h = Kernel(space, labeled_product(space, [(h.values, h.axis_labels)], keep, drop),
+                       tuple(keep))
         factors.append(h)
     rename = {j2: j for j, j2 in d.uncolored_edges()}
     groups = []
@@ -218,10 +219,12 @@ def contract_certificate(cf, cg, d):
         (l1, o1), (l2, o2) = groups[:2]
         groups[:2] = [(l1 | l2, o1 + o2)]
     frame = {j: i + 1 for i, j in enumerate(sorted(set().union(*(g[0] for g in groups))))}
-    return DominanceCertificate(float(cf.sigma_sq), tuple(
-        kernels.labeled_product(factors[0].space, [(h, [frame[j] for j in ls]) for h, ls in ops],
-                                sorted(frame[j] for j in labels))
-        for labels, ops in groups))
+    products = []
+    for labels, ops in groups:
+        out = sorted(frame[j] for j in labels)
+        values = labeled_product(space, [(h.values, [frame[j] for j in ls]) for h, ls in ops], out)
+        products.append(Kernel(space, values, tuple(out)))
+    return DominanceCertificate(mode.cast(cf.sigma_sq), tuple(products))
 
 
 def recursion_weight(l, p, k, m):

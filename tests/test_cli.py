@@ -7,6 +7,7 @@ import math
 import os
 import re
 import select
+import subprocess
 import sys
 import tempfile
 from fractions import Fraction as F
@@ -739,6 +740,15 @@ def test_bounds_comma_grid_and_constants_file(tmp_path):
     assert float(rows[1][1]) == pytest.approx(want)
 
 
+def test_importing_the_cli_leaves_openssl_unloaded():
+    # hashlib's OpenSSL module is for the tails manifest's digest alone
+    code = "import sys, empint.cli; print('_hashlib' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(empint.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout == "False\n"
+
+
 @pytest.mark.parametrize("command, arg", [
     ("bounds", "0:1:5"), ("bounds", "a,b"), ("bounds", "2,1"),
     ("verify", {"suites": ["nope"]}), ("verify", {"seed": "x"}),
@@ -791,6 +801,9 @@ def test_bounds_comma_grid_and_constants_file(tmp_path):
     ("verify", {"suites": ["constants", "constants"]}),
     # a canonical kernel on the auto grid whose E[J^2] is past float range
     ("tails", {"kernel": {"arity": 1, "values": ["1e200", "0"]}, "x_grid": None}),
+    # a nonzero kernel whose L2 norm underflows to 0.0: the fit refuses sigma 0
+    ("tails", {"space": {"weights": ["1/3", "2/3"]}, "kernel": {"arity": 1,
+               "values": ["1e-200", "0"]}, "n": 30, "x_grid": [1e-201, 3e-201, 6e-201]}),
 ])
 def test_bad_input_is_config_error(tmp_path, capsys, command, arg):
     if command == "bounds":

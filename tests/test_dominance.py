@@ -15,6 +15,7 @@ from empint.dominance import (DominanceCertificate, collapse_certificate,
 from empint.errors import BlockMismatch, RankTooSmall, SigmaMismatch, SpaceMismatch
 from empint.kernels import (Kernel, compact_relabel, constant_kernel, kernel_from_values,
                             l2_norm_sq, random_kernel, tensor_product)
+from empint.scalars import mode_of
 from empint.space import make_space, uniform_space
 
 
@@ -59,9 +60,9 @@ def test_certificate_structural_validation(sp):
 
 
 def _unit_cert(f):
-    """The rank-1 certificate with |f| as its factor and f's own squared L2
+    """The rank-1 certificate with f^2 as its factor and f's own squared L2
     norm as the budget; valid whenever sup|f| <= 1."""
-    return DominanceCertificate(l2_norm_sq(f), (f.abs(),))
+    return DominanceCertificate(l2_norm_sq(f), (Kernel(f.space, f.values**2, f.axis_labels),))
 
 
 def test_unit_certificate_round_trip(sp):
@@ -86,8 +87,8 @@ def test_verify_numeric_clauses(sp):
     assert verify_certificate(f, good)
     # budget larger than 1 fails the sigma clause
     assert not verify_certificate(f, DominanceCertificate(F(3, 2), good.factors))
-    # envelope too small pointwise
-    small = kernel_from_values(sp, ["1/4", "0", "0"])
+    # envelope too small pointwise: 1/8 < (1/2)^2
+    small = kernel_from_values(sp, ["1/8", "0", "0"])
     bad = DominanceCertificate(F(1, 2), (small,))
     assert not verify_certificate(f, bad)
     # negative factor values are rejected even if the product still dominates
@@ -96,7 +97,7 @@ def test_verify_numeric_clauses(sp):
     # factor sup above 1
     tall = kernel_from_values(sp, ["2", "0", "0"])
     assert not verify_certificate(f, DominanceCertificate(F(1), (tall,)))
-    # factor L2 mass above the budget
+    # factor integral above the budget
     wide = kernel_from_values(sp, ["1", "1", "1"])
     assert not verify_certificate(f, DominanceCertificate(F(1, 2), (wide,)))
 
@@ -119,8 +120,8 @@ def test_relax_sigma(sp):
 
 def test_collapse_budget_hand_value(sp):
     # two rank-1 certificates with sigma^2 = 1/4 collapse to budget
-    # sigma^{1+1} = 1/4, kept exact because the total rank is even
-    env = kernel_from_values(sp, ["1/2", "0", "0"])
+    # (sigma^2)^{(1+1)/2} = 1/4; the factor is the square of (1/2, 0, 0)
+    env = kernel_from_values(sp, ["1/4", "0", "0"])
     f = kernel_from_values(sp, ["1/2", "0", "0"])
     g = kernel_from_values(sp, ["-1/4", "0", "0"])
     cf = DominanceCertificate(F(1, 4), (env,))
@@ -216,6 +217,49 @@ def test_certificate_transport_property(sp, bf, bg, seed):
         _check_transport(f, cf, g, cg, d)
 
 
+nonuniform_spaces = st.lists(st.integers(1, 5), min_size=2, max_size=4).filter(
+    lambda parts: len(set(parts)) > 1).map(lambda parts: make_space([F(x, sum(parts))
+                                                                    for x in parts]))
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(sp=nonuniform_spaces, bf=block_partitions(), bg=block_partitions(),
+       seed=st.integers(0, 2**32 - 1))
+def test_exact_pairs_transport_to_exact_certificates_property(sp, bf, bg, seed):
+    """An exact pair's transported and collapsed certificates are exact,
+    and verify with no slack: by the library and by the oracle at tol 0."""
+    f, cf = _random_cert(sp, bf, seed)
+    g, cg = _random_cert(sp, bg, seed + 1)
+    sig = max(cf.sigma_sq, cg.sigma_sq)
+    cf, cg = relax_sigma(cf, sig), relax_sigma(cg, sig)
+    for d in _all_diagrams(f.arity, g.arity):
+        h = compact_relabel(contract(f, g, d))
+        target = cf.rank + cg.rank - (d.l - d.p)
+        certs = [collapse_certificate(h, cf, cg)]
+        if target >= 1:
+            certs.append(contract_certificate(cf, cg, d))
+            assert certs[-1].rank == target
+        for cert in certs:
+            assert cert.exact and mode_of(cert, h).slack(dominance.POINTWISE_TOL) == 0
+            assert verify_certificate(h, cert) and _oracle.verify_certificate(h, cert, tol=0)
+
+
+def test_collapse_budget_is_not_sigma_sq_to_the_total_rank():
+    # a pair whose plain-edge contraction has ||h||^2 = 1.19 sigma^4: the
+    # budget sigma_sq^((1+1)/2) holds it, sigma_sq^(1+1) would not
+    sp = make_space(["1/6", "1/3", "1/2"])
+    rng = np.random.default_rng(92)
+    f, cf = random_dominated_pair(sp, ((1,),), rng)
+    g, cg = random_dominated_pair(sp, ((1,),), rng)
+    sig = max(cf.sigma_sq, cg.sigma_sq)
+    cf, cg = relax_sigma(cf, sig), relax_sigma(cg, sig)
+    h = contract(f, g, ColoredDiagram(1, 1, ((1, 2),), frozenset()))
+    out = collapse_certificate(h, cf, cg)
+    assert out.sigma_sq == sig and verify_certificate(h, out)
+    assert l2_norm_sq(h) > sig**2
+    assert not verify_certificate(h, DominanceCertificate(sig**2, out.factors))
+
+
 def _float_form(cert):
     return DominanceCertificate(float(cert.sigma_sq), tuple(h.as_float() for h in cert.factors))
 
@@ -226,8 +270,9 @@ def _float_form(cert):
        float_inputs=st.booleans())
 def test_transport_matches_kernel_by_kernel_oracle_property(weights, bf, bg, seed,
                                                              float_inputs):
-    """The transport on float operands gives the factors of the oracle,
-    which builds a kernel at every step, bit for bit."""
+    """The transport gives the factors of the oracle, which runs every
+    step's einsum on the factors' own values: equal in exact mode, and bit
+    for bit in float mode."""
     sp = make_space([F(x, sum(weights)) for x in weights])
     _, cf = _random_cert(sp, bf, seed)
     _, cg = _random_cert(sp, bg, seed + 1)
@@ -240,17 +285,19 @@ def test_transport_matches_kernel_by_kernel_oracle_property(weights, bf, bg, see
             continue
         got, want = contract_certificate(cf, cg, d), _oracle.contract_certificate(cf, cg, d)
         assert got.sigma_sq == want.sigma_sq and got.blocks == want.blocks
+        assert got.exact is not float_inputs
         for h, w in zip(got.factors, want.factors):
-            assert h.space == w.space and h.values.dtype == w.values.dtype == float
+            assert h.space == w.space and h.values.dtype == w.values.dtype
             assert np.array_equal(h.values, w.values)
 
 
 @pytest.mark.parametrize("sigma_sq, float_h, r1, budget", [
-    (F(1, 4), False, 1, F(1, 4)),  # even total, exact: sigma^2 itself
-    (F(1, 4), False, 2, 0.125),    # odd total: a square root, so a float
+    (F(1, 4), False, 1, F(1, 4)),  # even total: sigma^2 itself
+    (F(1, 4), False, 2, F(1, 4)),  # odd total 3: (sigma^2)^1, still exact
     (0.25, True, 1, 0.25),
-    (0.25, True, 2, 0.125),
+    (0.25, True, 2, 0.25),
     (F(1, 4), True, 1, 0.25),      # exact budget, float kernel
+    (F(1, 4), False, 3, F(1, 16)),
 ])
 def test_collapse_budget_value_and_type(sp, sigma_sq, float_h, r1, budget):
     env = kernel_from_values(sp, ["1/2", "0", "0"])
@@ -263,7 +310,7 @@ def test_collapse_budget_value_and_type(sp, sigma_sq, float_h, r1, budget):
     assert out.sigma_sq == budget and type(out.sigma_sq) is type(budget)
 
 
-def test_collapse_certificate_float_budget_odd_rank(sp):
+def test_collapse_certificate_exact_budget_odd_rank(sp):
     f, cf = _random_cert(sp, ((1,), (2,)), 70)
     g, cg = _random_cert(sp, ((1,),), 71)
     sig = max(cf.sigma_sq, cg.sigma_sq)
@@ -271,38 +318,39 @@ def test_collapse_certificate_float_budget_odd_rank(sp):
     d = ColoredDiagram(2, 1, ((1, 3),), frozenset())
     h = contract(f, g, d)
     out = collapse_certificate(h, cf, cg)
-    # odd total rank forces a float budget sigma^3
-    assert out.sigma_sq == pytest.approx(float(sig) ** 1.5)
-    assert verify_certificate(h, out)
+    # odd total rank 3: the budget (sigma^2)^1 >= sigma^3 stays rational
+    assert out.sigma_sq == sig and type(out.sigma_sq) is F
+    assert out.exact and verify_certificate(h, out)
 
 
 def test_a_factor_on_another_space_is_refused():
-    # the L2 clause is measured against f's weights, not the factor's own
+    # the integral clause is measured against f's weights (3/4), not the
+    # factor's own (11/20)
     f = kernel_from_values(make_space(["1/2", "1/2"]), ["1", "1/2"])
-    assert not verify_certificate(f, DominanceCertificate(F(13, 40), (f,)))
+    assert not verify_certificate(f, DominanceCertificate(F(11, 20), (f,)))
     skewed = kernel_from_values(make_space(["1/10", "9/10"]), ["1", "1/2"])
     with pytest.raises(SpaceMismatch):
-        verify_certificate(f, DominanceCertificate(F(13, 40), (skewed,)))
+        verify_certificate(f, DominanceCertificate(F(11, 20), (skewed,)))
     # the float form of f's space is the same measure
-    assert verify_certificate(f, DominanceCertificate(F(5, 8), (f.as_float(),)))
+    assert verify_certificate(f, DominanceCertificate(F(3, 4), (f.as_float(),)))
 
 
 def _certificates_on_two_measures():
     # f's factor on (1/2, 1/2), g's on (1/10, 9/10), one shared budget
     f = kernel_from_values(make_space(["1/2", "1/2"]), ["1", "1/2"])
     g = kernel_from_values(make_space(["1/10", "9/10"]), ["1", "1/2"])
-    return f, DominanceCertificate(F(5, 8), (f,)), DominanceCertificate(F(5, 8), (g,))
+    return f, DominanceCertificate(F(3, 4), (f,)), DominanceCertificate(F(3, 4), (g,))
 
 
 def test_contract_certificate_refuses_factors_on_two_measures():
-    # with the colored edge, g's factor would become its Schwarz marginal
-    # taken against (1/10, 9/10), sqrt(13/40), in a certificate on (1/2, 1/2)
+    # with the colored edge, g's factor would become its integral taken
+    # against (1/10, 9/10), 11/20, in a certificate on (1/2, 1/2)
     f, cf, cg = _certificates_on_two_measures()
     d = ColoredDiagram(1, 1, ((1, 2),), {1})
     with pytest.raises(SpaceMismatch):
         contract_certificate(cf, cg, d)
     # the float form of f's space is the same measure
-    cf_float = DominanceCertificate(F(5, 8), (f.as_float(),))
+    cf_float = DominanceCertificate(F(3, 4), (f.as_float(),))
     h = compact_relabel(contract(f, f, d))
     assert verify_certificate(h, contract_certificate(cf, cf_float, d))
 
@@ -321,8 +369,9 @@ def test_a_certificate_failing_each_clause_is_refused_in_both_modes():
     # a zero-weight atom, a two-block certificate and an empty block's constant
     sp = make_space(["1/3", "2/3", "0"])
     f = kernel_from_values(sp, [["1/2", "0", "0"], ["0", "-1/4", "0"], ["0", "0", "1"]])
-    row = Kernel(sp, kernel_from_values(sp, ["1", "1/2", "1"]).values, (1,))
-    col = Kernel(sp, kernel_from_values(sp, ["1/2", "1/2", "1"]).values, (2,))
+    # the squares of (1, 1/2, 1) and (1/2, 1/2, 1): f^2 meets their product on the diagonal
+    row = Kernel(sp, kernel_from_values(sp, ["1", "1/4", "1"]).values, (1,))
+    col = Kernel(sp, kernel_from_values(sp, ["1/4", "1/4", "1"]).values, (2,))
     good = DominanceCertificate(F(1, 2), (row, col))
     failing = {
         "sigma above 1": DominanceCertificate(F(3, 2), (row, col)),
@@ -331,9 +380,9 @@ def test_a_certificate_failing_each_clause_is_refused_in_both_modes():
         "negative entry": DominanceCertificate(F(1, 2), (row.scale(-1), col.scale(-1))),
         # 3/2 sits on the zero-weight atom: only the sup clause sees it
         "sup above 1": DominanceCertificate(
-            F(1, 2), (Kernel(sp, kernel_from_values(sp, ["1", "1/2", "3/2"]).values, (1,)), col)),
-        "L2 above budget": DominanceCertificate(F(1, 5), (row, col)),
-        "product below |f|": DominanceCertificate(
+            F(1, 2), (Kernel(sp, kernel_from_values(sp, ["1", "1/4", "3/2"]).values, (1,)), col)),
+        "integral above budget": DominanceCertificate(F(1, 5), (row, col)),
+        "product below f^2": DominanceCertificate(
             F(1, 2), (row, col.scale(F(1, 2)), constant_kernel(sp, "1/2"))),
     }
     assert verify_certificate(f, good) and _oracle.verify_certificate(f, good)
@@ -388,7 +437,7 @@ def test_verify_arity_zero_certificate():
     sp = make_space(["1/2", "1/2"])
     f = constant_kernel(sp, F(1, 3))
     assert verify_certificate(f, DominanceCertificate(F(1, 2), (constant_kernel(sp, "1/2"),)))
-    assert not verify_certificate(f, DominanceCertificate(F(1, 2), (constant_kernel(sp, "1/4"),)))
+    assert not verify_certificate(f, DominanceCertificate(F(1, 2), (constant_kernel(sp, "1/10"),)))
     # numerators that fit an int64 while their cross products do not
     h = constant_kernel(sp, F(2**40 - 1, 2**40))
     g = constant_kernel(sp, F(2**39, 2**40 + 7))

@@ -203,10 +203,28 @@ def test_fit_constants_rejects_a_rising_tail():
 
 
 def test_tail_rows_without_a_statistic_fit_nothing():
-    # sigma 0: fitting these points would raise, as there is no tail at all
+    # a zero kernel: fitting these points would raise, as there is no tail at all
     est = TailEstimate(x_grid=(0.5, 1.0), p_hat=(0.0, 0.0), stderr=(0.0, 0.0), k=1, n=10,
-                       sigma=0.0)
+                       sigma=0.0, vanishes=True)
     assert montecarlo.tail_rows(est) == [(0.5, 0.0, 0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0, 0.0)]
+
+
+def test_tail_rows_refuse_a_nonzero_kernel_whose_sigma_underflows():
+    # ||f||^2 = 2/9 * 10^-400 reads 0.0 as a float, but f is not zero
+    sp = make_space(["1/3", "2/3"])
+    f = canonical_project(kernel_from_values(sp, ["1e-200", "0"]))
+    cfg = McConfig(replicates=200, seed=3, n=30)
+    est = estimate_tail(f, cfg, draw_counts(sp, 30, 3, 200), (1e-201, 3e-201, 6e-201))
+    assert est.sigma == 0.0 and not est.vanishes and est.p_hat[0] > 0
+    with pytest.raises(RegimeViolation):
+        montecarlo.tail_rows(est)
+    # a kernel vanishes when it is 0 wherever a sample can land
+    for values in (["0", "0", "0"], [0.0, 0.0, 1.0], [["0", "0", "1"], ["0", "0", "0"],
+                                                      ["-1", "0", "1"]]):
+        sp = make_space(["1/2", "1/2", "0"])
+        g = kernel_from_values(sp, values)
+        est = estimate_tail(g, cfg, draw_counts(sp, 30, 3, 200), (0.5,))
+        assert est.vanishes and montecarlo.tail_rows(est) == [(0.5, 0.0, 0.0, 0.0, 0.0)]
 
 
 def test_tail_rows_bounds_dominate_the_estimate():

@@ -111,7 +111,7 @@ def test_wrong_certificates_break_the_clause_they_name():
         assert dominance.verify_certificate(f, cert)
         (g, same), (same_f, over) = _wrong_certificates(f, cert)
         assert same is cert and same_f is f
-        # g leaves f at one cell only, where |g| passes the product
+        # g leaves f at one cell only, where g^2 passes the product
         assert sum(a != b for a, b in zip(f.values.flat, g.values.flat)) == 1
         assert not dominance.verify_certificate(g, cert)
         assert over.sigma_sq == 1 and over.factors[1:] == cert.factors[1:]
@@ -159,6 +159,13 @@ def _weights_reversed(contract):
     return mutant
 
 
+def _unsquared(collapse):
+    """collapse_certificate with h itself as the factor, in place of h^2."""
+    def mutant(h, cf, cg):
+        return dominance.DominanceCertificate(collapse(h, cf, cg).sigma_sq, (h,))
+    return mutant
+
+
 SEEDED_DEFECTS = [
     pytest.param(diagrams, "product_formula_coefficient", _times(F(1001, 1000)), 10,
                  id="product_formula_coefficient"),
@@ -176,13 +183,14 @@ SEEDED_DEFECTS = [
                  id="recursion_weight"),
     pytest.param(dominance, "verify_certificate", lambda fn: lambda f, cert: True, 14,
                  id="verify_certificate"),
+    pytest.param(dominance, "collapse_certificate", _unsquared, 14, id="collapse_certificate"),
 ]
 
 
 # the suite whose library error each exit-1 row reports
 _RAISED_BY = {"canonical_project": "diagram", "l2_norm_sq": "moments"}
 # the suites an exit-1 row also fails by their checks alone
-_ALSO_FAILS = {"canonical_project": [], "l2_norm_sq": ["norms", "dominance"]}
+_ALSO_FAILS = {"canonical_project": [], "l2_norm_sq": ["norms"]}
 
 
 @pytest.fixture
