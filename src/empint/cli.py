@@ -46,7 +46,7 @@ import numpy as np
 from . import __version__
 from . import bounds as bounds_mod
 from . import combinatorics, montecarlo, verify
-from .errors import EmpintError, InsufficientTailData, MalformedInput
+from .errors import EmpintError, InsufficientTailData, MalformedInput, RegimeViolation
 from .kernels import MAX_ARITY, canonical_project, kernel_from_json
 from .scalars import format_scalar, in_float_range
 from .space import draw_counts, make_space
@@ -223,6 +223,8 @@ def cmd_tails(args) -> int:
             grid, pilot = montecarlo.auto_grid(f, mc, points=cfg["grid_points"])
         except InsufficientTailData as e:  # a statistic that vanishes: no scale
             raise MalformedInput(f"{e}: no auto grid; give an x_grid") from e
+        except RegimeViolation as e:  # a scale floats cannot hold, on any grid
+            raise MalformedInput(f"{e}: no auto grid") from e
         provenance = {"grid": "auto", "pilot_replicates": pilot}
     counts = draw_counts(space, mc.n, mc.seed, mc.replicates)
     est = montecarlo.estimate_tail(f, mc, counts, grid)

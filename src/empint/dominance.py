@@ -43,8 +43,8 @@ import numpy as np
 
 from .diagrams import ColoredDiagram
 from .errors import BlockMismatch, RankTooSmall, SigmaMismatch
-from .kernels import (Kernel, _einsum_numerators, constant_kernel, l1_norm, labeled_product,
-                      random_kernel)
+from .kernels import (Kernel, _Held, _einsum_numerators, constant_kernel, l1_norm,
+                      labeled_product, random_kernel)
 from .scalars import Scalar, is_exact, mode_of, require_one_measure
 
 __all__ = [
@@ -205,8 +205,8 @@ def random_dominated_pair(space, blocks: tuple[tuple[int, ...], ...],
     the certificate holds their squares, and the kernel is their product
     damped by a random sign pattern in [-1, 1]."""
     labels = tuple(sorted(j for b in blocks for j in b))
-    drawn = {b: Kernel(space, np.abs(random_kernel(space, len(b), rng).values),
-                       tuple(sorted(b))) for b in blocks if b}
+    drawn = {b: _Held(space, tuple(sorted(b)), np.abs(nums), d, True) for b in blocks if b
+             for nums, d in [random_kernel(space, len(b), rng).numerators]}
     squares = {b: _square(h) for b, h in drawn.items()}
     sigma_sq = max(map(l1_norm, squares.values()), default=Fraction(0))
     if sigma_sq == 0:
@@ -216,5 +216,6 @@ def random_dominated_pair(space, blocks: tuple[tuple[int, ...], ...],
     squares[()] = _square(drawn[()])
     damp = random_kernel(space, len(labels), rng)
     prod = labeled_product(space, [(drawn[b], drawn[b].axis_labels) for b in blocks], labels)
-    return Kernel(space, prod.values * damp.values, labels), DominanceCertificate(
-        sigma_sq, tuple(squares[b] for b in blocks))
+    (p, d_p), (q, d_q) = prod.numerators, damp.numerators
+    return _Held(space, labels, mode_of(space).array(p * q), d_p * d_q, True), \
+        DominanceCertificate(sigma_sq, tuple(squares[b] for b in blocks))

@@ -15,28 +15,28 @@ which takes kernels with a label per axis and hands the labels to
 Exact-mode kernels hold Python rationals in an object-dtype array on an
 exact space (``Kernel`` reads the type of every value it is given and
 turns any other object values into floats) and every operation below is
-closed over the rationals.  So ``labeled_product``, ``Kernel.add``,
-``Kernel.scale`` and ``compact_relabel`` build their result in the mode
-``mode_of`` fixes for their operands (``_result``), without reading its
-entries again.  Kernels and spaces cache their
-Python-int numerators over one denominator (``numerators``).  Every exact
-``labeled_product``, a pure product included, runs its ``einsum`` on them
-and divides once per entry; the step-by-step operators stay on the
-Fractions, as the reference.  The norms and ``is_canonical`` read the
-numerators too and divide or compare once at the end.  Float-mode kernels
-use IEEE doubles with the same code paths, over a denominator of 1,
-reading an exact operand as its float form (``Arithmetic.form``), which a
-kernel builds once and caches, as a space does.  Operands combine on one
-measure only: an exact space and its float form are one, two different
-exact spaces never are (``require_one_measure``).  A kernel's values are
-read-only, so results memoized on a kernel can never go stale.
+closed over the rationals.  So ``Kernel.add`` and ``Kernel.scale`` build
+their result in the mode ``mode_of`` fixes for their operands
+(``_result``), without reading its entries again.  Kernels and spaces
+cache their Python-int numerators over one denominator (``numerators``).
+Every ``labeled_product`` runs its ``einsum`` on them and keeps the result
+N over the denominators' product d (``_Held``, as ``random_kernel`` does):
+N / d in lowest terms (one gcd) and its values (Fractions unless d is 1)
+are built when read; the other operators stay on the Fractions.  The norms
+and ``is_canonical`` read the numerators too and divide or compare once at
+the end.  Float-mode kernels use IEEE doubles with the same code paths,
+over a denominator of 1, reading an exact operand as its float form
+(``Arithmetic.form``), which a kernel builds once and caches, as a space
+does.  Operands combine on one measure only: an exact space and its float
+form are one, two different exact spaces never are
+(``require_one_measure``).  A kernel's values are read-only, so results
+memoized on a kernel can never go stale.
 """
 from __future__ import annotations
 
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -67,16 +67,14 @@ class Kernel:
     axis_labels: tuple[int, ...]
 
     def __post_init__(self):
-        self._settle(kernel_values(self.values, self.space.exact))
+        object.__setattr__(self, "values", read_only(kernel_values(self.values, self.space.exact)))
+        self._check(self.values.shape)
 
-    def _settle(self, values: np.ndarray) -> None:
-        """Store the values read-only and check their shape and the labels."""
-        v = read_only(values)
-        object.__setattr__(self, "values", v)
-        if v.ndim != len(self.axis_labels):
-            raise ArityMismatch(f"{v.ndim} tensor axes for {len(self.axis_labels)} labels")
-        if v.shape != (self.space.n_atoms,) * v.ndim:
-            raise ArityMismatch(f"tensor shape {v.shape} does not match {self.space.n_atoms} atoms")
+    def _check(self, shape: tuple[int, ...]) -> None:
+        if len(shape) != len(self.axis_labels):
+            raise ArityMismatch(f"{len(shape)} tensor axes for {len(self.axis_labels)} labels")
+        if shape != (self.space.n_atoms,) * len(shape):
+            raise ArityMismatch(f"tensor shape {shape} does not match {self.space.n_atoms} atoms")
         if any(a >= b for a, b in zip(self.axis_labels, self.axis_labels[1:])):
             raise ValueError(f"axis labels must be strictly increasing, got {self.axis_labels}")
 
@@ -125,15 +123,42 @@ class Kernel:
         return self._float_form
 
 
+class _Held(Kernel):
+    """A kernel held as numerators N, an array in one mode, over d: its values,
+    N or N / d as ``divide`` says, and its numerators, in lowest terms, are
+    built on first read.  Its shape and labels are checked as ``Kernel``'s."""
+
+    def __init__(self, space: AtomSpace, labels: tuple, nums: np.ndarray, d: int, divide: bool):
+        vars(self).update(space=space, axis_labels=labels, _raw=(read_only(nums), d),
+                          _divide=divide)
+        self._check(nums.shape)
+
+    @property
+    def exact(self) -> bool:
+        return self._raw[0].dtype == object
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        mode, (nums, d) = mode_of(self), self._raw
+        return read_only(mode.array(np.frompyfunc(mode.ratio, 2, 1)(nums, d))) \
+            if self._divide else nums
+
+    @cached_property
+    def numerators(self) -> tuple[np.ndarray, int]:
+        # d / g, g = gcd(d, *N), is the lcm of the reduced denominators (d is 1 for floats)
+        nums, d = self._raw
+        g = math.gcd(d, *nums.flat) if d > 1 else 1
+        return (read_only(np.asarray(nums // g, dtype=object)) if g > 1 else nums), d // g
+
+
 def _result(mode: Arithmetic, space: AtomSpace, values, labels: tuple[int, ...]) -> Kernel:
     """An operator's result kernel: its values, computed from operands in
     ``mode``, are taken in that mode by ``Arithmetic.array`` instead of
     being read entry by entry; the shape and labels are checked as
     ``Kernel`` checks them."""
     f = object.__new__(Kernel)
-    object.__setattr__(f, "space", space)
-    object.__setattr__(f, "axis_labels", labels)
-    f._settle(mode.array(values))
+    vars(f).update(space=space, axis_labels=labels, values=read_only(mode.array(values)))
+    f._check(f.values.shape)
     return f
 
 
@@ -202,8 +227,8 @@ def labeled_product(space: AtomSpace, factors: Iterable[tuple[Kernel, Sequence[i
     integrated against the base measure; the result is a kernel whose axes
     follow ``out`` (strictly increasing).  Every label must be kept or
     integrated, once, and every factor must live on ``space``'s measure.
-    The einsum runs on the operands' numerators in the joint mode; in exact
-    mode each entry is divided once by their denominators.
+    The einsum runs on the operands' numerators in the joint mode, and the
+    result holds it over their denominators' product (``_Held``).
     """
     factors = [(f, list(labels)) for f, labels in factors]
     integrate = list(integrate)
@@ -213,8 +238,7 @@ def labeled_product(space: AtomSpace, factors: Iterable[tuple[Kernel, Sequence[i
     require_one_measure(space, *(f.space for f, _ in factors))
     mode = mode_of(space, *(f for f, _ in factors))
     nums, den = _einsum_numerators(mode, space, factors, out, integrate)
-    values = nums if den == 1 else np.frompyfunc(Fraction, 2, 1)(nums, den)
-    return _result(mode, space, values, tuple(out))
+    return _Held(space, tuple(out), nums, den, den != 1)
 
 
 def _einsum_numerators(mode: Arithmetic, space: AtomSpace,
@@ -296,8 +320,12 @@ def require_canonical(f: Kernel):
 # -- relabeling -------------------------------------------------------------
 
 def compact_relabel(f: Kernel) -> Kernel:
-    """Rename surviving labels to 1..arity, preserving their order."""
-    return _result(mode_of(f), f.space, f.values, tuple(range(1, f.arity + 1)))
+    """Rename surviving labels to 1..arity, preserving their order; what f
+    holds is shared, unread, but for its float form, which carries f's labels."""
+    g = object.__new__(type(f))
+    vars(g).update({k: v for k, v in vars(f).items() if k != "_float_form"},
+                   axis_labels=tuple(range(1, f.arity + 1)))
+    return g
 
 
 # -- generation and serialization ------------------------------------------
@@ -306,12 +334,12 @@ def random_kernel(space: AtomSpace, arity: int, rng: np.random.Generator,
                   max_den: int = 6) -> Kernel:
     """A random exact kernel with |values| <= 1 and denominators <= max_den."""
     shape = (space.n_atoms,) * arity
-    out = np.empty(shape, dtype=object)
-    for idx in np.ndindex(*shape) if arity else [()]:
-        den = int(rng.integers(1, max_den + 1))
-        num = int(rng.integers(-den, den + 1))
-        out[idx] = Fraction(num, den)
-    return Kernel(space, out, tuple(range(1, arity + 1)))
+    # row-major, each entry's denominator drawn before its numerator
+    draws = [(den := int(rng.integers(1, max_den + 1)), int(rng.integers(-den, den + 1)))
+             for _ in range(math.prod(shape))]
+    d = math.lcm(*(den for den, _ in draws))
+    nums = np.array([num * (d // den) for den, num in draws], dtype=object).reshape(shape)
+    return mode_of(space).form(_Held(space, tuple(range(1, arity + 1)), nums, d, True))
 
 
 def kernel_to_json(f: Kernel) -> dict:

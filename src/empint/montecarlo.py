@@ -212,12 +212,17 @@ def auto_grid(f: Kernel, cfg: McConfig, points: int) -> tuple[tuple[float, ...],
     """``points`` geometric levels and the pilot replicates drawn for them: for
     canonical f, sigma times the |Z| quantiles 0.5 to 0.999 with sigma^2 from
     ``canonical_second_moment``; else a pilot run's |statistic| quantiles, ends
-    moved off its values, its streams from max(10^9, R) on, past the run's."""
+    moved off its values, its streams from max(10^9, R) on, past the run's.
+    RegimeViolation is raised for a canonical f whose scale a float cannot hold."""
     if is_canonical(f):
         m2 = canonical_second_moment(f, cfg.n)
         sigma = math.sqrt(m2) if in_float_range(m2) else math.inf
-        if not 0 < sigma < math.inf:
+        if m2 == 0:
             raise InsufficientTailData(f"the statistic's scale sqrt(E[J^2]) is {sigma}")
+        if not 0 < sigma < math.inf:
+            raise RegimeViolation(f"the statistic's scale sqrt(E[J^2]) is {sigma} as a float, "
+                                  f"{'below' if sigma == 0 else 'past'} float range: "
+                                  "rescale the kernel")
         return tuple(np.geomspace(sigma * _Z_LO, sigma * _Z_HI, points).tolist()), 0
     pilot = draw_counts(f.space, cfg.n, cfg.seed, PILOT_REPLICATES,
                         max(_PILOT_OFFSET, cfg.replicates))

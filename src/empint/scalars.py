@@ -9,9 +9,10 @@ The decision lives here alone: other modules ask ``mode_of`` once and use
 the returned ``Arithmetic`` object instead of branching on exactness.  A
 computation reads each kernel or space x as ``mode.form(x).numerators``:
 x's cached Python-int numerators over one denominator in exact mode, its
-float form's values over 1 otherwise.  It builds its result with one
-``ratio``: every exact kernel product divides once, and only the
-step-by-step kernel operators stay on ``Fraction``s, as the reference.
+float form's values over 1 otherwise.  It builds a scalar result with one
+``ratio``; an exact kernel product stays integer numerators over one
+denominator until its values are read, one ``ratio`` per entry, and only
+the step-by-step kernel operators stay on ``Fraction``s, as the reference.
 An operator's result is already in its operands' mode, so ``array`` takes
 it as it is; only values from outside are read entry by entry
 (``kernel_values``).

@@ -285,10 +285,10 @@ SUITES = {
 }
 
 
-# Longest first (median CPU times of 40.3, 17.5, 17.1, 12.8, 8.8 and 2.7 ms
-# over verify seeds 1000-1015, three passes, all six suites in one process;
-# 2 cores, Python 3.11), so that the processes claiming them finish close
-# together: Graham's LPT list scheduling.
+# Longest first (median CPU times of 39.7, 13.8, 12.5, 10.1, 6.6 and 2.3 ms
+# over verify seeds 1000-1015, three passes, all six suites in one process,
+# the fastest of three runs; 2 cores, Python 3.11), so that the processes
+# claiming them finish close together: Graham's LPT list scheduling.
 _LONGEST_FIRST = ("dominance", "diagram", "expectation", "norms", "moments", "constants")
 
 

@@ -643,6 +643,21 @@ def test_tails_zero_kernel_without_grid_is_config_error(tmp_path, capsys, change
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value, side", [("1e-200", "below"), ("1e200", "past")])
+def test_tails_scale_outside_float_range_asks_for_a_rescaled_kernel(tmp_path, capsys, value,
+                                                                     side):
+    # E[J^2] is a positive rational, but its float square root is 0.0 or
+    # inf: an x_grid would be refused too, so the advice is to rescale
+    cfg_doc = {**TAILS_CFG, "space": {"weights": ["1/3", "2/3"]},
+               "kernel": {"arity": 1, "values": [value, "0"]}, "n": 30}
+    del cfg_doc["x_grid"]
+    assert run(["tails", "--config", write_json(tmp_path / "t.json", cfg_doc),
+                "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: the statistic's scale sqrt(E[J^2]) is ")
+    assert f"{side} float range: rescale the kernel" in err and "x_grid" not in err
+
+
 def test_tails_config_errors(tmp_path, capsys):
     missing = write_json(tmp_path / "bad.json", {"replicates": 10})
     assert run(["tails", "--config", missing, "--out-dir",
@@ -801,9 +816,12 @@ def test_importing_the_cli_leaves_openssl_unloaded():
     ("verify", {"suites": ["constants", "constants"]}),
     # a canonical kernel on the auto grid whose E[J^2] is past float range
     ("tails", {"kernel": {"arity": 1, "values": ["1e200", "0"]}, "x_grid": None}),
-    # a nonzero kernel whose L2 norm underflows to 0.0: the fit refuses sigma 0
+    # a nonzero kernel whose L2 norm underflows to 0.0: the fit refuses sigma 0,
+    # and without a grid auto_grid does ("below float range: rescale the kernel")
     ("tails", {"space": {"weights": ["1/3", "2/3"]}, "kernel": {"arity": 1,
                "values": ["1e-200", "0"]}, "n": 30, "x_grid": [1e-201, 3e-201, 6e-201]}),
+    ("tails", {"space": {"weights": ["1/3", "2/3"]}, "kernel": {"arity": 1,
+               "values": ["1e-200", "0"]}, "n": 30, "x_grid": None}),
 ])
 def test_bad_input_is_config_error(tmp_path, capsys, command, arg):
     if command == "bounds":

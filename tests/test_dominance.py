@@ -244,6 +244,22 @@ def test_exact_pairs_transport_to_exact_certificates_property(sp, bf, bg, seed):
             assert verify_certificate(h, cert) and _oracle.verify_certificate(h, cert, tol=0)
 
 
+def test_transport_and_check_build_no_fraction_entries():
+    """Transported factors are products held as numerators over one
+    denominator, and the check reads those alone: no factor, and not the
+    contraction either, builds its Fraction entries."""
+    sp = make_space(["1/6", "1/3", "1/2"])
+    f, cf = _random_cert(sp, ((1,), (2,), ()), 5)
+    g, cg = _random_cert(sp, ((1, 2),), 6)
+    sig = max(cf.sigma_sq, cg.sigma_sq)
+    cf, cg = relax_sigma(cf, sig), relax_sigma(cg, sig)
+    for d in _all_diagrams(2, 2):
+        h = compact_relabel(contract(f, g, d))
+        ct = contract_certificate(cf, cg, d)
+        assert verify_certificate(h, ct)
+        assert [("values" in vars(x)) for x in (h, *ct.factors)] == [False] * (1 + ct.rank)
+
+
 def test_collapse_budget_is_not_sigma_sq_to_the_total_rank():
     # a pair whose plain-edge contraction has ||h||^2 = 1.19 sigma^4: the
     # budget sigma_sq^((1+1)/2) holds it, sigma_sq^(1+1) would not

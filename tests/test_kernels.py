@@ -17,6 +17,7 @@ from empint.kernels import (Kernel, canonical_project, center_axis, compact_rela
                             random_kernel, require_canonical, sup_norm, symmetrize,
                             tensor_product)
 from empint.integrals import eval_integral
+from empint.scalars import _integer_numerators
 from empint.space import Sample, make_space, uniform_space
 
 
@@ -447,6 +448,46 @@ def test_operators_build_what_kernel_builds_property(data, sp, k):
     h = labeled_product(sp, [(f, labels), (g, g_labels)], out, integrate)
     _built_as_kernel_builds(h, _oracle.labeled_product(
         sp, [(f.values, labels), (g.values, g_labels)], out, integrate), same_entries=False)
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(data=st.data(), sp=exact_spaces(max_atoms=3), k=st.integers(0, 3),
+       seed=st.integers(0, 2**32 - 1))
+def test_exact_results_hold_their_numerators_property(data, sp, k, seed):
+    # a labeled product holds N / d in lowest terms, the pair its values
+    # give, and builds values equal to the Fraction einsum's: ints when
+    # every operand's denominator is 1, Fractions otherwise
+    factors = [_operand(data, sp, data.draw(st.lists(st.integers(1, 4), min_size=j, max_size=j,
+                                                     unique=True)))
+               for j in data.draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))]
+    used = sorted(set().union(*(labels for _, labels in factors)))
+    integrate = data.draw(st.lists(st.sampled_from(used), unique=True)) if used else []
+    out = [j for j in used if j not in integrate]
+    h = labeled_product(sp, factors, out, integrate)
+    nums, d = pair = h.numerators
+    relabeled = compact_relabel(h)  # copies the pair, and builds no values
+    assert "values" not in vars(relabeled)
+    assert relabeled.numerators is pair and relabeled.axis_labels == tuple(range(1, len(out) + 1))
+    want_nums, want_d = _integer_numerators(h.values)
+    assert d == want_d and nums.shape == want_nums.shape and (nums == want_nums).all()
+    assert all(type(x) is int for x in nums.flat)
+    want = _oracle.labeled_product(sp, [(f.values, labels) for f, labels in factors],
+                                   out, integrate)
+    assert h.values.shape == want.shape and (h.values == want).all()
+    dens = [f.numerators[1] for f, _ in factors] + [sp.numerators[1]] * len(integrate)
+    assert {type(x) for x in h.values.flat} == {int if math.prod(dens) == 1 else F}
+    # random_kernel draws what a Fraction(num, den) per entry drew, in row-major order
+    f = random_kernel(sp, k, drawing := np.random.default_rng(seed))
+    rng = np.random.default_rng(seed)
+    drawn = np.empty((sp.n_atoms,) * k, dtype=object)
+    for idx in np.ndindex(drawn.shape):
+        den = int(rng.integers(1, 7))
+        drawn[idx] = F(int(rng.integers(-den, den + 1)), den)
+    assert [(type(x), x) for x in f.values.flat] == [(F, x) for x in drawn.flat]
+    assert drawing.integers(2**62) == rng.integers(2**62)  # no draw more or less
+    nums, d = f.numerators
+    want_nums, want_d = _integer_numerators(drawn)
+    assert d == want_d and (nums == want_nums).all()
 
 
 def _same_kernel(g, h):
